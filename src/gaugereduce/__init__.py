@@ -12,7 +12,7 @@ invariant subspace.
 from .blocks import BlockLabel, Truncation, enumerate_blocks, regular_action_block
 from .blockop import BlockOperator
 from .config import ConfigError, RunConfig, parse_config
-from .graphs import Edge, Graph, iota_injective
+from .graphs import Edge, Graph
 from .groups import (
     GroupId,
     GroupPoint,

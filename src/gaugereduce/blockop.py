@@ -51,11 +51,6 @@ class BlockOperator:
                 out.data[k] = v.copy()
         return out
 
-    def scale(self, c: complex) -> "BlockOperator":
-        out = BlockOperator(self.trunc)
-        out.data = {k: c * v for k, v in self.data.items()}
-        return out
-
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         out = BlockOperator(self.trunc)
         acc: dict[tuple[int, int], np.ndarray] = {}
@@ -76,14 +71,6 @@ class BlockOperator:
     def adjoint(self) -> "BlockOperator":
         out = BlockOperator(self.trunc)
         out.data = {(j, i): m.conj().T for (i, j), m in self.data.items()}
-        return out
-
-    def power(self, n: int) -> "BlockOperator":
-        if n < 1:
-            raise ValueError("power must be at least 1")
-        out = self
-        for _ in range(n - 1):
-            out = out @ self
         return out
 
     def fro_inner(self, other: "BlockOperator") -> complex:

@@ -25,8 +25,10 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from .blocks import Truncation
-from .config import ConfigError, RunConfig, parse_config
+from .config import METHODS, ConfigError, RunConfig, parse_config
 from .groups import IrrepLabel
 from .ideal import IdealReport, subspace_distance, verify_ideal
 from .reduction import BandError, commutant_basis, invariant_basis
@@ -96,7 +98,7 @@ def _verify_settings(cfg: RunConfig, args) -> dict:
     return {
         "n_max": n_max,
         "tol": tol if tol is not None else 1e-8,
-        "method": {"quad": "quadrature"}.get(method, method) or "lie",
+        "method": METHODS[method or "lie"],
         "band": IrrepLabel(cfg.group, band) if band is not None else None,
     }
 
@@ -107,12 +109,15 @@ def cmd_decompose(cfg: RunConfig, args) -> int:
     inv = invariant_basis(trunc)
     space = commutant_basis(trunc)
     blocks = []
-    offset_invariants = _invariant_dims(trunc)
-    for block, dim, inv_dim in zip(trunc.blocks, trunc.dims, offset_invariants):
+    off = trunc.offsets
+    for i, block in enumerate(trunc.blocks):
+        # the basis rows are orthonormal and each lies in one block, so the
+        # squared norm of a block's columns counts its invariant vectors
+        inv_dim = round(np.linalg.norm(inv.vectors[:, off[i] : off[i + 1]]) ** 2)
         blocks.append(
             {
                 "labels": [lab.value for lab in block.labels],
-                "dim": dim,
+                "dim": trunc.dims[i],
                 "invariant_dim": inv_dim,
                 "energy": str(block_energy(block)),
             }
@@ -131,12 +136,6 @@ def cmd_decompose(cfg: RunConfig, args) -> int:
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     _emit(payload, args.out or cfg.out)
     return 0
-
-
-def _invariant_dims(trunc: Truncation) -> list[int]:
-    from .reduction import _invariant_columns
-
-    return [_invariant_columns(b).shape[1] for b in trunc.blocks]
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:

@@ -60,7 +60,7 @@ _SECTIONS = {
     "output": {"path"},
 }
 
-_METHODS = {"lie": "lie", "quad": "quadrature", "quadrature": "quadrature"}
+METHODS = {"lie": "lie", "quad": "quadrature", "quadrature": "quadrature"}
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
@@ -156,7 +156,7 @@ def parse_config(path: str) -> RunConfig:
             _fail(path, lineno, "tol must be positive")
     if ("verify", "method") in values:
         lineno, v = values[("verify", "method")]
-        method = _METHODS.get(v.lower())
+        method = METHODS.get(v.lower())
         if method is None:
             _fail(path, lineno, f"method must be lie or quad, got {v!r}")
     if ("verify", "band") in values:

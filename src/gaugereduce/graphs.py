@@ -52,29 +52,3 @@ class Graph:
             if a or b:
                 out.append((e, a, b))
         return out
-
-    def degree(self, vertex: str) -> int:
-        """Number of edge endpoints at the vertex; a loop counts twice."""
-        return sum(int(a) + int(b) for _, a, b in self.incidences(vertex))
-
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for e in self.edges:
-            adj[e.source].add(e.target)
-            adj[e.target].add(e.source)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
-
-
-def iota_injective(graph: Graph) -> bool:
-    """Whether the embedding of gauge transformations into the field algebra
-    separates points: true for connected graphs with at least two vertices."""
-    return graph.is_connected() and len(graph.vertices) > 1

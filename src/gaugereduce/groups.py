@@ -277,9 +277,6 @@ class HaarScheme:
     points: tuple[GroupPoint, ...]
     weights: np.ndarray
 
-    def integrates(self, total_degree: int) -> bool:
-        return total_degree <= 2 * self.band.degree
-
 
 def required_band(group: GroupId, total_degree: int) -> IrrepLabel:
     """Smallest band whose scheme integrates products of that total degree."""

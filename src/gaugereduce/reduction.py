@@ -6,11 +6,15 @@ Three objects are produced from a truncation:
   Gauss generators, or equivalently the range of the Haar-averaged
   projector),
 * an orthonormal basis of the commutant algebra -- the block operators
-  commuting with every gauge transformation -- computed pair-of-blocks at
-  a time, which is the whole answer because the generators are block
-  diagonal,
+  commuting with every gauge transformation.  Each block is split once
+  into irreducible copies of the gauge action, labelled by a gauge irrep
+  ``lam``; the commutant is then ``sum_lam M_{m_lam}(C)``, one full matrix
+  algebra per irrep, spanned by matrix units between copies of the same
+  irrep (Schur's lemma),
 * the matrix of the restriction map ``pi`` sending a commutant element to
   its compression onto the invariant subspace, and a basis of its kernel.
+  Neither uses the irrep labels, so comparing the kernel with the ideal
+  built from them is a genuine check.
 
 Everything is finite-dimensional linear algebra; ranks are decided at a
 single relative tolerance so the counts reported downstream are stable.
@@ -26,14 +30,8 @@ from scipy.linalg import null_space
 from .blocks import BlockLabel, Truncation
 from .blockop import BlockOperator
 from .graphs import Graph
-from .groups import (
-    GroupId,
-    IrrepLabel,
-    haar_scheme,
-    lie_dim,
-    required_band,
-)
-from .lattice import GaugeElement, block_generators, vertex_flux
+from .groups import GroupId, IrrepLabel, haar_scheme, lie_dim, required_band
+from .lattice import GaugeElement, block_generators
 
 RANK_RTOL = 1e-10
 
@@ -66,17 +64,6 @@ class SubspaceBasis:
     @property
     def dim(self) -> int:
         return self.vectors.shape[0]
-
-    @classmethod
-    def from_spanning(
-        cls, ambient_dim: int, rows: np.ndarray, rtol: float = RANK_RTOL
-    ) -> "SubspaceBasis":
-        rows = np.asarray(rows, dtype=complex).reshape(-1, ambient_dim)
-        if rows.shape[0] == 0:
-            return cls(ambient_dim)
-        u, s, vh = np.linalg.svd(rows, full_matrices=False)
-        keep = s > rtol * max(1.0, s[0])
-        return cls(ambient_dim, vh[keep])
 
     def project_out(self, rows: np.ndarray) -> np.ndarray:
         """Components of the given rows orthogonal to the subspace."""
@@ -178,20 +165,22 @@ class EquivariantSpace:
     Element ``k`` is a triple ``(i, j, m)``: a matrix ``m`` mapping block
     ``j`` into block ``i``.  Frobenius inner products make the basis
     orthonormal, and elements on different pairs are orthogonal for free.
+    ``components[k]`` indexes the gauge irrep ``irreps[c]`` whose matrix
+    algebra holds element ``k``.
     """
 
-    def __init__(self, trunc: Truncation, elements):
+    def __init__(self, trunc: Truncation, elements, components=None, irreps=()):
         self.trunc = trunc
         self.elements = tuple(elements)
+        self.components = (
+            None if components is None else np.asarray(components, dtype=int)
+        )
+        self.irreps = tuple(irreps)
         self._structure = None
 
     @property
     def dim(self) -> int:
         return len(self.elements)
-
-    def element_op(self, k: int) -> BlockOperator:
-        i, j, m = self.elements[k]
-        return BlockOperator.from_pair(self.trunc, i, j, m)
 
     def coords_of(self, op: BlockOperator) -> np.ndarray:
         out = np.zeros(self.dim, dtype=complex)
@@ -199,19 +188,6 @@ class EquivariantSpace:
             blk = op.data.get((i, j))
             if blk is not None:
                 out[k] = np.vdot(m, blk)
-        return out
-
-    def op_from_coords(self, w: np.ndarray) -> BlockOperator:
-        out = BlockOperator(self.trunc)
-        for k, c in enumerate(w):
-            if c == 0:
-                continue
-            i, j, m = self.elements[k]
-            key = (i, j)
-            if key in out.data:
-                out.data[key] = out.data[key] + c * m
-            else:
-                out.data[key] = c * m
         return out
 
     def structure_maps(self):
@@ -268,44 +244,74 @@ class EquivariantSpace:
         return self._structure
 
 
-def _pair_solutions(gi, gj, di: int, dj: int) -> list[np.ndarray]:
-    """Matrices intertwining the generator lists of two blocks."""
-    if di == 1 and dj == 1:
-        ok = all(abs(a[0, 0] - b[0, 0]) <= RANK_RTOL for a, b in zip(gi, gj))
-        return [np.ones((1, 1), complex)] if ok else []
-    rows = []
-    idn_i = np.eye(di)
-    idn_j = np.eye(dj)
-    for a, b in zip(gi, gj):
-        rows.append(np.kron(a, idn_j) - np.kron(idn_i, b.T))
-    ns = null_space(np.vstack(rows), rcond=RANK_RTOL)
-    return [ns[:, k].reshape(di, dj) for k in range(ns.shape[1])]
+def _isotypic_copies(block: BlockLabel) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """The block split into irreducible copies of the gauge action.
+
+    Returns ``(lam, u)`` pairs: ``u`` has orthonormal columns spanning one
+    copy, and ``lam`` holds ``2 <J_z^v>`` of its highest-weight vector at
+    each vertex ``v``: ``2 j_v`` for SU(2), minus twice the vertex flux for
+    U(1).  With ``Gamma_{v,a} = -i J_a^v``, the raising operators are
+    ``J_+^v = i (Gamma_{v,1} + i Gamma_{v,2})`` and ``J_z^v = i Gamma_{v,3}``
+    is diagonal in the block's weight basis, so the highest-weight vectors
+    of each weight are the joint null space of the raising operators on the
+    basis vectors of that weight.  Normalized lowering fills in the rest of
+    each copy, in the same order for every copy of an irrep.  U(1) has no
+    raising operators, so every vector is a highest-weight vector.
+    """
+    gens = block_generators(block)
+    nl = lie_dim(block.labels[0].group)
+    nv = len(block.graph.vertices)
+    jz = np.array([1j * np.diag(gens[v * nl + nl - 1]) for v in range(nv)])
+    weights = [tuple(w) for w in np.rint(2 * jz.real).astype(int).T.tolist()]
+    raising = [
+        1j * (gens[v * nl] + 1j * gens[v * nl + 1]) for v in range(nv) if nl > 1
+    ]
+    stacked = np.vstack(raising) if raising else None
+    copies = []
+    for lam in dict.fromkeys(weights):
+        cols = [k for k, w in enumerate(weights) if w == lam]
+        if raising:
+            hw = null_space(stacked[:, cols], rcond=RANK_RTOL)
+        else:
+            hw = np.eye(len(cols))
+        for coeffs in hw.T:
+            chain = [np.zeros(block.dim, dtype=complex)]
+            chain[0][cols] = coeffs
+            for v, up in enumerate(raising):
+                down = up.conj().T
+                chain = [w for t in chain for w in _lowered(down, t, lam[v])]
+            copies.append((lam, np.column_stack(chain)))
+    return copies
+
+
+def _lowered(down: np.ndarray, top: np.ndarray, steps: int) -> list[np.ndarray]:
+    """``top`` followed by ``steps`` normalized applications of ``down``."""
+    out = [top]
+    for _ in range(steps):
+        w = down @ out[-1]
+        out.append(w / np.linalg.norm(w))
+    return out
 
 
 def commutant_basis(trunc: Truncation) -> EquivariantSpace:
-    """Orthonormal basis of the operators commuting with the gauge action."""
-    gens = [block_generators(b) for b in trunc.blocks]
-    u1 = trunc.group is GroupId.U1
-    flux = None
-    if u1:
-        flux = [
-            tuple(vertex_flux(b, v) for v in trunc.graph.vertices)
-            for b in trunc.blocks
-        ]
-    elements = []
-    n = len(trunc.blocks)
-    for i in range(n):
-        for j in range(n):
-            if u1:
-                if flux[i] != flux[j]:
-                    continue
-                elements.append((i, j, np.ones((1, 1), complex)))
-                continue
-            for m in _pair_solutions(
-                gens[i], gens[j], trunc.dims[i], trunc.dims[j]
-            ):
-                elements.append((i, j, m))
-    return EquivariantSpace(trunc, elements)
+    """Orthonormal basis of the operators commuting with the gauge action.
+
+    For every pair of copies ``u_a``, ``u_b`` of the same irrep, in any two
+    blocks, the matrix unit ``u_a u_b^H / sqrt(dim)`` maps copy ``b`` onto
+    copy ``a`` and is zero elsewhere; by Schur's lemma these span the
+    commutant, one full matrix algebra per irrep.
+    """
+    copies: dict[tuple[int, ...], list[tuple[int, np.ndarray]]] = {}
+    for i, block in enumerate(trunc.blocks):
+        for lam, u in _isotypic_copies(block):
+            copies.setdefault(lam, []).append((i, u))
+    elements, components = [], []
+    for c, members in enumerate(copies.values()):
+        for i, ua in members:
+            for j, ub in members:
+                elements.append((i, j, ua @ ub.conj().T / np.sqrt(ua.shape[1])))
+                components.append(c)
+    return EquivariantSpace(trunc, elements, components, tuple(copies))
 
 
 def pi_matrix(space: EquivariantSpace, inv: SubspaceBasis) -> np.ndarray:

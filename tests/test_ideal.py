@@ -30,7 +30,8 @@ from gaugereduce import (
 from gaugereduce.ideal import conjugation_band, default_n_max
 from gaugereduce.reduction import SubspaceBasis, _gauge_scheme
 
-from .systems import CANON, SMALL, build
+from .oracles import element_op, op_from_coords
+from .systems import CANON, SMALL, SU2, build, loop_graph, make
 
 
 def oracle_average(trunc, block_index, power, vertex, lie_index, extra_band=1):
@@ -144,9 +145,9 @@ def test_closure_is_two_sided_stable(name):
     seeds = rng.normal(size=(2, space.dim)) + 1j * rng.normal(size=(2, space.dim))
     ideal = ideal_closure(space, seeds)
     for row in ideal.vectors:
-        x = space.op_from_coords(row)
+        x = op_from_coords(space, row)
         for k in rng.integers(0, space.dim, size=6):
-            b = space.element_op(int(k))
+            b = element_op(space, int(k))
             for prod in (b @ x, x @ b):
                 w = space.coords_of(prod)
                 left = ideal.project_out(w.reshape(1, -1))
@@ -228,6 +229,18 @@ def test_verify_methods_agree(name):
     assert lie.passed and quad.passed
     assert [r.dim_ideal for r in lie.rows] == [r.dim_ideal for r in quad.rows]
     assert subspace_distance(lie.final_ideal, quad.final_ideal) < 1e-8
+
+
+def test_su2_loop_default_power_budget_stays_on_the_kernel():
+    # Large powers carry roundoff of size eps * |Gamma^n| onto the invariant
+    # component, where their average is exactly zero; it must not enter the
+    # ideal.
+    report = verify_ideal(make(loop_graph(), SU2, 4))
+    assert report.n_max == 25
+    assert report.passed
+    for row in report.rows[1:]:
+        assert row.dim_ideal == report.dim_ker_pi == 30
+        assert row.distance <= 1e-8
 
 
 def test_default_power_budget_is_largest_block():

@@ -3,7 +3,7 @@
 The headline oracle here is a dense one: on systems small enough to afford
 it, the commutant is recomputed as the null space of full-space commutator
 constraints, with no block bookkeeping at all, and must agree with the
-pairwise computation in both dimension and span.
+irrep-based computation in both dimension and span.
 """
 
 import numpy as np
@@ -31,6 +31,7 @@ from gaugereduce import (
 from gaugereduce.lattice import block_generators
 from gaugereduce.reduction import RANK_RTOL, _invariant_columns
 
+from .oracles import element_op, op_from_coords
 from .systems import CANON, SMALL, build
 
 # every system whose total dimension keeps the kron'd constraints small
@@ -67,10 +68,10 @@ def test_commutant_matches_dense_oracle(name):
     space = commutant_basis(trunc)
     dim, ns = dense_commutant_dim(trunc)
     assert space.dim == dim == CANON[name][3]
-    # every pairwise element must lie in the dense null space's span
+    # every basis element must lie in the dense null space's span
     proj = ns @ ns.conj().T
     for k in range(space.dim):
-        vec = space.element_op(k).to_dense().ravel()
+        vec = element_op(space, k).to_dense().ravel()
         assert np.linalg.norm(proj @ vec - vec) < 1e-9
 
 
@@ -104,13 +105,13 @@ def test_commutant_is_orthonormal_and_star_closed():
     gram = np.zeros((space.dim, space.dim), complex)
     for a in range(space.dim):
         for b in range(space.dim):
-            gram[a, b] = space.element_op(a).fro_inner(space.element_op(b))
+            gram[a, b] = element_op(space, a).fro_inner(element_op(space, b))
     assert_allclose(gram, np.eye(space.dim), atol=1e-12)
     # adjoints stay inside the span
     for k in range(space.dim):
-        adj = space.element_op(k).adjoint()
+        adj = element_op(space, k).adjoint()
         w = space.coords_of(adj)
-        assert abs(space.op_from_coords(w).fro_inner(adj) - 1.0) < 1e-10
+        assert abs(op_from_coords(space, w).fro_inner(adj) - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("name", SMALL)
@@ -201,7 +202,7 @@ def test_kernel_elements_compress_to_zero():
     inv = invariant_basis(trunc)
     ker = kernel_pi_basis(space, inv)
     for row in ker.vectors:
-        op = space.op_from_coords(row)
+        op = op_from_coords(space, row)
         for r in range(inv.dim):
             for s in range(inv.dim):
                 val = inv.vectors[r].conj() @ op.apply(inv.vectors[s])
@@ -213,7 +214,7 @@ def test_coordinate_round_trip():
     space = commutant_basis(trunc)
     rng = np.random.default_rng(41)
     w = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    op = space.op_from_coords(w)
+    op = op_from_coords(space, w)
     assert_allclose(space.coords_of(op), w, atol=1e-12)
 
 
@@ -228,11 +229,11 @@ def test_structure_maps_match_direct_products(name):
     rng = np.random.default_rng(47)
     for _ in range(5):
         w = rng.normal(size=q) + 1j * rng.normal(size=q)
-        op = space.op_from_coords(w)
+        op = op_from_coords(space, w)
         lw = (left @ w).reshape(q, q)
         rw = (right @ w).reshape(q, q)
         for j in rng.integers(0, q, size=4):
-            bj = space.element_op(int(j))
+            bj = element_op(space, int(j))
             assert_allclose(lw[j], space.coords_of(bj @ op), atol=1e-10)
             assert_allclose(rw[j], space.coords_of(op @ bj), atol=1e-10)
 
