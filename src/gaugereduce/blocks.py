@@ -42,9 +42,6 @@ class BlockLabel:
             d *= lab.dim**2
         return d
 
-    def label_for(self, edge_id: str) -> IrrepLabel:
-        return self.labels[self.graph.edge_index[edge_id]]
-
     def __repr__(self) -> str:
         inner = ",".join(str(lab.value) for lab in self.labels)
         return f"BlockLabel({inner})"

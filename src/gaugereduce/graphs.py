@@ -40,15 +40,3 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
-
-    def incidences(self, vertex: str):
-        """Edges touching the vertex, as (edge, as_source, as_target) triples.
-
-        A loop yields a single triple with both flags set.
-        """
-        out = []
-        for e in self.edges:
-            a, b = e.source == vertex, e.target == vertex
-            if a or b:
-                out.append((e, a, b))
-        return out

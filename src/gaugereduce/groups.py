@@ -28,9 +28,11 @@ Conventions, pinned once and relied on everywhere downstream:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm
@@ -210,29 +212,34 @@ def exp_point(group: GroupId, coeffs) -> GroupPoint:
     return su2_point(math.cos(half), s * axis[0], s * axis[1], s * axis[2])
 
 
+@functools.cache
 def irrep_generator(label: IrrepLabel, index: int) -> np.ndarray:
     """Image of the index-th Lie basis element in the given irrep.
 
     Anti-hermitian, and equal to the t-derivative of
-    ``irrep_matrix(label, exp(t * X_index))`` at ``t = 0``.
+    ``irrep_matrix(label, exp(t * X_index))`` at ``t = 0``.  Cached per
+    label and index, so the array is read-only.
     """
     if index < 0 or index >= lie_dim(label.group):
         raise ValueError(f"lie index {index} out of range for {label.group.value}")
     if label.group is GroupId.U1:
-        return np.array([[1j * label.value]], dtype=complex)
-    two_j = label.value
-    d = two_j + 1
-    j = two_j / 2.0
-    m = j - np.arange(d)  # descending weights j, j-1, ..., -j
-    jz = np.diag(m).astype(complex)
-    jp = np.zeros((d, d), dtype=complex)
-    for k in range(1, d):
-        mk = m[k]
-        jp[k - 1, k] = math.sqrt(j * (j + 1) - mk * (mk + 1))
-    jm = jp.conj().T
-    jx = 0.5 * (jp + jm)
-    jy = (jp - jm) / 2j
-    return -1j * (jx, jy, jz)[index]
+        out = np.array([[1j * label.value]], dtype=complex)
+    else:
+        two_j = label.value
+        d = two_j + 1
+        j = two_j / 2.0
+        m = j - np.arange(d)  # descending weights j, j-1, ..., -j
+        jz = np.diag(m).astype(complex)
+        jp = np.zeros((d, d), dtype=complex)
+        for k in range(1, d):
+            mk = m[k]
+            jp[k - 1, k] = math.sqrt(j * (j + 1) - mk * (mk + 1))
+        jm = jp.conj().T
+        jx = 0.5 * (jp + jm)
+        jy = (jp - jm) / 2j
+        out = -1j * (jx, jy, jz)[index]
+    out.setflags(write=False)
+    return out
 
 
 def irrep_matrix(label: IrrepLabel, point: GroupPoint) -> np.ndarray:
@@ -257,11 +264,11 @@ def irrep_matrix(label: IrrepLabel, point: GroupPoint) -> np.ndarray:
     return expm(theta * gen)
 
 
-def casimir_eigenvalue(label: IrrepLabel) -> float:
-    """Eigenvalue of ``-sum_a X_a^2``: n^2 for U(1), j(j+1) for SU(2)."""
+def casimir_eigenvalue(label: IrrepLabel) -> Fraction:
+    """Exact eigenvalue of ``-sum_a X_a^2``: n^2 for U(1), j(j+1) for SU(2)."""
     if label.group is GroupId.U1:
-        return float(label.value**2)
-    return label.value * (label.value + 2) / 4.0
+        return Fraction(label.value**2)
+    return Fraction(label.value * (label.value + 2), 4)
 
 
 @dataclass(frozen=True, eq=False)

@@ -39,6 +39,7 @@ from .reduction import (
     commutant_basis,
     invariant_basis,
     kernel_pi_basis,
+    vertex_degree,
 )
 
 # Norm below which a seed row counts as zero.  The library no longer
@@ -63,14 +64,7 @@ def conjugation_band(block: BlockLabel) -> IrrepLabel:
     the degree count of the projector doubles: the band must cover the full
     summed label degree at the busiest vertex.
     """
-    group = block.labels[0].group
-    worst = 0
-    for v in block.graph.vertices:
-        total = 0
-        for e, as_src, as_tgt in block.graph.incidences(v):
-            total += block.label_for(e.id).degree * (int(as_src) + int(as_tgt))
-        worst = max(worst, total)
-    return IrrepLabel(group, worst)
+    return IrrepLabel(block.labels[0].group, vertex_degree(block))
 
 
 def _raw_power(trunc: Truncation, spec: GeneratorSpec) -> np.ndarray:
@@ -79,29 +73,54 @@ def _raw_power(trunc: Truncation, spec: GeneratorSpec) -> np.ndarray:
     return np.linalg.matrix_power(gamma, spec.power)
 
 
-def generator_op(
-    trunc: Truncation, spec: GeneratorSpec, band: IrrepLabel | None = None
-) -> BlockOperator:
-    """Haar average of a generator power on one block, by exact quadrature.
+def _conjugation_average(block: BlockLabel, gn: np.ndarray, band) -> np.ndarray:
+    """Haar average of ``rho(k) gn rho(k)^-1`` by exact quadrature.
 
-    One-dimensional blocks conjugate trivially, so the power itself is
+    One-dimensional blocks conjugate trivially, so ``gn`` itself is
     returned; otherwise the gauge group is swept with a scheme wide enough
     for the conjugated action.
     """
-    block = trunc.blocks[spec.block]
-    gn = _raw_power(trunc, spec)
     if block.dim == 1:
-        return BlockOperator.from_pair(trunc, spec.block, spec.block, gn)
+        return gn
     need = conjugation_band(block)
     if band is None:
         band = need
     elif band.degree < need.degree:
         raise BandError(need, band)
     out = np.zeros((block.dim, block.dim), dtype=complex)
-    for w, g in _gauge_scheme(block.graph, trunc.group, band):
+    for w, g in _gauge_scheme(block.graph, need.group, band):
         rho = rho_block(block, g)
         out += w * (rho @ gn @ rho.conj().T)
-    return BlockOperator.from_pair(trunc, spec.block, spec.block, out)
+    return out
+
+
+def generator_op(
+    trunc: Truncation, spec: GeneratorSpec, band: IrrepLabel | None = None
+) -> BlockOperator:
+    """Haar average of a generator power on one block, by exact quadrature."""
+    avg = _conjugation_average(trunc.blocks[spec.block], _raw_power(trunc, spec), band)
+    return BlockOperator.from_pair(trunc, spec.block, spec.block, avg)
+
+
+def _averaged_coords(
+    space: EquivariantSpace, block: int, gn: np.ndarray, method: str, band
+) -> np.ndarray:
+    """Commutant coordinates of the average of the raw power ``gn`` of a
+    generator on one block, with roundoff cut; see ``generator_coords``."""
+    trunc = space.trunc
+    if method == "quadrature":
+        avg = _conjugation_average(trunc.blocks[block], gn, band)
+    elif method == "lie":
+        avg = gn
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    coords = space.coords_of(BlockOperator.from_pair(trunc, block, block, avg))
+    weight = np.bincount(
+        space.components, np.abs(coords) ** 2, minlength=len(space.irreps)
+    )
+    roundoff = np.sqrt(weight) <= RANK_RTOL * np.linalg.norm(gn)
+    coords[roundoff[space.components]] = 0
+    return coords
 
 
 def generator_coords(
@@ -121,21 +140,34 @@ def generator_coords(
     times the Frobenius norm of the raw power are roundoff and are set to
     zero, so a power that averages to zero on a component leaves it alone.
     """
+    gn = _raw_power(space.trunc, spec)
+    return _averaged_coords(space, spec.block, gn, method, band)
+
+
+def _seed_rows(space: EquivariantSpace, groups, n_max: int, method: str, band):
+    """Seed coordinate rows for the powers n = 1, ..., n_max, one array each.
+
+    Row ``(g, v, a)`` sums over the blocks of group ``g`` the coordinates
+    of ``GeneratorSpec(i, v, a, n)``.  Each block's generators are built
+    once, and their powers are stepped as ``Gamma^n = Gamma^(n-1) Gamma``.
+    """
     trunc = space.trunc
-    gn = _raw_power(trunc, spec)
-    if method == "lie":
-        avg = BlockOperator.from_pair(trunc, spec.block, spec.block, gn)
-    elif method == "quadrature":
-        avg = generator_op(trunc, spec, band=band)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    coords = space.coords_of(avg)
-    weight = np.bincount(
-        space.components, np.abs(coords) ** 2, minlength=len(space.irreps)
-    )
-    roundoff = np.sqrt(weight) <= RANK_RTOL * np.linalg.norm(gn)
-    coords[roundoff[space.components]] = 0
-    return coords
+    lie = range(lie_dim(trunc.group))
+    directions = [VertexGenerator(v, a) for v in trunc.graph.vertices for a in lie]
+    terms = [  # (seed row, block, generator)
+        (g * len(directions) + k, i, gauss_generator_block(trunc.blocks[i], d))
+        for g, members in enumerate(groups)
+        for i in members
+        for k, d in enumerate(directions)
+    ]
+    powers = [gamma for _, _, gamma in terms]
+    for n in range(1, n_max + 1):
+        if n > 1:
+            powers = [gn @ gamma for gn, (_, _, gamma) in zip(powers, terms)]
+        rows = np.zeros((len(groups) * len(directions), space.dim), dtype=complex)
+        for gn, (r, i, _) in zip(powers, terms):
+            rows[r] += _averaged_coords(space, i, gn, method, band)
+        yield rows
 
 
 def ideal_closure(
@@ -242,21 +274,7 @@ def verify_ideal(
     coarse = sigma_groups is not None
     rows = []
     ideal = None
-    for n in range(1, n_max + 1):
-        seeds = []
-        for members in groups:
-            for v in trunc.graph.vertices:
-                for a in range(lie_dim(trunc.group)):
-                    w = np.zeros(space.dim, dtype=complex)
-                    for i in members:
-                        w += generator_coords(
-                            space,
-                            GeneratorSpec(i, v, a, n),
-                            method=method,
-                            band=band,
-                        )
-                    seeds.append(w)
-        seeds = np.array(seeds) if seeds else np.zeros((0, space.dim), complex)
+    for n, seeds in enumerate(_seed_rows(space, groups, n_max, method, band), 1):
         ideal = ideal_closure(space, seeds, start=ideal)
         rows.append(
             IdealRow(

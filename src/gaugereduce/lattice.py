@@ -14,10 +14,17 @@ on the (row, column) index pair.  The vertex Lie generators accordingly
 place ``conj(dD(X))`` on row factors of outgoing edges and ``dD(X)`` on
 column factors of incoming ones; a loop at the vertex receives both on its
 single tensor factor.
+
+A generator is built in one pass over the block's edges.  Each edge
+contributes ``1_pre (x) piece (x) 1_post``, where ``pre`` and ``post`` are
+the dimensions of the edges before and after it and the piece,
+``conj(dD(X)) (x) 1`` at the source or ``1 (x) dD(X)`` at the target, is
+cached per irrep label and Lie direction.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,26 +112,35 @@ def rho_block(block: BlockLabel, g: GaugeElement) -> np.ndarray:
     return kron_chain(factors)
 
 
+@functools.cache
+def _edge_pieces(label: IrrepLabel, lie_index: int):
+    """A Lie direction on one edge's (row, column) pair, acting at the
+    edge's source and at its target.  Read-only: the cache shares them."""
+    x = irrep_generator(label, lie_index)
+    one = np.eye(label.dim)
+    pieces = (np.kron(np.conj(x), one), np.kron(one, x))
+    for piece in pieces:
+        piece.setflags(write=False)
+    return pieces
+
+
 def gauss_generator_block(block: BlockLabel, gen: VertexGenerator) -> np.ndarray:
     """Block matrix of d/dt rho(exp(t X)) at t = 0 for a vertex generator."""
-    graph = block.graph
     d = block.dim
     out = np.zeros((d, d), dtype=complex)
-    for e, lab in zip(graph.edges, block.labels):
-        x = irrep_generator(lab, gen.lie_index)
-        de = lab.dim
-        piece = np.zeros((de * de, de * de), dtype=complex)
-        if e.source == gen.vertex:
-            piece += np.kron(np.conj(x), np.eye(de))
-        if e.target == gen.vertex:
-            piece += np.kron(np.eye(de), x)
-        if not piece.any():
-            continue
-        factors = [
-            piece if f.id == e.id else np.eye(l.dim**2)
-            for f, l in zip(graph.edges, block.labels)
-        ]
-        out += kron_chain(factors)
+    pre = 1
+    for e, lab in zip(block.graph.edges, block.labels):
+        width = lab.dim**2
+        post = d // (pre * width)
+        at_source, at_target = _edge_pieces(lab, gen.lie_index)
+        for piece, endpoint in ((at_source, e.source), (at_target, e.target)):
+            if endpoint != gen.vertex:
+                continue
+            if pre == post == 1:
+                out += piece
+            else:
+                out += np.kron(np.kron(np.eye(pre), piece), np.eye(post))
+        pre *= width
     return out
 
 

@@ -72,6 +72,16 @@ class SubspaceBasis:
         return rows - (rows @ self.vectors.conj().T) @ self.vectors
 
 
+def vertex_degree(block: BlockLabel) -> int:
+    """Largest summed label degree of the edge endpoints at one vertex; a
+    loop counts twice."""
+    degree = dict.fromkeys(block.graph.vertices, 0)
+    for e, lab in zip(block.graph.edges, block.labels):
+        degree[e.source] += lab.degree
+        degree[e.target] += lab.degree
+    return max(degree.values(), default=0)
+
+
 def projector_band(block: BlockLabel) -> IrrepLabel:
     """Smallest per-vertex band that averages this block's action exactly.
 
@@ -79,15 +89,7 @@ def projector_band(block: BlockLabel) -> IrrepLabel:
     incident edge endpoint (a loop contributes two), so the band must cover
     half the summed label degrees, rounded up.
     """
-    group = block.labels[0].group
-    worst = 0
-    for v in block.graph.vertices:
-        total = 0
-        for e, as_src, as_tgt in block.graph.incidences(v):
-            deg = block.label_for(e.id).degree
-            total += deg * (int(as_src) + int(as_tgt))
-        worst = max(worst, total)
-    return required_band(group, worst)
+    return required_band(block.labels[0].group, vertex_degree(block))
 
 
 def _gauge_scheme(graph: Graph, group: GroupId, band: IrrepLabel):
@@ -166,7 +168,8 @@ class EquivariantSpace:
     ``j`` into block ``i``.  Frobenius inner products make the basis
     orthonormal, and elements on different pairs are orthogonal for free.
     ``components[k]`` indexes the gauge irrep ``irreps[c]`` whose matrix
-    algebra holds element ``k``.
+    algebra holds element ``k``.  Elements are also indexed by block pair,
+    so coordinates are read only on the pairs an operator occupies.
     """
 
     def __init__(self, trunc: Truncation, elements, components=None, irreps=()):
@@ -177,6 +180,9 @@ class EquivariantSpace:
         )
         self.irreps = tuple(irreps)
         self._structure = None
+        self.by_pair: dict[tuple[int, int], list[int]] = {}
+        for k, (i, j, _) in enumerate(self.elements):
+            self.by_pair.setdefault((i, j), []).append(k)
 
     @property
     def dim(self) -> int:
@@ -184,10 +190,9 @@ class EquivariantSpace:
 
     def coords_of(self, op: BlockOperator) -> np.ndarray:
         out = np.zeros(self.dim, dtype=complex)
-        for k, (i, j, m) in enumerate(self.elements):
-            blk = op.data.get((i, j))
-            if blk is not None:
-                out[k] = np.vdot(m, blk)
+        for pair, blk in op.data.items():
+            for k in self.by_pair.get(pair, ()):
+                out[k] = np.vdot(self.elements[k][2], blk)
         return out
 
     def structure_maps(self):
@@ -206,11 +211,9 @@ class EquivariantSpace:
         q = self.dim
         by_row: dict[int, list[int]] = {}
         by_col: dict[int, list[int]] = {}
-        by_pair: dict[tuple[int, int], list[int]] = {}
         for k, (i, j, _) in enumerate(self.elements):
             by_row.setdefault(i, []).append(k)
             by_col.setdefault(j, []).append(k)
-            by_pair.setdefault((i, j), []).append(k)
         lrows, lcols, lvals = [], [], []
         rrows, rcols, rvals = [], [], []
         for mid in by_col:
@@ -221,7 +224,7 @@ class EquivariantSpace:
                     prod = ma @ mb
                     norm2 = np.vdot(prod, prod).real
                     resolved = 0.0
-                    for m in by_pair.get((ia, jb), ()):
+                    for m in self.by_pair.get((ia, jb), ()):
                         c = np.vdot(self.elements[m][2], prod)
                         if abs(c) > 0:
                             lrows.append(a * q + m)

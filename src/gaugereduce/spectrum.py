@@ -17,15 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blocks import BlockLabel, Truncation
-from .groups import GroupId, IrrepLabel
+from .groups import IrrepLabel
+from .groups import casimir_eigenvalue as label_energy
 from .ideal import IdealReport, verify_ideal
-
-
-def label_energy(label: IrrepLabel) -> Fraction:
-    """Quadratic Casimir eigenvalue as an exact rational."""
-    if label.group is GroupId.U1:
-        return Fraction(label.value**2)
-    return Fraction(label.value * (label.value + 2), 4)
 
 
 def block_energy(block: BlockLabel) -> Fraction:

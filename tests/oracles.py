@@ -5,13 +5,17 @@ closes ideals component by component.  The routes here know nothing of
 irreps: the commutant is the null space of the Kronecker-expanded
 commutator constraints, one pair of blocks at a time, and the ideal is
 reached by a round-based sweep of left and right multiplications through
-the sparse structure tables.  They are slow but independent.
+the sparse structure tables.  They are slow but independent.  A Gauss
+generator is also built here the long way, as one full Kronecker chain of
+per-edge factors for every edge at the vertex.
 """
 
 import numpy as np
 from scipy.linalg import null_space
 
 from gaugereduce import BlockOperator, EquivariantSpace, SubspaceBasis
+from gaugereduce.blocks import kron_chain
+from gaugereduce.groups import irrep_generator
 from gaugereduce.lattice import block_generators
 from gaugereduce.reduction import RANK_RTOL
 
@@ -36,6 +40,31 @@ def op_from_coords(space, w):
             out.data[key] = out.data[key] + c * m
         else:
             out.data[key] = c * m
+    return out
+
+
+def kron_generator(block, gen):
+    """Block matrix of a vertex Gauss generator: for each edge at the
+    vertex, the Kronecker chain of its piece with identities on every other
+    edge."""
+    graph = block.graph
+    d = block.dim
+    out = np.zeros((d, d), dtype=complex)
+    for e, lab in zip(graph.edges, block.labels):
+        x = irrep_generator(lab, gen.lie_index)
+        de = lab.dim
+        piece = np.zeros((de * de, de * de), dtype=complex)
+        if e.source == gen.vertex:
+            piece += np.kron(np.conj(x), np.eye(de))
+        if e.target == gen.vertex:
+            piece += np.kron(np.eye(de), x)
+        if not piece.any():
+            continue
+        factors = [
+            piece if f.id == e.id else np.eye(l.dim**2)
+            for f, l in zip(graph.edges, block.labels)
+        ]
+        out += kron_chain(factors)
     return out
 
 

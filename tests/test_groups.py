@@ -124,6 +124,14 @@ def test_generators_antihermitian():
             assert_allclose(x + x.conj().T, 0, atol=1e-13)
 
 
+def test_generators_are_shared_and_read_only():
+    for lab in SPINS + [u1_charge(2)]:
+        x = irrep_generator(lab, 0)
+        assert irrep_generator(lab, 0) is x
+        with pytest.raises(ValueError):
+            x[0, 0] = 0
+
+
 def test_full_turn_is_minus_one_in_spin_half():
     for a in range(3):
         coeffs = [0.0, 0.0, 0.0]

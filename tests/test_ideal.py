@@ -27,11 +27,13 @@ from gaugereduce import (
     vertex_flux,
     verify_ideal,
 )
-from gaugereduce.ideal import conjugation_band, default_n_max
+from gaugereduce.groups import casimir_eigenvalue, lie_dim
+from gaugereduce.ideal import _seed_rows, conjugation_band, default_n_max
 from gaugereduce.reduction import SubspaceBasis, _gauge_scheme
+from gaugereduce.spectrum import eigenspace_grouping
 
 from .oracles import element_op, op_from_coords
-from .systems import CANON, SMALL, SU2, build, loop_graph, make
+from .systems import CANON, SMALL, SU2, build, loop_graph, make, triangle_graph
 
 
 def oracle_average(trunc, block_index, power, vertex, lie_index, extra_band=1):
@@ -106,6 +108,57 @@ def test_generator_coords_lie_equals_quadrature(name):
             lie = generator_coords(space, spec, method="lie")
             quad = generator_coords(space, spec, method="quadrature")
             assert np.abs(lie - quad).max() < 1e-8
+
+
+@pytest.mark.parametrize("name", SMALL)
+@pytest.mark.parametrize("method", ["lie", "quadrature"])
+def test_stepped_seed_rows_equal_spec_by_spec_coords(name, method):
+    # verify_ideal steps Gamma^n = Gamma^(n-1) Gamma from generators built
+    # once; each spec here rebuilds its generator and takes a matrix power.
+    # Both the per-block and the coarse (per energy level) grouping.
+    trunc = build(name)
+    space = commutant_basis(trunc)
+    directions = [(v, a) for v in trunc.graph.vertices for a in range(lie_dim(trunc.group))]
+    groupings = (
+        tuple((i,) for i in range(len(trunc.blocks))),
+        eigenspace_grouping(trunc).groups,
+    )
+    stepped = zip(*(_seed_rows(space, groups, 4, method, None) for groups in groupings))
+    for n, rows in enumerate(stepped, 1):
+        specs = {
+            (i, v, a): generator_coords(space, GeneratorSpec(i, v, a, n), method=method)
+            for i in range(len(trunc.blocks))
+            for v, a in directions
+        }
+        for groups, got in zip(groupings, rows):
+            want = np.array(
+                [sum(specs[i, v, a] for i in members) for members in groups for v, a in directions]
+            )
+            assert got.shape == want.shape
+            assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max(), err_msg=n)
+
+
+@pytest.mark.parametrize(
+    "trunc",
+    [build(k) for k in CANON if CANON[k][1] is SU2] + [make(triangle_graph(), SU2, 1)],
+    ids=[k for k in CANON if CANON[k][1] is SU2] + ["su2-triangle-b1"],
+)
+def test_summed_square_average_is_minus_the_vertex_casimir(trunc):
+    # sum_a Gamma_{v,a}^2 = -C_v, which is -j_v(j_v + 1) on every copy of
+    # the gauge irrep lambda, with j_v = lambda_v / 2.  Its average is
+    # itself, so every SU(2) seed of power 2 has this closed form.
+    space = commutant_basis(trunc)
+    for vi, v in enumerate(trunc.graph.vertices):
+        casimir = np.array(
+            [
+                float(casimir_eigenvalue(IrrepLabel(SU2, space.irreps[c][vi])))
+                for c in space.components
+            ]
+        )
+        for i, d in enumerate(trunc.dims):
+            got = sum(generator_coords(space, GeneratorSpec(i, v, a, 2)) for a in range(3))
+            one = space.coords_of(BlockOperator.from_pair(trunc, i, i, np.eye(d)))
+            assert_allclose(got, -casimir * one, rtol=0, atol=1e-12)
 
 
 def test_generator_band_is_validated():

@@ -27,7 +27,8 @@ from gaugereduce import (
 )
 from gaugereduce.groups import GroupId, lie_dim
 
-from .systems import build, edge_graph, loop_graph, triangle_graph
+from .oracles import kron_generator
+from .systems import SMALL, build, edge_graph, loop_graph, make, triangle_graph
 
 FD_STEP = 1e-4
 FD_TOL = 1e-6
@@ -123,6 +124,26 @@ def test_generators_at_distinct_vertices_commute():
     a = gauss_generator_block(block, VertexGenerator("x", 0))
     b = gauss_generator_block(block, VertexGenerator("y", 2))
     assert_allclose(a @ b, b @ a, atol=1e-12)
+
+
+def assert_generators_match_oracle(trunc):
+    """The one-pass build equals the Kronecker-chain oracle on every block."""
+    for block in trunc.blocks:
+        for v in trunc.graph.vertices:
+            for k in range(lie_dim(trunc.group)):
+                gen = VertexGenerator(v, k)
+                want = kron_generator(block, gen)
+                assert_allclose(gauss_generator_block(block, gen), want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "trunc",
+    [build(k) for k in SMALL] + [make(triangle_graph(), GroupId.SU2, 1)],
+    ids=SMALL + ["su2-triangle-b1"],
+)
+def test_generators_match_kron_chain_oracle(trunc):
+    # the triangle puts identities of different sizes on both sides of a piece
+    assert_generators_match_oracle(trunc)
 
 
 def test_generator_count_and_order():

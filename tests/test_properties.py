@@ -1,7 +1,8 @@
 """Property tests over random small graphs, for both groups.
 
 Graphs are drawn with loops, parallel edges, isolated vertices and
-disconnected pieces, up to total dimension 40.  On each the irrep-based
+disconnected pieces, up to total dimension 40.  On each the Gauss
+generators must match the Kronecker-chain oracle, the irrep-based
 commutant must match the dense oracle, the dimension ledger must hold, the
 component closure must match the round-based oracle closure, and the
 averaged-generator ideal must reach ``ker(pi)`` by power 2.
@@ -16,6 +17,7 @@ from gaugereduce import Graph, commutant_basis, invariant_basis, kernel_pi_basis
 from gaugereduce.groups import lie_dim
 
 from .systems import SU2, U1, make
+from .test_lattice import assert_generators_match_oracle
 from .test_oracles import assert_closures_agree
 from .test_reduction import dense_commutant_dim
 
@@ -52,6 +54,7 @@ def truncations(draw):
 @given(truncations())
 def test_random_graphs(trunc):
     assert trunc.total_dim <= MAX_DIM
+    assert_generators_match_oracle(trunc)
     space = commutant_basis(trunc)
     assert space.dim == dense_commutant_dim(trunc)[0]
     inv = invariant_basis(trunc)

@@ -212,10 +212,15 @@ def test_kernel_elements_compress_to_zero():
 def test_coordinate_round_trip():
     trunc = build("su2-loop-j1")
     space = commutant_basis(trunc)
+    # complex phases on the elements: coordinates are conjugate-linear in them
+    phased = EquivariantSpace(
+        trunc, [(i, j, np.exp(0.3j * k) * m) for k, (i, j, m) in enumerate(space.elements)]
+    )
     rng = np.random.default_rng(41)
-    w = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    op = op_from_coords(space, w)
-    assert_allclose(space.coords_of(op), w, atol=1e-12)
+    for basis in (space, phased):
+        w = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+        op = op_from_coords(basis, w)
+        assert_allclose(basis.coords_of(op), w, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["u1-parallel-b1", "su2-loop-j2"])
