@@ -51,7 +51,7 @@ vec_id = np.eye(2).reshape(-1, 1).astype(complex)
 p1 = np.eye(4) - vec_id @ vec_id.conj().T / 2
 for k in range(3):
     op = generator_op(trunc, GeneratorSpec(block=1, vertex="v", lie_index=k, power=2))
-    gap = np.abs(op.data[(1, 1)] - (-2.0 / 3.0) * p1).max()
+    gap = np.abs(op - (-2.0 / 3.0) * p1).max()
     print(f"  Lie direction {k}: |avg(X^2) + (2/3) P| = {gap:.2e}")
 
 print("\n== U(1) triangle, charges bounded by 1: first powers already suffice ==")

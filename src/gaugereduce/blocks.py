@@ -74,7 +74,6 @@ class Truncation:
             int(x) for x in np.concatenate([[0], np.cumsum(self.dims)])
         )
         self.total_dim = self.offsets[-1]
-        self.index_of = {b.labels: i for i, b in enumerate(self.blocks)}
 
     def __repr__(self) -> str:
         return (

@@ -11,10 +11,11 @@ Three subcommands work from the same run description file:
   one summed generator per level, reporting the distance to the
   ungrouped ideal.
 
-Malformed run files and quadrature bands too small for their integrands
-exit with status 2.  Reports are JSON with sorted keys; the ``seconds``
-field is quantized to whole minutes so that repeated runs of the same
-input produce byte-identical output (exact wall time goes to stderr).
+Malformed run files, unwritable report paths and quadrature bands too
+small for their integrands exit with status 2.  Reports are JSON with
+sorted keys; the ``seconds`` field is quantized to whole minutes so that
+repeated runs of the same input produce byte-identical output (exact wall
+time goes to stderr).
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import numpy as np
 from .blocks import Truncation
 from .config import METHODS, ConfigError, RunConfig, parse_config
 from .groups import IrrepLabel
-from .ideal import IdealReport, subspace_distance, verify_ideal
-from .reduction import BandError, commutant_basis, invariant_basis
+from .ideal import DEFAULT_TOL, IdealReport, subspace_distance, verify_ideal
+from .reduction import commutant_basis, invariant_basis
 from .spectrum import block_energy, coarsened_verify, eigenspace_grouping
 
 
@@ -52,11 +53,14 @@ def _graph_json(cfg: RunConfig) -> dict:
 
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"{out}: cannot write ({exc.strerror})") from exc
 
 
 def _report_json(cfg: RunConfig, report: IdealReport) -> dict:
@@ -97,7 +101,7 @@ def _verify_settings(cfg: RunConfig, args) -> dict:
     band = args.band if args.band is not None else cfg.band
     return {
         "n_max": n_max,
-        "tol": tol if tol is not None else 1e-8,
+        "tol": tol if tol is not None else DEFAULT_TOL,
         "method": METHODS[method or "lie"],
         "band": IrrepLabel(cfg.group, band) if band is not None else None,
     }
@@ -217,13 +221,9 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.command in ("verify", "spectrum"):
-            nmax = args.nmax if args.nmax is not None else None
-            if nmax is not None and nmax < 1:
+            if args.nmax is not None and args.nmax < 1:
                 raise ConfigError("nmax must be at least 1")
         return args.fn(cfg, args)
-    except (ConfigError, BandError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

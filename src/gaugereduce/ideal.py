@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import BlockLabel, Truncation
-from .blockop import BlockOperator
 from .groups import GroupId, IrrepLabel, lie_dim
 from .lattice import VertexGenerator, gauss_generator_block, rho_block
 from .reduction import (
@@ -45,6 +44,10 @@ from .reduction import (
 # Norm below which a seed row counts as zero.  The library no longer
 # decides with it; the benchmark's replay counts live seeds with it.
 MINIMUM_SEED = 1e-12
+
+# Default acceptance tolerance: a run passes when the final ideal's
+# distance to the kernel, and its containment residual, are at most this.
+DEFAULT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -96,10 +99,10 @@ def _conjugation_average(block: BlockLabel, gn: np.ndarray, band) -> np.ndarray:
 
 def generator_op(
     trunc: Truncation, spec: GeneratorSpec, band: IrrepLabel | None = None
-) -> BlockOperator:
-    """Haar average of a generator power on one block, by exact quadrature."""
-    avg = _conjugation_average(trunc.blocks[spec.block], _raw_power(trunc, spec), band)
-    return BlockOperator.from_pair(trunc, spec.block, spec.block, avg)
+) -> np.ndarray:
+    """Haar average of a generator power on one block, by exact quadrature:
+    the averaged ``d x d`` matrix of block ``spec.block``."""
+    return _conjugation_average(trunc.blocks[spec.block], _raw_power(trunc, spec), band)
 
 
 def _averaged_coords(
@@ -107,14 +110,13 @@ def _averaged_coords(
 ) -> np.ndarray:
     """Commutant coordinates of the average of the raw power ``gn`` of a
     generator on one block, with roundoff cut; see ``generator_coords``."""
-    trunc = space.trunc
     if method == "quadrature":
-        avg = _conjugation_average(trunc.blocks[block], gn, band)
+        avg = _conjugation_average(space.trunc.blocks[block], gn, band)
     elif method == "lie":
         avg = gn
     else:
         raise ValueError(f"unknown method {method!r}")
-    coords = space.coords_of(BlockOperator.from_pair(trunc, block, block, avg))
+    coords = space.coords_of(block, block, avg)
     weight = np.bincount(
         space.components, np.abs(coords) ** 2, minlength=len(space.irreps)
     )
@@ -245,7 +247,7 @@ def default_n_max(trunc: Truncation) -> int:
 def verify_ideal(
     trunc: Truncation,
     n_max: int | None = None,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL,
     method: str = "lie",
     band: IrrepLabel | None = None,
     sigma_groups: tuple[tuple[int, ...], ...] | None = None,

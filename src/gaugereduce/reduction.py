@@ -28,10 +28,9 @@ import numpy as np
 from scipy.linalg import null_space
 
 from .blocks import BlockLabel, Truncation
-from .blockop import BlockOperator
 from .graphs import Graph
 from .groups import GroupId, IrrepLabel, haar_scheme, lie_dim, required_band
-from .lattice import GaugeElement, block_generators
+from .lattice import GaugeElement, block_generators, rho_block
 
 RANK_RTOL = 1e-10
 
@@ -121,8 +120,6 @@ def invariant_projector(
         band = need
     elif band.degree < need.degree:
         raise BandError(need, band)
-    from .lattice import rho_block
-
     group = block.labels[0].group
     out = np.zeros((block.dim, block.dim), dtype=complex)
     for w, g in _gauge_scheme(block.graph, group, band):
@@ -169,7 +166,8 @@ class EquivariantSpace:
     orthonormal, and elements on different pairs are orthogonal for free.
     ``components[k]`` indexes the gauge irrep ``irreps[c]`` whose matrix
     algebra holds element ``k``.  Elements are also indexed by block pair,
-    so coordinates are read only on the pairs an operator occupies.
+    so the coordinates of an operator on one pair read only that pair's
+    elements.
     """
 
     def __init__(self, trunc: Truncation, elements, components=None, irreps=()):
@@ -188,11 +186,12 @@ class EquivariantSpace:
     def dim(self) -> int:
         return len(self.elements)
 
-    def coords_of(self, op: BlockOperator) -> np.ndarray:
+    def coords_of(self, i: int, j: int, m: np.ndarray) -> np.ndarray:
+        """Coordinates of the operator that is ``m`` from block ``j`` into
+        block ``i`` and zero elsewhere."""
         out = np.zeros(self.dim, dtype=complex)
-        for pair, blk in op.data.items():
-            for k in self.by_pair.get(pair, ()):
-                out[k] = np.vdot(self.elements[k][2], blk)
+        for k in self.by_pair.get((i, j), ()):
+            out[k] = np.vdot(self.elements[k][2], m)
         return out
 
     def structure_maps(self):

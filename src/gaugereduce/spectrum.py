@@ -19,7 +19,7 @@ from fractions import Fraction
 from .blocks import BlockLabel, Truncation
 from .groups import IrrepLabel
 from .groups import casimir_eigenvalue as label_energy
-from .ideal import IdealReport, verify_ideal
+from .ideal import DEFAULT_TOL, IdealReport, verify_ideal
 
 
 def block_energy(block: BlockLabel) -> Fraction:
@@ -52,7 +52,7 @@ def eigenspace_grouping(trunc: Truncation) -> EnergyGrouping:
 def coarsened_verify(
     trunc: Truncation,
     n_max: int | None = None,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL,
     method: str = "lie",
     band: IrrepLabel | None = None,
 ) -> IdealReport:

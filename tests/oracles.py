@@ -13,7 +13,7 @@ per-edge factors for every edge at the vertex.
 import numpy as np
 from scipy.linalg import null_space
 
-from gaugereduce import BlockOperator, EquivariantSpace, SubspaceBasis
+from gaugereduce import EquivariantSpace, SubspaceBasis
 from gaugereduce.blocks import kron_chain
 from gaugereduce.groups import irrep_generator
 from gaugereduce.lattice import block_generators
@@ -23,24 +23,29 @@ MINIMUM_SEED = 1e-12
 
 
 def element_op(space, k):
-    """Basis element ``k`` of the commutant as a block operator."""
-    i, j, m = space.elements[k]
-    return BlockOperator.from_pair(space.trunc, i, j, m)
+    """Basis element ``k`` of the commutant as a full-space matrix."""
+    return op_from_coords(space, np.eye(space.dim)[k])
 
 
 def op_from_coords(space, w):
-    """The commutant element with coordinates ``w``."""
-    out = BlockOperator(space.trunc)
-    for k, c in enumerate(w):
-        if c == 0:
-            continue
-        i, j, m = space.elements[k]
-        key = (i, j)
-        if key in out.data:
-            out.data[key] = out.data[key] + c * m
-        else:
-            out.data[key] = c * m
+    """The commutant element with coordinates ``w``, as a full-space matrix."""
+    off = space.trunc.offsets
+    out = np.zeros((space.trunc.total_dim,) * 2, dtype=complex)
+    for c, (i, j, m) in zip(w, space.elements):
+        out[off[i] : off[i + 1], off[j] : off[j + 1]] += c * m
     return out
+
+
+def coords_of_matrix(space, x):
+    """Commutant coordinates of a full-space matrix, read block pair by
+    block pair through ``space.coords_of``."""
+    off = space.trunc.offsets
+    n = len(space.trunc.blocks)
+    return sum(
+        space.coords_of(i, j, x[off[i] : off[i + 1], off[j] : off[j + 1]])
+        for i in range(n)
+        for j in range(n)
+    )
 
 
 def kron_generator(block, gen):

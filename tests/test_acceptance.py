@@ -92,7 +92,7 @@ def test_criterion_2_nonabelian_equality_and_frozen_average():
     rep = cached_verify("su2-loop-j2", 2)
     first = cached_verify("su2-loop-j2", 1)
     trunc = build("su2-loop-j1")
-    got = generator_op(trunc, GeneratorSpec(1, "x", 2, 2)).data[(1, 1)]
+    got = generator_op(trunc, GeneratorSpec(1, "x", 2, 2))
     singlet = np.eye(2).ravel() / np.sqrt(2.0)
     p1 = np.eye(4) - np.outer(singlet, singlet.conj())
     frozen_err = np.abs(got - (-2.0 / 3.0) * p1).max()

@@ -1,9 +1,11 @@
 """Run descriptions and the command line front end."""
 
 import json
+import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -211,6 +213,16 @@ def test_verify_exit_two_on_band_too_small(tmp_path, capsys):
     assert "band" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+def test_unwritable_out_exits_two(tmp_path, capsys, command):
+    target = tmp_path / "missing" / "report.json"
+    rc = main([command, "--config", write_cfg(tmp_path, U1_EDGE), "--out", str(target)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert str(target) in err
+
+
 def test_report_schema_is_pinned(tmp_path, capsys):
     rc = main(["verify", "--config", write_cfg(tmp_path, U1_TRIANGLE)])
     assert rc == 0
@@ -312,6 +324,7 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "gaugereduce", "verify", "--config", cfg],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
