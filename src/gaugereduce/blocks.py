@@ -15,7 +15,6 @@ over edges in declaration order; a block therefore has dimension
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,10 +52,10 @@ def enumerate_blocks(
     """Every block whose edge labels all have degree at most the bound,
     ordered lexicographically over edges in declaration order."""
     per_edge = labels_within(group, bound)
-    return tuple(
-        BlockLabel(graph, combo)
-        for combo in itertools.product(per_edge, repeat=len(graph.edges))
-    )
+    combos = [()]
+    for _ in graph.edges:
+        combos = [c + (lab,) for c in combos for lab in per_edge]
+    return tuple(BlockLabel(graph, c) for c in combos)
 
 
 class Truncation:

@@ -223,6 +223,10 @@ def main(argv=None) -> int:
         if args.command in ("verify", "spectrum"):
             if args.nmax is not None and args.nmax < 1:
                 raise ConfigError("nmax must be at least 1")
+            if args.tol is not None and not args.tol > 0:
+                raise ConfigError("tol must be positive")
+            if args.band is not None and args.band < 0:
+                raise ConfigError("band must be at least 0")
         return args.fn(cfg, args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,6 +18,7 @@ optional verification settings, in INI-like sections::
     nmax = 3
     tol = 1e-8
     method = lie
+    band = 2
     coarse = false
 
     [output]

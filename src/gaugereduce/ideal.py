@@ -28,16 +28,15 @@ import numpy as np
 
 from .blocks import BlockLabel, Truncation
 from .groups import GroupId, IrrepLabel, lie_dim
-from .lattice import VertexGenerator, gauss_generator_block, rho_block
+from .lattice import VertexGenerator, gauss_generator_block
 from .reduction import (
     RANK_RTOL,
-    BandError,
     EquivariantSpace,
     SubspaceBasis,
-    _gauge_scheme,
     commutant_basis,
     invariant_basis,
     kernel_pi_basis,
+    vertex_actions,
     vertex_degree,
 )
 
@@ -46,7 +45,8 @@ from .reduction import (
 MINIMUM_SEED = 1e-12
 
 # Default acceptance tolerance: a run passes when the final ideal's
-# distance to the kernel, and its containment residual, are at most this.
+# distance to the kernel, and the containment residual at every power, are
+# at most this.
 DEFAULT_TOL = 1e-8
 
 
@@ -76,25 +76,23 @@ def _raw_power(trunc: Truncation, spec: GeneratorSpec) -> np.ndarray:
     return np.linalg.matrix_power(gamma, spec.power)
 
 
-def _conjugation_average(block: BlockLabel, gn: np.ndarray, band) -> np.ndarray:
-    """Haar average of ``rho(k) gn rho(k)^-1`` by exact quadrature.
+def _averaging_actions(block: BlockLabel, method: str, band) -> list:
+    """Per-vertex actions that average conjugation on one block: none for
+    ``method="lie"``, which reads the average's coordinates off the raw
+    power, nor for a one-dimensional block, which conjugates trivially."""
+    if method not in ("lie", "quadrature"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "lie" or block.dim == 1:
+        return []
+    return vertex_actions(block, conjugation_band(block), band)
 
-    One-dimensional blocks conjugate trivially, so ``gn`` itself is
-    returned; otherwise the gauge group is swept with a scheme wide enough
-    for the conjugated action.
-    """
-    if block.dim == 1:
-        return gn
-    need = conjugation_band(block)
-    if band is None:
-        band = need
-    elif band.degree < need.degree:
-        raise BandError(need, band)
-    out = np.zeros((block.dim, block.dim), dtype=complex)
-    for w, g in _gauge_scheme(block.graph, need.group, band):
-        rho = rho_block(block, g)
-        out += w * (rho @ gn @ rho.conj().T)
-    return out
+
+def _conjugation_average(gn: np.ndarray, actions) -> np.ndarray:
+    """Haar average of ``rho(k) gn rho(k)^-1``: the map
+    ``X -> sum_s w_s rho_v(s) X rho_v(s)^H`` applied once per vertex."""
+    for weights, rho in actions:
+        gn = np.tensordot(weights, rho @ gn @ rho.conj().transpose(0, 2, 1), 1)
+    return gn
 
 
 def generator_op(
@@ -102,21 +100,14 @@ def generator_op(
 ) -> np.ndarray:
     """Haar average of a generator power on one block, by exact quadrature:
     the averaged ``d x d`` matrix of block ``spec.block``."""
-    return _conjugation_average(trunc.blocks[spec.block], _raw_power(trunc, spec), band)
+    actions = _averaging_actions(trunc.blocks[spec.block], "quadrature", band)
+    return _conjugation_average(_raw_power(trunc, spec), actions)
 
 
-def _averaged_coords(
-    space: EquivariantSpace, block: int, gn: np.ndarray, method: str, band
-) -> np.ndarray:
+def _averaged_coords(space: EquivariantSpace, block: int, gn: np.ndarray, actions):
     """Commutant coordinates of the average of the raw power ``gn`` of a
     generator on one block, with roundoff cut; see ``generator_coords``."""
-    if method == "quadrature":
-        avg = _conjugation_average(space.trunc.blocks[block], gn, band)
-    elif method == "lie":
-        avg = gn
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    coords = space.coords_of(block, block, avg)
+    coords = space.coords_of(block, block, _conjugation_average(gn, actions))
     weight = np.bincount(
         space.components, np.abs(coords) ** 2, minlength=len(space.irreps)
     )
@@ -142,24 +133,27 @@ def generator_coords(
     times the Frobenius norm of the raw power are roundoff and are set to
     zero, so a power that averages to zero on a component leaves it alone.
     """
-    gn = _raw_power(space.trunc, spec)
-    return _averaged_coords(space, spec.block, gn, method, band)
+    actions = _averaging_actions(space.trunc.blocks[spec.block], method, band)
+    return _averaged_coords(space, spec.block, _raw_power(space.trunc, spec), actions)
 
 
 def _seed_rows(space: EquivariantSpace, groups, n_max: int, method: str, band):
     """Seed coordinate rows for the powers n = 1, ..., n_max, one array each.
 
     Row ``(g, v, a)`` sums over the blocks of group ``g`` the coordinates
-    of ``GeneratorSpec(i, v, a, n)``.  Each block's generators are built
-    once, and their powers are stepped as ``Gamma^n = Gamma^(n-1) Gamma``.
+    of ``GeneratorSpec(i, v, a, n)``.  Each block's generators and
+    averaging actions are built once, and the powers are stepped as
+    ``Gamma^n = Gamma^(n-1) Gamma``.
     """
     trunc = space.trunc
     lie = range(lie_dim(trunc.group))
     directions = [VertexGenerator(v, a) for v in trunc.graph.vertices for a in lie]
+    members = {i for group in groups for i in group}
+    actions = {i: _averaging_actions(trunc.blocks[i], method, band) for i in members}
     terms = [  # (seed row, block, generator)
         (g * len(directions) + k, i, gauss_generator_block(trunc.blocks[i], d))
-        for g, members in enumerate(groups)
-        for i in members
+        for g, group in enumerate(groups)
+        for i in group
         for k, d in enumerate(directions)
     ]
     powers = [gamma for _, _, gamma in terms]
@@ -168,7 +162,7 @@ def _seed_rows(space: EquivariantSpace, groups, n_max: int, method: str, band):
             powers = [gn @ gamma for gn, (_, _, gamma) in zip(powers, terms)]
         rows = np.zeros((len(groups) * len(directions), space.dim), dtype=complex)
         for gn, (r, i, _) in zip(powers, terms):
-            rows[r] += _averaged_coords(space, i, gn, method, band)
+            rows[r] += _averaged_coords(space, i, gn, actions[i])
         yield rows
 
 
@@ -237,7 +231,6 @@ class IdealReport:
     seconds: float
     block_labels: tuple[tuple[int, ...], ...] = field(default=())
     final_ideal: SubspaceBasis | None = field(default=None, repr=False)
-    kernel: SubspaceBasis | None = field(default=None, repr=False)
 
 
 def default_n_max(trunc: Truncation) -> int:
@@ -286,8 +279,7 @@ def verify_ideal(
                 distance=subspace_distance(ideal, kernel),
             )
         )
-    last = rows[-1]
-    passed = last.distance <= tol and last.containment_residual <= tol
+    passed = rows[-1].distance <= tol and all(r.containment_residual <= tol for r in rows)
     return IdealReport(
         group=trunc.group,
         bound=trunc.bound.value,
@@ -308,5 +300,4 @@ def verify_ideal(
             tuple(lab.value for lab in b.labels) for b in trunc.blocks
         ),
         final_ideal=ideal,
-        kernel=kernel,
     )

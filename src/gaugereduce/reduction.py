@@ -22,14 +22,11 @@ single relative tolerance so the counts reported downstream are stable.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 from scipy.linalg import null_space
 
 from .blocks import BlockLabel, Truncation
-from .graphs import Graph
-from .groups import GroupId, IrrepLabel, haar_scheme, lie_dim, required_band
+from .groups import IrrepLabel, haar_scheme, identity_point, lie_dim, required_band
 from .lattice import GaugeElement, block_generators, rho_block
 
 RANK_RTOL = 1e-10
@@ -91,14 +88,27 @@ def projector_band(block: BlockLabel) -> IrrepLabel:
     return required_band(block.labels[0].group, vertex_degree(block))
 
 
-def _gauge_scheme(graph: Graph, group: GroupId, band: IrrepLabel):
-    """Product quadrature over one copy of the group per vertex."""
-    one = haar_scheme(group, band)
-    nv = len(graph.vertices)
-    for combo in itertools.product(range(len(one.points)), repeat=nv):
-        g = GaugeElement(graph, tuple(one.points[k] for k in combo))
-        w = float(np.prod([one.weights[k] for k in combo]))
-        yield w, g
+def vertex_actions(block: BlockLabel, need: IrrepLabel, band: IrrepLabel | None) -> list:
+    """Per-vertex quadrature for a Haar average over ``G^V``.
+
+    The actions at different vertices commute, so the average over ``G^V``
+    is one average per vertex, in any order.  Returns one ``(weights,
+    actions)`` pair per vertex; ``actions[s]`` is the block matrix of scheme
+    point ``s`` at that vertex and the identity elsewhere.  The band is
+    ``need`` unless a wider ``band`` is given; a narrower one raises
+    ``BandError``.
+    """
+    band = need if band is None else band
+    if band.degree < need.degree:
+        raise BandError(need, band)
+    scheme = haar_scheme(need.group, band)
+    vertices, one = block.graph.vertices, identity_point(need.group)
+    out = []
+    for v in vertices:
+        points = [tuple(p if u == v else one for u in vertices) for p in scheme.points]
+        rho = [rho_block(block, GaugeElement(block.graph, g)) for g in points]
+        out.append((scheme.weights, np.array(rho)))
+    return out
 
 
 def invariant_projector(
@@ -107,23 +117,17 @@ def invariant_projector(
     """Orthogonal projector onto the gauge-invariant vectors of a block.
 
     ``method="lie"`` intersects the kernels of the vertex generators;
-    ``method="quadrature"`` averages the block action over an exact Haar
-    scheme.  Both agree to rank tolerance on every system.
+    ``method="quadrature"`` multiplies the exact Haar averages of the block
+    action over each vertex.  Both agree to rank tolerance on every system.
     """
     if method == "lie":
         v = _invariant_columns(block)
         return v @ v.conj().T
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-    need = projector_band(block)
-    if band is None:
-        band = need
-    elif band.degree < need.degree:
-        raise BandError(need, band)
-    group = block.labels[0].group
-    out = np.zeros((block.dim, block.dim), dtype=complex)
-    for w, g in _gauge_scheme(block.graph, group, band):
-        out += w * rho_block(block, g)
+    out = np.eye(block.dim, dtype=complex)
+    for weights, actions in vertex_actions(block, projector_band(block), band):
+        out = np.tensordot(weights, actions, 1) @ out
     return out
 
 

@@ -7,16 +7,20 @@ commutator constraints, one pair of blocks at a time, and the ideal is
 reached by a round-based sweep of left and right multiplications through
 the sparse structure tables.  They are slow but independent.  A Gauss
 generator is also built here the long way, as one full Kronecker chain of
-per-edge factors for every edge at the vertex.
+per-edge factors for every edge at the vertex, and a Haar average over
+``G^V`` as one sweep of the product scheme, ``|S|^V`` points, instead of
+one average per vertex.
 """
+
+import itertools
 
 import numpy as np
 from scipy.linalg import null_space
 
 from gaugereduce import EquivariantSpace, SubspaceBasis
 from gaugereduce.blocks import kron_chain
-from gaugereduce.groups import irrep_generator
-from gaugereduce.lattice import block_generators
+from gaugereduce.groups import haar_scheme, irrep_generator
+from gaugereduce.lattice import GaugeElement, block_generators, rho_block
 from gaugereduce.reduction import RANK_RTOL
 
 MINIMUM_SEED = 1e-12
@@ -46,6 +50,25 @@ def coords_of_matrix(space, x):
         for i in range(n)
         for j in range(n)
     )
+
+
+def product_scheme(graph, group, band):
+    """Exact Haar quadrature over one copy of the group per vertex: every
+    tuple of per-vertex scheme points, weighted by the product of their
+    weights."""
+    one = haar_scheme(group, band)
+    nv = len(graph.vertices)
+    for combo in itertools.product(range(len(one.points)), repeat=nv):
+        g = GaugeElement(graph, tuple(one.points[k] for k in combo))
+        yield float(np.prod([one.weights[k] for k in combo])), g
+
+
+def product_projector(block, band):
+    """Invariant projector of a block as one sweep of the product scheme."""
+    out = np.zeros((block.dim, block.dim), dtype=complex)
+    for w, g in product_scheme(block.graph, block.labels[0].group, band):
+        out += w * rho_block(block, g)
+    return out
 
 
 def kron_generator(block, gen):

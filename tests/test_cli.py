@@ -213,6 +213,24 @@ def test_verify_exit_two_on_band_too_small(tmp_path, capsys):
     assert "band" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags,complaint",
+    [
+        (("--tol", "-1"), "tol must be positive"),
+        (("--tol", "nan"), "tol must be positive"),
+        (("--tol", "0"), "tol must be positive"),
+        # a U(1) band is a charge, whose degree is its absolute value
+        (("--method", "quad", "--band", "-3"), "band must be at least 0"),
+    ],
+)
+def test_flags_follow_the_run_file_rules(tmp_path, capsys, flags, complaint):
+    rc = main(["verify", "--config", write_cfg(tmp_path, U1_EDGE), *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert complaint in err
+
+
 @pytest.mark.parametrize("command", ["verify", "decompose"])
 def test_unwritable_out_exits_two(tmp_path, capsys, command):
     target = tmp_path / "missing" / "report.json"

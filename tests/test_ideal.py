@@ -28,10 +28,10 @@ from gaugereduce import (
 )
 from gaugereduce.groups import casimir_eigenvalue, lie_dim
 from gaugereduce.ideal import _seed_rows, conjugation_band, default_n_max
-from gaugereduce.reduction import SubspaceBasis, _gauge_scheme
+from gaugereduce.reduction import SubspaceBasis
 from gaugereduce.spectrum import eigenspace_grouping
 
-from .oracles import coords_of_matrix, element_op, op_from_coords
+from .oracles import coords_of_matrix, element_op, op_from_coords, product_scheme
 from .systems import CANON, SMALL, SU2, build, loop_graph, make, triangle_graph
 
 
@@ -43,7 +43,7 @@ def oracle_average(trunc, block_index, power, vertex, lie_index, extra_band=1):
     gn = np.linalg.matrix_power(gamma, power)
     band = IrrepLabel(trunc.group, conjugation_band(block).degree + extra_band)
     acc = np.zeros_like(gn)
-    for w, g in _gauge_scheme(trunc.graph, trunc.group, band):
+    for w, g in product_scheme(trunc.graph, trunc.group, band):
         rho = rho_block(block, g)
         acc += w * (rho @ gn @ rho.conj().T)
     return acc
@@ -170,6 +170,9 @@ def test_generator_band_is_validated():
     exact = generator_op(trunc, spec, band=need)
     wide = generator_op(trunc, spec, band=IrrepLabel(trunc.group, 4))
     assert np.abs(exact - wide).max() < 1e-12
+    # a one-dimensional block conjugates trivially, so its band is not checked
+    flat = generator_op(trunc, GeneratorSpec(0, "x", 2, 2), band=IrrepLabel(trunc.group, 0))
+    assert flat.shape == (1, 1)
 
 
 def test_closure_of_nothing_is_nothing():
@@ -272,12 +275,14 @@ def test_su2_loop_fails_at_first_power():
     assert report.rows[0].containment_residual <= 1e-10
 
 
-@pytest.mark.parametrize("name", SMALL)
-def test_verify_methods_agree(name):
-    trunc = build(name)
-    sat = CANON[name][6]
-    lie = verify_ideal(trunc, n_max=sat, method="lie")
-    quad = verify_ideal(trunc, n_max=sat, method="quadrature")
+@pytest.mark.parametrize(
+    "trunc,n_max",
+    [(build(k), CANON[k][6]) for k in SMALL] + [(make(triangle_graph(), SU2, 1), 2)],
+    ids=SMALL + ["su2-triangle-b1"],
+)
+def test_verify_methods_agree(trunc, n_max):
+    lie = verify_ideal(trunc, n_max=n_max, method="lie")
+    quad = verify_ideal(trunc, n_max=n_max, method="quadrature")
     assert lie.passed and quad.passed
     assert [r.dim_ideal for r in lie.rows] == [r.dim_ideal for r in quad.rows]
     assert subspace_distance(lie.final_ideal, quad.final_ideal) < 1e-8

@@ -4,18 +4,32 @@ Graphs are drawn with loops, parallel edges, isolated vertices and
 disconnected pieces, up to total dimension 40.  On each the Gauss
 generators must match the Kronecker-chain oracle, the irrep-based
 commutant must match the dense oracle, the dimension ledger must hold, the
-component closure must match the round-based oracle closure, and the
-averaged-generator ideal must reach ``ker(pi)`` by power 2.
+component closure must match the round-based oracle closure, the
+quadrature averages of generator powers 1 and 2 must have the same
+commutant coordinates as the Lie route (and the averaged square must be
+the commutant element with those coordinates), and the averaged-generator
+ideal must reach ``ker(pi)`` by power 2.
 """
 
 import math
 
+import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from gaugereduce import Graph, commutant_basis, invariant_basis, kernel_pi_basis, verify_ideal
+from gaugereduce import (
+    Graph,
+    GeneratorSpec,
+    commutant_basis,
+    generator_coords,
+    generator_op,
+    invariant_basis,
+    kernel_pi_basis,
+    verify_ideal,
+)
 from gaugereduce.groups import lie_dim
 
+from .oracles import op_from_coords
 from .systems import SU2, U1, make
 from .test_lattice import assert_generators_match_oracle
 from .test_oracles import assert_closures_agree
@@ -60,4 +74,20 @@ def test_random_graphs(trunc):
     inv = invariant_basis(trunc)
     assert space.dim == kernel_pi_basis(space, inv).dim + inv.dim**2
     assert_closures_agree(space)
+    # one Lie direction per vertex: each call rebuilds the quadrature
+    off = trunc.offsets
+    for i in range(len(trunc.blocks)):
+        block = slice(off[i], off[i + 1])
+        for v in trunc.graph.vertices:
+            for n in (1, 2):
+                spec = GeneratorSpec(i, v, 0, n)
+                lie = generator_coords(space, spec, method="lie")
+                quad = generator_coords(space, spec, method="quadrature")
+                assert np.abs(lie - quad).max() < 1e-8
+                if n == 2:
+                    # Coordinates cannot see an average that skips vertex v:
+                    # any partial average projects onto the commutant alike.
+                    # The averaged square itself can.
+                    avg = op_from_coords(space, lie)[block, block]
+                    assert np.abs(generator_op(trunc, spec) - avg).max() < 1e-8
     assert verify_ideal(trunc, n_max=2).passed

@@ -30,8 +30,8 @@ from gaugereduce import (
 from gaugereduce.lattice import block_generators
 from gaugereduce.reduction import RANK_RTOL, _invariant_columns
 
-from .oracles import coords_of_matrix, element_op, op_from_coords
-from .systems import CANON, SMALL, build
+from .oracles import coords_of_matrix, element_op, op_from_coords, product_projector
+from .systems import CANON, SMALL, SU2, build, make, parallel_graph
 
 # every system whose total dimension keeps the kron'd constraints small
 DENSE_OK = SMALL
@@ -122,6 +122,20 @@ def test_projector_methods_agree(name):
         assert np.abs(lie - quad).max() < 1e-8
         assert_allclose(lie, lie.conj().T, atol=1e-12)
         assert_allclose(lie @ lie, lie, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "trunc",
+    [make(parallel_graph(), SU2, 1), build("u1-triangle-b1")],
+    ids=["su2-parallel-b1", "u1-triangle-b1"],
+)
+def test_vertex_by_vertex_projector_equals_product_scheme(trunc):
+    # the library averages over one vertex at a time; the oracle sweeps
+    # every tuple of per-vertex points at once
+    for block in trunc.blocks:
+        want = product_projector(block, projector_band(block))
+        got = invariant_projector(block, "quadrature")
+        assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_projector_commutes_with_generators():
