@@ -5,7 +5,12 @@ Casimir eigenvalue of that edge's label.  Blocks sharing an energy can be
 merged into a single generator per power without changing the averaged
 ideal, because the block projectors already commute with the gauge action.
 That shrinks the generator count while landing on the same subspace.
+Both ideals are sums of whole commutant components, so they are compared as
+masks over the commutant coordinates.
 """
+
+import numpy as np
+
 
 from gaugereduce import (
     Graph,
@@ -14,7 +19,6 @@ from gaugereduce import (
     coarsened_verify,
     eigenspace_grouping,
     su2_spin,
-    subspace_distance,
     u1_charge,
     verify_ideal,
 )
@@ -42,11 +46,11 @@ for e, g, d in zip(tri_grouping.energies, tri_grouping.groups, tri_grouping.dims
 print("\n== merged and unmerged generators reach the same ideal ==")
 fine = verify_ideal(tri_trunc, n_max=2)
 coarse = coarsened_verify(tri_trunc, n_max=2)
-gap = subspace_distance(fine.final_ideal, coarse.final_ideal)
+same = np.array_equal(fine.final_ideal.mask, coarse.final_ideal.mask)
 print(f"  per-block run:  {fine.n_groups} generator groups, "
       f"final ideal dim {fine.rows[-1].dim_ideal}, "
       f"{'PASS' if fine.passed else 'FAIL'}")
 print(f"  per-level run:  {coarse.n_groups} generator groups, "
       f"final ideal dim {coarse.rows[-1].dim_ideal}, "
       f"{'PASS' if coarse.passed else 'FAIL'}")
-print(f"  distance between the two final ideals: {gap:.2e}")
+print(f"  the two final ideals hold the same commutant elements: {same}")

@@ -35,6 +35,7 @@ from .groups import (
 )
 from .ideal import (
     GeneratorSpec,
+    IdealMask,
     IdealReport,
     IdealRow,
     conjugation_band,
@@ -51,8 +52,6 @@ from .lattice import (
     VertexGenerator,
     basis_values,
     block_generators,
-    exp_gauge,
-    gauge_act,
     gauss_generator_block,
     rho_block,
     vertex_flux,
@@ -60,6 +59,7 @@ from .lattice import (
 from .reduction import (
     BandError,
     EquivariantSpace,
+    PiKernel,
     SpanConsistencyError,
     SubspaceBasis,
     commutant_basis,

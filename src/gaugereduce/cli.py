@@ -9,7 +9,7 @@ Three subcommands work from the same run description file:
   the final power, 1 when they do not.
 * ``spectrum``   -- list the energy levels and rerun the comparison with
   one summed generator per level, reporting the distance to the
-  ungrouped ideal.
+  ungrouped ideal (0 or 1: both are sums of whole components).
 
 Malformed run files, unwritable report paths and quadrature bands too
 small for their integrands exit with status 2.  Reports are JSON with
@@ -31,7 +31,7 @@ import numpy as np
 from .blocks import Truncation
 from .config import METHODS, ConfigError, RunConfig, parse_config
 from .groups import IrrepLabel
-from .ideal import DEFAULT_TOL, IdealReport, subspace_distance, verify_ideal
+from .ideal import DEFAULT_TOL, IdealReport, verify_ideal
 from .reduction import commutant_basis, invariant_basis
 from .spectrum import block_energy, coarsened_verify, eigenspace_grouping
 
@@ -161,7 +161,10 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     grouping = eigenspace_grouping(trunc)
     fine = verify_ideal(trunc, **settings)
     coarse = coarsened_verify(trunc, **settings)
-    gap = subspace_distance(fine.final_ideal, coarse.final_ideal)
+    # both ideals are sums of whole components: equal masks, or a basis
+    # element in one and orthogonal to the other
+    same = np.array_equal(fine.final_ideal.mask, coarse.final_ideal.mask)
+    gap = 0.0 if same else 1.0
     elapsed = fine.seconds + coarse.seconds
     payload = _report_json(cfg, coarse)
     payload["levels"] = [

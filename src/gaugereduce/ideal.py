@@ -14,9 +14,10 @@ Lie-computed commutant basis) which the tests compare.
 The closure step works in commutant coordinates.  The commutant is a sum
 of full matrix algebras, one per gauge irrep, and a two-sided ideal of such
 an algebra is a sum of whole components (Wedderburn-Artin): the ideal
-generated by a set of seeds is the sum of the components they touch.
-Roundoff is cut once, where the seed coordinates are computed, relative to
-the size of the generator power they come from.
+generated by a set of seeds is the sum of the components they touch, held
+as a boolean mask over the coordinates.  Roundoff is cut once, where the
+seed coordinates are computed, relative to the size of the generator power
+they come from.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .lattice import VertexGenerator, gauss_generator_block
 from .reduction import (
     RANK_RTOL,
     EquivariantSpace,
-    SubspaceBasis,
+    PiKernel,
     commutant_basis,
     invariant_basis,
     kernel_pi_basis,
@@ -137,71 +138,74 @@ def generator_coords(
     return _averaged_coords(space, spec.block, _raw_power(space.trunc, spec), actions)
 
 
-def _seed_rows(space: EquivariantSpace, groups, n_max: int, method: str, band):
-    """Seed coordinate rows for the powers n = 1, ..., n_max, one array each.
+def _seed_rows(space: EquivariantSpace, n_max: int, method: str, band):
+    """Seed supports for the powers n = 1, ..., n_max, one boolean vector each.
 
-    Row ``(g, v, a)`` sums over the blocks of group ``g`` the coordinates
-    of ``GeneratorSpec(i, v, a, n)``.  Each block's generators and
-    averaging actions are built once, and the powers are stepped as
-    ``Gamma^n = Gamma^(n-1) Gamma``.
+    Entry ``k`` is set when some ``GeneratorSpec(i, v, a, n)`` has a nonzero
+    coordinate ``k``.  Each block's generators and averaging actions are
+    built once, and the powers are stepped as ``Gamma^n = Gamma^(n-1) Gamma``.
     """
     trunc = space.trunc
     lie = range(lie_dim(trunc.group))
     directions = [VertexGenerator(v, a) for v in trunc.graph.vertices for a in lie]
-    members = {i for group in groups for i in group}
-    actions = {i: _averaging_actions(trunc.blocks[i], method, band) for i in members}
-    terms = [  # (seed row, block, generator)
-        (g * len(directions) + k, i, gauss_generator_block(trunc.blocks[i], d))
-        for g, group in enumerate(groups)
-        for i in group
-        for k, d in enumerate(directions)
+    actions = [_averaging_actions(block, method, band) for block in trunc.blocks]
+    terms = [  # (block, generator)
+        (i, gauss_generator_block(block, d))
+        for i, block in enumerate(trunc.blocks)
+        for d in directions
     ]
-    powers = [gamma for _, _, gamma in terms]
+    powers = [gamma for _, gamma in terms]
     for n in range(1, n_max + 1):
         if n > 1:
-            powers = [gn @ gamma for gn, (_, _, gamma) in zip(powers, terms)]
-        rows = np.zeros((len(groups) * len(directions), space.dim), dtype=complex)
-        for gn, (r, i, _) in zip(powers, terms):
-            rows[r] += _averaged_coords(space, i, gn, actions[i])
-        yield rows
+            powers = [gn @ gamma for gn, (_, gamma) in zip(powers, terms)]
+        support = np.zeros(space.dim, dtype=bool)
+        for gn, (i, _) in zip(powers, terms):
+            support |= _averaged_coords(space, i, gn, actions[i]) != 0
+        yield support
+
+
+class IdealMask:
+    """A two-sided ideal of the commutant, as a sum of whole components:
+    ``mask[k]`` is set when basis element ``k`` lies in the ideal."""
+
+    def __init__(self, mask: np.ndarray):
+        self.mask = mask
+
+    @property
+    def dim(self) -> int:
+        return int(np.count_nonzero(self.mask))
 
 
 def ideal_closure(
-    space: EquivariantSpace, seeds: np.ndarray, start: SubspaceBasis | None = None
-) -> SubspaceBasis:
+    space: EquivariantSpace, seeds: np.ndarray, start: IdealMask | None = None
+) -> IdealMask:
     """Two-sided ideal generated by the seed coordinate rows.
 
-    It is the sum of the commutant components on which some seed row, or a
-    vector of the already-closed ``start``, has a nonzero coordinate.
+    It is the sum of the commutant components on which some seed row has a
+    nonzero coordinate, together with the already-closed ``start``.
     """
-    q = space.dim
-    rows = np.asarray(seeds).reshape(-1, q)
-    if start is not None:
-        rows = np.vstack([rows, start.vectors])
+    rows = np.asarray(seeds).reshape(-1, space.dim)
     touched = np.zeros(len(space.irreps), dtype=bool)
     touched[space.components[rows.any(axis=0)]] = True
-    keep = np.flatnonzero(touched[space.components])
-    basis = np.zeros((keep.size, q), dtype=complex)
-    basis[np.arange(keep.size), keep] = 1.0
-    return SubspaceBasis(q, basis)
+    mask = touched[space.components]
+    return IdealMask(mask if start is None else mask | start.mask)
 
 
-def subspace_distance(u: SubspaceBasis, v: SubspaceBasis) -> float:
-    """Operator-norm distance between the orthogonal projectors."""
-    if u.dim == 0 and v.dim == 0:
-        return 0.0
-    n = u.ambient_dim
-    pu = u.vectors.conj().T @ u.vectors if u.dim else np.zeros((n, n))
-    pv = v.vectors.conj().T @ v.vectors if v.dim else np.zeros((n, n))
-    return float(np.max(np.abs(np.linalg.eigvalsh(pu - pv))))
+def subspace_distance(ideal: IdealMask, kernel: PiKernel) -> float:
+    """Operator-norm distance between the orthogonal projectors: exactly 1
+    when the dimensions differ, otherwise the sine of the largest principal
+    angle (Bjorck and Golub, Math. Comp. 27, 1973), which is the spectral
+    norm of the kernel's complement on the ideal's coordinates."""
+    if ideal.dim != kernel.dim:
+        return 1.0
+    block = kernel.complement[:, ideal.mask]
+    return float(np.linalg.norm(block, 2)) if block.size else 0.0
 
 
-def containment_residual(inner: SubspaceBasis, outer: SubspaceBasis) -> float:
-    """Largest leftover norm when projecting the inner basis on the outer."""
-    if inner.dim == 0:
-        return 0.0
-    rest = outer.project_out(inner.vectors)
-    return float(np.max(np.linalg.norm(rest, axis=1)))
+def containment_residual(ideal: IdealMask, kernel: PiKernel) -> float:
+    """Largest norm of an ideal basis element off the kernel."""
+    block = kernel.complement[:, ideal.mask]
+    return float(np.linalg.norm(block, axis=0).max()) if block.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -230,7 +234,7 @@ class IdealReport:
     passed: bool
     seconds: float
     block_labels: tuple[tuple[int, ...], ...] = field(default=())
-    final_ideal: SubspaceBasis | None = field(default=None, repr=False)
+    final_ideal: IdealMask | None = field(default=None, repr=False)
 
 
 def default_n_max(trunc: Truncation) -> int:
@@ -248,10 +252,9 @@ def verify_ideal(
     """Compare the kernel of the invariant compression with the averaged
     generator ideal, power by power up to ``n_max``.
 
-    ``sigma_groups`` optionally merges blocks: each group contributes one
-    summed generator per vertex direction and power instead of one per
-    block.  The resulting ideal is unchanged because the block projectors
-    themselves commute with the gauge action.
+    ``sigma_groups`` optionally merges blocks into groups of summed
+    generators.  It sets only the report's ``coarse`` and ``n_groups``: the
+    merged ideal is the unmerged one by construction (see ``spectrum``).
     """
     t0 = time.perf_counter()
     if n_max is None:
@@ -261,15 +264,9 @@ def verify_ideal(
     space = commutant_basis(trunc)
     inv = invariant_basis(trunc, method=method)
     kernel = kernel_pi_basis(space, inv)
-    groups = (
-        sigma_groups
-        if sigma_groups is not None
-        else tuple((i,) for i in range(len(trunc.blocks)))
-    )
-    coarse = sigma_groups is not None
     rows = []
     ideal = None
-    for n, seeds in enumerate(_seed_rows(space, groups, n_max, method, band), 1):
+    for n, seeds in enumerate(_seed_rows(space, n_max, method, band), 1):
         ideal = ideal_closure(space, seeds, start=ideal)
         rows.append(
             IdealRow(
@@ -286,8 +283,8 @@ def verify_ideal(
         n_max=n_max,
         method=method,
         tolerance=tol,
-        coarse=coarse,
-        n_groups=len(groups),
+        coarse=sigma_groups is not None,
+        n_groups=len(trunc.blocks if sigma_groups is None else sigma_groups),
         dim_total=trunc.total_dim,
         n_blocks=len(trunc.blocks),
         dim_hk=inv.dim,

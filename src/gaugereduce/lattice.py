@@ -35,13 +35,9 @@ from .groups import (
     GroupId,
     GroupPoint,
     IrrepLabel,
-    exp_point,
-    identity_point,
-    inverse,
     irrep_generator,
     irrep_matrix,
     lie_dim,
-    multiply,
 )
 
 
@@ -81,25 +77,6 @@ class VertexGenerator:
 
     vertex: str
     lie_index: int
-
-
-def gauge_act(g: GaugeElement, a: Connection) -> Connection:
-    new = tuple(
-        multiply(multiply(g.at(e.source), a.at(e.id)), inverse(g.at(e.target)))
-        for e in a.graph.edges
-    )
-    return Connection(a.graph, new)
-
-
-def exp_gauge(graph: Graph, group: GroupId, gen: VertexGenerator, t: float) -> GaugeElement:
-    """The one-parameter gauge transformation exp(t X) supported on one vertex."""
-    coeffs = np.zeros(lie_dim(group))
-    coeffs[gen.lie_index] = t
-    pts = tuple(
-        exp_point(group, coeffs) if v == gen.vertex else identity_point(group)
-        for v in graph.vertices
-    )
-    return GaugeElement(graph, pts)
 
 
 def rho_block(block: BlockLabel, g: GaugeElement) -> np.ndarray:

@@ -12,9 +12,9 @@ Three objects are produced from a truncation:
   algebra per irrep, spanned by matrix units between copies of the same
   irrep (Schur's lemma),
 * the matrix of the restriction map ``pi`` sending a commutant element to
-  its compression onto the invariant subspace, and a basis of its kernel.
-  Neither uses the irrep labels, so comparing the kernel with the ideal
-  built from them is a genuine check.
+  its compression onto the invariant subspace, and its kernel, kept by its
+  complement, the row space of ``pi``.  Neither uses the irrep labels, so
+  comparing the kernel with the ideal built from them is a genuine check.
 
 Everything is finite-dimensional linear algebra; ranks are decided at a
 single relative tolerance so the counts reported downstream are stable.
@@ -23,7 +23,7 @@ single relative tolerance so the counts reported downstream are stable.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy.linalg import null_space, svd
 
 from .blocks import BlockLabel, Truncation
 from .groups import IrrepLabel, haar_scheme, identity_point, lie_dim, required_band
@@ -61,11 +61,19 @@ class SubspaceBasis:
     def dim(self) -> int:
         return self.vectors.shape[0]
 
-    def project_out(self, rows: np.ndarray) -> np.ndarray:
-        """Components of the given rows orthogonal to the subspace."""
-        if self.dim == 0:
-            return rows
-        return rows - (rows @ self.vectors.conj().T) @ self.vectors
+
+class PiKernel:
+    """The kernel of ``pi`` in commutant coordinates, known by its
+    orthogonal complement: ``complement`` has orthonormal rows ``V_r`` and
+    the kernel is every ``w`` with ``V_r @ w = 0``."""
+
+    def __init__(self, ambient_dim: int, complement: np.ndarray):
+        self.ambient_dim = ambient_dim
+        self.complement = complement
+
+    @property
+    def dim(self) -> int:
+        return self.ambient_dim - self.complement.shape[0]
 
 
 def vertex_degree(block: BlockLabel) -> int:
@@ -338,12 +346,16 @@ def pi_matrix(space: EquivariantSpace, inv: SubspaceBasis) -> np.ndarray:
     return out
 
 
-def kernel_pi_basis(space: EquivariantSpace, inv: SubspaceBasis) -> SubspaceBasis:
-    """Orthonormal basis, in commutant coordinates, of the kernel of the
-    compression map; the whole commutant when the invariant space is zero."""
+def kernel_pi_basis(space: EquivariantSpace, inv: SubspaceBasis) -> PiKernel:
+    """Kernel of the compression map, by the row space of its matrix.
+
+    A thin SVD of ``pi_matrix`` keeps the right singular vectors whose
+    singular value exceeds ``RANK_RTOL`` times the largest, the rank rule of
+    ``scipy.linalg.null_space``.  The kernel is the whole commutant when the
+    invariant space is zero.
+    """
     q = space.dim
     if inv.dim == 0:
-        return SubspaceBasis(q, np.eye(q, dtype=complex))
-    mat = pi_matrix(space, inv)
-    ns = null_space(mat, rcond=RANK_RTOL)
-    return SubspaceBasis(q, ns.T)
+        return PiKernel(q, np.zeros((0, q), dtype=complex))
+    _, s, vh = svd(pi_matrix(space, inv), full_matrices=False)
+    return PiKernel(q, vh[: np.count_nonzero(s > RANK_RTOL * s[0])])

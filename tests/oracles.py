@@ -5,7 +5,10 @@ closes ideals component by component.  The routes here know nothing of
 irreps: the commutant is the null space of the Kronecker-expanded
 commutator constraints, one pair of blocks at a time, and the ideal is
 reached by a round-based sweep of left and right multiplications through
-the sparse structure tables.  They are slow but independent.  A Gauss
+the sparse structure tables.  They are slow but independent.  Subspaces
+are dense orthonormal row bases here: ``ker(pi)`` is the full-SVD null
+space of ``pi_matrix``, and the distance between two subspaces is read off
+an eigendecomposition of the difference of their projectors.  A Gauss
 generator is also built here the long way, as one full Kronecker chain of
 per-edge factors for every edge at the vertex, and a Haar average over
 ``G^V`` as one sweep of the product scheme, ``|S|^V`` points, instead of
@@ -21,7 +24,7 @@ from gaugereduce import EquivariantSpace, SubspaceBasis
 from gaugereduce.blocks import kron_chain
 from gaugereduce.groups import haar_scheme, irrep_generator
 from gaugereduce.lattice import GaugeElement, block_generators, rho_block
-from gaugereduce.reduction import RANK_RTOL
+from gaugereduce.reduction import RANK_RTOL, pi_matrix
 
 MINIMUM_SEED = 1e-12
 
@@ -160,3 +163,45 @@ def round_closure(space, seeds, start=None, rtol=RANK_RTOL):
                     batches.append(block[keep])
         pending = absorb(np.vstack(batches)) if batches else np.zeros((0, q), complex)
     return SubspaceBasis(q, basis)
+
+
+def mask_basis(ideal):
+    """The identity rows of an ideal's masked coordinates, as a basis."""
+    keep = np.flatnonzero(ideal.mask)
+    basis = np.zeros((keep.size, ideal.mask.size), dtype=complex)
+    basis[np.arange(keep.size), keep] = 1.0
+    return SubspaceBasis(ideal.mask.size, basis)
+
+
+def dense_kernel_basis(space, inv):
+    """Orthonormal rows spanning ``ker(pi)``: the full-SVD null space of
+    ``pi_matrix``, or the whole commutant when there are no invariants."""
+    q = space.dim
+    if inv.dim == 0:
+        return SubspaceBasis(q, np.eye(q, dtype=complex))
+    return SubspaceBasis(q, null_space(pi_matrix(space, inv), rcond=RANK_RTOL).T)
+
+
+def project_out(basis, rows):
+    """Components of the given rows orthogonal to the subspace."""
+    if basis.dim == 0:
+        return rows
+    return rows - (rows @ basis.vectors.conj().T) @ basis.vectors
+
+
+def subspace_distance(u, v):
+    """Operator-norm distance between the orthogonal projectors."""
+    if u.dim == 0 and v.dim == 0:
+        return 0.0
+    n = u.ambient_dim
+    pu = u.vectors.conj().T @ u.vectors if u.dim else np.zeros((n, n))
+    pv = v.vectors.conj().T @ v.vectors if v.dim else np.zeros((n, n))
+    return float(np.max(np.abs(np.linalg.eigvalsh(pu - pv))))
+
+
+def containment_residual(inner, outer):
+    """Largest leftover norm when projecting the inner basis on the outer."""
+    if inner.dim == 0:
+        return 0.0
+    rest = project_out(outer, inner.vectors)
+    return float(np.max(np.linalg.norm(rest, axis=1)))

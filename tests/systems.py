@@ -26,6 +26,13 @@ def triangle_graph():
     )
 
 
+def square_graph():
+    return Graph(
+        ("w", "x", "y", "z"),
+        [("a", "w", "x"), ("b", "x", "y"), ("c", "y", "z"), ("d", "z", "w")],
+    )
+
+
 def loop_graph():
     return Graph(("x",), [("l", "x", "x")])
 

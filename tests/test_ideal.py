@@ -6,32 +6,42 @@ projector onto the spin-1 half of the block, and every U(1) average is the
 corresponding power of i times the vertex flux.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import null_space
 
+import gaugereduce
 from gaugereduce import (
     BandError,
     GeneratorSpec,
+    IdealMask,
     IrrepLabel,
+    PiKernel,
     VertexGenerator,
     commutant_basis,
-    containment_residual,
     gauss_generator_block,
     generator_coords,
     generator_op,
     ideal_closure,
     rho_block,
-    subspace_distance,
     vertex_flux,
     verify_ideal,
 )
 from gaugereduce.groups import casimir_eigenvalue, lie_dim
 from gaugereduce.ideal import _seed_rows, conjugation_band, default_n_max
 from gaugereduce.reduction import SubspaceBasis
-from gaugereduce.spectrum import eigenspace_grouping
 
-from .oracles import coords_of_matrix, element_op, op_from_coords, product_scheme
+from .oracles import (
+    containment_residual,
+    coords_of_matrix,
+    element_op,
+    mask_basis,
+    product_scheme,
+    subspace_distance,
+)
 from .systems import CANON, SMALL, SU2, build, loop_graph, make, triangle_graph
 
 
@@ -114,27 +124,18 @@ def test_generator_coords_lie_equals_quadrature(name):
 def test_stepped_seed_rows_equal_spec_by_spec_coords(name, method):
     # verify_ideal steps Gamma^n = Gamma^(n-1) Gamma from generators built
     # once; each spec here rebuilds its generator and takes a matrix power.
-    # Both the per-block and the coarse (per energy level) grouping.
+    # The stepped support is the union of the specs' supports.
     trunc = build(name)
     space = commutant_basis(trunc)
     directions = [(v, a) for v in trunc.graph.vertices for a in range(lie_dim(trunc.group))]
-    groupings = (
-        tuple((i,) for i in range(len(trunc.blocks))),
-        eigenspace_grouping(trunc).groups,
-    )
-    stepped = zip(*(_seed_rows(space, groups, 4, method, None) for groups in groupings))
-    for n, rows in enumerate(stepped, 1):
-        specs = {
-            (i, v, a): generator_coords(space, GeneratorSpec(i, v, a, n), method=method)
-            for i in range(len(trunc.blocks))
-            for v, a in directions
-        }
-        for groups, got in zip(groupings, rows):
-            want = np.array(
-                [sum(specs[i, v, a] for i in members) for members in groups for v, a in directions]
-            )
-            assert got.shape == want.shape
-            assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max(), err_msg=n)
+    for n, got in enumerate(_seed_rows(space, 4, method, None), 1):
+        want = np.zeros(space.dim, dtype=bool)
+        for i in range(len(trunc.blocks)):
+            for v, a in directions:
+                spec = GeneratorSpec(i, v, a, n)
+                want |= generator_coords(space, spec, method=method) != 0
+        assert got.dtype == bool
+        assert np.array_equal(got, want), n
 
 
 @pytest.mark.parametrize(
@@ -199,14 +200,13 @@ def test_closure_is_two_sided_stable(name):
     rng = np.random.default_rng(53)
     seeds = rng.normal(size=(2, space.dim)) + 1j * rng.normal(size=(2, space.dim))
     ideal = ideal_closure(space, seeds)
-    for row in ideal.vectors:
-        x = op_from_coords(space, row)
+    for m in np.flatnonzero(ideal.mask):
+        x = element_op(space, int(m))
         for k in rng.integers(0, space.dim, size=6):
             b = element_op(space, int(k))
             for prod in (b @ x, x @ b):
                 w = coords_of_matrix(space, prod)
-                left = ideal.project_out(w.reshape(1, -1))
-                assert np.linalg.norm(left) < 1e-9
+                assert np.linalg.norm(w[~ideal.mask]) < 1e-9
 
 
 def test_closure_incremental_equals_batch():
@@ -217,8 +217,7 @@ def test_closure_incremental_equals_batch():
     s2 = rng.normal(size=(1, space.dim)) + 0j
     batch = ideal_closure(space, np.vstack([s1, s2]))
     step = ideal_closure(space, s2, start=ideal_closure(space, s1))
-    assert batch.dim == step.dim
-    assert subspace_distance(batch, step) < 1e-10
+    assert np.array_equal(batch.mask, step.mask)
 
 
 def test_subspace_distance_principal_angle():
@@ -247,6 +246,24 @@ def test_containment_residual_extremes():
     assert containment_residual(inside, big) == 0.0
     assert abs(containment_residual(outside, big) - 1.0) < 1e-14
     assert containment_residual(SubspaceBasis(3), big) == 0.0
+
+
+def test_mask_numbers_equal_dense_oracle_off_the_kernel():
+    # A kernel in general position, so that residuals and equal-dimension
+    # distances are neither 0 nor 1; every mask of the coordinates.
+    rng = np.random.default_rng(67)
+    q, rank = 7, 3
+    raw = rng.normal(size=(q, rank)) + 1j * rng.normal(size=(q, rank))
+    kernel = PiKernel(q, np.linalg.qr(raw)[0].T)
+    dense = SubspaceBasis(q, null_space(kernel.complement).T)
+    assert kernel.dim == dense.dim == q - rank
+    for bits in itertools.product((False, True), repeat=q):
+        ideal = IdealMask(np.array(bits))
+        basis = mask_basis(ideal)
+        want = containment_residual(basis, dense)
+        assert abs(gaugereduce.containment_residual(ideal, kernel) - want) <= 1e-12
+        want = subspace_distance(basis, dense)
+        assert abs(gaugereduce.subspace_distance(ideal, kernel) - want) <= 1e-12
 
 
 @pytest.mark.parametrize("name", list(CANON))
@@ -285,7 +302,7 @@ def test_verify_methods_agree(trunc, n_max):
     quad = verify_ideal(trunc, n_max=n_max, method="quadrature")
     assert lie.passed and quad.passed
     assert [r.dim_ideal for r in lie.rows] == [r.dim_ideal for r in quad.rows]
-    assert subspace_distance(lie.final_ideal, quad.final_ideal) < 1e-8
+    assert np.array_equal(lie.final_ideal.mask, quad.final_ideal.mask)
 
 
 def test_su2_loop_default_power_budget_stays_on_the_kernel():

@@ -13,8 +13,7 @@ from gaugereduce import (
     VertexGenerator,
     basis_values,
     block_generators,
-    exp_gauge,
-    gauge_act,
+    exp_point,
     gauss_generator_block,
     identity_point,
     inverse,
@@ -44,6 +43,26 @@ def random_connection(graph, group, rng):
 
 def inverse_gauge(g):
     return GaugeElement(g.graph, tuple(inverse(p) for p in g.points))
+
+
+def gauge_act(g, a):
+    """``(g . a)_e = g_source(e) a_e g_target(e)^-1`` on a connection."""
+    new = tuple(
+        multiply(multiply(g.at(e.source), a.at(e.id)), inverse(g.at(e.target)))
+        for e in a.graph.edges
+    )
+    return Connection(a.graph, new)
+
+
+def exp_gauge(graph, group, gen, t):
+    """The one-parameter gauge transformation exp(t X) supported on one vertex."""
+    coeffs = np.zeros(lie_dim(group))
+    coeffs[gen.lie_index] = t
+    pts = tuple(
+        exp_point(group, coeffs) if v == gen.vertex else identity_point(group)
+        for v in graph.vertices
+    )
+    return GaugeElement(graph, pts)
 
 
 def test_gauge_action_composes():

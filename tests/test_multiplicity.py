@@ -10,6 +10,11 @@ summed over blocks, is the multiplicity ``M_lam`` of the gauge irrep
 ``lam = (2 J_v)_v``.  No matrix is formed, and then
 
     dim A^K = sum M_lam^2,   dim H^K = M_0,   dim ker pi = dim A^K - M_0^2.
+
+For U(1) every block is one charge assignment, one-dimensional, and its
+gauge irrep is its pattern of vertex fluxes, so ``M_lam`` counts the
+assignments with flux pattern ``lam``.  That fixes the counts of systems
+past a thousand commutant dimensions, where ``verify`` must still pass.
 """
 
 import itertools
@@ -23,12 +28,15 @@ from gaugereduce import commutant_basis, invariant_basis, kernel_pi_basis, verif
 from .systems import (
     CANON,
     SU2,
+    U1,
     edge_graph,
     loop_graph,
     make,
     parallel_graph,
+    square_graph,
     triangle_graph,
 )
+from .test_acceptance import brute_force_balanced
 
 
 def couple(spins):
@@ -113,3 +121,33 @@ def test_su2_triangle_verifies_at_the_default_power_budget():
     assert report.passed
     assert (report.dim_ak, report.dim_hk, report.dim_ker_pi) == (26, 2, 22)
     assert [row.dim_ideal for row in report.rows[:2]] == [0, 22]
+
+
+def flux_multiplicities(graph, bound):
+    """``M_lam`` for every vertex-flux pattern of the U(1) truncation."""
+    out = Counter()
+    for charges in itertools.product(range(-bound, bound + 1), repeat=len(graph.edges)):
+        flux = Counter()
+        for e, n in zip(graph.edges, charges):
+            flux[e.target] += n
+            flux[e.source] -= n
+        out[tuple(flux[v] for v in graph.vertices)] += 1
+    return out
+
+
+@pytest.mark.parametrize(
+    "graph,bound,counts",
+    [(triangle_graph, 3, (1225, 7, 1176)), (square_graph, 2, (1333, 5, 1308))],
+    ids=["u1-triangle-b3", "u1-square-b2"],
+)
+def test_u1_flux_count_fixes_a_verify_past_a_thousand(graph, bound, counts):
+    g = graph()
+    mult = flux_multiplicities(g, bound)
+    h = brute_force_balanced(g, bound)
+    assert mult[(0,) * len(g.vertices)] == h
+    dim_ak = sum(m * m for m in mult.values())
+    assert (dim_ak, h, dim_ak - h * h) == counts
+    report = verify_ideal(make(g, U1, bound))
+    assert report.passed
+    assert (report.dim_ak, report.dim_hk, report.dim_ker_pi) == counts
+    assert report.rows[0].dim_ideal == report.dim_ker_pi

@@ -4,7 +4,10 @@ The library reads the commutant off the gauge irreps of each block and
 takes an ideal to be the sum of the irrep components its seeds touch.  The
 oracles in ``oracles.py`` know nothing of irreps: a Kronecker null space per
 pair of blocks, and a round-based multiplication sweep.  On every small
-system both must give the same commutant and the same ideals.
+system both must give the same commutant and the same ideals.  The library
+also holds ``ker(pi)`` by the row space of ``pi`` and the ideal as a mask;
+the dense oracle bases must give the same kernel dimension, containment
+residual and distance at every power.
 """
 
 import numpy as np
@@ -15,12 +18,23 @@ from gaugereduce import (
     commutant_basis,
     generator_coords,
     ideal_closure,
-    subspace_distance,
+    invariant_basis,
+    kernel_pi_basis,
+    verify_ideal,
 )
 from gaugereduce.groups import lie_dim
+from gaugereduce.ideal import _seed_rows
 
-from .oracles import element_op, pair_commutant, round_closure
-from .systems import SMALL, build
+from .oracles import (
+    containment_residual,
+    dense_kernel_basis,
+    element_op,
+    mask_basis,
+    pair_commutant,
+    round_closure,
+    subspace_distance,
+)
+from .systems import CANON, SMALL, build
 
 
 def dense_span(space):
@@ -50,7 +64,30 @@ def assert_closures_agree(space, n_max=3):
         fast = ideal_closure(space, seeds, start=fast)
         slow = round_closure(space, seeds, start=slow)
         assert fast.dim == slow.dim, n
-        assert subspace_distance(fast, slow) <= 1e-8, n
+        assert subspace_distance(mask_basis(fast), slow) <= 1e-8, n
+
+
+def assert_rows_match_dense_oracle(trunc, n_max):
+    """Verify ``trunc`` and check every row against the dense routes; return
+    the report."""
+    space = commutant_basis(trunc)
+    inv = invariant_basis(trunc)
+    kernel = kernel_pi_basis(space, inv)
+    dense = dense_kernel_basis(space, inv)
+    assert kernel.dim == dense.dim
+    # V_r N = 0: the oracle's null basis lies in the library's kernel
+    assert np.abs(kernel.complement @ dense.vectors.T).max(initial=0.0) <= 1e-12
+    report = verify_ideal(trunc, n_max=n_max)
+    assert report.dim_ker_pi == dense.dim
+    ideal = None
+    for row, seeds in zip(report.rows, _seed_rows(space, n_max, "lie", None)):
+        ideal = ideal_closure(space, seeds, start=ideal)
+        basis = mask_basis(ideal)
+        assert row.dim_ideal == basis.dim, row.n
+        residual = containment_residual(basis, dense)
+        assert abs(row.containment_residual - residual) <= 1e-12, row.n
+        assert abs(row.distance - subspace_distance(basis, dense)) <= 1e-12, row.n
+    return report
 
 
 @pytest.mark.parametrize("name", SMALL)
@@ -68,3 +105,9 @@ def test_commutant_matches_pair_oracle(name):
 @pytest.mark.parametrize("name", SMALL)
 def test_component_closure_matches_round_closure(name):
     assert_closures_agree(commutant_basis(build(name)))
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_rows_match_dense_oracle(name):
+    trunc = build(name)
+    assert_rows_match_dense_oracle(trunc, max(CANON[name][6], 2))

@@ -214,7 +214,9 @@ def test_kernel_elements_compress_to_zero():
     space = commutant_basis(trunc)
     inv = invariant_basis(trunc)
     ker = kernel_pi_basis(space, inv)
-    for row in ker.vectors:
+    null = null_space(ker.complement)
+    assert null.shape[1] == ker.dim
+    for row in null.T:
         op = op_from_coords(space, row)
         for r in range(inv.dim):
             for s in range(inv.dim):
