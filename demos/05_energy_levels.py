@@ -2,11 +2,14 @@
 
 Each block has an exact rational energy: the sum over edges of the quadratic
 Casimir eigenvalue of that edge's label.  Blocks sharing an energy can be
-merged into a single generator per power without changing the averaged
-ideal, because the block projectors already commute with the gauge action.
-That shrinks the generator count while landing on the same subspace.
-Both ideals are sums of whole commutant components, so they are compared as
-masks over the commutant coordinates.
+merged into one summed generator per power and level without changing the
+averaged ideal, because the block projectors already commute with the gauge
+action.  The merged run reports one generator group per level, but it
+averages the same per-block generators as the unmerged one: a block's
+averaged generator lives on its own block pair, and its roundoff is cut
+before a level sums them.  So the two ideals are equal by construction.
+Both are sums of whole commutant components, compared as masks over the
+commutant coordinates.
 """
 
 import numpy as np

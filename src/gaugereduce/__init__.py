@@ -60,7 +60,6 @@ from .reduction import (
     BandError,
     EquivariantSpace,
     PiKernel,
-    SpanConsistencyError,
     SubspaceBasis,
     commutant_basis,
     invariant_basis,

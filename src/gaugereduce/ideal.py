@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -71,21 +72,17 @@ def conjugation_band(block: BlockLabel) -> IrrepLabel:
     return IrrepLabel(block.labels[0].group, vertex_degree(block))
 
 
-def _raw_power(trunc: Truncation, spec: GeneratorSpec) -> np.ndarray:
-    block = trunc.blocks[spec.block]
-    gamma = gauss_generator_block(block, VertexGenerator(spec.vertex, spec.lie_index))
-    return np.linalg.matrix_power(gamma, spec.power)
-
-
-def _averaging_actions(block: BlockLabel, method: str, band) -> list:
-    """Per-vertex actions that average conjugation on one block: none for
-    ``method="lie"``, which reads the average's coordinates off the raw
-    power, nor for a one-dimensional block, which conjugates trivially."""
+def _averaging_actions(space: EquivariantSpace, i: int, method: str, band) -> list:
+    """Per-vertex actions, in block ``i``'s copy basis, that average
+    conjugation: none for ``method="lie"``, which reads the average off the
+    raw power, nor for a one-dimensional block, which conjugates trivially."""
     if method not in ("lie", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
+    block = space.trunc.blocks[i]
     if method == "lie" or block.dim == 1:
         return []
-    return vertex_actions(block, conjugation_band(block), band)
+    actions = vertex_actions(block, conjugation_band(block), band)
+    return [(weights, space.in_copies(i, rho)) for weights, rho in actions]
 
 
 def _conjugation_average(gn: np.ndarray, actions) -> np.ndarray:
@@ -101,19 +98,19 @@ def generator_op(
 ) -> np.ndarray:
     """Haar average of a generator power on one block, by exact quadrature:
     the averaged ``d x d`` matrix of block ``spec.block``."""
-    actions = _averaging_actions(trunc.blocks[spec.block], "quadrature", band)
-    return _conjugation_average(_raw_power(trunc, spec), actions)
+    block = trunc.blocks[spec.block]
+    gamma = gauss_generator_block(block, VertexGenerator(spec.vertex, spec.lie_index))
+    actions = [] if block.dim == 1 else vertex_actions(block, conjugation_band(block), band)
+    return _conjugation_average(np.linalg.matrix_power(gamma, spec.power), actions)
 
 
-def _averaged_coords(space: EquivariantSpace, block: int, gn: np.ndarray, actions):
-    """Commutant coordinates of the average of the raw power ``gn`` of a
-    generator on one block, with roundoff cut; see ``generator_coords``."""
-    coords = space.coords_of(block, block, _conjugation_average(gn, actions))
-    weight = np.bincount(
-        space.components, np.abs(coords) ** 2, minlength=len(space.irreps)
-    )
-    roundoff = np.sqrt(weight) <= RANK_RTOL * np.linalg.norm(gn)
-    coords[roundoff[space.components]] = 0
+def _roundoff_cut(space: EquivariantSpace, block: int, coords, norms) -> np.ndarray:
+    """The roundoff cut of ``generator_coords`` on one block: the last axis
+    of ``coords`` runs over ``space.by_pair[(block, block)]``, and ``norms``
+    holds the raw powers' Frobenius norms over the leading axes."""
+    comps = space.components[space.by_pair[(block, block)]]
+    weight = np.abs(coords) ** 2 @ (comps[:, None] == comps)  # per component
+    coords[np.sqrt(weight) <= RANK_RTOL * norms[..., None]] = 0
     return coords
 
 
@@ -134,34 +131,38 @@ def generator_coords(
     times the Frobenius norm of the raw power are roundoff and are set to
     zero, so a power that averages to zero on a component leaves it alone.
     """
-    actions = _averaging_actions(space.trunc.blocks[spec.block], method, band)
-    return _averaged_coords(space, spec.block, _raw_power(space.trunc, spec), actions)
+    i, block = spec.block, space.trunc.blocks[spec.block]
+    gamma = gauss_generator_block(block, VertexGenerator(spec.vertex, spec.lie_index))
+    gn = np.linalg.matrix_power(space.in_copies(i, gamma), spec.power)
+    avg = _conjugation_average(gn, _averaging_actions(space, i, method, band))
+    out = np.zeros(space.dim, dtype=complex)
+    coords = space.copy_coords(i, i, avg)
+    norm = np.sqrt(np.vdot(gn, gn).real)  # Frobenius
+    out[space.by_pair[(i, i)]] = _roundoff_cut(space, i, coords, norm)
+    return out
 
 
-def _seed_rows(space: EquivariantSpace, n_max: int, method: str, band):
-    """Seed supports for the powers n = 1, ..., n_max, one boolean vector each.
-
-    Entry ``k`` is set when some ``GeneratorSpec(i, v, a, n)`` has a nonzero
-    coordinate ``k``.  Each block's generators and averaging actions are
-    built once, and the powers are stepped as ``Gamma^n = Gamma^(n-1) Gamma``.
-    """
-    trunc = space.trunc
-    lie = range(lie_dim(trunc.group))
-    directions = [VertexGenerator(v, a) for v in trunc.graph.vertices for a in lie]
-    actions = [_averaging_actions(block, method, band) for block in trunc.blocks]
-    terms = [  # (block, generator)
-        (i, gauss_generator_block(block, d))
-        for i, block in enumerate(trunc.blocks)
-        for d in directions
-    ]
-    powers = [gamma for _, gamma in terms]
-    for n in range(1, n_max + 1):
-        if n > 1:
-            powers = [gn @ gamma for gn, (_, gamma) in zip(powers, terms)]
-        support = np.zeros(space.dim, dtype=bool)
-        for gn, (i, _) in zip(powers, terms):
-            support |= _averaged_coords(space, i, gn, actions[i]) != 0
-        yield support
+def _seed_rows(space: EquivariantSpace, n_max: int, method: str, band) -> np.ndarray:
+    """Seed supports: entry ``(n - 1, k)`` is set when some
+    ``GeneratorSpec(i, v, a, n)`` has a nonzero coordinate ``k``.  One block
+    and direction at a time, the generator is moved into the block's copy
+    basis and its powers ``Gamma^n = Gamma^(n-1) Gamma`` are stepped there
+    and read on the block's own elements; each block is cut in one pass."""
+    lie = range(lie_dim(space.trunc.group))
+    directions = [VertexGenerator(v, a) for v in space.trunc.graph.vertices for a in lie]
+    support = np.zeros((n_max, space.dim), dtype=bool)
+    for i, block in enumerate(space.trunc.blocks):
+        own = space.by_pair[(i, i)]
+        coords = np.zeros((len(directions), n_max, len(own)), dtype=complex)
+        norms = np.zeros((len(directions), n_max))
+        actions = _averaging_actions(space, i, method, band)
+        for d, direction in enumerate(directions):
+            gamma = space.in_copies(i, gauss_generator_block(block, direction))
+            for n, gn in enumerate(accumulate(repeat(gamma, n_max), np.matmul)):
+                coords[d, n] = space.copy_coords(i, i, _conjugation_average(gn, actions))
+                norms[d, n] = np.sqrt(np.vdot(gn, gn).real)  # Frobenius
+        support[:, own] = (_roundoff_cut(space, i, coords, norms) != 0).any(axis=0)
+    return support
 
 
 class IdealMask:

@@ -5,12 +5,11 @@ Three objects are produced from a truncation:
 * the invariant subspace of the field space (joint kernel of the vertex
   Gauss generators, or equivalently the range of the Haar-averaged
   projector),
-* an orthonormal basis of the commutant algebra -- the block operators
-  commuting with every gauge transformation.  Each block is split once
-  into irreducible copies of the gauge action, labelled by a gauge irrep
-  ``lam``; the commutant is then ``sum_lam M_{m_lam}(C)``, one full matrix
-  algebra per irrep, spanned by matrix units between copies of the same
-  irrep (Schur's lemma),
+* the commutant algebra -- the block operators commuting with every
+  gauge transformation.  Each block is split once into irreducible copies
+  of the gauge action, labelled by a gauge irrep ``lam``; the commutant is
+  then ``sum_lam M_{m_lam}(C)``, one full matrix algebra per irrep, whose
+  matrix units between copies (Schur's lemma) are held as copy indices,
 * the matrix of the restriction map ``pi`` sending a commutant element to
   its compression onto the invariant subspace, and its kernel, kept by its
   complement, the row space of ``pi``.  Neither uses the irrep labels, so
@@ -23,7 +22,7 @@ single relative tolerance so the counts reported downstream are stable.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import null_space, svd
+from scipy.linalg import svd
 
 from .blocks import BlockLabel, Truncation
 from .groups import IrrepLabel, haar_scheme, identity_point, lie_dim, required_band
@@ -42,10 +41,6 @@ class BandError(ValueError):
             f"quadrature band {given.value} cannot integrate this action "
             f"exactly; need at least {required.value}"
         )
-
-
-class SpanConsistencyError(RuntimeError):
-    """A product of commutant elements left their numerical span."""
 
 
 class SubspaceBasis:
@@ -139,16 +134,24 @@ def invariant_projector(
     return out
 
 
+def _null_columns(a: np.ndarray) -> np.ndarray:
+    """Orthonormal null space of ``a`` by the rank rule of ``null_space``
+    (singular values above ``RANK_RTOL`` times the largest), from an SVD
+    that is thin unless ``a`` is wide: no square left factor of a stack."""
+    _, s, vh = svd(a, full_matrices=a.shape[0] < a.shape[1])
+    return vh[np.count_nonzero(s > RANK_RTOL * s.max(initial=0.0)) :].conj().T
+
+
 def _invariant_columns(block: BlockLabel) -> np.ndarray:
     """Orthonormal columns spanning the block's invariant vectors."""
     gens = block_generators(block)
     if not gens:
         return np.eye(block.dim, dtype=complex)
     if block.dim == 1:
-        flat = all(abs(g[0, 0]) <= RANK_RTOL for g in gens)
+        # the rank rule on one column: invariant iff every entry is zero
+        flat = all(g[0, 0] == 0 for g in gens)
         return np.ones((1, 1), complex) if flat else np.zeros((1, 0), complex)
-    stacked = np.vstack(gens)
-    return null_space(stacked, rcond=RANK_RTOL)
+    return _null_columns(np.vstack(gens))
 
 
 def invariant_basis(trunc: Truncation, method: str = "lie") -> SubspaceBasis:
@@ -171,98 +174,94 @@ def invariant_basis(trunc: Truncation, method: str = "lie") -> SubspaceBasis:
 
 
 class EquivariantSpace:
-    """Orthonormal basis of the commutant, kept block pair by block pair.
+    """The commutant as one full matrix algebra per gauge irrep.
 
-    Element ``k`` is a triple ``(i, j, m)``: a matrix ``m`` mapping block
-    ``j`` into block ``i``.  Frobenius inner products make the basis
-    orthonormal, and elements on different pairs are orthogonal for free.
-    ``components[k]`` indexes the gauge irrep ``irreps[c]`` whose matrix
-    algebra holds element ``k``.  Elements are also indexed by block pair,
-    so the coordinates of an operator on one pair read only that pair's
-    elements.
-    """
+    ``bases[i]`` is a unitary whose columns are block ``i``'s irreducible
+    copies side by side; ``copies[i][a] = (c, cols)`` puts copy ``a`` of
+    irrep ``irreps[c]`` on the columns ``cols``, and ``members[c]`` lists its
+    ``(block, copy)`` pairs.  Element ``k`` is the index ``(i, a, j, b)`` of
+    the matrix unit ``u_a u_b^H / sqrt(dim)``.  The elements are orthonormal;
+    those of irrep ``components[k]`` run row-major over its members squared,
+    and ``by_pair`` lists those of each block pair."""
 
-    def __init__(self, trunc: Truncation, elements, components=None, irreps=()):
+    def __init__(self, trunc: Truncation, bases, copies, irreps):
         self.trunc = trunc
-        self.elements = tuple(elements)
-        self.components = (
-            None if components is None else np.asarray(components, dtype=int)
-        )
+        self.bases = bases
+        self.copies = copies
         self.irreps = tuple(irreps)
-        self._structure = None
+        self.members = [[] for _ in self.irreps]
+        for i, block_copies in enumerate(copies):
+            for a, (c, _) in enumerate(block_copies):
+                self.members[c].append((i, a))
+        self.elements = tuple(
+            (i, a, j, b) for held in self.members for i, a in held for j, b in held
+        )
+        sizes = [len(held) for held in self.members]
+        self.components = np.repeat(np.arange(len(sizes)), np.square(sizes))
         self.by_pair: dict[tuple[int, int], list[int]] = {}
-        for k, (i, j, _) in enumerate(self.elements):
+        for k, (i, _, j, _) in enumerate(self.elements):
             self.by_pair.setdefault((i, j), []).append(k)
+        self._diagonals: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
 
     @property
     def dim(self) -> int:
         return len(self.elements)
 
+    def in_copies(self, i: int, m: np.ndarray) -> np.ndarray:
+        """``U_i^H m U_i``: operators on block ``i`` in its copy basis."""
+        return self.bases[i].conj().T @ m @ self.bases[i]
+
+    def copy_coords(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
+        """Coordinates on the elements ``by_pair[(i, j)]`` of the operator
+        ``x`` from block ``j`` into block ``i``, given in the copy bases:
+        the normalised trace of each element's copy block of ``x``."""
+        if (i, j) not in self._diagonals:  # gather indices, runs, scales
+            r, c, starts, scale = [], [], [], []
+            for k in self.by_pair[(i, j)]:
+                _, a, _, b = self.elements[k]
+                rows, cols = self.copies[i][a][1], self.copies[j][b][1]
+                starts.append(len(r))
+                scale.append((rows.stop - rows.start) ** -0.5)
+                r += range(rows.start, rows.stop)
+                c += range(cols.start, cols.stop)
+            self._diagonals[(i, j)] = tuple(map(np.array, (r, c, starts, scale)))
+        rows, cols, starts, scale = self._diagonals[(i, j)]
+        return np.add.reduceat(x[rows, cols], starts) * scale
+
     def coords_of(self, i: int, j: int, m: np.ndarray) -> np.ndarray:
         """Coordinates of the operator that is ``m`` from block ``j`` into
         block ``i`` and zero elsewhere."""
         out = np.zeros(self.dim, dtype=complex)
-        for k in self.by_pair.get((i, j), ()):
-            out[k] = np.vdot(self.elements[k][2], m)
+        if (i, j) in self.by_pair:
+            x = self.bases[i].conj().T @ m @ self.bases[j]
+            out[self.by_pair[(i, j)]] = self.copy_coords(i, j, x)
         return out
 
     def structure_maps(self):
-        """Sparse product tables: row ``j*q + m`` of ``L @ w`` is the m-th
-        coordinate of ``basis[j] @ op(w)``, and of ``R @ w`` the m-th
-        coordinate of ``op(w) @ basis[j]``.
-
-        Raises ``SpanConsistencyError`` if any pairwise product fails to be
-        resolved inside the basis span, which would falsify every closure
-        computed from the tables.
-        """
-        if self._structure is not None:
-            return self._structure
+        """Sparse product tables: row ``x*q + m`` of ``L @ w`` (``R @ w``) is
+        the m-th coordinate of ``basis[x] @ op(w)`` (``op(w) @ basis[x]``),
+        by the matrix-unit rule: ``E(i,a,j,b) E(j,b,l,c)`` is
+        ``E(i,a,l,c) / sqrt(dim)``, and every other product is zero."""
         from scipy.sparse import csr_matrix
 
-        q = self.dim
-        by_row: dict[int, list[int]] = {}
-        by_col: dict[int, list[int]] = {}
-        for k, (i, j, _) in enumerate(self.elements):
-            by_row.setdefault(i, []).append(k)
-            by_col.setdefault(j, []).append(k)
-        lrows, lcols, lvals = [], [], []
-        rrows, rcols, rvals = [], [], []
-        for mid in by_col:
-            for a in by_col[mid]:  # basis[a] ends in block `mid`
-                ia, _, ma = self.elements[a]
-                for b in by_row.get(mid, ()):  # basis[b] starts there
-                    _, jb, mb = self.elements[b]
-                    prod = ma @ mb
-                    norm2 = np.vdot(prod, prod).real
-                    resolved = 0.0
-                    for m in self.by_pair.get((ia, jb), ()):
-                        c = np.vdot(self.elements[m][2], prod)
-                        if abs(c) > 0:
-                            lrows.append(a * q + m)
-                            lcols.append(b)
-                            lvals.append(c)
-                            rrows.append(b * q + m)
-                            rcols.append(a)
-                            rvals.append(c)
-                            resolved += abs(c) ** 2
-                    if norm2 - resolved > RANK_RTOL * max(1.0, norm2):
-                        raise SpanConsistencyError(
-                            f"product of elements {a} and {b} leaves the span "
-                            f"(missing weight {norm2 - resolved:.3e})"
-                        )
+        q, start, parts = self.dim, 0, []
+        for held in self.members:  # x = (p, r) times y = (r, t) is m = (p, t)
+            n, (i, a) = len(held), held[0]
+            cols = self.copies[i][a][1]
+            p, r, t = np.indices((n, n, n)).reshape(3, -1)
+            x, y, m = start + p * n + r, start + r * n + t, start + p * n + t
+            parts.append((x, y, m, np.full(x.size, (cols.stop - cols.start) ** -0.5)))
+            start += n * n
+        x, y, m, vals = map(np.concatenate, zip(*parts))
         shape = (q * q, q)
-        self._structure = (
-            csr_matrix((lvals, (lrows, lcols)), shape=shape),
-            csr_matrix((rvals, (rrows, rcols)), shape=shape),
-        )
-        return self._structure
+        return csr_matrix((vals, (x * q + m, y)), shape), csr_matrix((vals, (y * q + m, x)), shape)
 
 
-def _isotypic_copies(block: BlockLabel) -> list[tuple[tuple[int, ...], np.ndarray]]:
+def _isotypic_copies(block: BlockLabel) -> tuple[np.ndarray, list]:
     """The block split into irreducible copies of the gauge action.
 
-    Returns ``(lam, u)`` pairs: ``u`` has orthonormal columns spanning one
-    copy, and ``lam`` holds ``2 <J_z^v>`` of its highest-weight vector at
+    Returns a unitary with the copies side by side, and per copy ``(lam,
+    cols)``: its columns, and ``2 <J_z^v>`` of its highest-weight vector at
     each vertex ``v``: ``2 j_v`` for SU(2), minus twice the vertex flux for
     U(1).  With ``Gamma_{v,a} = -i J_a^v``, the raising operators are
     ``J_+^v = i (Gamma_{v,1} + i Gamma_{v,2})`` and ``J_z^v = i Gamma_{v,3}``
@@ -281,11 +280,11 @@ def _isotypic_copies(block: BlockLabel) -> list[tuple[tuple[int, ...], np.ndarra
         1j * (gens[v * nl] + 1j * gens[v * nl + 1]) for v in range(nv) if nl > 1
     ]
     stacked = np.vstack(raising) if raising else None
-    copies = []
+    columns, copies = [], []
     for lam in dict.fromkeys(weights):
         cols = [k for k, w in enumerate(weights) if w == lam]
         if raising:
-            hw = null_space(stacked[:, cols], rcond=RANK_RTOL)
+            hw = _null_columns(stacked[:, cols])
         else:
             hw = np.eye(len(cols))
         for coeffs in hw.T:
@@ -294,8 +293,9 @@ def _isotypic_copies(block: BlockLabel) -> list[tuple[tuple[int, ...], np.ndarra
             for v, up in enumerate(raising):
                 down = up.conj().T
                 chain = [w for t in chain for w in _lowered(down, t, lam[v])]
-            copies.append((lam, np.column_stack(chain)))
-    return copies
+            copies.append((lam, slice(len(columns), len(columns) + len(chain))))
+            columns += chain
+    return np.column_stack(columns), copies
 
 
 def _lowered(down: np.ndarray, top: np.ndarray, steps: int) -> list[np.ndarray]:
@@ -313,36 +313,35 @@ def commutant_basis(trunc: Truncation) -> EquivariantSpace:
     For every pair of copies ``u_a``, ``u_b`` of the same irrep, in any two
     blocks, the matrix unit ``u_a u_b^H / sqrt(dim)`` maps copy ``b`` onto
     copy ``a`` and is zero elsewhere; by Schur's lemma these span the
-    commutant, one full matrix algebra per irrep.
+    commutant, one full matrix algebra per irrep.  Each matrix unit is held
+    as the index of its two copies.
     """
-    copies: dict[tuple[int, ...], list[tuple[int, np.ndarray]]] = {}
-    for i, block in enumerate(trunc.blocks):
-        for lam, u in _isotypic_copies(block):
-            copies.setdefault(lam, []).append((i, u))
-    elements, components = [], []
-    for c, members in enumerate(copies.values()):
-        for i, ua in members:
-            for j, ub in members:
-                elements.append((i, j, ua @ ub.conj().T / np.sqrt(ua.shape[1])))
-                components.append(c)
-    return EquivariantSpace(trunc, elements, components, tuple(copies))
+    irreps: dict[tuple[int, ...], int] = {}
+    bases, copies = [], []
+    for block in trunc.blocks:
+        u, split = _isotypic_copies(block)
+        bases.append(u)
+        copies.append([(irreps.setdefault(lam, len(irreps)), cols) for lam, cols in split])
+    return EquivariantSpace(trunc, bases, copies, irreps)
 
 
 def pi_matrix(space: EquivariantSpace, inv: SubspaceBasis) -> np.ndarray:
     """Matrix of the compression map onto the invariant subspace.
 
     Columns follow the commutant basis; rows are the flattened matrix units
-    of the invariant-subspace basis.
+    of the invariant-subspace basis.  Element ``(i, a, j, b)`` compresses to
+    ``O_i[:, a] O_j[:, b]^H / sqrt(dim)``, ``O_i`` the overlaps of the
+    invariant vectors with block ``i``'s copy basis.
     """
-    h = inv.dim
-    off = space.trunc.offsets
+    h, off, start = inv.dim, space.trunc.offsets, 0
     out = np.zeros((h * h, space.dim), dtype=complex)
-    if h == 0:
-        return out
-    for k, (i, j, m) in enumerate(space.elements):
-        ui = inv.vectors[:, off[i] : off[i + 1]]
-        uj = inv.vectors[:, off[j] : off[j + 1]]
-        out[:, k] = (ui.conj() @ m @ uj.T).ravel()
+    over = [inv.vectors[:, off[i] : off[i + 1]].conj() @ u for i, u in enumerate(space.bases)]
+    for held in space.members:
+        o = np.vstack([over[i][:, space.copies[i][a][1]] for i, a in held])
+        m, w = len(held), o.shape[1]
+        units = (o @ o.conj().T).reshape(m, h, m, h).transpose(1, 3, 0, 2) / np.sqrt(w)
+        out[:, start : start + m * m] = units.reshape(h * h, m * m)
+        start += m * m
     return out
 
 

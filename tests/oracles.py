@@ -1,11 +1,14 @@
 """Reference routes that the library no longer takes, kept for comparison.
 
-The library builds the commutant from the gauge irreps of each block and
-closes ideals component by component.  The routes here know nothing of
-irreps: the commutant is the null space of the Kronecker-expanded
-commutator constraints, one pair of blocks at a time, and the ideal is
+The library builds the commutant from the gauge irreps of each block, holds
+each matrix unit as the index of two copies, and closes ideals component by
+component.  The routes here know nothing of irreps: a commutant basis is a
+list of dense block-pair matrices (``DenseSpace``), the one found as the
+null space of the Kronecker-expanded commutator constraints, one pair of
+blocks at a time, or the library's matrix units written out; products are
+resolved numerically into its span, which is checked; and the ideal is
 reached by a round-based sweep of left and right multiplications through
-the sparse structure tables.  They are slow but independent.  Subspaces
+those numeric product tables.  They are slow but independent.  Subspaces
 are dense orthonormal row bases here: ``ker(pi)`` is the full-SVD null
 space of ``pi_matrix``, and the distance between two subspaces is read off
 an eigendecomposition of the difference of their projectors.  A Gauss
@@ -19,14 +22,111 @@ import itertools
 
 import numpy as np
 from scipy.linalg import null_space
+from scipy.sparse import csr_matrix
 
-from gaugereduce import EquivariantSpace, SubspaceBasis
+from gaugereduce import SubspaceBasis
 from gaugereduce.blocks import kron_chain
 from gaugereduce.groups import haar_scheme, irrep_generator
 from gaugereduce.lattice import GaugeElement, block_generators, rho_block
 from gaugereduce.reduction import RANK_RTOL, pi_matrix
 
 MINIMUM_SEED = 1e-12
+
+
+class SpanConsistencyError(RuntimeError):
+    """A product of commutant elements left their numerical span."""
+
+
+class DenseSpace:
+    """A commutant basis held as dense matrices.
+
+    Element ``k`` is a triple ``(i, j, m)``: a matrix ``m`` mapping block
+    ``j`` into block ``i``.  The elements are orthonormal in the Frobenius
+    inner product; nothing else about them is assumed.
+    """
+
+    def __init__(self, trunc, elements):
+        self.trunc = trunc
+        self.elements = tuple(elements)
+        self.by_pair = {}
+        for k, (i, j, _) in enumerate(self.elements):
+            self.by_pair.setdefault((i, j), []).append(k)
+
+    @property
+    def dim(self):
+        return len(self.elements)
+
+    def coords_of(self, i, j, m):
+        """Coordinates of the operator that is ``m`` from block ``j`` into
+        block ``i`` and zero elsewhere: its inner products with the basis."""
+        out = np.zeros(self.dim, dtype=complex)
+        for k in self.by_pair.get((i, j), ()):
+            out[k] = np.vdot(self.elements[k][2], m)
+        return out
+
+    def structure_maps(self):
+        """Sparse product tables: row ``j*q + m`` of ``L @ w`` is the m-th
+        coordinate of ``basis[j] @ op(w)``, and of ``R @ w`` the m-th
+        coordinate of ``op(w) @ basis[j]``, each product resolved into the
+        basis by inner products.
+
+        Raises ``SpanConsistencyError`` if any pairwise product fails to be
+        resolved inside the basis span, which would falsify every closure
+        computed from the tables.
+        """
+        q = self.dim
+        by_row, by_col = {}, {}
+        for k, (i, j, _) in enumerate(self.elements):
+            by_row.setdefault(i, []).append(k)
+            by_col.setdefault(j, []).append(k)
+        lrows, lcols, lvals = [], [], []
+        rrows, rcols, rvals = [], [], []
+        for mid in by_col:
+            for a in by_col[mid]:  # basis[a] ends in block `mid`
+                ia, _, ma = self.elements[a]
+                for b in by_row.get(mid, ()):  # basis[b] starts there
+                    _, jb, mb = self.elements[b]
+                    prod = ma @ mb
+                    norm2 = np.vdot(prod, prod).real
+                    resolved = 0.0
+                    for m in self.by_pair.get((ia, jb), ()):
+                        c = np.vdot(self.elements[m][2], prod)
+                        if abs(c) > 0:
+                            lrows.append(a * q + m)
+                            lcols.append(b)
+                            lvals.append(c)
+                            rrows.append(b * q + m)
+                            rcols.append(a)
+                            rvals.append(c)
+                            resolved += abs(c) ** 2
+                    if norm2 - resolved > RANK_RTOL * max(1.0, norm2):
+                        raise SpanConsistencyError(
+                            f"product of elements {a} and {b} leaves the span "
+                            f"(missing weight {norm2 - resolved:.3e})"
+                        )
+        shape = (q * q, q)
+        return (
+            csr_matrix((lvals, (lrows, lcols)), shape=shape),
+            csr_matrix((rvals, (rrows, rcols)), shape=shape),
+        )
+
+
+def element_matrix(space, k):
+    """Basis element ``k`` as ``(i, j, m)``, ``m`` a dense matrix from block
+    ``j`` into block ``i``: for the library's commutant, the matrix unit
+    ``u_a u_b^H / sqrt(dim)`` of its copy index ``(i, a, j, b)``."""
+    if isinstance(space, DenseSpace):
+        return space.elements[k]
+    i, a, j, b = space.elements[k]
+    ua = space.bases[i][:, space.copies[i][a][1]]
+    ub = space.bases[j][:, space.copies[j][b][1]]
+    return i, j, ua @ ub.conj().T / np.sqrt(ua.shape[1])
+
+
+def dense_space(space):
+    """The library's commutant basis written out as dense matrices, in the
+    same order."""
+    return DenseSpace(space.trunc, [element_matrix(space, k) for k in range(space.dim)])
 
 
 def element_op(space, k):
@@ -38,8 +138,9 @@ def op_from_coords(space, w):
     """The commutant element with coordinates ``w``, as a full-space matrix."""
     off = space.trunc.offsets
     out = np.zeros((space.trunc.total_dim,) * 2, dtype=complex)
-    for c, (i, j, m) in zip(w, space.elements):
-        out[off[i] : off[i + 1], off[j] : off[j + 1]] += c * m
+    for k in np.flatnonzero(w):
+        i, j, m = element_matrix(space, k)
+        out[off[i] : off[i + 1], off[j] : off[j + 1]] += w[k] * m
     return out
 
 
@@ -122,12 +223,13 @@ def pair_commutant(trunc):
         for j in range(n):
             for m in _pair_solutions(gens[i], gens[j], trunc.dims[i], trunc.dims[j]):
                 elements.append((i, j, m))
-    return EquivariantSpace(trunc, elements)
+    return DenseSpace(trunc, elements)
 
 
 def round_closure(space, seeds, start=None, rtol=RANK_RTOL):
     """Two-sided ideal generated by the seed rows, by repeated left and
-    right multiplication with the basis until no new direction appears."""
+    right multiplication with the ``DenseSpace`` basis until no new
+    direction appears."""
     left, right = space.structure_maps()
     q = space.dim
     basis = start.vectors.copy() if start is not None else np.zeros((0, q), complex)

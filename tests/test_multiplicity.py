@@ -115,6 +115,20 @@ def test_commutant_components_have_counted_multiplicities(name):
     assert got == dict(irrep_multiplicities(graph(), bound))
 
 
+@pytest.mark.parametrize("name", list(SYSTEMS))
+def test_every_row_equals_the_integer_count(name):
+    # Odd powers average to zero (a pi rotation at v sends Gamma_{v,a} to
+    # -Gamma_{v,a}), and the squares reach every lam != 0 through the
+    # Casimir identity, so the ideal is empty at n = 1 and holds every
+    # nonzero component from n = 2 on.  No generator is built here.
+    graph, bound, _ = SYSTEMS[name]
+    mult = irrep_multiplicities(graph(), bound)
+    zero = (0,) * len(graph().vertices)
+    nonzero = sum(m * m for lam, m in mult.items() if lam != zero)
+    report = verify_ideal(make(graph(), SU2, bound), n_max=3)
+    assert [row.dim_ideal for row in report.rows] == [0, nonzero, nonzero]
+
+
 def test_su2_triangle_verifies_at_the_default_power_budget():
     report = verify_ideal(make(triangle_graph(), SU2, 1))
     assert report.n_max == 64

@@ -3,7 +3,8 @@
 The library reads the commutant off the gauge irreps of each block and
 takes an ideal to be the sum of the irrep components its seeds touch.  The
 oracles in ``oracles.py`` know nothing of irreps: a Kronecker null space per
-pair of blocks, and a round-based multiplication sweep.  On every small
+pair of blocks, and a round-based multiplication sweep through numeric
+product tables.  On every small
 system both must give the same commutant and the same ideals.  The library
 also holds ``ker(pi)`` by the row space of ``pi`` and the ideal as a mask;
 the dense oracle bases must give the same kernel dimension, containment
@@ -28,6 +29,7 @@ from gaugereduce.ideal import _seed_rows
 from .oracles import (
     containment_residual,
     dense_kernel_basis,
+    dense_space,
     element_op,
     mask_basis,
     pair_commutant,
@@ -58,11 +60,14 @@ def power_seeds(space, n):
 
 
 def assert_closures_agree(space, n_max=3):
+    # the sweep multiplies through numeric product tables of the same
+    # basis, written out as dense matrices
+    dense = dense_space(space)
     fast = slow = None
     for n in range(1, n_max + 1):
         seeds = power_seeds(space, n)
         fast = ideal_closure(space, seeds, start=fast)
-        slow = round_closure(space, seeds, start=slow)
+        slow = round_closure(dense, seeds, start=slow)
         assert fast.dim == slow.dim, n
         assert subspace_distance(mask_basis(fast), slow) <= 1e-8, n
 

@@ -16,7 +16,6 @@ from gaugereduce import (
     EquivariantSpace,
     GaugeElement,
     IrrepLabel,
-    SpanConsistencyError,
     commutant_basis,
     invariant_basis,
     invariant_projector,
@@ -28,9 +27,19 @@ from gaugereduce import (
     vertex_flux,
 )
 from gaugereduce.lattice import block_generators
-from gaugereduce.reduction import RANK_RTOL, _invariant_columns
+from gaugereduce.reduction import RANK_RTOL, _invariant_columns, _null_columns
 
-from .oracles import coords_of_matrix, element_op, op_from_coords, product_projector
+from .oracles import (
+    DenseSpace,
+    SpanConsistencyError,
+    coords_of_matrix,
+    dense_space,
+    element_matrix,
+    element_op,
+    op_from_coords,
+    pair_commutant,
+    product_projector,
+)
 from .systems import CANON, SMALL, SU2, build, make, parallel_graph
 
 # every system whose total dimension keeps the kron'd constraints small
@@ -92,7 +101,7 @@ def test_commutant_elements_commute_with_group_points(name):
         g = random_gauge(trunc, rng)
         rho_blocks = [rho_block(b, g) for b in trunc.blocks]
         for k in range(space.dim):
-            i, j, m = space.elements[k]
+            i, j, m = element_matrix(space, k)
             assert (
                 np.abs(rho_blocks[i] @ m - m @ rho_blocks[j]).max() < 1e-10
             )
@@ -173,6 +182,34 @@ def test_unknown_method_is_rejected():
         invariant_projector(trunc.blocks[0], "monte-carlo")
 
 
+@pytest.mark.parametrize("shape", [(12, 5), (5, 12), (7, 7)])
+@pytest.mark.parametrize("scale", [1.0, 1e-13, 1e8])
+def test_null_columns_match_scipy_null_space(shape, scale):
+    # rank-deficient by two, at scales where an absolute cut would differ
+    rng = np.random.default_rng(71)
+    m, n = shape
+    r = min(m, n) - 2
+    a = (rng.normal(size=(m, r)) + 1j * rng.normal(size=(m, r))) @ rng.normal(size=(r, n))
+    got = _null_columns(scale * a)
+    want = null_space(scale * a, rcond=RANK_RTOL)
+    assert got.shape == want.shape == (n, n - r)
+    assert_allclose(got @ got.conj().T, want @ want.conj().T, rtol=0, atol=1e-10)
+
+
+def assert_one_dim_blocks_match_null_space(trunc):
+    """The one-dimensional shortcut of ``_invariant_columns`` keeps a block
+    exactly when the null-space rule on its stacked generators does."""
+    for block in trunc.blocks:
+        if block.dim == 1:
+            want = _null_columns(np.vstack(block_generators(block))).shape[1]
+            assert _invariant_columns(block).shape[1] == want
+
+
+@pytest.mark.parametrize("name", list(CANON))
+def test_one_dim_blocks_match_null_space(name):
+    assert_one_dim_blocks_match_null_space(build(name))
+
+
 @pytest.mark.parametrize("name", SMALL)
 def test_invariant_dims_match_expectations(name):
     trunc = build(name)
@@ -224,15 +261,38 @@ def test_kernel_elements_compress_to_zero():
                 assert abs(val) < 1e-10
 
 
+def phased(space):
+    """The same commutant with a complex phase on each copy, so on the matrix
+    units between copies."""
+    bases = []
+    for i, u in enumerate(space.bases):
+        ph = np.ones(u.shape[1], dtype=complex)
+        for a, (_, cols) in enumerate(space.copies[i]):
+            ph[cols] = np.exp(0.3j * (i + 2 * a + 1))
+        bases.append(u * ph)
+    return EquivariantSpace(space.trunc, bases, space.copies, space.irreps)
+
+
+@pytest.mark.parametrize("name", ["u1-parallel-b1", "su2-loop-j2", "su2-edge-j2"])
+def test_pi_matrix_compresses_each_element(name):
+    # overlaps with the copy bases against each dense element compressed
+    # directly; the phases make the overlaps complex
+    trunc = build(name)
+    space = phased(commutant_basis(trunc))
+    inv = invariant_basis(trunc)
+    want = [
+        (inv.vectors.conj() @ element_op(space, k) @ inv.vectors.T).ravel()
+        for k in range(space.dim)
+    ]
+    assert_allclose(pi_matrix(space, inv), np.array(want).T, rtol=0, atol=1e-12)
+
+
 def test_coordinate_round_trip():
     trunc = build("su2-loop-j1")
     space = commutant_basis(trunc)
-    # complex phases on the elements: coordinates are conjugate-linear in them
-    phased = EquivariantSpace(
-        trunc, [(i, j, np.exp(0.3j * k) * m) for k, (i, j, m) in enumerate(space.elements)]
-    )
+    # coordinates are conjugate-linear in the elements
     rng = np.random.default_rng(41)
-    for basis in (space, phased):
+    for basis in (space, phased(space), dense_space(phased(space))):
         w = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
         op = op_from_coords(basis, w)
         assert_allclose(coords_of_matrix(basis, op), w, atol=1e-12)
@@ -244,25 +304,29 @@ def test_structure_maps_match_direct_products(name):
     # multiplication, on random algebra elements.
     trunc = build(name)
     space = commutant_basis(trunc)
-    left, right = space.structure_maps()
     q = space.dim
     rng = np.random.default_rng(47)
-    for _ in range(5):
-        w = rng.normal(size=q) + 1j * rng.normal(size=q)
-        op = op_from_coords(space, w)
-        lw = (left @ w).reshape(q, q)
-        rw = (right @ w).reshape(q, q)
-        for j in rng.integers(0, q, size=4):
-            bj = element_op(space, int(j))
-            assert_allclose(lw[j], coords_of_matrix(space, bj @ op), atol=1e-10)
-            assert_allclose(rw[j], coords_of_matrix(space, op @ bj), atol=1e-10)
+    # the library's matrix-unit rule, and the oracle's products resolved
+    # numerically in the same basis
+    for basis in (space, dense_space(space)):
+        left, right = basis.structure_maps()
+        for _ in range(5):
+            w = rng.normal(size=q) + 1j * rng.normal(size=q)
+            op = op_from_coords(space, w)
+            lw = (left @ w).reshape(q, q)
+            rw = (right @ w).reshape(q, q)
+            for j in rng.integers(0, q, size=4):
+                bj = element_op(space, int(j))
+                assert_allclose(lw[j], coords_of_matrix(space, bj @ op), atol=1e-10)
+                assert_allclose(rw[j], coords_of_matrix(space, op @ bj), atol=1e-10)
 
 
 def test_incomplete_basis_is_detected():
     # removing one element from a genuine commutant basis leaves products
-    # unresolved, which the table construction must refuse to paper over
+    # unresolved, which the oracle's table construction must refuse to
+    # paper over
     trunc = build("u1-parallel-b1")
-    space = commutant_basis(trunc)
+    space = pair_commutant(trunc)
     drop = next(
         k for k, (i, j, _) in enumerate(space.elements) if i != j
     )
@@ -270,9 +334,7 @@ def test_incomplete_basis_is_detected():
     victim = next(
         k for k, (a, b, _) in enumerate(space.elements) if (a, b) == (j, j)
     )
-    broken = EquivariantSpace(
-        trunc, [e for k, e in enumerate(space.elements) if k != victim]
-    )
+    broken = DenseSpace(trunc, [e for k, e in enumerate(space.elements) if k != victim])
     with pytest.raises(SpanConsistencyError):
         broken.structure_maps()
 

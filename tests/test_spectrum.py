@@ -75,7 +75,7 @@ def test_coarsened_ideal_equals_fine_ideal(name):
     assert [r.dim_ideal for r in coarse.rows] == [r.dim_ideal for r in fine.rows]
 
 
-def test_coarse_run_uses_fewer_generators():
+def test_coarse_run_reports_one_group_per_level():
     trunc = build("u1-triangle-b1")
     coarse = coarsened_verify(trunc, n_max=1)
     fine = verify_ideal(trunc, n_max=1)
