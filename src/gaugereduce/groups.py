@@ -15,7 +15,10 @@ Conventions, pinned once and relied on everywhere downstream:
   ``diag(exp(-1j*t*m))`` over the descending weights.
 * Irrep matrices at arbitrary points are matrix exponentials of the
   generators along the point's axis-angle form: one code path for every
-  spin, which reproduces the quaternion itself in spin 1/2.
+  spin, which reproduces the quaternion itself in spin 1/2.  The
+  exponential of ``theta*gen`` is taken on the eigenbasis of the hermitian
+  ``H = 1j*gen``, as ``V exp(-1j*theta*vals) V^H``: unitary by
+  construction, and independent of the eigenvectors' phases.
 * Haar quadrature is exact up to a declared band.  The scheme of band
   ``b`` integrates every product of matrix-coefficient functions whose
   label degrees (|charge| for U(1), 2j for SU(2)) sum to at most ``2*b``;
@@ -35,7 +38,6 @@ from enum import Enum
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "GroupId",
@@ -261,7 +263,8 @@ def irrep_matrix(label: IrrepLabel, point: GroupPoint) -> np.ndarray:
         + (y / s) * irrep_generator(label, 1)
         + (z / s) * irrep_generator(label, 2)
     )
-    return expm(theta * gen)
+    vals, vecs = np.linalg.eigh(1j * gen)  # H = i*gen: exp(theta*gen) = exp(-i*theta*H)
+    return (vecs * np.exp(-1j * theta * vals)) @ vecs.conj().T
 
 
 def casimir_eigenvalue(label: IrrepLabel) -> Fraction:

@@ -22,7 +22,6 @@ single relative tolerance so the counts reported downstream are stable.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import svd
 
 from .blocks import BlockLabel, Truncation
 from .groups import IrrepLabel, haar_scheme, identity_point, lie_dim, required_band
@@ -137,8 +136,12 @@ def invariant_projector(
 def _null_columns(a: np.ndarray) -> np.ndarray:
     """Orthonormal null space of ``a`` by the rank rule of ``null_space``
     (singular values above ``RANK_RTOL`` times the largest), from an SVD
-    that is thin unless ``a`` is wide: no square left factor of a stack."""
-    _, s, vh = svd(a, full_matrices=a.shape[0] < a.shape[1])
+    that is thin unless ``a`` is wide.  A tall stack is first reduced to
+    its QR triangle, which has the same singular values and right factor
+    and holds no left factor the size of the stack."""
+    if a.shape[0] > a.shape[1]:
+        a = np.linalg.qr(a, mode="r")
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     return vh[np.count_nonzero(s > RANK_RTOL * s.max(initial=0.0)) :].conj().T
 
 
@@ -228,15 +231,6 @@ class EquivariantSpace:
         rows, cols, starts, scale = self._diagonals[(i, j)]
         return np.add.reduceat(x[rows, cols], starts) * scale
 
-    def coords_of(self, i: int, j: int, m: np.ndarray) -> np.ndarray:
-        """Coordinates of the operator that is ``m`` from block ``j`` into
-        block ``i`` and zero elsewhere."""
-        out = np.zeros(self.dim, dtype=complex)
-        if (i, j) in self.by_pair:
-            x = self.bases[i].conj().T @ m @ self.bases[j]
-            out[self.by_pair[(i, j)]] = self.copy_coords(i, j, x)
-        return out
-
     def structure_maps(self):
         """Sparse product tables: row ``x*q + m`` of ``L @ w`` (``R @ w``) is
         the m-th coordinate of ``basis[x] @ op(w)`` (``op(w) @ basis[x]``),
@@ -280,6 +274,7 @@ def _isotypic_copies(block: BlockLabel) -> tuple[np.ndarray, list]:
         1j * (gens[v * nl] + 1j * gens[v * nl + 1]) for v in range(nv) if nl > 1
     ]
     stacked = np.vstack(raising) if raising else None
+    lowering = [up.conj().T for up in raising]
     columns, copies = [], []
     for lam in dict.fromkeys(weights):
         cols = [k for k, w in enumerate(weights) if w == lam]
@@ -290,8 +285,7 @@ def _isotypic_copies(block: BlockLabel) -> tuple[np.ndarray, list]:
         for coeffs in hw.T:
             chain = [np.zeros(block.dim, dtype=complex)]
             chain[0][cols] = coeffs
-            for v, up in enumerate(raising):
-                down = up.conj().T
+            for v, down in enumerate(lowering):
                 chain = [w for t in chain for w in _lowered(down, t, lam[v])]
             copies.append((lam, slice(len(columns), len(columns) + len(chain))))
             columns += chain
@@ -356,5 +350,5 @@ def kernel_pi_basis(space: EquivariantSpace, inv: SubspaceBasis) -> PiKernel:
     q = space.dim
     if inv.dim == 0:
         return PiKernel(q, np.zeros((0, q), dtype=complex))
-    _, s, vh = svd(pi_matrix(space, inv), full_matrices=False)
+    _, s, vh = np.linalg.svd(pi_matrix(space, inv), full_matrices=False)
     return PiKernel(q, vh[: np.count_nonzero(s > RANK_RTOL * s[0])])

@@ -144,13 +144,27 @@ def op_from_coords(space, w):
     return out
 
 
+def coords_of(space, i, j, m):
+    """Coordinates of the operator that is ``m`` from block ``j`` into block
+    ``i`` and zero elsewhere.  A library space is read through its copy
+    bases, ``copy_coords`` of ``U_i^H m U_j``; a ``DenseSpace`` by inner
+    products."""
+    if isinstance(space, DenseSpace):
+        return space.coords_of(i, j, m)
+    out = np.zeros(space.dim, dtype=complex)
+    if (i, j) in space.by_pair:
+        x = space.bases[i].conj().T @ m @ space.bases[j]
+        out[space.by_pair[(i, j)]] = space.copy_coords(i, j, x)
+    return out
+
+
 def coords_of_matrix(space, x):
     """Commutant coordinates of a full-space matrix, read block pair by
-    block pair through ``space.coords_of``."""
+    block pair through ``coords_of``."""
     off = space.trunc.offsets
     n = len(space.trunc.blocks)
     return sum(
-        space.coords_of(i, j, x[off[i] : off[i + 1], off[j] : off[j + 1]])
+        coords_of(space, i, j, x[off[i] : off[i + 1], off[j] : off[j + 1]])
         for i in range(n)
         for j in range(n)
     )

@@ -346,3 +346,43 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # The package needs only numpy at run time: a fresh process imports the
+    # front end and runs every command, with both averaging routes, on a
+    # small U(1) and a small SU(2) system, and scipy is never loaded.
+    argv = []
+    for k, text in enumerate((U1_TRIANGLE, SU2_LOOP)):
+        cfg = write_cfg(tmp_path, text, name=f"run{k}.cfg")
+        out = str(tmp_path / f"out{k}")
+        argv.append(["decompose", "--config", cfg, "--out", out + "d.json"])
+        for method in ("lie", "quad"):
+            for command in ("verify", "spectrum"):
+                dest = f"{out}{command}{method}.json"
+                argv.append([command, "--config", cfg, "--method", method, "--out", dest])
+    script = textwrap.dedent(
+        """
+        import json, sys
+        import gaugereduce.cli
+
+        def scipy():
+            return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+        loaded, codes = [scipy()], []
+        for argv in json.loads(sys.argv[1]):
+            codes.append(gaugereduce.cli.main(argv))
+            loaded.append(scipy())
+        print(json.dumps({"codes": codes, "loaded": loaded}))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [0] * len(argv)
+    assert got["loaded"] == [[]] * (len(argv) + 1)

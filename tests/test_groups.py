@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 
 from gaugereduce.groups import (
     GroupId,
@@ -271,6 +272,22 @@ def test_irrep_matrix_matches_truncated_exp_series():
             series = series + term
         point = exp_point(lab.group, coeffs)
         assert np.abs(irrep_matrix(lab, point) - series).max() < 1e-8
+
+
+@pytest.mark.parametrize("two_j", range(9))
+def test_irrep_matrix_matches_scipy_expm(two_j):
+    # Oracle: scipy's Pade exponential of theta times the generator along
+    # the point's axis, against the library's eigenbasis exponential.
+    lab = IrrepLabel(GroupId.SU2, two_j)
+    rng = np.random.default_rng(100 + two_j)
+    for _ in range(20):
+        p = random_point(GroupId.SU2, rng)
+        w, *axis = p.data
+        s = math.sqrt(sum(c * c for c in axis))
+        gen = sum((c / s) * irrep_generator(lab, k) for k, c in enumerate(axis))
+        u = irrep_matrix(lab, p)
+        assert np.abs(u - expm(2.0 * math.atan2(s, w) * gen)).max() < 1e-12
+        assert np.abs(u @ u.conj().T - np.eye(lab.dim)).max() < 1e-12
 
 
 def test_su2_scheme_handles_half_integer_frequencies():

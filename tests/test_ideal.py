@@ -36,6 +36,7 @@ from gaugereduce.reduction import SubspaceBasis
 
 from .oracles import (
     containment_residual,
+    coords_of,
     coords_of_matrix,
     element_op,
     mask_basis,
@@ -157,7 +158,7 @@ def test_summed_square_average_is_minus_the_vertex_casimir(trunc):
         )
         for i, d in enumerate(trunc.dims):
             got = sum(generator_coords(space, GeneratorSpec(i, v, a, 2)) for a in range(3))
-            one = space.coords_of(i, i, np.eye(d))
+            one = coords_of(space, i, i, np.eye(d))
             assert_allclose(got, -casimir * one, rtol=0, atol=1e-12)
 
 
