@@ -32,7 +32,7 @@ from .blocks import Truncation
 from .config import METHODS, ConfigError, RunConfig, parse_config
 from .groups import IrrepLabel
 from .ideal import DEFAULT_TOL, IdealReport, verify_ideal
-from .reduction import commutant_basis, invariant_basis
+from .reduction import reduce_blocks
 from .spectrum import block_energy, coarsened_verify, eigenspace_grouping
 
 
@@ -110,8 +110,7 @@ def _verify_settings(cfg: RunConfig, args) -> dict:
 def cmd_decompose(cfg: RunConfig, args) -> int:
     t0 = time.perf_counter()
     trunc = _truncation(cfg)
-    inv = invariant_basis(trunc)
-    space = commutant_basis(trunc)
+    space, inv, _ = reduce_blocks(trunc)
     blocks = []
     off = trunc.offsets
     for i, block in enumerate(trunc.blocks):

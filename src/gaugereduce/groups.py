@@ -39,29 +39,6 @@ from fractions import Fraction
 
 import numpy as np
 
-__all__ = [
-    "GroupId",
-    "IrrepLabel",
-    "GroupPoint",
-    "HaarScheme",
-    "u1_charge",
-    "su2_spin",
-    "labels_within",
-    "lie_dim",
-    "identity_point",
-    "u1_point",
-    "su2_point",
-    "multiply",
-    "inverse",
-    "random_point",
-    "exp_point",
-    "irrep_matrix",
-    "irrep_generator",
-    "casimir_eigenvalue",
-    "haar_scheme",
-    "required_band",
-]
-
 TWO_PI = 2.0 * math.pi
 
 

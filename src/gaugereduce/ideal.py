@@ -22,6 +22,7 @@ they come from.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
@@ -29,15 +30,15 @@ from itertools import accumulate, repeat
 import numpy as np
 
 from .blocks import BlockLabel, Truncation
-from .groups import GroupId, IrrepLabel, lie_dim
+from .groups import GroupId, IrrepLabel
 from .lattice import VertexGenerator, gauss_generator_block
 from .reduction import (
     RANK_RTOL,
     EquivariantSpace,
     PiKernel,
-    commutant_basis,
-    invariant_basis,
     kernel_pi_basis,
+    own_elements,
+    reduce_blocks,
     vertex_actions,
     vertex_degree,
 )
@@ -72,17 +73,16 @@ def conjugation_band(block: BlockLabel) -> IrrepLabel:
     return IrrepLabel(block.labels[0].group, vertex_degree(block))
 
 
-def _averaging_actions(space: EquivariantSpace, i: int, method: str, band) -> list:
-    """Per-vertex actions, in block ``i``'s copy basis, that average
+def _averaging_actions(block: BlockLabel, basis: np.ndarray, method: str, band) -> list:
+    """Per-vertex actions, in the block's copy basis ``basis``, that average
     conjugation: none for ``method="lie"``, which reads the average off the
     raw power, nor for a one-dimensional block, which conjugates trivially."""
     if method not in ("lie", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
-    block = space.trunc.blocks[i]
     if method == "lie" or block.dim == 1:
         return []
     actions = vertex_actions(block, conjugation_band(block), band)
-    return [(weights, space.in_copies(i, rho)) for weights, rho in actions]
+    return [(weights, basis.conj().T @ rho @ basis) for weights, rho in actions]
 
 
 def _conjugation_average(gn: np.ndarray, actions) -> np.ndarray:
@@ -104,11 +104,11 @@ def generator_op(
     return _conjugation_average(np.linalg.matrix_power(gamma, spec.power), actions)
 
 
-def _roundoff_cut(space: EquivariantSpace, block: int, coords, norms) -> np.ndarray:
+def _roundoff_cut(comps: np.ndarray, coords, norms) -> np.ndarray:
     """The roundoff cut of ``generator_coords`` on one block: the last axis
-    of ``coords`` runs over ``space.by_pair[(block, block)]``, and ``norms``
-    holds the raw powers' Frobenius norms over the leading axes."""
-    comps = space.components[space.by_pair[(block, block)]]
+    of ``coords`` runs over the block's own elements, of components
+    ``comps``, and ``norms`` holds the raw powers' Frobenius norms over the
+    leading axes."""
     weight = np.abs(coords) ** 2 @ (comps[:, None] == comps)  # per component
     coords[np.sqrt(weight) <= RANK_RTOL * norms[..., None]] = 0
     return coords
@@ -133,36 +133,44 @@ def generator_coords(
     """
     i, block = spec.block, space.trunc.blocks[spec.block]
     gamma = gauss_generator_block(block, VertexGenerator(spec.vertex, spec.lie_index))
-    gn = np.linalg.matrix_power(space.in_copies(i, gamma), spec.power)
-    avg = _conjugation_average(gn, _averaging_actions(space, i, method, band))
-    out = np.zeros(space.dim, dtype=complex)
-    coords = space.copy_coords(i, i, avg)
+    u = space.bases[i]
+    gn = np.linalg.matrix_power(u.conj().T @ gamma @ u, spec.power)
+    avg = _conjugation_average(gn, _averaging_actions(block, u, method, band))
+    comps, read = own_elements(space.copies[i])
     norm = np.sqrt(np.vdot(gn, gn).real)  # Frobenius
-    out[space.by_pair[(i, i)]] = _roundoff_cut(space, i, coords, norm)
+    out = np.zeros(space.dim, dtype=complex)
+    out[space.by_pair[(i, i)]] = _roundoff_cut(comps, read(avg), norm)
     return out
 
 
-def _seed_rows(space: EquivariantSpace, n_max: int, method: str, band) -> np.ndarray:
-    """Seed supports: entry ``(n - 1, k)`` is set when some
-    ``GeneratorSpec(i, v, a, n)`` has a nonzero coordinate ``k``.  One block
-    and direction at a time, the generator is moved into the block's copy
-    basis and its powers ``Gamma^n = Gamma^(n-1) Gamma`` are stepped there
-    and read on the block's own elements; each block is cut in one pass."""
-    lie = range(lie_dim(space.trunc.group))
-    directions = [VertexGenerator(v, a) for v in space.trunc.graph.vertices for a in lie]
+def _block_seeds(block: BlockLabel, gens, basis, copies, n_max: int, method: str, band):
+    """Seed supports on one block's ``own_elements``: entry ``(n - 1, k)`` is
+    set when the averaged ``n``-th power of some generator in ``gens``,
+    stepped as ``Gamma^(n-1) Gamma`` in the copy basis, has a nonzero
+    coordinate ``k``.  The block is cut in one pass."""
+    comps, read = own_elements(copies)
+    coords = np.zeros((len(gens), n_max, len(comps)), dtype=complex)
+    norms = np.zeros((len(gens), n_max))
+    actions = _averaging_actions(block, basis, method, band)
+    uh = basis.conj().T
+    for d, gamma in enumerate(gens):
+        gamma = uh @ gamma @ basis
+        for n, gn in enumerate(accumulate(repeat(gamma, n_max), np.matmul)):
+            coords[d, n] = read(_conjugation_average(gn, actions))
+            norms[d, n] = np.sqrt(np.vdot(gn, gn).real)  # Frobenius
+    return (_roundoff_cut(comps, coords, norms) != 0).any(axis=0)
+
+
+def reduce_with_seeds(trunc: Truncation, n_max: int, method: str = "lie", band=None):
+    """The commutant, the invariant subspace and the seed supports, from one
+    pass over the blocks.  Entry ``(n - 1, k)`` of the supports is set when
+    some ``GeneratorSpec(i, v, a, n)`` has a nonzero coordinate ``k``."""
+    seeds = functools.partial(_block_seeds, n_max=n_max, method=method, band=band)
+    space, inv, own = reduce_blocks(trunc, invariants=method, seeds=seeds)
     support = np.zeros((n_max, space.dim), dtype=bool)
-    for i, block in enumerate(space.trunc.blocks):
-        own = space.by_pair[(i, i)]
-        coords = np.zeros((len(directions), n_max, len(own)), dtype=complex)
-        norms = np.zeros((len(directions), n_max))
-        actions = _averaging_actions(space, i, method, band)
-        for d, direction in enumerate(directions):
-            gamma = space.in_copies(i, gauss_generator_block(block, direction))
-            for n, gn in enumerate(accumulate(repeat(gamma, n_max), np.matmul)):
-                coords[d, n] = space.copy_coords(i, i, _conjugation_average(gn, actions))
-                norms[d, n] = np.sqrt(np.vdot(gn, gn).real)  # Frobenius
-        support[:, own] = (_roundoff_cut(space, i, coords, norms) != 0).any(axis=0)
-    return support
+    for i, block_support in enumerate(own):
+        support[:, space.by_pair[(i, i)]] = block_support
+    return space, inv, support
 
 
 class IdealMask:
@@ -262,12 +270,11 @@ def verify_ideal(
         n_max = default_n_max(trunc)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    space = commutant_basis(trunc)
-    inv = invariant_basis(trunc, method=method)
+    space, inv, support = reduce_with_seeds(trunc, n_max, method, band)
     kernel = kernel_pi_basis(space, inv)
     rows = []
     ideal = None
-    for n, seeds in enumerate(_seed_rows(space, n_max, method, band), 1):
+    for n, seeds in enumerate(support, 1):
         ideal = ideal_closure(space, seeds, start=ideal)
         rows.append(
             IdealRow(

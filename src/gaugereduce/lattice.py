@@ -15,11 +15,11 @@ place ``conj(dD(X))`` on row factors of outgoing edges and ``dD(X)`` on
 column factors of incoming ones; a loop at the vertex receives both on its
 single tensor factor.
 
-A generator is built in one pass over the block's edges.  Each edge
-contributes ``1_pre (x) piece (x) 1_post``, where ``pre`` and ``post`` are
-the dimensions of the edges before and after it and the piece,
-``conj(dD(X)) (x) 1`` at the source or ``1 (x) dD(X)`` at the target, is
-cached per irrep label and Lie direction.
+All of a block's generators are built in one sweep over its edges.  Each
+edge end adds ``1_pre (x) piece (x) 1_post`` to the generator of its vertex,
+where ``pre`` and ``post`` are the dimensions of the edges before and after
+it and the piece, ``conj(dD(X)) (x) 1`` at the source or ``1 (x) dD(X)`` at
+the target, is cached per irrep label and Lie direction.
 """
 
 from __future__ import annotations
@@ -101,34 +101,38 @@ def _edge_pieces(label: IrrepLabel, lie_index: int):
     return pieces
 
 
-def gauss_generator_block(block: BlockLabel, gen: VertexGenerator) -> np.ndarray:
-    """Block matrix of d/dt rho(exp(t X)) at t = 0 for a vertex generator."""
-    d = block.dim
-    out = np.zeros((d, d), dtype=complex)
-    pre = 1
+def _generators(block: BlockLabel, wanted: list[VertexGenerator]) -> np.ndarray:
+    """The generators ``wanted`` as one ``(n, d, d)`` array, from one sweep
+    over the block's edges; each receives its terms in edge order, the
+    source end before the target end."""
+    slots = {(g.vertex, g.lie_index): s for s, g in enumerate(wanted)}
+    lie = sorted({g.lie_index for g in wanted})
+    d, pre = block.dim, 1
+    out = np.zeros((len(wanted), d, d), dtype=complex)
     for e, lab in zip(block.graph.edges, block.labels):
         width = lab.dim**2
         post = d // (pre * width)
-        at_source, at_target = _edge_pieces(lab, gen.lie_index)
-        for piece, endpoint in ((at_source, e.source), (at_target, e.target)):
-            if endpoint != gen.vertex:
-                continue
-            if pre == post == 1:
-                out += piece
-            else:
-                out += np.kron(np.kron(np.eye(pre), piece), np.eye(post))
+        for k in lie:
+            for piece, end in zip(_edge_pieces(lab, k), (e.source, e.target)):
+                if (end, k) not in slots:
+                    continue
+                if pre * post > 1:
+                    piece = np.kron(np.kron(np.eye(pre), piece), np.eye(post))
+                out[slots[end, k]] += piece
         pre *= width
     return out
 
 
-def block_generators(block: BlockLabel) -> list[np.ndarray]:
-    """All vertex Gauss generators of the block, vertex-major then Lie index."""
-    group = block.labels[0].group if block.labels else GroupId.U1
-    return [
-        gauss_generator_block(block, VertexGenerator(v, k))
-        for v in block.graph.vertices
-        for k in range(lie_dim(group))
-    ]
+def gauss_generator_block(block: BlockLabel, gen: VertexGenerator) -> np.ndarray:
+    """Block matrix of d/dt rho(exp(t X)) at t = 0 for a vertex generator."""
+    return _generators(block, [gen])[0]
+
+
+def block_generators(block: BlockLabel) -> np.ndarray:
+    """All vertex Gauss generators of the block as one array, vertex-major
+    then Lie index."""
+    lie = range(lie_dim(block.labels[0].group if block.labels else GroupId.U1))
+    return _generators(block, [VertexGenerator(v, k) for v in block.graph.vertices for k in lie])
 
 
 def basis_values(block: BlockLabel, a: Connection) -> np.ndarray:

@@ -15,6 +15,10 @@ Three objects are produced from a truncation:
   complement, the row space of ``pi``.  Neither uses the irrep labels, so
   comparing the kernel with the ideal built from them is a genuine check.
 
+All three come from one pass over the blocks (``reduce_blocks``): each
+block's Gauss generators are built once, everything that needs them is read
+off, and they are dropped before the next block is built.
+
 Everything is finite-dimensional linear algebra; ranks are decided at a
 single relative tolerance so the counts reported downstream are stable.
 """
@@ -123,7 +127,7 @@ def invariant_projector(
     action over each vertex.  Both agree to rank tolerance on every system.
     """
     if method == "lie":
-        v = _invariant_columns(block)
+        v = _invariant_columns(block_generators(block))
         return v @ v.conj().T
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
@@ -145,35 +149,39 @@ def _null_columns(a: np.ndarray) -> np.ndarray:
     return vh[np.count_nonzero(s > RANK_RTOL * s.max(initial=0.0)) :].conj().T
 
 
-def _invariant_columns(block: BlockLabel) -> np.ndarray:
-    """Orthonormal columns spanning the block's invariant vectors."""
-    gens = block_generators(block)
-    if not gens:
-        return np.eye(block.dim, dtype=complex)
-    if block.dim == 1:
+def _invariant_columns(gens: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the vectors that every generator of the
+    ``(n, d, d)`` stack ``gens`` annihilates."""
+    d = gens.shape[1]
+    if d == 1:
         # the rank rule on one column: invariant iff every entry is zero
-        flat = all(g[0, 0] == 0 for g in gens)
-        return np.ones((1, 1), complex) if flat else np.zeros((1, 0), complex)
-    return _null_columns(np.vstack(gens))
+        return np.ones((1, 1), complex) if not gens.any() else np.zeros((1, 0), complex)
+    return _null_columns(gens.reshape(-1, d))
 
 
 def invariant_basis(trunc: Truncation, method: str = "lie") -> SubspaceBasis:
     """Orthonormal basis of the invariant subspace of the whole truncation."""
-    rows = []
-    for i, block in enumerate(trunc.blocks):
-        if method == "lie":
-            cols = _invariant_columns(block)
-        else:
-            p = invariant_projector(block, method=method)
-            vals, vecs = np.linalg.eigh(p)
-            cols = vecs[:, vals > 0.5]
-        for k in range(cols.shape[1]):
-            vec = np.zeros(trunc.total_dim, dtype=complex)
-            vec[trunc.offsets[i] : trunc.offsets[i + 1]] = cols[:, k]
-            rows.append(vec)
-    if not rows:
-        return SubspaceBasis(trunc.total_dim)
-    return SubspaceBasis(trunc.total_dim, np.array(rows))
+    return reduce_blocks(trunc, invariants=method, commutant=False)[1]
+
+
+def own_elements(copies: list):
+    """One block's elements ``(i, a, i, b)``, in the order of
+    ``EquivariantSpace.by_pair[(i, i)]`` (by component, then row-major over
+    the block's copies of it): their components, and a map reading their
+    coordinates off an operator given in the block's copy basis, the
+    normalised trace of each element's copy block."""
+    pairs = sorted(
+        (c, a, b) for a, (c, _) in enumerate(copies) for b, (cb, _) in enumerate(copies) if c == cb
+    )
+    r, c, starts, scale = [], [], [], []
+    for _, a, b in pairs:
+        rows, cols = copies[a][1], copies[b][1]
+        starts.append(len(r))
+        scale.append((rows.stop - rows.start) ** -0.5)
+        r += range(rows.start, rows.stop)
+        c += range(cols.start, cols.stop)
+    r, c, starts, scale = map(np.array, (r, c, starts, scale))
+    return np.array([p[0] for p in pairs]), lambda x: np.add.reduceat(x[r, c], starts) * scale
 
 
 class EquivariantSpace:
@@ -204,32 +212,10 @@ class EquivariantSpace:
         self.by_pair: dict[tuple[int, int], list[int]] = {}
         for k, (i, _, j, _) in enumerate(self.elements):
             self.by_pair.setdefault((i, j), []).append(k)
-        self._diagonals: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
 
     @property
     def dim(self) -> int:
         return len(self.elements)
-
-    def in_copies(self, i: int, m: np.ndarray) -> np.ndarray:
-        """``U_i^H m U_i``: operators on block ``i`` in its copy basis."""
-        return self.bases[i].conj().T @ m @ self.bases[i]
-
-    def copy_coords(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
-        """Coordinates on the elements ``by_pair[(i, j)]`` of the operator
-        ``x`` from block ``j`` into block ``i``, given in the copy bases:
-        the normalised trace of each element's copy block of ``x``."""
-        if (i, j) not in self._diagonals:  # gather indices, runs, scales
-            r, c, starts, scale = [], [], [], []
-            for k in self.by_pair[(i, j)]:
-                _, a, _, b = self.elements[k]
-                rows, cols = self.copies[i][a][1], self.copies[j][b][1]
-                starts.append(len(r))
-                scale.append((rows.stop - rows.start) ** -0.5)
-                r += range(rows.start, rows.stop)
-                c += range(cols.start, cols.stop)
-            self._diagonals[(i, j)] = tuple(map(np.array, (r, c, starts, scale)))
-        rows, cols, starts, scale = self._diagonals[(i, j)]
-        return np.add.reduceat(x[rows, cols], starts) * scale
 
     def structure_maps(self):
         """Sparse product tables: row ``x*q + m`` of ``L @ w`` (``R @ w``) is
@@ -251,8 +237,9 @@ class EquivariantSpace:
         return csr_matrix((vals, (x * q + m, y)), shape), csr_matrix((vals, (y * q + m, x)), shape)
 
 
-def _isotypic_copies(block: BlockLabel) -> tuple[np.ndarray, list]:
-    """The block split into irreducible copies of the gauge action.
+def _isotypic_copies(block: BlockLabel, gens: np.ndarray) -> tuple[np.ndarray, list]:
+    """The block split into irreducible copies of the gauge action, read
+    off its generators ``gens = block_generators(block)``.
 
     Returns a unitary with the copies side by side, and per copy ``(lam,
     cols)``: its columns, and ``2 <J_z^v>`` of its highest-weight vector at
@@ -265,23 +252,16 @@ def _isotypic_copies(block: BlockLabel) -> tuple[np.ndarray, list]:
     each copy, in the same order for every copy of an irrep.  U(1) has no
     raising operators, so every vector is a highest-weight vector.
     """
-    gens = block_generators(block)
     nl = lie_dim(block.labels[0].group)
-    nv = len(block.graph.vertices)
-    jz = np.array([1j * np.diag(gens[v * nl + nl - 1]) for v in range(nv)])
+    jz = 1j * np.diagonal(gens[nl - 1 :: nl], axis1=1, axis2=2)
     weights = [tuple(w) for w in np.rint(2 * jz.real).astype(int).T.tolist()]
-    raising = [
-        1j * (gens[v * nl] + 1j * gens[v * nl + 1]) for v in range(nv) if nl > 1
-    ]
-    stacked = np.vstack(raising) if raising else None
+    raising = 1j * (gens[::nl] + 1j * gens[1::nl]) if nl > 1 else gens[:0]
+    stacked = raising.reshape(-1, block.dim)
     lowering = [up.conj().T for up in raising]
     columns, copies = [], []
     for lam in dict.fromkeys(weights):
         cols = [k for k, w in enumerate(weights) if w == lam]
-        if raising:
-            hw = _null_columns(stacked[:, cols])
-        else:
-            hw = np.eye(len(cols))
+        hw = _null_columns(stacked[:, cols]) if nl > 1 else np.eye(len(cols))
         for coeffs in hw.T:
             chain = [np.zeros(block.dim, dtype=complex)]
             chain[0][cols] = coeffs
@@ -310,13 +290,41 @@ def commutant_basis(trunc: Truncation) -> EquivariantSpace:
     commutant, one full matrix algebra per irrep.  Each matrix unit is held
     as the index of its two copies.
     """
+    return reduce_blocks(trunc, invariants=None)[0]
+
+
+def reduce_blocks(
+    trunc: Truncation, invariants: str | None = "lie", commutant: bool = True, seeds=None
+):
+    """One pass over the blocks: the commutant (if ``commutant``), the
+    invariant subspace by the method ``invariants`` of ``invariant_projector``
+    (unless ``None``), and the list of ``seeds(block, gens, basis, copies)``
+    per block, when given, with ``copies`` numbered by component.  Each
+    block's generators are built once and dropped before the next block's.
+    """
     irreps: dict[tuple[int, ...], int] = {}
-    bases, copies = [], []
+    bases, copies, columns, seeded = [], [], [], []
     for block in trunc.blocks:
-        u, split = _isotypic_copies(block)
-        bases.append(u)
-        copies.append([(irreps.setdefault(lam, len(irreps)), cols) for lam, cols in split])
-    return EquivariantSpace(trunc, bases, copies, irreps)
+        gens = block_generators(block) if commutant or invariants == "lie" else None
+        if commutant:
+            u, split = _isotypic_copies(block, gens)
+            bases.append(u)
+            copies.append([(irreps.setdefault(lam, len(irreps)), cols) for lam, cols in split])
+            if seeds is not None:
+                seeded.append(seeds(block, gens, u, copies[-1]))
+        if invariants == "lie":
+            columns.append(_invariant_columns(gens))
+        elif invariants is not None:
+            vals, vecs = np.linalg.eigh(invariant_projector(block, method=invariants))
+            columns.append(vecs[:, vals > 0.5])
+        del gens  # only one block's generators are alive at a time
+    space = EquivariantSpace(trunc, bases, copies, irreps) if commutant else None
+    rows = np.zeros((sum(c.shape[1] for c in columns), trunc.total_dim), dtype=complex)
+    start, off = 0, trunc.offsets
+    for i, cols in enumerate(columns):
+        rows[start : start + cols.shape[1], off[i] : off[i + 1]] = cols.T
+        start += cols.shape[1]
+    return space, SubspaceBasis(trunc.total_dim, rows) if invariants is not None else None, seeded
 
 
 def pi_matrix(space: EquivariantSpace, inv: SubspaceBasis) -> np.ndarray:

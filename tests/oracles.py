@@ -147,14 +147,17 @@ def op_from_coords(space, w):
 def coords_of(space, i, j, m):
     """Coordinates of the operator that is ``m`` from block ``j`` into block
     ``i`` and zero elsewhere.  A library space is read through its copy
-    bases, ``copy_coords`` of ``U_i^H m U_j``; a ``DenseSpace`` by inner
+    bases: element ``(i, a, j, b)`` takes the normalised trace of the copy
+    block ``(a, b)`` of ``U_i^H m U_j``.  A ``DenseSpace`` is read by inner
     products."""
     if isinstance(space, DenseSpace):
         return space.coords_of(i, j, m)
     out = np.zeros(space.dim, dtype=complex)
-    if (i, j) in space.by_pair:
-        x = space.bases[i].conj().T @ m @ space.bases[j]
-        out[space.by_pair[(i, j)]] = space.copy_coords(i, j, x)
+    x = space.bases[i].conj().T @ m @ space.bases[j]
+    for k in space.by_pair.get((i, j), ()):
+        _, a, _, b = space.elements[k]
+        rows, cols = space.copies[i][a][1], space.copies[j][b][1]
+        out[k] = np.trace(x[rows, cols]) / np.sqrt(rows.stop - rows.start)
     return out
 
 

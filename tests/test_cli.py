@@ -13,6 +13,8 @@ from gaugereduce.cli import main
 from gaugereduce.config import ConfigError, parse_config
 from gaugereduce.groups import GroupId
 
+from .test_ideal import count_builds
+
 U1_EDGE = """
     [group]
     kind = u1
@@ -309,6 +311,13 @@ def test_decompose_lists_blocks(tmp_path, capsys):
     assert all(b["dim"] == 1 for b in payload["blocks"])
     assert [b["invariant_dim"] for b in payload["blocks"]] == [0, 1, 0]
     assert [b["energy"] for b in payload["blocks"]] == ["1", "0", "1"]
+
+
+def test_decompose_builds_each_blocks_generators_once(tmp_path, capsys, monkeypatch):
+    built = count_builds(monkeypatch)
+    assert main(["decompose", "--config", write_cfg(tmp_path, U1_TRIANGLE)]) == 0
+    blocks = json.loads(capsys.readouterr().out)["blocks"]
+    assert len(set(built)) == len(built) == len(blocks) == 27
 
 
 def test_spectrum_reports_levels(tmp_path, capsys):

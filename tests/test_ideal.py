@@ -31,7 +31,7 @@ from gaugereduce import (
     verify_ideal,
 )
 from gaugereduce.groups import casimir_eigenvalue, lie_dim
-from gaugereduce.ideal import _seed_rows, conjugation_band, default_n_max
+from gaugereduce.ideal import conjugation_band, default_n_max, reduce_with_seeds
 from gaugereduce.reduction import SubspaceBasis
 
 from .oracles import (
@@ -127,9 +127,9 @@ def test_stepped_seed_rows_equal_spec_by_spec_coords(name, method):
     # once; each spec here rebuilds its generator and takes a matrix power.
     # The stepped support is the union of the specs' supports.
     trunc = build(name)
-    space = commutant_basis(trunc)
+    space, _, support = reduce_with_seeds(trunc, 4, method)
     directions = [(v, a) for v in trunc.graph.vertices for a in range(lie_dim(trunc.group))]
-    for n, got in enumerate(_seed_rows(space, 4, method, None), 1):
+    for n, got in enumerate(support, 1):
         want = np.zeros(space.dim, dtype=bool)
         for i in range(len(trunc.blocks)):
             for v, a in directions:
@@ -304,6 +304,39 @@ def test_verify_methods_agree(trunc, n_max):
     assert lie.passed and quad.passed
     assert [r.dim_ideal for r in lie.rows] == [r.dim_ideal for r in quad.rows]
     assert np.array_equal(lie.final_ideal.mask, quad.final_ideal.mask)
+
+
+def count_builds(monkeypatch) -> list:
+    """Record every block whose generators the library builds, and refuse
+    any generator built one direction at a time."""
+    built, build_all = [], gaugereduce.reduction.block_generators
+
+    def counted(block):
+        built.append(block)
+        return build_all(block)
+
+    def refused(block, gen):
+        raise AssertionError("a generator was built on its own")
+
+    monkeypatch.setattr(gaugereduce.reduction, "block_generators", counted)
+    monkeypatch.setattr(gaugereduce.ideal, "gauss_generator_block", refused)
+    monkeypatch.setattr(gaugereduce.lattice, "gauss_generator_block", refused)
+    return built
+
+
+@pytest.mark.parametrize(
+    "trunc,method",
+    [
+        (build("u1-triangle-b2"), "lie"),
+        (make(triangle_graph(), SU2, 1), "lie"),
+        (make(triangle_graph(), SU2, 1), "quadrature"),
+    ],
+    ids=["u1-triangle-b2", "su2-triangle-b1-lie", "su2-triangle-b1-quadrature"],
+)
+def test_verify_builds_each_blocks_generators_once(trunc, method, monkeypatch):
+    built = count_builds(monkeypatch)
+    assert verify_ideal(trunc, n_max=2, method=method).passed
+    assert built == list(trunc.blocks)
 
 
 def test_su2_loop_default_power_budget_stays_on_the_kernel():

@@ -10,6 +10,7 @@ from gaugereduce import (
     BlockLabel,
     Connection,
     GaugeElement,
+    Graph,
     VertexGenerator,
     basis_values,
     block_generators,
@@ -163,6 +164,39 @@ def assert_generators_match_oracle(trunc):
 def test_generators_match_kron_chain_oracle(trunc):
     # the triangle puts identities of different sizes on both sides of a piece
     assert_generators_match_oracle(trunc)
+
+
+def assert_sweep_matches_single_builds(trunc):
+    """The one-sweep build of all a block's generators equals each generator
+    built on its own exactly, not to a tolerance."""
+    nl = lie_dim(trunc.group)
+    for block in trunc.blocks:
+        gens = block_generators(block)
+        assert gens.shape == (len(trunc.graph.vertices) * nl, block.dim, block.dim)
+        for vi, v in enumerate(trunc.graph.vertices):
+            for k in range(nl):
+                one = gauss_generator_block(block, VertexGenerator(v, k))
+                assert np.array_equal(gens[vi * nl + k], one), (block, v, k)
+
+
+def loops_and_parallels():
+    """A loop, two parallel edges and one reversed edge on two vertices."""
+    edges = [("l", "x", "x"), ("e", "x", "y"), ("f", "x", "y"), ("g", "y", "x")]
+    return Graph(("x", "y"), edges)
+
+
+@pytest.mark.parametrize(
+    "trunc",
+    [build(k) for k in SMALL]
+    + [
+        make(triangle_graph(), GroupId.SU2, 1),
+        make(loops_and_parallels(), GroupId.SU2, 1),
+        make(loops_and_parallels(), GroupId.U1, 1),
+    ],
+    ids=SMALL + ["su2-triangle-b1", "su2-loops-and-parallels", "u1-loops-and-parallels"],
+)
+def test_one_sweep_equals_single_builds(trunc):
+    assert_sweep_matches_single_builds(trunc)
 
 
 def test_generator_count_and_order():

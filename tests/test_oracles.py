@@ -19,12 +19,11 @@ from gaugereduce import (
     commutant_basis,
     generator_coords,
     ideal_closure,
-    invariant_basis,
     kernel_pi_basis,
     verify_ideal,
 )
 from gaugereduce.groups import lie_dim
-from gaugereduce.ideal import _seed_rows
+from gaugereduce.ideal import reduce_with_seeds
 
 from .oracles import (
     containment_residual,
@@ -75,8 +74,7 @@ def assert_closures_agree(space, n_max=3):
 def assert_rows_match_dense_oracle(trunc, n_max):
     """Verify ``trunc`` and check every row against the dense routes; return
     the report."""
-    space = commutant_basis(trunc)
-    inv = invariant_basis(trunc)
+    space, inv, support = reduce_with_seeds(trunc, n_max)
     kernel = kernel_pi_basis(space, inv)
     dense = dense_kernel_basis(space, inv)
     assert kernel.dim == dense.dim
@@ -85,7 +83,7 @@ def assert_rows_match_dense_oracle(trunc, n_max):
     report = verify_ideal(trunc, n_max=n_max)
     assert report.dim_ker_pi == dense.dim
     ideal = None
-    for row, seeds in zip(report.rows, _seed_rows(space, n_max, "lie", None)):
+    for row, seeds in zip(report.rows, support):
         ideal = ideal_closure(space, seeds, start=ideal)
         basis = mask_basis(ideal)
         assert row.dim_ideal == basis.dim, row.n

@@ -2,9 +2,10 @@
 
 Graphs are drawn with loops, parallel edges, isolated vertices and
 disconnected pieces, up to total dimension 40.  On each the Gauss
-generators must match the Kronecker-chain oracle, every one-dimensional
-block must keep its invariant vector exactly when the null-space rule does,
-the irrep-based
+generators must match the Kronecker-chain oracle, the one-sweep build of a
+block's generators must equal each generator built on its own, every
+one-dimensional block must keep its invariant vector exactly when the
+null-space rule does, the irrep-based
 commutant must match the dense oracle, the dimension ledger must hold, the
 component closure must match the round-based oracle closure, the
 quadrature averages of generator powers 1 and 2 must have the same
@@ -34,7 +35,7 @@ from gaugereduce.groups import lie_dim
 
 from .oracles import op_from_coords
 from .systems import SU2, U1, make
-from .test_lattice import assert_generators_match_oracle
+from .test_lattice import assert_generators_match_oracle, assert_sweep_matches_single_builds
 from .test_oracles import assert_closures_agree, assert_rows_match_dense_oracle
 from .test_reduction import assert_one_dim_blocks_match_null_space, dense_commutant_dim
 
@@ -72,6 +73,7 @@ def truncations(draw):
 def test_random_graphs(trunc):
     assert trunc.total_dim <= MAX_DIM
     assert_generators_match_oracle(trunc)
+    assert_sweep_matches_single_builds(trunc)
     assert_one_dim_blocks_match_null_space(trunc)
     space = commutant_basis(trunc)
     assert space.dim == dense_commutant_dim(trunc)[0]

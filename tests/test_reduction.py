@@ -27,11 +27,12 @@ from gaugereduce import (
     vertex_flux,
 )
 from gaugereduce.lattice import block_generators
-from gaugereduce.reduction import RANK_RTOL, _invariant_columns, _null_columns
+from gaugereduce.reduction import RANK_RTOL, _invariant_columns, _null_columns, own_elements
 
 from .oracles import (
     DenseSpace,
     SpanConsistencyError,
+    coords_of,
     coords_of_matrix,
     dense_space,
     element_matrix,
@@ -40,7 +41,7 @@ from .oracles import (
     pair_commutant,
     product_projector,
 )
-from .systems import CANON, SMALL, SU2, build, make, parallel_graph
+from .systems import CANON, SMALL, SU2, build, make, parallel_graph, triangle_graph
 
 # every system whose total dimension keeps the kron'd constraints small
 DENSE_OK = SMALL
@@ -201,8 +202,9 @@ def assert_one_dim_blocks_match_null_space(trunc):
     exactly when the null-space rule on its stacked generators does."""
     for block in trunc.blocks:
         if block.dim == 1:
-            want = _null_columns(np.vstack(block_generators(block))).shape[1]
-            assert _invariant_columns(block).shape[1] == want
+            gens = block_generators(block)
+            want = _null_columns(np.vstack(gens)).shape[1]
+            assert _invariant_columns(gens).shape[1] == want
 
 
 @pytest.mark.parametrize("name", list(CANON))
@@ -296,6 +298,25 @@ def test_coordinate_round_trip():
         w = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
         op = op_from_coords(basis, w)
         assert_allclose(coords_of_matrix(basis, op), w, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "trunc",
+    [build(k) for k in SMALL] + [make(parallel_graph(), SU2, 1), make(triangle_graph(), SU2, 1)],
+    ids=SMALL + ["su2-parallel-b1", "su2-triangle-b1"],
+)
+def test_own_elements_follow_the_space(trunc):
+    # the one pass over the blocks reads a block's own coordinates before the
+    # space exists; they must land on by_pair[(i, i)], in that order
+    space = commutant_basis(trunc)
+    rng = np.random.default_rng(43)
+    for i, d in enumerate(trunc.dims):
+        own = space.by_pair[(i, i)]
+        comps, read = own_elements(space.copies[i])
+        assert np.array_equal(comps, space.components[own])
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        u = space.bases[i]
+        assert_allclose(read(u.conj().T @ m @ u), coords_of(space, i, i, m)[own], atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["u1-parallel-b1", "su2-loop-j2"])
