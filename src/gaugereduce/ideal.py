@@ -143,11 +143,20 @@ def generator_coords(
     return out
 
 
-def _block_seeds(block: BlockLabel, gens, basis, copies, n_max: int, method: str, band):
+def _block_seeds(block: BlockLabel | None, gens, basis, copies, n_max: int, method: str, band):
     """Seed supports on one block's ``own_elements``: entry ``(n - 1, k)`` is
     set when the averaged ``n``-th power of some generator in ``gens``,
     stepped as ``Gamma^(n-1) Gamma`` in the copy basis, has a nonzero
-    coordinate ``k``.  The block is cut in one pass."""
+    coordinate ``k``.  The block is cut in one pass.
+
+    With ``block=None``, ``gens`` holds the ``(n_blocks, V*L)`` scalar
+    generators of one-dimensional blocks, and entry ``b`` of the result is
+    block ``b``'s ``(n_max, 1)`` support: a scalar power is its own average
+    and its own coordinate, and its modulus is its norm."""
+    if block is None:
+        powers = np.cumprod(np.repeat(gens[..., None], n_max, axis=-1), axis=-1)
+        cut = _roundoff_cut(np.zeros(1, dtype=int), powers[..., None], np.abs(powers))
+        return (cut != 0).any(axis=1)
     comps, read = own_elements(copies)
     coords = np.zeros((len(gens), n_max, len(comps)), dtype=complex)
     norms = np.zeros((len(gens), n_max))
@@ -168,8 +177,7 @@ def reduce_with_seeds(trunc: Truncation, n_max: int, method: str = "lie", band=N
     seeds = functools.partial(_block_seeds, n_max=n_max, method=method, band=band)
     space, inv, own = reduce_blocks(trunc, invariants=method, seeds=seeds)
     support = np.zeros((n_max, space.dim), dtype=bool)
-    for i, block_support in enumerate(own):
-        support[:, space.by_pair[(i, i)]] = block_support
+    support[:, [k for i in range(len(own)) for k in space.by_pair[(i, i)]]] = np.hstack(own)
     return space, inv, support
 
 

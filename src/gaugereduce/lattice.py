@@ -128,11 +128,34 @@ def gauss_generator_block(block: BlockLabel, gen: VertexGenerator) -> np.ndarray
     return _generators(block, [gen])[0]
 
 
+def lie_directions(block: BlockLabel) -> range:
+    """The Lie indices of the block's group (one for an edgeless block)."""
+    return range(lie_dim(block.labels[0].group if block.labels else GroupId.U1))
+
+
 def block_generators(block: BlockLabel) -> np.ndarray:
     """All vertex Gauss generators of the block as one array, vertex-major
     then Lie index."""
-    lie = range(lie_dim(block.labels[0].group if block.labels else GroupId.U1))
+    lie = lie_directions(block)
     return _generators(block, [VertexGenerator(v, k) for v in block.graph.vertices for k in lie])
+
+
+def scalar_generators(blocks: list[BlockLabel]) -> np.ndarray:
+    """The Gauss generators of one-dimensional blocks of one graph as one
+    ``(n_blocks, V*L)`` array: row ``b`` is ``block_generators(blocks[b])[:,
+    0, 0]``, bitwise, from one sweep over the edges that adds each end's
+    ``[0, 0]`` piece entry in the order ``_generators`` does."""
+    graph, lie = blocks[0].graph, lie_directions(blocks[0])
+    values = np.array([[lab.value for lab in b.labels] for b in blocks])
+    out = np.zeros((len(blocks), len(graph.vertices) * len(lie)), dtype=complex)
+    for j, e in enumerate(graph.edges):
+        _, first, which = np.unique(values[:, j], return_index=True, return_inverse=True)
+        labels = [blocks[b].labels[j] for b in first]  # this edge's distinct labels
+        for k in lie:
+            for s, end in enumerate((e.source, e.target)):
+                entry = np.array([_edge_pieces(lab, k)[s][0, 0] for lab in labels])
+                out[:, graph.vertex_index[end] * len(lie) + k] += entry[which]
+    return out
 
 
 def basis_values(block: BlockLabel, a: Connection) -> np.ndarray:

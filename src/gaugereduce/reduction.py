@@ -17,7 +17,9 @@ Three objects are produced from a truncation:
 
 All three come from one pass over the blocks (``reduce_blocks``): each
 block's Gauss generators are built once, everything that needs them is read
-off, and they are dropped before the next block is built.
+off, and they are dropped before the next block is built.  A
+one-dimensional block carries a character of ``G^V`` and its generators are
+scalars, so all such blocks are read off one array of them at once.
 
 Everything is finite-dimensional linear algebra; ranks are decided at a
 single relative tolerance so the counts reported downstream are stable.
@@ -25,11 +27,13 @@ single relative tolerance so the counts reported downstream are stable.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 from .blocks import BlockLabel, Truncation
-from .groups import IrrepLabel, haar_scheme, identity_point, lie_dim, required_band
-from .lattice import GaugeElement, block_generators, rho_block
+from .groups import IrrepLabel, haar_scheme, identity_point, required_band
+from .lattice import GaugeElement, block_generators, lie_directions, rho_block, scalar_generators
 
 RANK_RTOL = 1e-10
 
@@ -152,11 +156,7 @@ def _null_columns(a: np.ndarray) -> np.ndarray:
 def _invariant_columns(gens: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the vectors that every generator of the
     ``(n, d, d)`` stack ``gens`` annihilates."""
-    d = gens.shape[1]
-    if d == 1:
-        # the rank rule on one column: invariant iff every entry is zero
-        return np.ones((1, 1), complex) if not gens.any() else np.zeros((1, 0), complex)
-    return _null_columns(gens.reshape(-1, d))
+    return _null_columns(gens.reshape(-1, gens.shape[1]))
 
 
 def invariant_basis(trunc: Truncation, method: str = "lie") -> SubspaceBasis:
@@ -252,7 +252,7 @@ def _isotypic_copies(block: BlockLabel, gens: np.ndarray) -> tuple[np.ndarray, l
     each copy, in the same order for every copy of an irrep.  U(1) has no
     raising operators, so every vector is a highest-weight vector.
     """
-    nl = lie_dim(block.labels[0].group)
+    nl = len(lie_directions(block))
     jz = 1j * np.diagonal(gens[nl - 1 :: nl], axis1=1, axis2=2)
     weights = [tuple(w) for w in np.rint(2 * jz.real).astype(int).T.tolist()]
     raising = 1j * (gens[::nl] + 1j * gens[1::nl]) if nl > 1 else gens[:0]
@@ -293,38 +293,72 @@ def commutant_basis(trunc: Truncation) -> EquivariantSpace:
     return reduce_blocks(trunc, invariants=None)[0]
 
 
+# the copy basis, or kept invariant column, of every one-dimensional block:
+# one array shared by all of them, so it is read-only
+_UNIT, _EMPTY = np.ones((1, 1), dtype=complex), np.zeros((1, 0), dtype=complex)
+_UNIT.setflags(write=False)
+_EMPTY.setflags(write=False)
+
+
+def _scalar_parts(trunc: Truncation, seeds):
+    """Per one-dimensional block of ``trunc``, in order, the ``(basis,
+    copies, seeds, lie invariant columns)`` of ``reduce_blocks``, read with
+    whole-array operations off their stacked scalar generators
+    (``scalar_generators``); every truncation has one, of all-zero labels.
+    Such a block carries a character of ``G^V``: it is one copy, with basis
+    ``[[1]]`` and weight ``2 Re(i Gamma_{v,L-1})`` at each vertex, and it is
+    invariant iff every scalar is zero.  The seeds hook, when given, takes
+    all the blocks at once as ``seeds(None, scalars, None, None)``."""
+    blocks = [b for b, d in zip(trunc.blocks, trunc.dims) if d == 1]
+    gens = scalar_generators(blocks)
+    nl = len(lie_directions(blocks[0]))
+    weights = np.rint(2 * (1j * gens[:, nl - 1 :: nl]).real).astype(int).tolist()
+    seeded = repeat(None) if seeds is None else seeds(None, gens, None, None)
+    columns = [_UNIT if keep else _EMPTY for keep in ~gens.any(axis=1)]
+    return zip(repeat(_UNIT), ([(tuple(w), slice(0, 1))] for w in weights), seeded, columns)
+
+
 def reduce_blocks(
     trunc: Truncation, invariants: str | None = "lie", commutant: bool = True, seeds=None
 ):
     """One pass over the blocks: the commutant (if ``commutant``), the
     invariant subspace by the method ``invariants`` of ``invariant_projector``
     (unless ``None``), and the list of ``seeds(block, gens, basis, copies)``
-    per block, when given, with ``copies`` numbered by component.  Each
-    block's generators are built once and dropped before the next block's.
+    per block, when given, with ``copies`` numbered by component.  The
+    one-dimensional blocks are read off one array (``_scalar_parts``); every
+    other block's generators are built once and dropped before the next
+    block's.
     """
     irreps: dict[tuple[int, ...], int] = {}
     bases, copies, columns, seeded = [], [], [], []
-    for block in trunc.blocks:
-        gens = block_generators(block) if commutant or invariants == "lie" else None
-        if commutant:
-            u, split = _isotypic_copies(block, gens)
-            bases.append(u)
-            copies.append([(irreps.setdefault(lam, len(irreps)), cols) for lam, cols in split])
-            if seeds is not None:
-                seeded.append(seeds(block, gens, u, copies[-1]))
-        if invariants == "lie":
-            columns.append(_invariant_columns(gens))
-        elif invariants is not None:
+    scalar = _scalar_parts(trunc, seeds if commutant else None)
+    for block, d in zip(trunc.blocks, trunc.dims):
+        if d == 1:
+            u, split, seed, cols = next(scalar)
+        else:
+            gens = block_generators(block) if commutant or invariants == "lie" else None
+            if commutant:
+                u, split = _isotypic_copies(block, gens)
+            cols = _invariant_columns(gens) if invariants == "lie" else None
+        if invariants not in (None, "lie"):
             vals, vecs = np.linalg.eigh(invariant_projector(block, method=invariants))
-            columns.append(vecs[:, vals > 0.5])
-        del gens  # only one block's generators are alive at a time
+            cols = vecs[:, vals > 0.5]
+        if commutant:
+            bases.append(u)
+            copies.append([(irreps.setdefault(lam, len(irreps)), c) for lam, c in split])
+            if seeds is not None:
+                seeded.append(seed if d == 1 else seeds(block, gens, u, copies[-1]))
+        columns.append(cols)
+        gens = None  # only one block's generators are alive at a time
     space = EquivariantSpace(trunc, bases, copies, irreps) if commutant else None
+    if invariants is None:
+        return space, None, seeded
     rows = np.zeros((sum(c.shape[1] for c in columns), trunc.total_dim), dtype=complex)
     start, off = 0, trunc.offsets
     for i, cols in enumerate(columns):
         rows[start : start + cols.shape[1], off[i] : off[i + 1]] = cols.T
         start += cols.shape[1]
-    return space, SubspaceBasis(trunc.total_dim, rows) if invariants is not None else None, seeded
+    return space, SubspaceBasis(trunc.total_dim, rows), seeded
 
 
 def pi_matrix(space: EquivariantSpace, inv: SubspaceBasis) -> np.ndarray:

@@ -37,6 +37,21 @@ def loop_graph():
     return Graph(("x",), [("l", "x", "x")])
 
 
+def loops_and_parallels():
+    """A loop, two parallel edges and one reversed edge on two vertices."""
+    edges = [("l", "x", "x"), ("e", "x", "y"), ("f", "x", "y"), ("g", "y", "x")]
+    return Graph(("x", "y"), edges)
+
+
+def isolated_vertex_graph():
+    """A loop and a reversed pair of edges, next to a vertex no edge meets."""
+    return Graph(("x", "y", "z"), [("l", "x", "x"), ("e", "x", "y"), ("f", "y", "x")])
+
+
+def edgeless_graph():
+    return Graph(("x", "y"), [])
+
+
 def make(graph, group, bound):
     return Truncation(graph, group, IrrepLabel(group, bound))
 

@@ -2,9 +2,10 @@
 
 The run files and reports live in ``tests/golden/``.  The systems are the
 benchmark's (with its canonical vertex and edge names), both frontier rungs,
-and one quadrature, one coarse, one ``spectrum`` and one ``decompose``
-command.  A change that is meant to leave every report as it is keeps these
-files untouched; one that changes a report on purpose regenerates them with
+u1 square b3 (2,401 one-dimensional blocks), the U(1) loop, and one
+quadrature, one coarse, one ``spectrum`` and one ``decompose`` command.  A
+change that is meant to leave every report as it is keeps these files
+untouched; one that changes a report on purpose regenerates them with
 
     PYTHONPATH=src python3 -m tests.test_golden
 
@@ -32,6 +33,8 @@ COMMANDS = {
     "verify-su2-edge-b1-quad": ("verify", "su2-edge-b1", ("--method", "quad", "--nmax", "2")),
     "verify-u1-triangle-b3": ("verify", "u1-triangle-b3", ()),
     "verify-su2-triangle-b1": ("verify", "su2-triangle-b1", ()),
+    "verify-u1-square-b3": ("verify", "u1-square-b3", ()),
+    "verify-u1-loop-b1": ("verify", "u1-loop-b1", ()),
     "spectrum-u1-triangle-b2": ("spectrum", "u1-triangle-b2", ()),
     "decompose-u1-triangle-b2": ("decompose", "u1-triangle-b2", ()),
 }

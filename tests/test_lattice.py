@@ -10,7 +10,6 @@ from gaugereduce import (
     BlockLabel,
     Connection,
     GaugeElement,
-    Graph,
     VertexGenerator,
     basis_values,
     block_generators,
@@ -26,9 +25,20 @@ from gaugereduce import (
     vertex_flux,
 )
 from gaugereduce.groups import GroupId, lie_dim
+from gaugereduce.lattice import scalar_generators
 
 from .oracles import kron_generator
-from .systems import SMALL, build, edge_graph, loop_graph, make, triangle_graph
+from .systems import (
+    SMALL,
+    build,
+    edge_graph,
+    edgeless_graph,
+    isolated_vertex_graph,
+    loop_graph,
+    loops_and_parallels,
+    make,
+    triangle_graph,
+)
 
 FD_STEP = 1e-4
 FD_TOL = 1e-6
@@ -168,7 +178,8 @@ def test_generators_match_kron_chain_oracle(trunc):
 
 def assert_sweep_matches_single_builds(trunc):
     """The one-sweep build of all a block's generators equals each generator
-    built on its own exactly, not to a tolerance."""
+    built on its own exactly, not to a tolerance, and the scalar sweep of the
+    one-dimensional blocks equals their ``[0, 0]`` entries bit for bit."""
     nl = lie_dim(trunc.group)
     for block in trunc.blocks:
         gens = block_generators(block)
@@ -177,12 +188,12 @@ def assert_sweep_matches_single_builds(trunc):
             for k in range(nl):
                 one = gauss_generator_block(block, VertexGenerator(v, k))
                 assert np.array_equal(gens[vi * nl + k], one), (block, v, k)
-
-
-def loops_and_parallels():
-    """A loop, two parallel edges and one reversed edge on two vertices."""
-    edges = [("l", "x", "x"), ("e", "x", "y"), ("f", "x", "y"), ("g", "y", "x")]
-    return Graph(("x", "y"), edges)
+    one_dim = [b for b in trunc.blocks if b.dim == 1]
+    if one_dim:
+        got = scalar_generators(one_dim)
+        want = np.array([block_generators(b)[:, 0, 0] for b in one_dim])
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # signed zeros too
 
 
 @pytest.mark.parametrize(
@@ -192,8 +203,14 @@ def loops_and_parallels():
         make(triangle_graph(), GroupId.SU2, 1),
         make(loops_and_parallels(), GroupId.SU2, 1),
         make(loops_and_parallels(), GroupId.U1, 1),
+        build("u1-triangle-b2"),
+        make(isolated_vertex_graph(), GroupId.SU2, 1),
+        make(isolated_vertex_graph(), GroupId.U1, 2),
+        make(edgeless_graph(), GroupId.U1, 1),
     ],
-    ids=SMALL + ["su2-triangle-b1", "su2-loops-and-parallels", "u1-loops-and-parallels"],
+    ids=SMALL
+    + ["su2-triangle-b1", "su2-loops-and-parallels", "u1-loops-and-parallels", "u1-triangle-b2"]
+    + ["su2-isolated-vertex", "u1-isolated-vertex", "u1-edgeless"],
 )
 def test_one_sweep_equals_single_builds(trunc):
     assert_sweep_matches_single_builds(trunc)

@@ -15,6 +15,8 @@ For U(1) every block is one charge assignment, one-dimensional, and its
 gauge irrep is its pattern of vertex fluxes, so ``M_lam`` counts the
 assignments with flux pattern ``lam``.  That fixes the counts of systems
 past a thousand commutant dimensions, where ``verify`` must still pass.
+Every averaged power of a U(1) generator is a power of ``i flux_v``, so
+the ideal holds every nonzero component from ``n = 1`` on.
 """
 
 import itertools
@@ -165,3 +167,32 @@ def test_u1_flux_count_fixes_a_verify_past_a_thousand(graph, bound, counts):
     assert report.passed
     assert (report.dim_ak, report.dim_hk, report.dim_ker_pi) == counts
     assert report.rows[0].dim_ideal == report.dim_ker_pi
+
+
+# name -> (graph, bound) of every U(1) system of CANON, and two past a
+# thousand commutant dimensions
+U1_SYSTEMS = {
+    name: (graph, bound) for name, (graph, group, bound, *_) in CANON.items() if group is U1
+}
+U1_SYSTEMS.update({"u1-triangle-b3": (triangle_graph, 3), "u1-square-b2": (square_graph, 2)})
+
+
+@pytest.mark.parametrize("name", list(U1_SYSTEMS))
+def test_u1_components_and_rows_match_the_flux_count(name):
+    # A U(1) block's generator at v is i * flux_v, so its one copy has weight
+    # -2 flux_v there, and the averaged power (i flux_v)^n touches its
+    # component from n = 1 on exactly when some flux is nonzero.
+    graph, bound = U1_SYSTEMS[name]
+    g = graph()
+    mult = flux_multiplicities(g, bound)
+    trunc = make(g, U1, bound)
+    space = commutant_basis(trunc)
+    sizes = Counter(space.components.tolist())
+    assert all(math.isqrt(n) ** 2 == n for n in sizes.values())
+    got = {space.irreps[c]: math.isqrt(n) for c, n in sizes.items()}
+    assert got == {tuple(-2 * f for f in flux): m for flux, m in mult.items()}
+    zero = (0,) * len(g.vertices)
+    nonzero = sum(m * m for flux, m in mult.items() if flux != zero)
+    report = verify_ideal(trunc, n_max=3)
+    assert report.passed
+    assert [row.dim_ideal for row in report.rows] == [nonzero] * 3

@@ -3,17 +3,18 @@
 Graphs are drawn with loops, parallel edges, isolated vertices and
 disconnected pieces, up to total dimension 40.  On each the Gauss
 generators must match the Kronecker-chain oracle, the one-sweep build of a
-block's generators must equal each generator built on its own, every
-one-dimensional block must keep its invariant vector exactly when the
-null-space rule does, the irrep-based
-commutant must match the dense oracle, the dimension ledger must hold, the
-component closure must match the round-based oracle closure, the
-quadrature averages of generator powers 1 and 2 must have the same
-commutant coordinates as the Lie route (and the averaged square must be
-the commutant element with those coordinates), and the averaged-generator
-ideal must reach ``ker(pi)`` by power 2, with the kernel dimension,
-containment residual and distance of every power equal to the dense
-oracle's.
+block's generators must equal each generator built on its own (and the
+scalar sweep of the one-dimensional blocks their entries), the pass must
+read each one-dimensional block's copy and seeds as the per-block route
+does and keep its invariant vector exactly when the null-space rule does,
+the irrep-based commutant must match the dense oracle, the dimension
+ledger must hold, the component closure must match the round-based oracle
+closure, the quadrature averages of generator powers 1 and 2 must have the
+same commutant coordinates as the Lie route (and the averaged square must
+be the commutant element with those coordinates), and the
+averaged-generator ideal must reach ``ker(pi)`` by power 2, with the
+kernel dimension, containment residual and distance of every power equal
+to the dense oracle's.
 """
 
 import math

@@ -6,6 +6,8 @@ constraints, with no block bookkeeping at all, and must agree with the
 irrep-based computation in both dimension and span.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -27,7 +29,14 @@ from gaugereduce import (
     vertex_flux,
 )
 from gaugereduce.lattice import block_generators
-from gaugereduce.reduction import RANK_RTOL, _invariant_columns, _null_columns, own_elements
+from gaugereduce.ideal import _block_seeds
+from gaugereduce.reduction import (
+    RANK_RTOL,
+    _isotypic_copies,
+    _null_columns,
+    own_elements,
+    reduce_blocks,
+)
 
 from .oracles import (
     DenseSpace,
@@ -41,7 +50,19 @@ from .oracles import (
     pair_commutant,
     product_projector,
 )
-from .systems import CANON, SMALL, SU2, build, make, parallel_graph, triangle_graph
+from .systems import (
+    CANON,
+    SMALL,
+    SU2,
+    U1,
+    build,
+    edgeless_graph,
+    isolated_vertex_graph,
+    loops_and_parallels,
+    make,
+    parallel_graph,
+    triangle_graph,
+)
 
 # every system whose total dimension keeps the kron'd constraints small
 DENSE_OK = SMALL
@@ -197,19 +218,49 @@ def test_null_columns_match_scipy_null_space(shape, scale):
     assert_allclose(got @ got.conj().T, want @ want.conj().T, rtol=0, atol=1e-10)
 
 
-def assert_one_dim_blocks_match_null_space(trunc):
-    """The one-dimensional shortcut of ``_invariant_columns`` keeps a block
-    exactly when the null-space rule on its stacked generators does."""
-    for block in trunc.blocks:
-        if block.dim == 1:
-            gens = block_generators(block)
-            want = _null_columns(np.vstack(gens)).shape[1]
-            assert _invariant_columns(gens).shape[1] == want
+def assert_one_dim_blocks_match_null_space(trunc, n_max=3):
+    """The pass reads every one-dimensional block off one array of scalar
+    generators.  Block by block, from the block's own generators, the copy
+    split, copy basis and seed supports must be those of ``_isotypic_copies``
+    and ``_block_seeds``, and the block must keep its invariant vector exactly
+    when the null-space rule on its stacked generators (``_null_columns``,
+    which ``_invariant_columns`` applies) does."""
+    seeds = functools.partial(_block_seeds, n_max=n_max, method="lie", band=None)
+    space, inv, seeded = reduce_blocks(trunc, seeds=seeds)
+    for i, block in enumerate(trunc.blocks):
+        if block.dim > 1:
+            continue
+        gens = block_generators(block)
+        u, split = _isotypic_copies(block, gens)
+        assert [(space.irreps[c], cols) for c, cols in space.copies[i]] == split
+        assert np.array_equal(space.bases[i], u)
+        want = _block_seeds(block, gens, u, space.copies[i], n_max, "lie", None)
+        assert np.array_equal(seeded[i], want)
+        # a kept block's invariant row is its basis vector, entry exactly 1
+        kept = inv.vectors[:, trunc.offsets[i]]
+        want = _null_columns(np.vstack(gens))
+        assert np.array_equal(kept[kept != 0], np.abs(want[0]))
 
 
-@pytest.mark.parametrize("name", list(CANON))
+ONE_DIM_CASES = {
+    "su2-triangle-b1": (triangle_graph, SU2, 1),
+    "su2-loops-and-parallels": (loops_and_parallels, SU2, 1),
+    "u1-loops-and-parallels": (loops_and_parallels, U1, 1),
+    "su2-isolated-vertex": (isolated_vertex_graph, SU2, 1),
+    "u1-isolated-vertex": (isolated_vertex_graph, U1, 2),
+    "su2-edgeless": (edgeless_graph, SU2, 1),
+    "u1-edgeless": (edgeless_graph, U1, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(CANON) + list(ONE_DIM_CASES))
 def test_one_dim_blocks_match_null_space(name):
-    assert_one_dim_blocks_match_null_space(build(name))
+    if name in CANON:
+        trunc = build(name)
+    else:
+        graph, group, bound = ONE_DIM_CASES[name]
+        trunc = make(graph(), group, bound)
+    assert_one_dim_blocks_match_null_space(trunc)
 
 
 @pytest.mark.parametrize("name", SMALL)
