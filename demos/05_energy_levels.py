@@ -1,15 +1,13 @@
-"""Casimir energy levels and level-coarsened verification.
+"""Casimir energy levels, reported next to one verification.
 
 Each block has an exact rational energy: the sum over edges of the quadratic
 Casimir eigenvalue of that edge's label.  Blocks sharing an energy can be
 merged into one summed generator per power and level without changing the
 averaged ideal, because the block projectors already commute with the gauge
-action.  The merged run reports one generator group per level, but it
-averages the same per-block generators as the unmerged one: a block's
-averaged generator lives on its own block pair, and its roundoff is cut
-before a level sums them.  So the two ideals are equal by construction.
-Both are sums of whole commutant components, compared as masks over the
-commutant coordinates.
+action.  So the grouping is a label on the one verification: ``spectrum``
+and ``verify --coarse`` report it next to the per-block ideal.  Below, each
+level's generator powers are summed by hand and cut after summing, and the
+components they touch are exactly those of the verified ideal.
 """
 
 import numpy as np
@@ -19,8 +17,10 @@ from gaugereduce import (
     Graph,
     Truncation,
     block_energy,
-    coarsened_verify,
+    block_generators,
+    commutant_basis,
     eigenspace_grouping,
+    ideal_closure,
     su2_spin,
     u1_charge,
     verify_ideal,
@@ -46,14 +46,24 @@ print(f"  {len(tri_trunc.blocks)} blocks fall into {tri_grouping.n_levels} level
 for e, g, d in zip(tri_grouping.energies, tri_grouping.groups, tri_grouping.dims):
     print(f"    energy {e}: {len(g)} blocks, total dim {d}")
 
-print("\n== merged and unmerged generators reach the same ideal ==")
+print("\n== summing each level's generators reaches the same ideal ==")
 fine = verify_ideal(tri_trunc, n_max=2)
-coarse = coarsened_verify(tri_trunc, n_max=2)
-same = np.array_equal(fine.final_ideal.mask, coarse.final_ideal.mask)
-print(f"  per-block run:  {fine.n_groups} generator groups, "
-      f"final ideal dim {fine.rows[-1].dim_ideal}, "
+space = commutant_basis(tri_trunc)
+seeds = []
+for members in tri_grouping.groups:
+    # a U(1) block is one-dimensional: its generators are scalars, and a
+    # scalar power is the coordinate of its one commutant element
+    own = [space.by_pair[(i, i)][0] for i in members]
+    gens = np.array([block_generators(tri_trunc.blocks[i])[:, 0, 0] for i in members])
+    for n in (1, 2):
+        for power in (gens**n).T:  # one vertex generator, summed over the level
+            w = np.zeros(space.dim, dtype=complex)
+            w[own] = power
+            w[np.abs(w) <= 1e-10 * np.linalg.norm(w)] = 0  # cut after summing
+            seeds.append(w)
+merged = ideal_closure(space, np.array(seeds))
+print(f"  verified ideal:      dim {fine.rows[-1].dim_ideal}, "
       f"{'PASS' if fine.passed else 'FAIL'}")
-print(f"  per-level run:  {coarse.n_groups} generator groups, "
-      f"final ideal dim {coarse.rows[-1].dim_ideal}, "
-      f"{'PASS' if coarse.passed else 'FAIL'}")
-print(f"  the two final ideals hold the same commutant elements: {same}")
+print(f"  level-summed ideal:  dim {merged.dim}")
+same = np.array_equal(merged.mask, fine.final_ideal.mask)
+print(f"  the two hold the same commutant elements: {same}")

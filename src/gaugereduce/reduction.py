@@ -95,7 +95,7 @@ def projector_band(block: BlockLabel) -> IrrepLabel:
     incident edge endpoint (a loop contributes two), so the band must cover
     half the summed label degrees, rounded up.
     """
-    return required_band(block.labels[0].group, vertex_degree(block))
+    return required_band(block.group, vertex_degree(block))
 
 
 def vertex_actions(block: BlockLabel, need: IrrepLabel, band: IrrepLabel | None) -> list:

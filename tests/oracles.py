@@ -15,7 +15,9 @@ an eigendecomposition of the difference of their projectors.  A Gauss
 generator is also built here the long way, as one full Kronecker chain of
 per-edge factors for every edge at the vertex, and a Haar average over
 ``G^V`` as one sweep of the product scheme, ``|S|^V`` points, instead of
-one average per vertex.
+one average per vertex.  The claim that summing the generators over an
+energy level leaves the ideal as it is gets its own route
+(``level_summed_masks``), which cuts roundoff only after summing.
 """
 
 import itertools
@@ -187,7 +189,7 @@ def product_scheme(graph, group, band):
 def product_projector(block, band):
     """Invariant projector of a block as one sweep of the product scheme."""
     out = np.zeros((block.dim, block.dim), dtype=complex)
-    for w, g in product_scheme(block.graph, block.labels[0].group, band):
+    for w, g in product_scheme(block.graph, block.group, band):
         out += w * rho_block(block, g)
     return out
 
@@ -282,6 +284,34 @@ def round_closure(space, seeds, start=None, rtol=RANK_RTOL):
                     batches.append(block[keep])
         pending = absorb(np.vstack(batches)) if batches else np.zeros((0, q), complex)
     return SubspaceBasis(q, basis)
+
+
+def level_summed_masks(space, groups, n_max):
+    """The ideal generated by the Lie-route averages of the generator powers
+    summed over each group of blocks, as one cumulative mask per power.
+
+    For each group, vertex, Lie direction and power, the uncut copy-basis
+    coordinates of the power on every block of the group are added.  A
+    component is touched when the summed coordinates' norm on it exceeds
+    ``RANK_RTOL`` times the Frobenius norm of the group's summed power, the
+    direct sum of its blocks' powers.  The library cuts each block against
+    its own power instead, so the two masks agree only when no block's
+    weight on a component is lost against a larger block of its group."""
+    trunc = space.trunc
+    gens = [block_generators(block) for block in trunc.blocks]
+    touched = np.zeros((n_max, len(space.irreps)), dtype=bool)
+    for members in groups:
+        for g in range(len(gens[members[0]])):  # one (vertex, Lie direction)
+            powers = {i: np.eye(trunc.dims[i]) for i in members}
+            for n in range(n_max):
+                w, norm2 = np.zeros(space.dim, dtype=complex), 0.0
+                for i in members:
+                    powers[i] = powers[i] @ gens[i][g]
+                    w += coords_of(space, i, i, powers[i])
+                    norm2 += np.vdot(powers[i], powers[i]).real
+                weight = np.bincount(space.components, np.abs(w) ** 2, len(space.irreps))
+                touched[n] |= np.sqrt(weight) > RANK_RTOL * np.sqrt(norm2)
+    return np.logical_or.accumulate(touched, axis=0)[:, space.components]
 
 
 def mask_basis(ideal):

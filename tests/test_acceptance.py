@@ -13,7 +13,6 @@ import numpy as np
 
 from gaugereduce import (
     GaugeElement,
-    coarsened_verify,
     commutant_basis,
     eigenspace_grouping,
     exp_point,
@@ -33,6 +32,7 @@ from gaugereduce.cli import main
 from gaugereduce.groups import GroupId, IrrepLabel, lie_dim, su2_spin, u1_charge
 from gaugereduce.ideal import GeneratorSpec
 
+from .oracles import level_summed_masks
 from .systems import CANON, build
 
 DISTANCE_TOL = 1e-8
@@ -47,11 +47,8 @@ def report(num: int, ok: bool, text: str) -> None:
 
 
 @functools.cache
-def cached_verify(name: str, n_max: int, coarse: bool = False):
-    trunc = build(name)
-    if coarse:
-        return coarsened_verify(trunc, n_max=n_max)
-    return verify_ideal(trunc, n_max=n_max)
+def cached_verify(name: str, n_max: int):
+    return verify_ideal(build(name), n_max=n_max)
 
 
 U1_GRAPH_SECTIONS = {
@@ -269,17 +266,18 @@ def test_criterion_7_coarsening_invariance():
     for name in CANON:
         n_max = 4 if name.endswith("b2") and name.startswith("u1") else CANON[name][6]
         fine = cached_verify(name, n_max)
-        coarse = cached_verify(name, n_max, coarse=True)
-        differ += not np.array_equal(fine.final_ideal.mask, coarse.final_ideal.mask)
-        grouping = eigenspace_grouping(build(name))
+        trunc = build(name)
+        grouping = eigenspace_grouping(trunc)
+        masks = level_summed_masks(commutant_basis(trunc), grouping.groups, n_max)
+        differ += not np.array_equal(fine.final_ideal.mask, masks[-1])
         members = sorted(i for g in grouping.groups for i in g)
         ok = ok and members == list(range(fine.n_blocks))
     report(
         7,
         ok and differ == 0,
-        "energy-coarsened generators give the same final ideal on all "
-        f"systems (component masks differ on {differ}); levels partition the "
-        "blocks exactly",
+        "generators summed over each energy level, cut after summing "
+        "(1e-10), give the same final ideal on all systems (component masks "
+        f"differ on {differ}); levels partition the blocks exactly",
     )
 
 

@@ -26,10 +26,10 @@ from .systems import SMALL, CANON, build, edge_graph, parallel_graph, triangle_g
 
 def test_block_dims_are_products_of_squares():
     g = edge_graph()
-    assert BlockLabel(g, (su2_spin(1),)).dim == 9
-    assert BlockLabel(g, (u1_charge(-2),)).dim == 1
+    assert BlockLabel(g, GroupId.SU2, (su2_spin(1),)).dim == 9
+    assert BlockLabel(g, GroupId.U1, (u1_charge(-2),)).dim == 1
     g2 = parallel_graph()
-    assert BlockLabel(g2, (su2_spin(0.5), su2_spin(1))).dim == 4 * 9
+    assert BlockLabel(g2, GroupId.SU2, (su2_spin(0.5), su2_spin(1))).dim == 4 * 9
 
 
 def test_enumeration_is_lexicographic_over_edges():
@@ -57,7 +57,7 @@ def test_truncation_rejects_foreign_bound():
 
 def test_label_count_per_edge():
     with pytest.raises(ValueError):
-        BlockLabel(edge_graph(), (u1_charge(1), u1_charge(0)))
+        BlockLabel(edge_graph(), GroupId.U1, (u1_charge(1), u1_charge(0)))
 
 
 def random_connection(graph, group, rng):
@@ -71,7 +71,7 @@ def test_translation_matches_pointwise_evaluation(label):
     # Translating the argument of every basis function must agree with the
     # matrix acting on coefficients: values transform by the transpose.
     g = edge_graph()
-    block = BlockLabel(g, (label,))
+    block = BlockLabel(g, label.group, (label,))
     rng = np.random.default_rng(21)
     for _ in range(20):
         a = random_connection(g, GroupId.SU2, rng)
@@ -89,7 +89,7 @@ def test_translation_leaves_other_edges_alone():
 
     g = parallel_graph()
     half = su2_spin(0.5)
-    block = BlockLabel(g, (half, half))
+    block = BlockLabel(g, GroupId.SU2, (half, half))
     rng = np.random.default_rng(4)
     p = random_point(GroupId.SU2, rng)
     m = regular_action_block(block, "f", p, None)
@@ -102,7 +102,7 @@ def test_translation_leaves_other_edges_alone():
 
 def test_translation_is_unitary_homomorphism():
     g = edge_graph()
-    block = BlockLabel(g, (su2_spin(1),))
+    block = BlockLabel(g, GroupId.SU2, (su2_spin(1),))
     rng = np.random.default_rng(9)
     for _ in range(5):
         p = random_point(GroupId.SU2, rng)
@@ -121,7 +121,7 @@ def test_basis_functions_are_orthonormal(label):
     # Gram matrix of the rescaled coefficients over one edge, by exact Haar
     # quadrature: must be the identity.
     g = edge_graph()
-    block = BlockLabel(g, (label,))
+    block = BlockLabel(g, label.group, (label,))
     scheme = haar_scheme(label.group, label)
     gram = np.zeros((block.dim, block.dim), complex)
     for p, w in zip(scheme.points, scheme.weights):
@@ -132,8 +132,8 @@ def test_basis_functions_are_orthonormal(label):
 
 def test_distinct_blocks_are_orthogonal():
     g = edge_graph()
-    b1 = BlockLabel(g, (su2_spin(0.5),))
-    b2 = BlockLabel(g, (su2_spin(1),))
+    b1 = BlockLabel(g, GroupId.SU2, (su2_spin(0.5),))
+    b2 = BlockLabel(g, GroupId.SU2, (su2_spin(1),))
     scheme = haar_scheme(GroupId.SU2, su2_spin(1.5))
     cross = np.zeros((b1.dim, b2.dim), complex)
     for p, w in zip(scheme.points, scheme.weights):

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
+import gaugereduce.ideal
 from gaugereduce.cli import main
 from gaugereduce.config import ConfigError, parse_config
 from gaugereduce.groups import GroupId
 
+from .test_golden import GOLDEN
 from .test_ideal import count_builds
 
 U1_EDGE = """
@@ -331,6 +333,32 @@ def test_spectrum_reports_levels(tmp_path, capsys):
     assert payload["merged_vs_unmerged_distance"] <= 1e-8
     assert payload["coarse"] is True
     assert payload["pass"] is True
+
+
+def test_spectrum_runs_the_verification_once(tmp_path, capsys, monkeypatch):
+    # every verify_ideal call makes one pass over the blocks, wherever the
+    # caller imported verify_ideal from
+    calls, one_pass = [], gaugereduce.ideal.reduce_with_seeds
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return one_pass(*args, **kwargs)
+
+    monkeypatch.setattr(gaugereduce.ideal, "reduce_with_seeds", counted)
+    assert main(["spectrum", "--config", write_cfg(tmp_path, SU2_LOOP)]) == 0
+    assert json.loads(capsys.readouterr().out)["merged_vs_unmerged_distance"] == 0.0
+    assert len(calls) == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", ["lie", "quad"])
+def test_high_powers_do_not_overflow(capsys, method):
+    # on the spin-2 loop, |Gamma^n|^2 passes the largest double by n = 258: the
+    # stepped powers are rescaled, so the roundoff cut never sees inf or nan
+    cfg = str(GOLDEN / "su2-loop-b4.cfg")
+    assert main(["verify", "--config", cfg, "--nmax", "258", "--method", method]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["dim_ker_pi"] == payload["per_nmax"][-1]["dim_ideal"] == 30
 
 
 def test_coarse_flag(tmp_path, capsys):

@@ -2,10 +2,13 @@
 
 The run files and reports live in ``tests/golden/``.  The systems are the
 benchmark's (with its canonical vertex and edge names), both frontier rungs,
-u1 square b3 (2,401 one-dimensional blocks), the U(1) loop, and one
-quadrature, one coarse, one ``spectrum`` and one ``decompose`` command.  A
-change that is meant to leave every report as it is keeps these files
-untouched; one that changes a report on purpose regenerates them with
+u1 square b3 (2,401 one-dimensional blocks), the U(1) loop, one quadrature
+and one coarse command, a ``spectrum`` command on U(1) and on SU(2) (whose
+levels hold 1, 3, 3 and 1 blocks), and one ``decompose`` command.  Each runs
+with ``RuntimeWarning`` raised as an error, so a report is never reached
+through an overflow or an invalid value.  A change that is meant to leave
+every report as it is keeps these files untouched; one that changes a
+report on purpose regenerates them with
 
     PYTHONPATH=src python3 -m tests.test_golden
 
@@ -14,6 +17,7 @@ and says why in its description.
 
 import contextlib
 import io
+import warnings
 from pathlib import Path
 
 import pytest
@@ -36,6 +40,7 @@ COMMANDS = {
     "verify-u1-square-b3": ("verify", "u1-square-b3", ()),
     "verify-u1-loop-b1": ("verify", "u1-loop-b1", ()),
     "spectrum-u1-triangle-b2": ("spectrum", "u1-triangle-b2", ()),
+    "spectrum-su2-triangle-b1": ("spectrum", "su2-triangle-b1", ()),
     "decompose-u1-triangle-b2": ("decompose", "u1-triangle-b2", ()),
 }
 
@@ -45,7 +50,9 @@ def run(name: str) -> tuple[int, str]:
     command, system, flags = COMMANDS[name]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main([command, "--config", str(GOLDEN / f"{system}.cfg"), *flags])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([command, "--config", str(GOLDEN / f"{system}.cfg"), *flags])
     return code, out.getvalue()
 
 

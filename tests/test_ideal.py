@@ -21,6 +21,7 @@ from gaugereduce import (
     IrrepLabel,
     PiKernel,
     VertexGenerator,
+    block_generators,
     commutant_basis,
     gauss_generator_block,
     generator_coords,
@@ -43,7 +44,17 @@ from .oracles import (
     product_scheme,
     subspace_distance,
 )
-from .systems import CANON, SMALL, SU2, build, loop_graph, make, triangle_graph
+from .systems import (
+    CANON,
+    SMALL,
+    SU2,
+    U1,
+    build,
+    edgeless_graph,
+    loop_graph,
+    make,
+    triangle_graph,
+)
 
 
 def oracle_average(trunc, block_index, power, vertex, lie_index, extra_band=1):
@@ -294,16 +305,26 @@ def test_su2_loop_fails_at_first_power():
 
 
 @pytest.mark.parametrize(
-    "trunc,n_max",
-    [(build(k), CANON[k][6]) for k in SMALL] + [(make(triangle_graph(), SU2, 1), 2)],
-    ids=SMALL + ["su2-triangle-b1"],
+    "trunc,n_max,counts",
+    [(build(k), CANON[k][6], CANON[k][3:6]) for k in SMALL]
+    + [
+        (make(triangle_graph(), SU2, 1), 2, (26, 2, 22)),
+        (make(edgeless_graph(), SU2, 1), 2, (1, 1, 0)),
+        (make(edgeless_graph(), U1, 1), 2, (1, 1, 0)),
+    ],
+    ids=SMALL + ["su2-triangle-b1", "su2-edgeless", "u1-edgeless"],
 )
-def test_verify_methods_agree(trunc, n_max):
+def test_verify_methods_agree(trunc, n_max, counts):
     lie = verify_ideal(trunc, n_max=n_max, method="lie")
     quad = verify_ideal(trunc, n_max=n_max, method="quadrature")
     assert lie.passed and quad.passed
+    assert (lie.dim_ak, lie.dim_hk, lie.dim_ker_pi) == counts
+    assert (quad.dim_ak, quad.dim_hk, quad.dim_ker_pi) == counts
     assert [r.dim_ideal for r in lie.rows] == [r.dim_ideal for r in quad.rows]
     assert np.array_equal(lie.final_ideal.mask, quad.final_ideal.mask)
+    # one generator per vertex and Lie direction, edgeless blocks included
+    nv, nl = len(trunc.graph.vertices), lie_dim(trunc.group)
+    assert all(len(block_generators(b)) == nv * nl for b in trunc.blocks)
 
 
 def count_builds(monkeypatch) -> list:

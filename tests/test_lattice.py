@@ -92,7 +92,7 @@ def test_gauge_action_composes():
 
 def test_rho_block_is_a_unitary_homomorphism():
     graph = edge_graph()
-    block = BlockLabel(graph, (su2_spin(1),))
+    block = BlockLabel(graph, GroupId.SU2, (su2_spin(1),))
     rng = np.random.default_rng(17)
     for _ in range(5):
         g = random_gauge(graph, GroupId.SU2, rng)
@@ -116,7 +116,7 @@ def test_block_action_matches_pointwise_evaluation(graph_builder, labels):
     # rho(g) psi evaluated at a equals psi at g^{-1}.a; on value vectors the
     # matrix therefore appears transposed.  Checked at 20 random points.
     graph = graph_builder()
-    block = BlockLabel(graph, labels)
+    block = BlockLabel(graph, GroupId.SU2, labels)
     rng = np.random.default_rng(23)
     for _ in range(20):
         g = random_gauge(graph, GroupId.SU2, rng)
@@ -138,7 +138,7 @@ def test_block_action_matches_pointwise_evaluation(graph_builder, labels):
 )
 def test_gauss_generator_is_the_action_derivative(graph_builder, group, labels):
     graph = graph_builder()
-    block = BlockLabel(graph, labels)
+    block = BlockLabel(graph, group, labels)
     for v in graph.vertices:
         for k in range(lie_dim(group)):
             gen = VertexGenerator(v, k)
@@ -150,7 +150,7 @@ def test_gauss_generator_is_the_action_derivative(graph_builder, group, labels):
 
 def test_generators_at_distinct_vertices_commute():
     graph = triangle_graph()
-    block = BlockLabel(graph, (su2_spin(0.5), su2_spin(1), su2_spin(0.5)))
+    block = BlockLabel(graph, GroupId.SU2, (su2_spin(0.5), su2_spin(1), su2_spin(0.5)))
     a = gauss_generator_block(block, VertexGenerator("x", 0))
     b = gauss_generator_block(block, VertexGenerator("y", 2))
     assert_allclose(a @ b, b @ a, atol=1e-12)
@@ -240,14 +240,14 @@ def brute_force_flux(graph, charges, vertex):
 def test_vertex_flux_matches_brute_force():
     graph = triangle_graph()
     for charges in itertools.product((-2, -1, 0, 1, 2), repeat=3):
-        block = BlockLabel(graph, tuple(u1_charge(n) for n in charges))
+        block = BlockLabel(graph, GroupId.U1, tuple(u1_charge(n) for n in charges))
         for v in graph.vertices:
             assert vertex_flux(block, v) == brute_force_flux(graph, charges, v)
 
 
 def test_u1_generator_scalar_is_i_flux():
     graph = triangle_graph()
-    block = BlockLabel(graph, (u1_charge(1), u1_charge(-2), u1_charge(0)))
+    block = BlockLabel(graph, GroupId.U1, (u1_charge(1), u1_charge(-2), u1_charge(0)))
     for v in graph.vertices:
         gen = gauss_generator_block(block, VertexGenerator(v, 0))
         assert gen.shape == (1, 1)
@@ -257,20 +257,20 @@ def test_u1_generator_scalar_is_i_flux():
 def test_loop_flux_always_balances():
     graph = loop_graph()
     for n in range(-2, 3):
-        block = BlockLabel(graph, (u1_charge(n),))
+        block = BlockLabel(graph, GroupId.U1, (u1_charge(n),))
         assert vertex_flux(block, "x") == 0
         gen = gauss_generator_block(block, VertexGenerator("x", 0))
         assert abs(gen[0, 0]) == 0.0
 
 
 def test_flux_requires_u1():
-    block = BlockLabel(edge_graph(), (su2_spin(1),))
+    block = BlockLabel(edge_graph(), GroupId.SU2, (su2_spin(1),))
     with pytest.raises(ValueError):
         vertex_flux(block, "x")
 
 
 def test_identity_gauge_acts_trivially():
     graph = triangle_graph()
-    block = BlockLabel(graph, (su2_spin(0.5),) * 3)
+    block = BlockLabel(graph, GroupId.SU2, (su2_spin(0.5),) * 3)
     e = GaugeElement(graph, tuple(identity_point(GroupId.SU2) for _ in range(3)))
     assert_allclose(rho_block(block, e), np.eye(block.dim), atol=1e-14)

@@ -1,5 +1,6 @@
-"""Casimir energies, level grouping, and coarsened verification."""
+"""Casimir energies, level grouping, and the ideal summed over levels."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from gaugereduce import (
     block_energy,
-    coarsened_verify,
+    commutant_basis,
     eigenspace_grouping,
     label_energy,
     su2_spin,
@@ -15,8 +16,12 @@ from gaugereduce import (
     verify_ideal,
 )
 from gaugereduce.blocks import BlockLabel
+from gaugereduce.cli import main
+from gaugereduce.groups import GroupId
 
+from .oracles import level_summed_masks
 from .systems import CANON, SMALL, build, triangle_graph
+from .test_cli import U1_TRIANGLE, write_cfg
 
 
 def test_label_energies_are_exact_rationals():
@@ -29,7 +34,7 @@ def test_label_energies_are_exact_rationals():
 
 def test_block_energy_adds_over_edges():
     g = triangle_graph()
-    block = BlockLabel(g, (u1_charge(1), u1_charge(-2), u1_charge(0)))
+    block = BlockLabel(g, GroupId.U1, (u1_charge(1), u1_charge(-2), u1_charge(0)))
     assert block_energy(block) == Fraction(5)
 
 
@@ -64,20 +69,28 @@ def test_grouping_partitions_the_blocks(name):
 
 @pytest.mark.parametrize("name", SMALL)
 def test_coarsened_ideal_equals_fine_ideal(name):
+    # summing each level's coordinates before the roundoff cut reaches the
+    # per-block ideal at every power
     trunc = build(name)
     sat = CANON[name][6]
     fine = verify_ideal(trunc, n_max=sat)
-    coarse = coarsened_verify(trunc, n_max=sat)
-    assert coarse.passed == fine.passed
-    assert coarse.coarse and not fine.coarse
-    assert coarse.n_groups == eigenspace_grouping(trunc).n_levels
-    assert np.array_equal(fine.final_ideal.mask, coarse.final_ideal.mask)
-    assert [r.dim_ideal for r in coarse.rows] == [r.dim_ideal for r in fine.rows]
+    groups = eigenspace_grouping(trunc).groups
+    masks = level_summed_masks(commutant_basis(trunc), groups, sat)
+    assert fine.passed
+    assert np.array_equal(masks[-1], fine.final_ideal.mask)
+    assert masks.sum(axis=1).tolist() == [r.dim_ideal for r in fine.rows]
 
 
-def test_coarse_run_reports_one_group_per_level():
-    trunc = build("u1-triangle-b1")
-    coarse = coarsened_verify(trunc, n_max=1)
-    fine = verify_ideal(trunc, n_max=1)
-    assert coarse.n_groups == 4 < fine.n_groups == 27
-    assert coarse.passed
+def test_coarse_run_reports_one_group_per_level(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, U1_TRIANGLE)
+    reports = []
+    for flags in (["--coarse"], []):
+        assert main(["verify", "--config", cfg, "--nmax", "1", *flags]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    coarse, fine = reports
+    assert (coarse["coarse"], coarse["n_groups"]) == (True, 4)
+    assert (fine["coarse"], fine["n_groups"]) == (False, 27)
+    # the grouping is a label: everything else in the report is the same
+    for report in reports:
+        del report["coarse"], report["n_groups"]
+    assert coarse == fine
