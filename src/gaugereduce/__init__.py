@@ -38,7 +38,6 @@ from .ideal import (
     IdealMask,
     IdealReport,
     IdealRow,
-    conjugation_band,
     containment_residual,
     generator_coords,
     generator_op,
@@ -59,9 +58,10 @@ from .lattice import (
 from .reduction import (
     BandError,
     EquivariantSpace,
+    InvariantSpace,
     PiKernel,
-    SubspaceBasis,
     commutant_basis,
+    conjugation_band,
     invariant_basis,
     invariant_projector,
     kernel_pi_basis,

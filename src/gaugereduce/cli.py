@@ -9,8 +9,8 @@ Three subcommands work from the same run description file:
   the final power, 1 when they do not.
 * ``spectrum``   -- list the energy levels next to the comparison.  Summing
   the generators over a level cannot change the ideal (see ``spectrum``),
-  so the reported distance between the merged and unmerged ideals is 0 by
-  construction; ``verify --coarse`` reports the grouping the same way.
+  so the comparison is run once, per block; ``verify --coarse`` reports
+  the grouping the same way.
 
 Malformed run files, unwritable report paths and quadrature bands too
 small for their integrands exit with status 2.  Reports are JSON with
@@ -26,8 +26,6 @@ import json
 import math
 import sys
 import time
-
-import numpy as np
 
 from .blocks import Truncation
 from .config import METHODS, ConfigError, RunConfig, parse_config
@@ -113,16 +111,12 @@ def cmd_decompose(cfg: RunConfig, args) -> int:
     trunc = _truncation(cfg)
     space, inv, _ = reduce_blocks(trunc)
     blocks = []
-    off = trunc.offsets
     for i, block in enumerate(trunc.blocks):
-        # the basis rows are orthonormal and each lies in one block, so the
-        # squared norm of a block's columns counts its invariant vectors
-        inv_dim = round(np.linalg.norm(inv.vectors[:, off[i] : off[i + 1]]) ** 2)
         blocks.append(
             {
                 "labels": [lab.value for lab in block.labels],
                 "dim": trunc.dims[i],
-                "invariant_dim": inv_dim,
+                "invariant_dim": inv.columns[i].shape[1],
                 "energy": str(block_energy(block)),
             }
         )
@@ -166,7 +160,6 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
         }
         for e, members, dim in zip(grouping.energies, grouping.groups, grouping.dims)
     ]
-    payload["merged_vs_unmerged_distance"] = 0.0  # by construction
     print(f"elapsed: {report.seconds:.3f}s", file=sys.stderr)
     _emit(payload, args.out or cfg.out)
     return 0 if report.passed else 1

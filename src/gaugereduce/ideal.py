@@ -15,31 +15,34 @@ The closure step works in commutant coordinates.  The commutant is a sum
 of full matrix algebras, one per gauge irrep, and a two-sided ideal of such
 an algebra is a sum of whole components (Wedderburn-Artin): the ideal
 generated by a set of seeds is the sum of the components they touch, held
-as a boolean mask over the coordinates.  Roundoff is cut once, where the
-seed coordinates are computed, relative to the size of the generator power
-they come from.
+as a boolean mask over the coordinates.  The seeds themselves come from
+the one pass over the blocks in ``reduction.py``; this module keeps the
+spec-by-spec reference routes to them (``generator_op``,
+``generator_coords``), the closure, the distances to ``ker(pi)`` and the
+verification that compares the two.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import BlockLabel, Truncation
+from .blocks import Truncation
 from .groups import GroupId, IrrepLabel
 from .lattice import VertexGenerator, gauss_generator_block
 from .reduction import (
-    RANK_RTOL,
     EquivariantSpace,
     PiKernel,
+    _averaging_actions,
+    _conjugation_average,
+    _roundoff_cut,
+    conjugation_band,
     kernel_pi_basis,
     own_elements,
     reduce_blocks,
     vertex_actions,
-    vertex_degree,
 )
 
 # Norm below which a seed row counts as zero.  The library no longer
@@ -62,36 +65,6 @@ class GeneratorSpec:
     power: int
 
 
-def conjugation_band(block: BlockLabel) -> IrrepLabel:
-    """Smallest per-vertex band that averages conjugation on this block.
-
-    Conjugating puts the block action on both sides of the generator, so
-    the degree count of the projector doubles: the band must cover the full
-    summed label degree at the busiest vertex.
-    """
-    return IrrepLabel(block.group, vertex_degree(block))
-
-
-def _averaging_actions(block: BlockLabel, basis: np.ndarray, method: str, band) -> list:
-    """Per-vertex actions, in the block's copy basis ``basis``, that average
-    conjugation: none for ``method="lie"``, which reads the average off the
-    raw power, nor for a one-dimensional block, which conjugates trivially."""
-    if method not in ("lie", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "lie" or block.dim == 1:
-        return []
-    actions = vertex_actions(block, conjugation_band(block), band)
-    return [(weights, basis.conj().T @ rho @ basis) for weights, rho in actions]
-
-
-def _conjugation_average(gn: np.ndarray, actions) -> np.ndarray:
-    """Haar average of ``rho(k) gn rho(k)^-1``: the map
-    ``X -> sum_s w_s rho_v(s) X rho_v(s)^H`` applied once per vertex."""
-    for weights, rho in actions:
-        gn = np.tensordot(weights, rho @ gn @ rho.conj().transpose(0, 2, 1), 1)
-    return gn
-
-
 def generator_op(
     trunc: Truncation, spec: GeneratorSpec, band: IrrepLabel | None = None
 ) -> np.ndarray:
@@ -100,17 +73,8 @@ def generator_op(
     block = trunc.blocks[spec.block]
     gamma = gauss_generator_block(block, VertexGenerator(spec.vertex, spec.lie_index))
     actions = [] if block.dim == 1 else vertex_actions(block, conjugation_band(block), band)
+    actions = [(weights, rho, rho.conj().transpose(0, 2, 1)) for weights, rho in actions]
     return _conjugation_average(np.linalg.matrix_power(gamma, spec.power), actions)
-
-
-def _roundoff_cut(comps: np.ndarray, coords, norms) -> np.ndarray:
-    """The roundoff cut of ``generator_coords`` on one block: the last axis
-    of ``coords`` runs over the block's own elements, of components
-    ``comps``, and ``norms`` holds the raw powers' Frobenius norms over the
-    leading axes."""
-    weight = np.abs(coords) ** 2 @ (comps[:, None] == comps)  # per component
-    coords[np.sqrt(weight) <= RANK_RTOL * norms[..., None]] = 0
-    return coords
 
 
 def generator_coords(
@@ -140,47 +104,6 @@ def generator_coords(
     out = np.zeros(space.dim, dtype=complex)
     out[space.by_pair[(i, i)]] = _roundoff_cut(comps, read(avg), norm)
     return out
-
-
-def _block_seeds(block: BlockLabel | None, gens, basis, copies, n_max: int, method: str, band):
-    """Seed supports on one block's ``own_elements``: entry ``(n - 1, k)`` is
-    set when the averaged ``n``-th power of some generator in ``gens``,
-    stepped as ``Gamma^(n-1) Gamma`` in the copy basis, has a nonzero
-    coordinate ``k``.  The block is cut in one pass.  Each stepped power is
-    rescaled by a power of two taken from its Frobenius norm: the cut
-    compares quantities of one scale, so every decision is unchanged, and no
-    power overflows.
-
-    With ``block=None``, ``gens`` holds the ``(n_blocks, V*L)`` scalar
-    generators of one-dimensional blocks, and entry ``b`` of the result is
-    block ``b``'s ``(n_max, 1)`` support: a scalar power is its own average
-    and its own coordinate, and it is zero exactly when the scalar is."""
-    if block is None:
-        return np.repeat(gens.any(axis=1)[:, None, None], n_max, axis=1)
-    comps, read = own_elements(copies)
-    coords = np.zeros((len(gens), n_max, len(comps)), dtype=complex)
-    norms = np.zeros((len(gens), n_max))
-    actions = _averaging_actions(block, basis, method, band)
-    uh = basis.conj().T
-    for d, gamma in enumerate(gens):
-        gamma = gn = uh @ gamma @ basis
-        for n in range(n_max):
-            if n:
-                gn = np.ldexp(1.0, -np.frexp(norms[d, n - 1])[1]) * gn @ gamma
-            coords[d, n] = read(_conjugation_average(gn, actions))
-            norms[d, n] = np.sqrt(np.vdot(gn, gn).real)  # Frobenius
-    return (_roundoff_cut(comps, coords, norms) != 0).any(axis=0)
-
-
-def reduce_with_seeds(trunc: Truncation, n_max: int, method: str = "lie", band=None):
-    """The commutant, the invariant subspace and the seed supports, from one
-    pass over the blocks.  Entry ``(n - 1, k)`` of the supports is set when
-    some ``GeneratorSpec(i, v, a, n)`` has a nonzero coordinate ``k``."""
-    seeds = functools.partial(_block_seeds, n_max=n_max, method=method, band=band)
-    space, inv, own = reduce_blocks(trunc, invariants=method, seeds=seeds)
-    support = np.zeros((n_max, space.dim), dtype=bool)
-    support[:, [k for i in range(len(own)) for k in space.by_pair[(i, i)]]] = np.hstack(own)
-    return space, inv, support
 
 
 class IdealMask:
@@ -272,7 +195,7 @@ def verify_ideal(
         n_max = default_n_max(trunc)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    space, inv, support = reduce_with_seeds(trunc, n_max, method, band)
+    space, inv, support = reduce_blocks(trunc, method, n_max, band)
     kernel = kernel_pi_basis(space, inv)
     rows = []
     ideal = None

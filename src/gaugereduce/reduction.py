@@ -1,28 +1,32 @@
 """Gauge reduction machinery.
 
-Three objects are produced from a truncation:
+Four objects are produced from a truncation:
 
 * the invariant subspace of the field space (joint kernel of the vertex
   Gauss generators, or equivalently the range of the Haar-averaged
-  projector),
+  projector), held block by block as orthonormal columns,
 * the commutant algebra -- the block operators commuting with every
   gauge transformation.  Each block is split once into irreducible copies
   of the gauge action, labelled by a gauge irrep ``lam``; the commutant is
   then ``sum_lam M_{m_lam}(C)``, one full matrix algebra per irrep, whose
   matrix units between copies (Schur's lemma) are held as copy indices,
+* the supports of the Haar-averaged Gauss generator powers in the
+  commutant coordinates, the seeds of the ideal in ``ideal.py``,
 * the matrix of the restriction map ``pi`` sending a commutant element to
   its compression onto the invariant subspace, and its kernel, kept by its
   complement, the row space of ``pi``.  Neither uses the irrep labels, so
   comparing the kernel with the ideal built from them is a genuine check.
 
-All three come from one pass over the blocks (``reduce_blocks``): each
-block's Gauss generators are built once, everything that needs them is read
-off, and they are dropped before the next block is built.  A
+The first three come from one pass over the blocks (``reduce_blocks``):
+each block's Gauss generators are built once, everything that needs them is
+read off, and they are dropped before the next block is built.  A
 one-dimensional block carries a character of ``G^V`` and its generators are
 scalars, so all such blocks are read off one array of them at once.
 
 Everything is finite-dimensional linear algebra; ranks are decided at a
 single relative tolerance so the counts reported downstream are stable.
+Roundoff in a seed is cut once, where its coordinates are computed,
+relative to the size of the generator power it comes from.
 """
 
 from __future__ import annotations
@@ -50,18 +54,14 @@ class BandError(ValueError):
         )
 
 
-class SubspaceBasis:
-    """An orthonormal set of row vectors spanning a subspace."""
+class InvariantSpace:
+    """The invariant subspace, block by block: ``columns[i]`` holds block
+    ``i``'s orthonormal invariant vectors as columns.  Taken in block order,
+    they are an orthonormal basis of the whole subspace."""
 
-    def __init__(self, ambient_dim: int, vectors: np.ndarray | None = None):
-        self.ambient_dim = ambient_dim
-        if vectors is None:
-            vectors = np.zeros((0, ambient_dim), dtype=complex)
-        self.vectors = np.asarray(vectors, dtype=complex).reshape(-1, ambient_dim)
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
+    def __init__(self, columns):
+        self.columns = list(columns)
+        self.dim = sum(cols.shape[1] for cols in self.columns)
 
 
 class PiKernel:
@@ -96,6 +96,16 @@ def projector_band(block: BlockLabel) -> IrrepLabel:
     half the summed label degrees, rounded up.
     """
     return required_band(block.group, vertex_degree(block))
+
+
+def conjugation_band(block: BlockLabel) -> IrrepLabel:
+    """Smallest per-vertex band that averages conjugation on this block.
+
+    Conjugating puts the block action on both sides of the generator, so
+    the degree count of the projector doubles: the band must cover the full
+    summed label degree at the busiest vertex.
+    """
+    return IrrepLabel(block.group, vertex_degree(block))
 
 
 def vertex_actions(block: BlockLabel, need: IrrepLabel, band: IrrepLabel | None) -> list:
@@ -159,9 +169,9 @@ def _invariant_columns(gens: np.ndarray) -> np.ndarray:
     return _null_columns(gens.reshape(-1, gens.shape[1]))
 
 
-def invariant_basis(trunc: Truncation, method: str = "lie") -> SubspaceBasis:
+def invariant_basis(trunc: Truncation, method: str = "lie") -> InvariantSpace:
     """Orthonormal basis of the invariant subspace of the whole truncation."""
-    return reduce_blocks(trunc, invariants=method, commutant=False)[1]
+    return reduce_blocks(trunc, method)[1]
 
 
 def own_elements(copies: list):
@@ -290,7 +300,66 @@ def commutant_basis(trunc: Truncation) -> EquivariantSpace:
     commutant, one full matrix algebra per irrep.  Each matrix unit is held
     as the index of its two copies.
     """
-    return reduce_blocks(trunc, invariants=None)[0]
+    return reduce_blocks(trunc)[0]
+
+
+def _averaging_actions(block: BlockLabel, basis: np.ndarray, method: str, band) -> list:
+    """Per-vertex ``(weights, actions, inverses)``, in the block's copy basis
+    ``basis``, that average conjugation: none for ``method="lie"``, which
+    reads the average off the raw power, nor for a one-dimensional block,
+    which conjugates trivially.  The inverses of the unitary actions are
+    their conjugate transposes, taken here once per block."""
+    if method not in ("lie", "quadrature"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "lie" or block.dim == 1:
+        return []
+    out = []
+    for weights, rho in vertex_actions(block, conjugation_band(block), band):
+        rho = basis.conj().T @ rho @ basis
+        out.append((weights, rho, rho.conj().transpose(0, 2, 1)))
+    return out
+
+
+def _conjugation_average(gn: np.ndarray, actions) -> np.ndarray:
+    """Haar average of ``rho(k) gn rho(k)^-1``: the map
+    ``X -> sum_s w_s rho_v(s) X rho_v(s)^H`` applied once per vertex."""
+    for weights, rho, inverse in actions:
+        gn = np.tensordot(weights, rho @ gn @ inverse, 1)
+    return gn
+
+
+def _roundoff_cut(comps: np.ndarray, coords, norms) -> np.ndarray:
+    """The roundoff cut on one block: the last axis of ``coords`` runs over
+    the block's own elements, of components ``comps``, and ``norms`` holds
+    the raw powers' Frobenius norms over the leading axes.  Coordinates on a
+    component whose norm there is at most ``RANK_RTOL`` times that of the
+    raw power are roundoff and are set to zero."""
+    weight = np.abs(coords) ** 2 @ (comps[:, None] == comps)  # per component
+    coords[np.sqrt(weight) <= RANK_RTOL * norms[..., None]] = 0
+    return coords
+
+
+def _block_seeds(block: BlockLabel, gens, basis, copies, n_max: int, method: str, band):
+    """Seed supports on one block's ``own_elements``: entry ``(n - 1, k)`` is
+    set when the averaged ``n``-th power of some generator in ``gens``,
+    stepped as ``Gamma^(n-1) Gamma`` in the copy basis, has a nonzero
+    coordinate ``k``.  The block is cut in one pass.  Each stepped power is
+    rescaled by a power of two taken from its Frobenius norm: the cut
+    compares quantities of one scale, so every decision is unchanged, and no
+    power overflows."""
+    comps, read = own_elements(copies)
+    coords = np.zeros((len(gens), n_max, len(comps)), dtype=complex)
+    norms = np.zeros((len(gens), n_max))
+    actions = _averaging_actions(block, basis, method, band) if n_max else []
+    uh = basis.conj().T
+    for d, gamma in enumerate(gens):
+        gamma = gn = uh @ gamma @ basis
+        for n in range(n_max):
+            if n:
+                gn = np.ldexp(1.0, -np.frexp(norms[d, n - 1])[1]) * gn @ gamma
+            coords[d, n] = read(_conjugation_average(gn, actions))
+            norms[d, n] = np.sqrt(np.vdot(gn, gn).real)  # Frobenius
+    return (_roundoff_cut(comps, coords, norms) != 0).any(axis=0)
 
 
 # the copy basis, or kept invariant column, of every one-dimensional block:
@@ -300,88 +369,91 @@ _UNIT.setflags(write=False)
 _EMPTY.setflags(write=False)
 
 
-def _scalar_parts(trunc: Truncation, seeds):
+def _scalar_parts(trunc: Truncation, n_max: int):
     """Per one-dimensional block of ``trunc``, in order, the ``(basis,
-    copies, seeds, lie invariant columns)`` of ``reduce_blocks``, read with
-    whole-array operations off their stacked scalar generators
+    copies, seed supports, lie invariant columns)`` of ``reduce_blocks``,
+    read with whole-array operations off their stacked scalar generators
     (``scalar_generators``); every truncation has one, of all-zero labels.
     Such a block carries a character of ``G^V``: it is one copy, with basis
     ``[[1]]`` and weight ``2 Re(i Gamma_{v,L-1})`` at each vertex, and it is
-    invariant iff every scalar is zero.  The seeds hook, when given, takes
-    all the blocks at once as ``seeds(None, scalars, None, None)``."""
+    invariant iff every scalar is zero.  A scalar power is its own average
+    and its own coordinate, and it is zero exactly when the scalar is, so
+    the ``(n_max, 1)`` support repeats whether any scalar is nonzero."""
     blocks = [b for b, d in zip(trunc.blocks, trunc.dims) if d == 1]
     gens = scalar_generators(blocks)
     nl = len(lie_directions(blocks[0]))
     weights = np.rint(2 * (1j * gens[:, nl - 1 :: nl]).real).astype(int).tolist()
-    seeded = repeat(None) if seeds is None else seeds(None, gens, None, None)
-    columns = [_UNIT if keep else _EMPTY for keep in ~gens.any(axis=1)]
+    live = gens.any(axis=1)
+    seeded = np.repeat(live[:, None, None], n_max, axis=1)
+    columns = [_EMPTY if touched else _UNIT for touched in live]
     return zip(repeat(_UNIT), ([(tuple(w), slice(0, 1))] for w in weights), seeded, columns)
 
 
-def reduce_blocks(
-    trunc: Truncation, invariants: str | None = "lie", commutant: bool = True, seeds=None
-):
-    """One pass over the blocks: the commutant (if ``commutant``), the
-    invariant subspace by the method ``invariants`` of ``invariant_projector``
-    (unless ``None``), and the list of ``seeds(block, gens, basis, copies)``
-    per block, when given, with ``copies`` numbered by component.  The
+def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=None):
+    """One pass over the blocks: the commutant, the invariant subspace by
+    the ``method`` of ``invariant_projector``, and the seed supports of the
+    powers ``1..n_max``, averaged by the same ``method`` (``band`` overrides
+    the quadrature band).  Entry ``(n - 1, k)`` of the supports is set when
+    some ``GeneratorSpec(i, v, a, n)`` has a nonzero coordinate ``k``.  The
     one-dimensional blocks are read off one array (``_scalar_parts``); every
     other block's generators are built once and dropped before the next
     block's.
     """
     irreps: dict[tuple[int, ...], int] = {}
     bases, copies, columns, seeded = [], [], [], []
-    scalar = _scalar_parts(trunc, seeds if commutant else None)
+    scalar = _scalar_parts(trunc, n_max)
     for block, d in zip(trunc.blocks, trunc.dims):
         if d == 1:
             u, split, seed, cols = next(scalar)
         else:
-            gens = block_generators(block) if commutant or invariants == "lie" else None
-            if commutant:
-                u, split = _isotypic_copies(block, gens)
-            cols = _invariant_columns(gens) if invariants == "lie" else None
-        if invariants not in (None, "lie"):
-            vals, vecs = np.linalg.eigh(invariant_projector(block, method=invariants))
+            gens = block_generators(block)
+            u, split = _isotypic_copies(block, gens)
+        bases.append(u)
+        copies.append([(irreps.setdefault(lam, len(irreps)), c) for lam, c in split])
+        if d > 1:
+            seed = _block_seeds(block, gens, u, copies[-1], n_max, method, band)
+            cols = _invariant_columns(gens) if method == "lie" else None
+            gens = None  # only one block's generators are alive at a time
+        if method != "lie":
+            vals, vecs = np.linalg.eigh(invariant_projector(block, method=method))
             cols = vecs[:, vals > 0.5]
-        if commutant:
-            bases.append(u)
-            copies.append([(irreps.setdefault(lam, len(irreps)), c) for lam, c in split])
-            if seeds is not None:
-                seeded.append(seed if d == 1 else seeds(block, gens, u, copies[-1]))
+        seeded.append(seed)
         columns.append(cols)
-        gens = None  # only one block's generators are alive at a time
-    space = EquivariantSpace(trunc, bases, copies, irreps) if commutant else None
-    if invariants is None:
-        return space, None, seeded
-    rows = np.zeros((sum(c.shape[1] for c in columns), trunc.total_dim), dtype=complex)
-    start, off = 0, trunc.offsets
-    for i, cols in enumerate(columns):
-        rows[start : start + cols.shape[1], off[i] : off[i + 1]] = cols.T
-        start += cols.shape[1]
-    return space, SubspaceBasis(trunc.total_dim, rows), seeded
+    space = EquivariantSpace(trunc, bases, copies, irreps)
+    support = np.zeros((n_max, space.dim), dtype=bool)
+    own = [k for i in range(len(seeded)) for k in space.by_pair[(i, i)]]
+    support[:, own] = np.hstack(seeded)
+    return space, InvariantSpace(columns), support
 
 
-def pi_matrix(space: EquivariantSpace, inv: SubspaceBasis) -> np.ndarray:
+def pi_matrix(space: EquivariantSpace, inv: InvariantSpace) -> np.ndarray:
     """Matrix of the compression map onto the invariant subspace.
 
     Columns follow the commutant basis; rows are the flattened matrix units
     of the invariant-subspace basis.  Element ``(i, a, j, b)`` compresses to
     ``O_i[:, a] O_j[:, b]^H / sqrt(dim)``, ``O_i`` the overlaps of the
-    invariant vectors with block ``i``'s copy basis.
+    invariant vectors with block ``i``'s copy basis, nonzero only on block
+    ``i``'s invariant rows.  So a block without invariant vectors has no
+    overlaps, and a component none of whose copies lies in such a block
+    compresses to zero: both are skipped.
     """
-    h, off, start = inv.dim, space.trunc.offsets, 0
-    out = np.zeros((h * h, space.dim), dtype=complex)
-    over = [inv.vectors[:, off[i] : off[i + 1]].conj() @ u for i, u in enumerate(space.bases)]
+    h, start = inv.dim, 0
+    out = np.zeros((h, h, space.dim), dtype=complex)
+    first = np.cumsum([0] + [cols.shape[1] for cols in inv.columns])  # row offsets
+    over = {i: c.conj().T @ u for i, (c, u) in enumerate(zip(inv.columns, space.bases)) if c.size}
     for held in space.members:
-        o = np.vstack([over[i][:, space.copies[i][a][1]] for i, a in held])
-        m, w = len(held), o.shape[1]
-        units = (o @ o.conj().T).reshape(m, h, m, h).transpose(1, 3, 0, 2) / np.sqrt(w)
-        out[:, start : start + m * m] = units.reshape(h * h, m * m)
+        m, live = len(held), [(p, i, a) for p, (i, a) in enumerate(held) if i in over]
+        if live:
+            o = np.vstack([over[i][:, space.copies[i][a][1]] for _, i, a in live])
+            rows = np.concatenate([np.arange(first[i], first[i + 1]) for _, i, _ in live])
+            at = np.concatenate([np.full(first[i + 1] - first[i], p) for p, i, _ in live])
+            cols = start + at[:, None] * m + at  # element (p, t) for rows of members p, t
+            out[rows[:, None], rows, cols] = o @ o.conj().T / np.sqrt(o.shape[1])
         start += m * m
-    return out
+    return out.reshape(h * h, space.dim)
 
 
-def kernel_pi_basis(space: EquivariantSpace, inv: SubspaceBasis) -> PiKernel:
+def kernel_pi_basis(space: EquivariantSpace, inv: InvariantSpace) -> PiKernel:
     """Kernel of the compression map, by the row space of its matrix.
 
     A thin SVD of ``pi_matrix`` keeps the right singular vectors whose

@@ -9,13 +9,14 @@ blocks at a time, or the library's matrix units written out; products are
 resolved numerically into its span, which is checked; and the ideal is
 reached by a round-based sweep of left and right multiplications through
 those numeric product tables.  They are slow but independent.  Subspaces
-are dense orthonormal row bases here: ``ker(pi)`` is the full-SVD null
-space of ``pi_matrix``, and the distance between two subspaces is read off
-an eigendecomposition of the difference of their projectors.  A Gauss
-generator is also built here the long way, as one full Kronecker chain of
-per-edge factors for every edge at the vertex, and a Haar average over
-``G^V`` as one sweep of the product scheme, ``|S|^V`` points, instead of
-one average per vertex.  The claim that summing the generators over an
+are dense orthonormal row bases here (``SubspaceBasis``; ``invariant_rows``
+writes the library's per-block invariant vectors out that way):
+``ker(pi)`` is the full-SVD null space of ``pi_matrix``, and the distance
+between two subspaces is read off an eigendecomposition of the difference
+of their projectors.  A Gauss generator is also built here the long way,
+as one full Kronecker chain of per-edge factors for every edge at the
+vertex, and a Haar average over ``G^V`` as one sweep of the product
+scheme, ``|S|^V`` points, instead of one average per vertex.  The claim that summing the generators over an
 energy level leaves the ideal as it is gets its own route
 (``level_summed_masks``), which cuts roundoff only after summing.
 """
@@ -26,13 +27,37 @@ import numpy as np
 from scipy.linalg import null_space
 from scipy.sparse import csr_matrix
 
-from gaugereduce import SubspaceBasis
 from gaugereduce.blocks import kron_chain
 from gaugereduce.groups import haar_scheme, irrep_generator
 from gaugereduce.lattice import GaugeElement, block_generators, rho_block
 from gaugereduce.reduction import RANK_RTOL, pi_matrix
 
 MINIMUM_SEED = 1e-12
+
+
+class SubspaceBasis:
+    """An orthonormal set of row vectors spanning a subspace."""
+
+    def __init__(self, ambient_dim: int, vectors: np.ndarray | None = None):
+        self.ambient_dim = ambient_dim
+        if vectors is None:
+            vectors = np.zeros((0, ambient_dim), dtype=complex)
+        self.vectors = np.asarray(vectors, dtype=complex).reshape(-1, ambient_dim)
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[0]
+
+
+def invariant_rows(trunc, inv):
+    """The library's per-block invariant columns written out as dense
+    orthonormal rows over the whole field space, in block order."""
+    rows = np.zeros((inv.dim, trunc.total_dim), dtype=complex)
+    start, off = 0, trunc.offsets
+    for i, cols in enumerate(inv.columns):
+        rows[start : start + cols.shape[1], off[i] : off[i + 1]] = cols.T
+        start += cols.shape[1]
+    return rows
 
 
 class SpanConsistencyError(RuntimeError):

@@ -4,11 +4,11 @@ The run files and reports live in ``tests/golden/``.  The systems are the
 benchmark's (with its canonical vertex and edge names), both frontier rungs,
 u1 square b3 (2,401 one-dimensional blocks), the U(1) loop, one quadrature
 and one coarse command, a ``spectrum`` command on U(1) and on SU(2) (whose
-levels hold 1, 3, 3 and 1 blocks), and one ``decompose`` command.  Each runs
-with ``RuntimeWarning`` raised as an error, so a report is never reached
-through an overflow or an invalid value.  A change that is meant to leave
-every report as it is keeps these files untouched; one that changes a
-report on purpose regenerates them with
+levels hold 1, 3, 3 and 1 blocks), and a ``decompose`` command on U(1)
+and on SU(2).  Each runs with ``RuntimeWarning`` raised as an error, so a
+report is never reached through an overflow or an invalid value.  A change
+that is meant to leave every report as it is keeps these files untouched;
+one that changes a report on purpose regenerates them with
 
     PYTHONPATH=src python3 -m tests.test_golden
 
@@ -42,6 +42,7 @@ COMMANDS = {
     "spectrum-u1-triangle-b2": ("spectrum", "u1-triangle-b2", ()),
     "spectrum-su2-triangle-b1": ("spectrum", "su2-triangle-b1", ()),
     "decompose-u1-triangle-b2": ("decompose", "u1-triangle-b2", ()),
+    "decompose-su2-triangle-b1": ("decompose", "su2-triangle-b1", ()),
 }
 
 

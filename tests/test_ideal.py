@@ -32,10 +32,11 @@ from gaugereduce import (
     verify_ideal,
 )
 from gaugereduce.groups import casimir_eigenvalue, lie_dim
-from gaugereduce.ideal import conjugation_band, default_n_max, reduce_with_seeds
-from gaugereduce.reduction import SubspaceBasis
+from gaugereduce.ideal import conjugation_band, default_n_max
+from gaugereduce.reduction import reduce_blocks
 
 from .oracles import (
+    SubspaceBasis,
     containment_residual,
     coords_of,
     coords_of_matrix,
@@ -138,7 +139,7 @@ def test_stepped_seed_rows_equal_spec_by_spec_coords(name, method):
     # once; each spec here rebuilds its generator and takes a matrix power.
     # The stepped support is the union of the specs' supports.
     trunc = build(name)
-    space, _, support = reduce_with_seeds(trunc, 4, method)
+    space, _, support = reduce_blocks(trunc, method, 4)
     directions = [(v, a) for v in trunc.graph.vertices for a in range(lie_dim(trunc.group))]
     for n, got in enumerate(support, 1):
         want = np.zeros(space.dim, dtype=bool)

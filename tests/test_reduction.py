@@ -6,8 +6,6 @@ constraints, with no block bookkeeping at all, and must agree with the
 irrep-based computation in both dimension and span.
 """
 
-import functools
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,6 +15,7 @@ from gaugereduce import (
     BandError,
     EquivariantSpace,
     GaugeElement,
+    InvariantSpace,
     IrrepLabel,
     commutant_basis,
     invariant_basis,
@@ -29,9 +28,9 @@ from gaugereduce import (
     vertex_flux,
 )
 from gaugereduce.lattice import block_generators
-from gaugereduce.ideal import _block_seeds
 from gaugereduce.reduction import (
     RANK_RTOL,
+    _block_seeds,
     _isotypic_copies,
     _null_columns,
     own_elements,
@@ -46,6 +45,7 @@ from .oracles import (
     dense_space,
     element_matrix,
     element_op,
+    invariant_rows,
     op_from_coords,
     pair_commutant,
     product_projector,
@@ -225,8 +225,8 @@ def assert_one_dim_blocks_match_null_space(trunc, n_max=3):
     and ``_block_seeds``, and the block must keep its invariant vector exactly
     when the null-space rule on its stacked generators (``_null_columns``,
     which ``_invariant_columns`` applies) does."""
-    seeds = functools.partial(_block_seeds, n_max=n_max, method="lie", band=None)
-    space, inv, seeded = reduce_blocks(trunc, seeds=seeds)
+    space, inv, support = reduce_blocks(trunc, n_max=n_max)
+    rows = invariant_rows(trunc, inv)
     for i, block in enumerate(trunc.blocks):
         if block.dim > 1:
             continue
@@ -235,9 +235,9 @@ def assert_one_dim_blocks_match_null_space(trunc, n_max=3):
         assert [(space.irreps[c], cols) for c, cols in space.copies[i]] == split
         assert np.array_equal(space.bases[i], u)
         want = _block_seeds(block, gens, u, space.copies[i], n_max, "lie", None)
-        assert np.array_equal(seeded[i], want)
+        assert np.array_equal(support[:, space.by_pair[(i, i)]], want)
         # a kept block's invariant row is its basis vector, entry exactly 1
-        kept = inv.vectors[:, trunc.offsets[i]]
+        kept = rows[:, trunc.offsets[i]]
         want = _null_columns(np.vstack(gens))
         assert np.array_equal(kept[kept != 0], np.abs(want[0]))
 
@@ -272,10 +272,10 @@ def test_invariant_dims_match_expectations(name):
 
 def test_invariant_vectors_are_killed_by_generators():
     trunc = build("su2-loop-j2")
-    inv = invariant_basis(trunc)
+    rows = invariant_rows(trunc, invariant_basis(trunc))
     gens = dense_generators(trunc)
     for g in gens:
-        assert np.abs(inv.vectors @ g.T).max() < 1e-10
+        assert np.abs(rows @ g.T).max() < 1e-10
 
 
 @pytest.mark.parametrize("name", list(CANON))
@@ -304,13 +304,14 @@ def test_kernel_elements_compress_to_zero():
     space = commutant_basis(trunc)
     inv = invariant_basis(trunc)
     ker = kernel_pi_basis(space, inv)
+    rows = invariant_rows(trunc, inv)
     null = null_space(ker.complement)
     assert null.shape[1] == ker.dim
     for row in null.T:
         op = op_from_coords(space, row)
         for r in range(inv.dim):
             for s in range(inv.dim):
-                val = inv.vectors[r].conj() @ op @ inv.vectors[s]
+                val = rows[r].conj() @ op @ rows[s]
                 assert abs(val) < 1e-10
 
 
@@ -333,8 +334,9 @@ def test_pi_matrix_compresses_each_element(name):
     trunc = build(name)
     space = phased(commutant_basis(trunc))
     inv = invariant_basis(trunc)
+    rows = invariant_rows(trunc, inv)
     want = [
-        (inv.vectors.conj() @ element_op(space, k) @ inv.vectors.T).ravel()
+        (rows.conj() @ element_op(space, k) @ rows.T).ravel()
         for k in range(space.dim)
     ]
     assert_allclose(pi_matrix(space, inv), np.array(want).T, rtol=0, atol=1e-12)
@@ -416,6 +418,6 @@ def test_kernel_is_everything_when_no_invariants():
     # hand: the compression map to a zero-dimensional space has full kernel
     trunc = build("u1-edge-b1")
     space = commutant_basis(trunc)
-    empty = invariant_basis(trunc).__class__(trunc.total_dim)
+    empty = InvariantSpace(np.zeros((d, 0), dtype=complex) for d in trunc.dims)
     ker = kernel_pi_basis(space, empty)
     assert ker.dim == space.dim
