@@ -38,6 +38,7 @@ from .ideal import (
     IdealMask,
     IdealReport,
     IdealRow,
+    conjugation_band,
     containment_residual,
     generator_coords,
     generator_op,
@@ -61,7 +62,6 @@ from .reduction import (
     InvariantSpace,
     PiKernel,
     commutant_basis,
-    conjugation_band,
     invariant_basis,
     invariant_projector,
     kernel_pi_basis,

@@ -137,29 +137,18 @@ def cmd_decompose(cfg: RunConfig, args) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
+    """``verify``; ``spectrum`` is the same with the grouping on and its levels listed."""
     trunc = _truncation(cfg)
     settings = _verify_settings(cfg, args)
-    grouping = eigenspace_grouping(trunc) if args.coarse or cfg.coarse else None
-    report = verify_ideal(trunc, **settings)
-    print(f"elapsed: {report.seconds:.3f}s", file=sys.stderr)
-    _emit(_report_json(cfg, report, grouping), args.out or cfg.out)
-    return 0 if report.passed else 1
-
-
-def cmd_spectrum(cfg: RunConfig, args) -> int:
-    trunc = _truncation(cfg)
-    settings = _verify_settings(cfg, args)
-    grouping = eigenspace_grouping(trunc)
+    spectrum = args.command == "spectrum"
+    grouping = eigenspace_grouping(trunc) if spectrum or args.coarse or cfg.coarse else None
     report = verify_ideal(trunc, **settings)
     payload = _report_json(cfg, report, grouping)
-    payload["levels"] = [
-        {
-            "energy": str(e),
-            "blocks": list(members),
-            "dim": dim,
-        }
-        for e, members, dim in zip(grouping.energies, grouping.groups, grouping.dims)
-    ]
+    if spectrum:
+        payload["levels"] = [
+            {"energy": str(e), "blocks": list(members), "dim": dim}
+            for e, members, dim in zip(grouping.energies, grouping.groups, grouping.dims)
+        ]
     print(f"elapsed: {report.seconds:.3f}s", file=sys.stderr)
     _emit(payload, args.out or cfg.out)
     return 0 if report.passed else 1
@@ -174,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (
         ("decompose", cmd_decompose),
         ("verify", cmd_verify),
-        ("spectrum", cmd_spectrum),
+        ("spectrum", cmd_verify),
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="run description file")
@@ -187,9 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--method",
             choices=("lie", "quad"),
-            help="invariants and averages via generators or Haar quadrature",
+            help="find the invariant vectors as generator null spaces or by the Haar projector",
         )
-        p.add_argument("--band", type=int, help="override the quadrature band")
+        p.add_argument(
+            "--band", type=int, help="override the quadrature band of the invariant projector"
+        )
         if name == "verify":
             p.add_argument(
                 "--coarse",

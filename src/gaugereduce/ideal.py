@@ -9,7 +9,10 @@ transformations and averaged over the gauge group,
 Averaging lands in the commutant, block by block, and equals the
 Frobenius-orthogonal projection onto it; that gives two independent routes
 to the same element (exact Haar quadrature versus projection onto the
-Lie-computed commutant basis) which the tests compare.
+Lie-computed commutant basis) which the tests compare.  A commutant
+coordinate is unchanged by every conjugation, so the pass in
+``reduction.py`` takes the projection whatever its method; only
+``generator_op`` and ``generator_coords`` here sum conjugations.
 
 The closure step works in commutant coordinates.  The commutant is a sum
 of full matrix algebras, one per gauge irrep, and a two-sided ideal of such
@@ -29,20 +32,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import Truncation
+from .blocks import BlockLabel, Truncation
 from .groups import GroupId, IrrepLabel
 from .lattice import VertexGenerator, gauss_generator_block
 from .reduction import (
     EquivariantSpace,
     PiKernel,
-    _averaging_actions,
-    _conjugation_average,
     _roundoff_cut,
-    conjugation_band,
     kernel_pi_basis,
     own_elements,
     reduce_blocks,
     vertex_actions,
+    vertex_degree,
 )
 
 # Norm below which a seed row counts as zero.  The library no longer
@@ -65,6 +66,33 @@ class GeneratorSpec:
     power: int
 
 
+def conjugation_band(block: BlockLabel) -> IrrepLabel:
+    """Smallest per-vertex band that averages conjugation on this block.
+
+    Conjugating puts the block action on both sides of the generator, so
+    the degree count of the projector doubles: the band must cover the full
+    summed label degree at the busiest vertex.
+    """
+    return IrrepLabel(block.group, vertex_degree(block))
+
+
+def _averaging_actions(block: BlockLabel, band) -> list:
+    """Per-vertex ``(weights, actions, inverses)`` that average conjugation
+    on ``block``: none for a one-dimensional block, which conjugates
+    trivially.  The inverses of the unitary actions are their conjugate
+    transposes."""
+    actions = vertex_actions(block, conjugation_band(block), band) if block.dim > 1 else []
+    return [(weights, rho, rho.conj().transpose(0, 2, 1)) for weights, rho in actions]
+
+
+def _conjugation_average(gn: np.ndarray, actions) -> np.ndarray:
+    """Haar average of ``rho(k) gn rho(k)^-1``: the map
+    ``X -> sum_s w_s rho_v(s) X rho_v(s)^H`` applied once per vertex."""
+    for weights, rho, inverse in actions:
+        gn = np.tensordot(weights, rho @ gn @ inverse, 1)
+    return gn
+
+
 def generator_op(
     trunc: Truncation, spec: GeneratorSpec, band: IrrepLabel | None = None
 ) -> np.ndarray:
@@ -72,9 +100,8 @@ def generator_op(
     the averaged ``d x d`` matrix of block ``spec.block``."""
     block = trunc.blocks[spec.block]
     gamma = gauss_generator_block(block, VertexGenerator(spec.vertex, spec.lie_index))
-    actions = [] if block.dim == 1 else vertex_actions(block, conjugation_band(block), band)
-    actions = [(weights, rho, rho.conj().transpose(0, 2, 1)) for weights, rho in actions]
-    return _conjugation_average(np.linalg.matrix_power(gamma, spec.power), actions)
+    gn = np.linalg.matrix_power(gamma, spec.power)
+    return _conjugation_average(gn, _averaging_actions(block, band))
 
 
 def generator_coords(
@@ -88,7 +115,8 @@ def generator_coords(
     ``method="lie"`` exploits that averaging is the orthogonal projection
     onto the commutant: the coordinates of the average are the inner
     products of the raw power with the basis.  ``method="quadrature"``
-    averages explicitly first.  The two agree to quadrature accuracy.
+    reads them off the explicit average of ``generator_op``.  The two agree
+    to roundoff.
 
     Coordinates on a component whose norm there is at most ``RANK_RTOL``
     times the Frobenius norm of the raw power are roundoff and are set to
@@ -97,8 +125,10 @@ def generator_coords(
     i, block = spec.block, space.trunc.blocks[spec.block]
     gamma = gauss_generator_block(block, VertexGenerator(spec.vertex, spec.lie_index))
     u = space.bases[i]
+    if method not in ("lie", "quadrature"):
+        raise ValueError(f"unknown method {method!r}")
     gn = np.linalg.matrix_power(u.conj().T @ gamma @ u, spec.power)
-    avg = _conjugation_average(gn, _averaging_actions(block, u, method, band))
+    avg = gn if method == "lie" else u.conj().T @ generator_op(space.trunc, spec, band) @ u
     comps, read = own_elements(space.copies[i])
     norm = np.sqrt(np.vdot(gn, gn).real)  # Frobenius
     out = np.zeros(space.dim, dtype=complex)

@@ -11,7 +11,10 @@ Four objects are produced from a truncation:
   then ``sum_lam M_{m_lam}(C)``, one full matrix algebra per irrep, whose
   matrix units between copies (Schur's lemma) are held as copy indices,
 * the supports of the Haar-averaged Gauss generator powers in the
-  commutant coordinates, the seeds of the ideal in ``ideal.py``,
+  commutant coordinates, the seeds of the ideal in ``ideal.py``.  A matrix
+  unit commutes with every gauge transformation, so a coordinate of
+  ``rho(k) X rho(k)^-1`` is that of ``X`` for every ``k``: an average's
+  coordinates are read off the raw power, with no quadrature,
 * the matrix of the restriction map ``pi`` sending a commutant element to
   its compression onto the invariant subspace, and its kernel, kept by its
   complement, the row space of ``pi``.  Neither uses the irrep labels, so
@@ -22,6 +25,9 @@ each block's Gauss generators are built once, everything that needs them is
 read off, and they are dropped before the next block is built.  A
 one-dimensional block carries a character of ``G^V`` and its generators are
 scalars, so all such blocks are read off one array of them at once.
+
+The ``method`` picks only how the invariant vectors are found: generator
+null spaces (``"lie"``) or the Haar projector (``"quadrature"``).
 
 Everything is finite-dimensional linear algebra; ranks are decided at a
 single relative tolerance so the counts reported downstream are stable.
@@ -96,16 +102,6 @@ def projector_band(block: BlockLabel) -> IrrepLabel:
     half the summed label degrees, rounded up.
     """
     return required_band(block.group, vertex_degree(block))
-
-
-def conjugation_band(block: BlockLabel) -> IrrepLabel:
-    """Smallest per-vertex band that averages conjugation on this block.
-
-    Conjugating puts the block action on both sides of the generator, so
-    the degree count of the projector doubles: the band must cover the full
-    summed label degree at the busiest vertex.
-    """
-    return IrrepLabel(block.group, vertex_degree(block))
 
 
 def vertex_actions(block: BlockLabel, need: IrrepLabel, band: IrrepLabel | None) -> list:
@@ -303,31 +299,6 @@ def commutant_basis(trunc: Truncation) -> EquivariantSpace:
     return reduce_blocks(trunc)[0]
 
 
-def _averaging_actions(block: BlockLabel, basis: np.ndarray, method: str, band) -> list:
-    """Per-vertex ``(weights, actions, inverses)``, in the block's copy basis
-    ``basis``, that average conjugation: none for ``method="lie"``, which
-    reads the average off the raw power, nor for a one-dimensional block,
-    which conjugates trivially.  The inverses of the unitary actions are
-    their conjugate transposes, taken here once per block."""
-    if method not in ("lie", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "lie" or block.dim == 1:
-        return []
-    out = []
-    for weights, rho in vertex_actions(block, conjugation_band(block), band):
-        rho = basis.conj().T @ rho @ basis
-        out.append((weights, rho, rho.conj().transpose(0, 2, 1)))
-    return out
-
-
-def _conjugation_average(gn: np.ndarray, actions) -> np.ndarray:
-    """Haar average of ``rho(k) gn rho(k)^-1``: the map
-    ``X -> sum_s w_s rho_v(s) X rho_v(s)^H`` applied once per vertex."""
-    for weights, rho, inverse in actions:
-        gn = np.tensordot(weights, rho @ gn @ inverse, 1)
-    return gn
-
-
 def _roundoff_cut(comps: np.ndarray, coords, norms) -> np.ndarray:
     """The roundoff cut on one block: the last axis of ``coords`` runs over
     the block's own elements, of components ``comps``, and ``norms`` holds
@@ -339,25 +310,24 @@ def _roundoff_cut(comps: np.ndarray, coords, norms) -> np.ndarray:
     return coords
 
 
-def _block_seeds(block: BlockLabel, gens, basis, copies, n_max: int, method: str, band):
+def _block_seeds(gens, basis, copies, n_max: int):
     """Seed supports on one block's ``own_elements``: entry ``(n - 1, k)`` is
-    set when the averaged ``n``-th power of some generator in ``gens``,
-    stepped as ``Gamma^(n-1) Gamma`` in the copy basis, has a nonzero
-    coordinate ``k``.  The block is cut in one pass.  Each stepped power is
-    rescaled by a power of two taken from its Frobenius norm: the cut
-    compares quantities of one scale, so every decision is unchanged, and no
-    power overflows."""
+    set when the averaged ``n``-th power of some generator in ``gens`` has a
+    nonzero coordinate ``k``, which is that of the raw power, stepped as
+    ``Gamma^(n-1) Gamma`` in the copy basis.  The block is cut in one pass.
+    Each stepped power is rescaled by a power of two taken from its
+    Frobenius norm: the cut compares quantities of one scale, so every
+    decision is unchanged, and no power overflows."""
     comps, read = own_elements(copies)
     coords = np.zeros((len(gens), n_max, len(comps)), dtype=complex)
     norms = np.zeros((len(gens), n_max))
-    actions = _averaging_actions(block, basis, method, band) if n_max else []
     uh = basis.conj().T
     for d, gamma in enumerate(gens):
         gamma = gn = uh @ gamma @ basis
         for n in range(n_max):
             if n:
                 gn = np.ldexp(1.0, -np.frexp(norms[d, n - 1])[1]) * gn @ gamma
-            coords[d, n] = read(_conjugation_average(gn, actions))
+            coords[d, n] = read(gn)
             norms[d, n] = np.sqrt(np.vdot(gn, gn).real)  # Frobenius
     return (_roundoff_cut(comps, coords, norms) != 0).any(axis=0)
 
@@ -391,13 +361,13 @@ def _scalar_parts(trunc: Truncation, n_max: int):
 
 def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=None):
     """One pass over the blocks: the commutant, the invariant subspace by
-    the ``method`` of ``invariant_projector``, and the seed supports of the
-    powers ``1..n_max``, averaged by the same ``method`` (``band`` overrides
-    the quadrature band).  Entry ``(n - 1, k)`` of the supports is set when
-    some ``GeneratorSpec(i, v, a, n)`` has a nonzero coordinate ``k``.  The
-    one-dimensional blocks are read off one array (``_scalar_parts``); every
-    other block's generators are built once and dropped before the next
-    block's.
+    the ``method`` of ``invariant_projector`` (``band`` overrides its
+    quadrature band), and the seed supports of the averaged powers
+    ``1..n_max``, read off the raw powers whatever the ``method``.  Entry
+    ``(n - 1, k)`` of the supports is set when some ``GeneratorSpec(i, v,
+    a, n)`` has a nonzero coordinate ``k``.  The one-dimensional blocks are
+    read off one array (``_scalar_parts``); every other block's generators
+    are built once and dropped before the next block's.
     """
     irreps: dict[tuple[int, ...], int] = {}
     bases, copies, columns, seeded = [], [], [], []
@@ -411,11 +381,11 @@ def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=N
         bases.append(u)
         copies.append([(irreps.setdefault(lam, len(irreps)), c) for lam, c in split])
         if d > 1:
-            seed = _block_seeds(block, gens, u, copies[-1], n_max, method, band)
+            seed = _block_seeds(gens, u, copies[-1], n_max)
             cols = _invariant_columns(gens) if method == "lie" else None
             gens = None  # only one block's generators are alive at a time
         if method != "lie":
-            vals, vecs = np.linalg.eigh(invariant_projector(block, method=method))
+            vals, vecs = np.linalg.eigh(invariant_projector(block, method, band))
             cols = vecs[:, vals > 0.5]
         seeded.append(seed)
         columns.append(cols)

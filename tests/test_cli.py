@@ -217,6 +217,26 @@ def test_verify_exit_two_on_band_too_small(tmp_path, capsys):
     assert "band" in capsys.readouterr().err
 
 
+def test_band_governs_the_invariant_projector(capsys):
+    # every U(1) block is one-dimensional, so the band reaches nothing but
+    # the projector, and a charged block needs more than band 0
+    cfg = str(GOLDEN / "u1-triangle-b2.cfg")
+    assert main(["verify", "--config", cfg, "--method", "quad", "--band", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "quadrature band 0" in err
+
+
+def test_band_need_not_cover_conjugation(tmp_path, capsys):
+    # the seeds take no quadrature, so the spin-1 loop needs only the
+    # projector's band 2, not the band 4 a conjugation average would
+    cfg = write_cfg(tmp_path, SU2_LOOP)
+    assert main(["verify", "--config", cfg, "--method", "quad"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["verify", "--config", cfg, "--method", "quad", "--band", "2"]) == 0
+    assert capsys.readouterr().out == plain
+
+
 @pytest.mark.parametrize(
     "flags,complaint",
     [

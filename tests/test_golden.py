@@ -2,8 +2,9 @@
 
 The run files and reports live in ``tests/golden/``.  The systems are the
 benchmark's (with its canonical vertex and edge names), both frontier rungs,
-u1 square b3 (2,401 one-dimensional blocks), the U(1) loop, one quadrature
-and one coarse command, a ``spectrum`` command on U(1) and on SU(2) (whose
+u1 square b3 (2,401 one-dimensional blocks), the U(1) loop, two quadrature
+commands (one at the default ``n_max`` of su2 triangle b1) and one coarse
+command, a ``spectrum`` command on U(1) and on SU(2) (whose
 levels hold 1, 3, 3 and 1 blocks), and a ``decompose`` command on U(1)
 and on SU(2).  Each runs with ``RuntimeWarning`` raised as an error, so a
 report is never reached through an overflow or an invalid value.  A change
@@ -37,6 +38,7 @@ COMMANDS = {
     "verify-su2-edge-b1-quad": ("verify", "su2-edge-b1", ("--method", "quad", "--nmax", "2")),
     "verify-u1-triangle-b3": ("verify", "u1-triangle-b3", ()),
     "verify-su2-triangle-b1": ("verify", "su2-triangle-b1", ()),
+    "verify-su2-triangle-b1-quad": ("verify", "su2-triangle-b1", ("--method", "quad")),
     "verify-u1-square-b3": ("verify", "u1-square-b3", ()),
     "verify-u1-loop-b1": ("verify", "u1-loop-b1", ()),
     "spectrum-u1-triangle-b2": ("spectrum", "u1-triangle-b2", ()),

@@ -234,7 +234,7 @@ def assert_one_dim_blocks_match_null_space(trunc, n_max=3):
         u, split = _isotypic_copies(block, gens)
         assert [(space.irreps[c], cols) for c, cols in space.copies[i]] == split
         assert np.array_equal(space.bases[i], u)
-        want = _block_seeds(block, gens, u, space.copies[i], n_max, "lie", None)
+        want = _block_seeds(gens, u, space.copies[i], n_max)
         assert np.array_equal(support[:, space.by_pair[(i, i)]], want)
         # a kept block's invariant row is its basis vector, entry exactly 1
         kept = rows[:, trunc.offsets[i]]
@@ -353,11 +353,15 @@ def test_coordinate_round_trip():
         assert_allclose(coords_of_matrix(basis, op), w, atol=1e-12)
 
 
-@pytest.mark.parametrize(
-    "trunc",
-    [build(k) for k in SMALL] + [make(parallel_graph(), SU2, 1), make(triangle_graph(), SU2, 1)],
-    ids=SMALL + ["su2-parallel-b1", "su2-triangle-b1"],
-)
+# SMALL and two multi-vertex SU(2) systems, whose blocks hold several copies
+OWN_CASES = [build(k) for k in SMALL] + [
+    make(parallel_graph(), SU2, 1),
+    make(triangle_graph(), SU2, 1),
+]
+OWN_IDS = SMALL + ["su2-parallel-b1", "su2-triangle-b1"]
+
+
+@pytest.mark.parametrize("trunc", OWN_CASES, ids=OWN_IDS)
 def test_own_elements_follow_the_space(trunc):
     # the one pass over the blocks reads a block's own coordinates before the
     # space exists; they must land on by_pair[(i, i)], in that order
@@ -370,6 +374,28 @@ def test_own_elements_follow_the_space(trunc):
         m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         u = space.bases[i]
         assert_allclose(read(u.conj().T @ m @ u), coords_of(space, i, i, m)[own], atol=1e-12)
+
+
+@pytest.mark.parametrize("trunc", OWN_CASES, ids=OWN_IDS)
+def test_conjugation_leaves_own_coordinates_alone(trunc):
+    # a matrix unit commutes with every gauge transformation, so each own
+    # coordinate of rho Gamma^n rho^H is that of Gamma^n: the pass reads the
+    # seeds of the averaged powers off the raw powers, for either method
+    space = commutant_basis(trunc)
+    rng = np.random.default_rng(47)
+    points = [random_gauge(trunc, rng) for _ in range(3)]
+    for i, block in enumerate(trunc.blocks):
+        u = space.bases[i]
+        _, read = own_elements(space.copies[i])
+        rhos = [u.conj().T @ rho_block(block, g) @ u for g in points]
+        for gamma in block_generators(block):
+            gn = np.eye(block.dim)
+            for _ in range(3):
+                gn = gn @ (u.conj().T @ gamma @ u)
+                want = read(gn)
+                for rho in rhos:
+                    got = read(rho @ gn @ rho.conj().T)
+                    assert np.abs(got - want).max() <= 1e-12 * np.linalg.norm(gn)
 
 
 @pytest.mark.parametrize("name", ["u1-parallel-b1", "su2-loop-j2"])
