@@ -14,7 +14,10 @@ Four objects are produced from a truncation:
   commutant coordinates, the seeds of the ideal in ``ideal.py``.  A matrix
   unit commutes with every gauge transformation, so a coordinate of
   ``rho(k) X rho(k)^-1`` is that of ``X`` for every ``k``: an average's
-  coordinates are read off the raw power, with no quadrature,
+  coordinates are read off the raw power, with no quadrature.  A generator
+  is stepped only to the degree of its minimal polynomial, its number of
+  distinct weights, past which no power reaches a new coordinate; the
+  supports are cumulative over the powers,
 * the matrix of the restriction map ``pi`` sending a commutant element to
   its compression onto the invariant subspace, and its kernel, kept by its
   complement, the row space of ``pi``.  Neither uses the irrep labels, so
@@ -108,23 +111,25 @@ def vertex_actions(block: BlockLabel, need: IrrepLabel, band: IrrepLabel | None)
     """Per-vertex quadrature for a Haar average over ``G^V``.
 
     The actions at different vertices commute, so the average over ``G^V``
-    is one average per vertex, in any order.  Returns one ``(weights,
-    actions)`` pair per vertex; ``actions[s]`` is the block matrix of scheme
-    point ``s`` at that vertex and the identity elsewhere.  The band is
-    ``need`` unless a wider ``band`` is given; a narrower one raises
-    ``BandError``.
+    is one average per vertex, in any order.  Returns one iterator per
+    vertex of ``(weight, action)`` pairs, one scheme point at a time; the
+    action is the block matrix of the point at that vertex and the identity
+    elsewhere, built only when it is reached.  The band is ``need`` unless a
+    wider ``band`` is given; a narrower one raises ``BandError`` here, before
+    any action is built.
     """
     band = need if band is None else band
     if band.degree < need.degree:
         raise BandError(need, band)
     scheme = haar_scheme(need.group, band)
     vertices, one = block.graph.vertices, identity_point(need.group)
-    out = []
-    for v in vertices:
-        points = [tuple(p if u == v else one for u in vertices) for p in scheme.points]
-        rho = [rho_block(block, GaugeElement(block.graph, g)) for g in points]
-        out.append((scheme.weights, np.array(rho)))
-    return out
+
+    def points(v):
+        for w, p in zip(scheme.weights, scheme.points):
+            g = tuple(p if u == v else one for u in vertices)
+            yield w, rho_block(block, GaugeElement(block.graph, g))
+
+    return [points(v) for v in vertices]
 
 
 def invariant_projector(
@@ -134,7 +139,8 @@ def invariant_projector(
 
     ``method="lie"`` intersects the kernels of the vertex generators;
     ``method="quadrature"`` multiplies the exact Haar averages of the block
-    action over each vertex.  Both agree to rank tolerance on every system.
+    action over each vertex, each summed as its points arrive.  Both agree
+    to rank tolerance on every system.
     """
     if method == "lie":
         v = _invariant_columns(block_generators(block))
@@ -142,8 +148,8 @@ def invariant_projector(
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
     out = np.eye(block.dim, dtype=complex)
-    for weights, actions in vertex_actions(block, projector_band(block), band):
-        out = np.tensordot(weights, actions, 1) @ out
+    for points in vertex_actions(block, projector_band(block), band):
+        out = sum(w * rho for w, rho in points) @ out
     return out
 
 
@@ -243,14 +249,16 @@ class EquivariantSpace:
         return csr_matrix((vals, (x * q + m, y)), shape), csr_matrix((vals, (y * q + m, x)), shape)
 
 
-def _isotypic_copies(block: BlockLabel, gens: np.ndarray) -> tuple[np.ndarray, list]:
+def _isotypic_copies(block: BlockLabel, gens: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
     """The block split into irreducible copies of the gauge action, read
     off its generators ``gens = block_generators(block)``.
 
-    Returns a unitary with the copies side by side, and per copy ``(lam,
+    Returns a unitary with the copies side by side; per copy ``(lam,
     cols)``: its columns, and ``2 <J_z^v>`` of its highest-weight vector at
     each vertex ``v``: ``2 j_v`` for SU(2), minus twice the vertex flux for
-    U(1).  With ``Gamma_{v,a} = -i J_a^v``, the raising operators are
+    U(1); and per generator the number of distinct weights at its vertex
+    (``1 + max_lam 2 j_v`` for SU(2)), the degree of its minimal
+    polynomial.  With ``Gamma_{v,a} = -i J_a^v``, the raising operators are
     ``J_+^v = i (Gamma_{v,1} + i Gamma_{v,2})`` and ``J_z^v = i Gamma_{v,3}``
     is diagonal in the block's weight basis, so the highest-weight vectors
     of each weight are the joint null space of the raising operators on the
@@ -275,7 +283,8 @@ def _isotypic_copies(block: BlockLabel, gens: np.ndarray) -> tuple[np.ndarray, l
                 chain = [w for t in chain for w in _lowered(down, t, lam[v])]
             copies.append((lam, slice(len(columns), len(columns) + len(chain))))
             columns += chain
-    return np.column_stack(columns), copies
+    degree = np.repeat([len(set(at_v)) for at_v in zip(*weights)], nl)
+    return np.column_stack(columns), copies, degree
 
 
 def _lowered(down: np.ndarray, top: np.ndarray, steps: int) -> list[np.ndarray]:
@@ -310,26 +319,33 @@ def _roundoff_cut(comps: np.ndarray, coords, norms) -> np.ndarray:
     return coords
 
 
-def _block_seeds(gens, basis, copies, n_max: int):
-    """Seed supports on one block's ``own_elements``: entry ``(n - 1, k)`` is
-    set when the averaged ``n``-th power of some generator in ``gens`` has a
-    nonzero coordinate ``k``, which is that of the raw power, stepped as
-    ``Gamma^(n-1) Gamma`` in the copy basis.  The block is cut in one pass.
-    Each stepped power is rescaled by a power of two taken from its
-    Frobenius norm: the cut compares quantities of one scale, so every
-    decision is unchanged, and no power overflows."""
+def _block_seeds(gens, degree, basis, copies, n_max: int):
+    """Cumulative seed supports on one block's ``own_elements``: entry
+    ``(n - 1, k)`` is set when the averaged power ``m <= n`` of some
+    generator in ``gens`` has a nonzero coordinate ``k``, which is that of
+    the raw power, stepped as ``Gamma^(m-1) Gamma`` in the copy basis.
+    Generator ``d`` is diagonalisable with one eigenvalue ``-i m`` per
+    weight, so its minimal polynomial has degree ``degree[d]``, its number
+    of weights, and every higher power lies in the span of ``Gamma^1 ..
+    Gamma^degree``: it reaches no new coordinate, so it is never formed and
+    its rows repeat.  The block is cut in one pass.  Each stepped power is
+    rescaled by a power of two from its Frobenius norm: the cut compares
+    quantities of one scale, so every decision is unchanged, and no power
+    overflows."""
     comps, read = own_elements(copies)
-    coords = np.zeros((len(gens), n_max, len(comps)), dtype=complex)
-    norms = np.zeros((len(gens), n_max))
+    steps = np.minimum(degree, n_max)
+    coords = np.zeros((len(gens), steps.max(initial=0), len(comps)), dtype=complex)
+    norms = np.zeros(coords.shape[:2])
     uh = basis.conj().T
     for d, gamma in enumerate(gens):
         gamma = gn = uh @ gamma @ basis
-        for n in range(n_max):
+        for n in range(steps[d]):
             if n:
                 gn = np.ldexp(1.0, -np.frexp(norms[d, n - 1])[1]) * gn @ gamma
             coords[d, n] = read(gn)
             norms[d, n] = np.sqrt(np.vdot(gn, gn).real)  # Frobenius
-    return (_roundoff_cut(comps, coords, norms) != 0).any(axis=0)
+    seen = (_roundoff_cut(comps, coords, norms) != 0).any(axis=0)
+    return np.logical_or.accumulate(seen)[np.minimum(np.arange(n_max), len(seen) - 1)]
 
 
 # the copy basis, or kept invariant column, of every one-dimensional block:
@@ -363,11 +379,13 @@ def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=N
     """One pass over the blocks: the commutant, the invariant subspace by
     the ``method`` of ``invariant_projector`` (``band`` overrides its
     quadrature band), and the seed supports of the averaged powers
-    ``1..n_max``, read off the raw powers whatever the ``method``.  Entry
-    ``(n - 1, k)`` of the supports is set when some ``GeneratorSpec(i, v,
-    a, n)`` has a nonzero coordinate ``k``.  The one-dimensional blocks are
-    read off one array (``_scalar_parts``); every other block's generators
-    are built once and dropped before the next block's.
+    ``1..n_max``, read off the raw powers whatever the ``method``.  The
+    supports are cumulative: entry ``(n - 1, k)`` is set when some
+    ``GeneratorSpec(i, v, a, m)`` with ``m <= n`` has a nonzero coordinate
+    ``k``, and no power past its generator's minimal polynomial is formed
+    (``_block_seeds``).  The one-dimensional blocks are read off one array
+    (``_scalar_parts``); every other block's generators are built once and
+    dropped before the next block's.
     """
     irreps: dict[tuple[int, ...], int] = {}
     bases, copies, columns, seeded = [], [], [], []
@@ -377,11 +395,11 @@ def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=N
             u, split, seed, cols = next(scalar)
         else:
             gens = block_generators(block)
-            u, split = _isotypic_copies(block, gens)
+            u, split, degree = _isotypic_copies(block, gens)
         bases.append(u)
         copies.append([(irreps.setdefault(lam, len(irreps)), c) for lam, c in split])
         if d > 1:
-            seed = _block_seeds(gens, u, copies[-1], n_max)
+            seed = _block_seeds(gens, degree, u, copies[-1], n_max)
             cols = _invariant_columns(gens) if method == "lie" else None
             gens = None  # only one block's generators are alive at a time
         if method != "lie":

@@ -16,9 +16,12 @@ between two subspaces is read off an eigendecomposition of the difference
 of their projectors.  A Gauss generator is also built here the long way,
 as one full Kronecker chain of per-edge factors for every edge at the
 vertex, and a Haar average over ``G^V`` as one sweep of the product
-scheme, ``|S|^V`` points, instead of one average per vertex.  The claim that summing the generators over an
-energy level leaves the ideal as it is gets its own route
-(``level_summed_masks``), which cuts roundoff only after summing.
+scheme, ``|S|^V`` points, instead of one average per vertex.  The claim
+that summing the generators over an energy level leaves the ideal as it is
+gets its own route (``level_summed_masks``), which cuts roundoff only after
+summing.  The seed supports of every power, not only of those up to each
+generator's minimal polynomial, come from ``stepped_supports``, which steps
+every power to ``n_max``.
 """
 
 import itertools
@@ -30,7 +33,7 @@ from scipy.sparse import csr_matrix
 from gaugereduce.blocks import kron_chain
 from gaugereduce.groups import haar_scheme, irrep_generator
 from gaugereduce.lattice import GaugeElement, block_generators, rho_block
-from gaugereduce.reduction import RANK_RTOL, pi_matrix
+from gaugereduce.reduction import RANK_RTOL, _roundoff_cut, own_elements, pi_matrix
 
 MINIMUM_SEED = 1e-12
 
@@ -337,6 +340,37 @@ def level_summed_masks(space, groups, n_max):
                 weight = np.bincount(space.components, np.abs(w) ** 2, len(space.irreps))
                 touched[n] |= np.sqrt(weight) > RANK_RTOL * np.sqrt(norm2)
     return np.logical_or.accumulate(touched, axis=0)[:, space.components]
+
+
+def stepped_supports(gens, basis, copies, n_max):
+    """Per-power seed supports on one block's ``own_elements``: entry
+    ``(n - 1, k)`` is set when the ``n``-th power of some generator in
+    ``gens`` has a nonzero coordinate ``k``.  Every power up to ``n_max`` is
+    stepped as ``Gamma^(n-1) Gamma`` in the copy basis, rescaled by a power
+    of two, and cut for roundoff against its own Frobenius norm."""
+    comps, read = own_elements(copies)
+    coords = np.zeros((len(gens), n_max, len(comps)), dtype=complex)
+    norms = np.zeros((len(gens), n_max))
+    uh = basis.conj().T
+    for d, gamma in enumerate(gens):
+        gamma = gn = uh @ gamma @ basis
+        for n in range(n_max):
+            if n:
+                gn = np.ldexp(1.0, -np.frexp(norms[d, n - 1])[1]) * gn @ gamma
+            coords[d, n] = read(gn)
+            norms[d, n] = np.sqrt(np.vdot(gn, gn).real)
+    return (_roundoff_cut(comps, coords, norms) != 0).any(axis=0)
+
+
+def stepped_rows(space, n_max):
+    """``stepped_supports`` of every block of ``space``, written out as one
+    ``(n_max, q)`` per-power support over the whole commutant."""
+    out = np.zeros((n_max, space.dim), dtype=bool)
+    for i, block in enumerate(space.trunc.blocks):
+        gens = block_generators(block)
+        rows = stepped_supports(gens, space.bases[i], space.copies[i], n_max)
+        out[:, space.by_pair[(i, i)]] = rows
+    return out
 
 
 def mask_basis(ideal):

@@ -2,14 +2,16 @@
 
 The run files and reports live in ``tests/golden/``.  The systems are the
 benchmark's (with its canonical vertex and edge names), both frontier rungs,
-u1 square b3 (2,401 one-dimensional blocks), the U(1) loop, two quadrature
-commands (one at the default ``n_max`` of su2 triangle b1) and one coarse
-command, a ``spectrum`` command on U(1) and on SU(2) (whose
-levels hold 1, 3, 3 and 1 blocks), and a ``decompose`` command on U(1)
-and on SU(2).  Each runs with ``RuntimeWarning`` raised as an error, so a
-report is never reached through an overflow or an invalid value.  A change
-that is meant to leave every report as it is keeps these files untouched;
-one that changes a report on purpose regenerates them with
+u1 square b3 (2,401 one-dimensional blocks), su2 square b1 at its default
+``n_max`` of 256, far past the largest minimal-polynomial degree 3 of its
+generators, the U(1) loop, two quadrature commands (one at the default
+``n_max`` of su2 triangle b1) and one coarse command, a ``spectrum`` command
+on U(1) and on SU(2) (whose levels hold 1, 3, 3 and 1 blocks), and a
+``decompose`` command on U(1) and on SU(2).  Each runs with
+``RuntimeWarning`` raised as an error, so a report is never reached through
+an overflow or an invalid value.  A change that is meant to leave every
+report as it is keeps these files untouched; one that changes a report on
+purpose regenerates them with
 
     PYTHONPATH=src python3 -m tests.test_golden
 
@@ -39,6 +41,7 @@ COMMANDS = {
     "verify-u1-triangle-b3": ("verify", "u1-triangle-b3", ()),
     "verify-su2-triangle-b1": ("verify", "su2-triangle-b1", ()),
     "verify-su2-triangle-b1-quad": ("verify", "su2-triangle-b1", ("--method", "quad")),
+    "verify-su2-square-b1": ("verify", "su2-square-b1", ()),
     "verify-u1-square-b3": ("verify", "u1-square-b3", ()),
     "verify-u1-loop-b1": ("verify", "u1-loop-b1", ()),
     "spectrum-u1-triangle-b2": ("spectrum", "u1-triangle-b2", ()),

@@ -43,6 +43,7 @@ from .oracles import (
     element_op,
     mask_basis,
     product_scheme,
+    stepped_rows,
     subspace_distance,
 )
 from .systems import (
@@ -135,20 +136,24 @@ def test_generator_coords_lie_equals_quadrature(name):
 @pytest.mark.parametrize("name", SMALL)
 @pytest.mark.parametrize("method", ["lie", "quadrature"])
 def test_stepped_seed_rows_equal_spec_by_spec_coords(name, method):
-    # verify_ideal steps Gamma^n = Gamma^(n-1) Gamma from generators built
-    # once; each spec here rebuilds its generator and takes a matrix power.
-    # The stepped support is the union of the specs' supports.
+    # The oracle steps every power Gamma^n = Gamma^(n-1) Gamma from generators
+    # built once; each spec here rebuilds its generator and takes a matrix
+    # power.  Power by power, the stepped support is the union of the specs'
+    # supports.  The pass stops each generator at its minimal polynomial and
+    # returns the running union of those rows.
     trunc = build(name)
     space, _, support = reduce_blocks(trunc, method, 4)
+    per_power = stepped_rows(space, 4)
     directions = [(v, a) for v in trunc.graph.vertices for a in range(lie_dim(trunc.group))]
-    for n, got in enumerate(support, 1):
+    for n, got in enumerate(per_power, 1):
         want = np.zeros(space.dim, dtype=bool)
         for i in range(len(trunc.blocks)):
             for v, a in directions:
                 spec = GeneratorSpec(i, v, a, n)
                 want |= generator_coords(space, spec, method=method) != 0
-        assert got.dtype == bool
         assert np.array_equal(got, want), n
+    assert support.dtype == bool
+    assert np.array_equal(support, np.logical_or.accumulate(per_power))
 
 
 @pytest.mark.parametrize(

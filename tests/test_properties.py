@@ -7,6 +7,9 @@ block's generators must equal each generator built on its own (and the
 scalar sweep of the one-dimensional blocks their entries), the pass must
 read each one-dimensional block's copy and seeds as the per-block route
 does and keep its invariant vector exactly when the null-space rule does,
+each generator's next power past the degree the pass stops it at must lie
+in the span of the powers before, and the pass's seed supports must be the
+running union of the oracle's, which steps every power,
 the irrep-based commutant must match the dense oracle, the dimension
 ledger must hold, the component closure must match the round-based oracle
 closure, the quadrature averages of generator powers 1 and 2 must have the
@@ -38,7 +41,12 @@ from .oracles import op_from_coords
 from .systems import SU2, U1, make
 from .test_lattice import assert_generators_match_oracle, assert_sweep_matches_single_builds
 from .test_oracles import assert_closures_agree, assert_rows_match_dense_oracle
-from .test_reduction import assert_one_dim_blocks_match_null_space, dense_commutant_dim
+from .test_reduction import (
+    assert_one_dim_blocks_match_null_space,
+    assert_powers_stop_at_the_minimal_polynomial,
+    assert_supports_are_running_union,
+    dense_commutant_dim,
+)
 
 MAX_DIM = 40
 # rows of the dense oracle's stacked constraints, whose full SVD it takes
@@ -76,6 +84,8 @@ def test_random_graphs(trunc):
     assert_generators_match_oracle(trunc)
     assert_sweep_matches_single_builds(trunc)
     assert_one_dim_blocks_match_null_space(trunc)
+    assert_powers_stop_at_the_minimal_polynomial(trunc)
+    assert_supports_are_running_union(trunc)
     space = commutant_basis(trunc)
     assert space.dim == dense_commutant_dim(trunc)[0]
     inv = invariant_basis(trunc)

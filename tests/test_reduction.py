@@ -49,6 +49,7 @@ from .oracles import (
     op_from_coords,
     pair_commutant,
     product_projector,
+    stepped_rows,
 )
 from .systems import (
     CANON,
@@ -59,6 +60,7 @@ from .systems import (
     edgeless_graph,
     isolated_vertex_graph,
     loops_and_parallels,
+    loop_graph,
     make,
     parallel_graph,
     triangle_graph,
@@ -231,10 +233,10 @@ def assert_one_dim_blocks_match_null_space(trunc, n_max=3):
         if block.dim > 1:
             continue
         gens = block_generators(block)
-        u, split = _isotypic_copies(block, gens)
+        u, split, degree = _isotypic_copies(block, gens)
         assert [(space.irreps[c], cols) for c, cols in space.copies[i]] == split
         assert np.array_equal(space.bases[i], u)
-        want = _block_seeds(gens, u, space.copies[i], n_max)
+        want = _block_seeds(gens, degree, u, space.copies[i], n_max)
         assert np.array_equal(support[:, space.by_pair[(i, i)]], want)
         # a kept block's invariant row is its basis vector, entry exactly 1
         kept = rows[:, trunc.offsets[i]]
@@ -396,6 +398,57 @@ def test_conjugation_leaves_own_coordinates_alone(trunc):
                 for rho in rhos:
                     got = read(rho @ gn @ rho.conj().T)
                     assert np.abs(got - want).max() <= 1e-12 * np.linalg.norm(gn)
+
+
+def minimal_degrees(trunc):
+    """Per block, the pass's degree of each generator's minimal polynomial."""
+    return [_isotypic_copies(b, block_generators(b))[2] for b in trunc.blocks]
+
+
+def assert_powers_stop_at_the_minimal_polynomial(trunc):
+    """On every block of dimension above one, the degree the pass steps a
+    generator to is its number of distinct eigenvalues, and the next power
+    lies in the span of the powers up to it."""
+    for block, degree in zip(trunc.blocks, minimal_degrees(trunc)):
+        if block.dim == 1:
+            continue
+        for gamma, k in zip(block_generators(block), degree):
+            assert np.unique(np.round(np.linalg.eigvals(gamma), 8)).size == k
+            powers = [gamma]
+            for _ in range(k):
+                powers.append(powers[-1] @ gamma)
+            span = np.column_stack([p.ravel() for p in powers[:k]])
+            norms = np.linalg.norm(span, axis=0)
+            span /= np.where(norms > 0, norms, 1.0)  # a zero generator stays zero
+            top = powers[k].ravel()
+            x = np.linalg.lstsq(span, top, rcond=None)[0]
+            assert np.linalg.norm(span @ x - top) <= 1e-10 * np.linalg.norm(top)
+
+
+def assert_supports_are_running_union(trunc, n_max=None):
+    """The pass's seed supports are the running union of the per-power
+    supports of every power up to ``n_max`` (by default three past the
+    largest minimal-polynomial degree), which the oracle steps one by one."""
+    if n_max is None:
+        n_max = max(int(d.max(initial=1)) for d in minimal_degrees(trunc)) + 3
+    space, _, support = reduce_blocks(trunc, n_max=n_max)
+    assert np.array_equal(support, np.logical_or.accumulate(stepped_rows(space, n_max)))
+
+
+# systems whose generators have minimal polynomials of degree 1 to 9, and the
+# power each pass is compared to the oracle up to (None: three past the degree)
+DEGREE_CASES = {k: (build(k), None) for k in SMALL} | {
+    "su2-parallel-b1": (make(parallel_graph(), SU2, 1), None),
+    "su2-triangle-b1": (make(triangle_graph(), SU2, 1), None),
+    "su2-loop-b4": (make(loop_graph(), SU2, 4), 40),
+}
+
+
+@pytest.mark.parametrize("name", list(DEGREE_CASES))
+def test_powers_stop_at_the_minimal_polynomial(name):
+    trunc, n_max = DEGREE_CASES[name]
+    assert_powers_stop_at_the_minimal_polynomial(trunc)
+    assert_supports_are_running_union(trunc, n_max)
 
 
 @pytest.mark.parametrize("name", ["u1-parallel-b1", "su2-loop-j2"])
