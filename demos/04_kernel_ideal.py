@@ -46,7 +46,10 @@ show(verify_ideal(trunc, n_max=2))
 print("\n== the second-power average on the spin-1/2 block, exactly ==")
 # One loop edge at spin 1/2 gives a 4-dimensional block.  Averaging the
 # squared Gauss generator lands on -(2/3) times the projector onto the
-# complement of the invariant line, for every Lie direction.
+# complement of the invariant line, for every Lie direction.  A rotation at
+# the vertex carries one direction to another, and the Haar average does not
+# see it, so all three averages agree: this is why the pass in reduction.py
+# reads only J_z, whose powers are diagonal on the block's copies.
 vec_id = np.eye(2).reshape(-1, 1).astype(complex)
 p1 = np.eye(4) - vec_id @ vec_id.conj().T / 2
 for k in range(3):

@@ -75,6 +75,8 @@ def parse_config(path: str) -> RunConfig:
             raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
 
     section = None
     values: dict[tuple[str, str], tuple[int, str]] = {}

@@ -7,12 +7,13 @@ transformations and averaged over the gauge group,
     avg_n = integral of rho(k) Gamma^n rho(k)^{-1} dk.
 
 Averaging lands in the commutant, block by block, and equals the
-Frobenius-orthogonal projection onto it; that gives two independent routes
-to the same element (exact Haar quadrature versus projection onto the
-Lie-computed commutant basis) which the tests compare.  A commutant
-coordinate is unchanged by every conjugation, so the pass in
-``reduction.py`` takes the projection whatever its method; only
-``generator_op`` and ``generator_coords`` here sum conjugations.
+Frobenius-orthogonal projection onto it: two independent routes to one
+element (exact Haar quadrature, projection onto the Lie-computed commutant
+basis) that the tests compare.  A commutant coordinate is unchanged by
+every conjugation, so the pass in ``reduction.py`` takes the projection,
+and reads ``Gamma_{v,z}`` alone: by Haar invariance ``Gamma_{v,x}`` and
+``Gamma_{v,y}``, its conjugates by rotations at ``v``, average to the
+same.  Only ``generator_op`` and ``generator_coords`` sum conjugations.
 
 The closure step works in commutant coordinates.  The commutant is a sum
 of full matrix algebras, one per gauge irrep, and a two-sided ideal of such

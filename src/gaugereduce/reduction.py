@@ -14,10 +14,11 @@ Four objects are produced from a truncation:
   commutant coordinates, the seeds of the ideal in ``ideal.py``.  A matrix
   unit commutes with every gauge transformation, so a coordinate of
   ``rho(k) X rho(k)^-1`` is that of ``X`` for every ``k``: an average's
-  coordinates are read off the raw power, with no quadrature.  A generator
-  is stepped only to the degree of its minimal polynomial, its number of
-  distinct weights, past which no power reaches a new coordinate; the
-  supports are cumulative over the powers,
+  coordinates are the raw power's; and as a rotation at ``v`` carries
+  ``Gamma_{v,z}`` to the other directions there, only ``Gamma_{v,z}`` is
+  read.  It is diagonal on the copies, so its powers are elementwise, up
+  to its number of distinct eigenvalues, the degree of its minimal
+  polynomial; the supports are cumulative over the powers,
 * the matrix of the restriction map ``pi`` sending a commutant element to
   its compression onto the invariant subspace, and its kernel, kept by its
   complement, the row space of ``pi``.  Neither uses the irrep labels, so
@@ -27,15 +28,13 @@ The first three come from one pass over the blocks (``reduce_blocks``):
 each block's Gauss generators are built once, everything that needs them is
 read off, and they are dropped before the next block is built.  A
 one-dimensional block carries a character of ``G^V`` and its generators are
-scalars, so all such blocks are read off one array of them at once.
+scalars, so all such blocks are read off one array of them at once.  The
+``method`` picks only how the invariant vectors are found: generator null
+spaces (``"lie"``) or the Haar projector (``"quadrature"``).
 
-The ``method`` picks only how the invariant vectors are found: generator
-null spaces (``"lie"``) or the Haar projector (``"quadrature"``).
-
-Everything is finite-dimensional linear algebra; ranks are decided at a
-single relative tolerance so the counts reported downstream are stable.
-Roundoff in a seed is cut once, where its coordinates are computed,
-relative to the size of the generator power it comes from.
+Ranks are decided at a single relative tolerance, so the counts reported
+downstream are stable.  Roundoff in a seed is cut once, where its
+coordinates are computed, relative to the size of the power it comes from.
 """
 
 from __future__ import annotations
@@ -256,19 +255,19 @@ def _isotypic_copies(block: BlockLabel, gens: np.ndarray) -> tuple[np.ndarray, l
     Returns a unitary with the copies side by side; per copy ``(lam,
     cols)``: its columns, and ``2 <J_z^v>`` of its highest-weight vector at
     each vertex ``v``: ``2 j_v`` for SU(2), minus twice the vertex flux for
-    U(1); and per generator the number of distinct weights at its vertex
-    (``1 + max_lam 2 j_v`` for SU(2)), the degree of its minimal
-    polynomial.  With ``Gamma_{v,a} = -i J_a^v``, the raising operators are
-    ``J_+^v = i (Gamma_{v,1} + i Gamma_{v,2})`` and ``J_z^v = i Gamma_{v,3}``
-    is diagonal in the block's weight basis, so the highest-weight vectors
-    of each weight are the joint null space of the raising operators on the
+    U(1); and per vertex the eigenvalue of ``Gamma_{v,z}`` on each column.
+    With ``Gamma_{v,a} = -i J_a^v``, the raising operators are ``J_+^v = i
+    (Gamma_{v,1} + i Gamma_{v,2})`` and ``J_z^v = i Gamma_{v,3}`` is
+    diagonal in the block's weight basis, so the highest-weight vectors of
+    each weight are the joint null space of the raising operators on the
     basis vectors of that weight.  Normalized lowering fills in the rest of
-    each copy, in the same order for every copy of an irrep.  U(1) has no
-    raising operators, so every vector is a highest-weight vector.
+    each copy, in the same order for every copy of an irrep, and keeps each
+    column in one weight space.  U(1) has no raising operators, so every
+    vector is a highest-weight vector.
     """
     nl = len(lie_directions(block))
-    jz = 1j * np.diagonal(gens[nl - 1 :: nl], axis1=1, axis2=2)
-    weights = [tuple(w) for w in np.rint(2 * jz.real).astype(int).T.tolist()]
+    gz = np.diagonal(gens[nl - 1 :: nl], axis1=1, axis2=2)  # Gamma_{v,z} = -i J_z^v
+    weights = [tuple(w) for w in np.rint(2 * (1j * gz).real).astype(int).T.tolist()]
     raising = 1j * (gens[::nl] + 1j * gens[1::nl]) if nl > 1 else gens[:0]
     stacked = raising.reshape(-1, block.dim)
     lowering = [up.conj().T for up in raising]
@@ -283,8 +282,7 @@ def _isotypic_copies(block: BlockLabel, gens: np.ndarray) -> tuple[np.ndarray, l
                 chain = [w for t in chain for w in _lowered(down, t, lam[v])]
             copies.append((lam, slice(len(columns), len(columns) + len(chain))))
             columns += chain
-    degree = np.repeat([len(set(at_v)) for at_v in zip(*weights)], nl)
-    return np.column_stack(columns), copies, degree
+    return np.column_stack(columns), copies, gz[:, [np.abs(w).argmax() for w in columns]]
 
 
 def _lowered(down: np.ndarray, top: np.ndarray, steps: int) -> list[np.ndarray]:
@@ -319,32 +317,30 @@ def _roundoff_cut(comps: np.ndarray, coords, norms) -> np.ndarray:
     return coords
 
 
-def _block_seeds(gens, degree, basis, copies, n_max: int):
+def _diagonal_coords(values: np.ndarray, copies: list):
+    """One block's ``own_elements``: their components, and the coordinates
+    of operators whose diagonals in the copy basis run along the last axis
+    of ``values``: copy ``a``'s normalised trace on ``(a, a)``, else zero."""
+    starts, sizes = zip(*((cols.start, cols.stop - cols.start) for _, cols in copies))
+    traces = np.add.reduceat(values, starts, axis=-1) / np.sqrt(sizes)
+    kinds = [c for c, _ in copies]
+    pairs = [(c, a, b) for a, c in enumerate(kinds) for b, cb in enumerate(kinds) if c == cb]
+    comps, a, b = np.array(sorted(pairs)).T  # in the order of own_elements
+    return comps, np.where(a == b, traces[..., a], 0)
+
+
+def _block_seeds(eig: np.ndarray, copies: list, n_max: int):
     """Cumulative seed supports on one block's ``own_elements``: entry
-    ``(n - 1, k)`` is set when the averaged power ``m <= n`` of some
-    generator in ``gens`` has a nonzero coordinate ``k``, which is that of
-    the raw power, stepped as ``Gamma^(m-1) Gamma`` in the copy basis.
-    Generator ``d`` is diagonalisable with one eigenvalue ``-i m`` per
-    weight, so its minimal polynomial has degree ``degree[d]``, its number
-    of weights, and every higher power lies in the span of ``Gamma^1 ..
-    Gamma^degree``: it reaches no new coordinate, so it is never formed and
-    its rows repeat.  The block is cut in one pass.  Each stepped power is
-    rescaled by a power of two from its Frobenius norm: the cut compares
-    quantities of one scale, so every decision is unchanged, and no power
-    overflows."""
-    comps, read = own_elements(copies)
-    steps = np.minimum(degree, n_max)
-    coords = np.zeros((len(gens), steps.max(initial=0), len(comps)), dtype=complex)
-    norms = np.zeros(coords.shape[:2])
-    uh = basis.conj().T
-    for d, gamma in enumerate(gens):
-        gamma = gn = uh @ gamma @ basis
-        for n in range(steps[d]):
-            if n:
-                gn = np.ldexp(1.0, -np.frexp(norms[d, n - 1])[1]) * gn @ gamma
-            coords[d, n] = read(gn)
-            norms[d, n] = np.sqrt(np.vdot(gn, gn).real)  # Frobenius
-    seen = (_roundoff_cut(comps, coords, norms) != 0).any(axis=0)
+    ``(n - 1, k)`` is set when some generator's averaged power ``m <= n``
+    has a nonzero coordinate ``k``, read off the eigenvalues ``eig[v]`` of
+    ``Gamma_{v,z}`` on the copy columns (module docstring), each divided by
+    the largest at its vertex so that no power overflows."""
+    steps = np.minimum([len(set(lam.tolist())) for lam in eig], n_max)
+    base = eig / np.abs(eig).max(axis=1, keepdims=True, initial=np.finfo(float).tiny)
+    n = np.arange(1, steps.max(initial=0) + 1)[:, None]
+    powers = np.where(n <= steps[:, None, None], base[:, None] ** n, 0)  # none past the steps
+    comps, coords = _diagonal_coords(powers, copies)
+    seen = (_roundoff_cut(comps, coords, np.linalg.norm(powers, axis=-1)) != 0).any(axis=0)
     return np.logical_or.accumulate(seen)[np.minimum(np.arange(n_max), len(seen) - 1)]
 
 
@@ -382,10 +378,9 @@ def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=N
     ``1..n_max``, read off the raw powers whatever the ``method``.  The
     supports are cumulative: entry ``(n - 1, k)`` is set when some
     ``GeneratorSpec(i, v, a, m)`` with ``m <= n`` has a nonzero coordinate
-    ``k``, and no power past its generator's minimal polynomial is formed
-    (``_block_seeds``).  The one-dimensional blocks are read off one array
-    (``_scalar_parts``); every other block's generators are built once and
-    dropped before the next block's.
+    ``k`` (``_block_seeds``).  The one-dimensional blocks are read off one
+    array (``_scalar_parts``); every other block's generators are built
+    once and dropped before the next block's.
     """
     irreps: dict[tuple[int, ...], int] = {}
     bases, copies, columns, seeded = [], [], [], []
@@ -395,11 +390,11 @@ def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=N
             u, split, seed, cols = next(scalar)
         else:
             gens = block_generators(block)
-            u, split, degree = _isotypic_copies(block, gens)
+            u, split, eig = _isotypic_copies(block, gens)
         bases.append(u)
         copies.append([(irreps.setdefault(lam, len(irreps)), c) for lam, c in split])
         if d > 1:
-            seed = _block_seeds(gens, degree, u, copies[-1], n_max)
+            seed = _block_seeds(eig, copies[-1], n_max)
             cols = _invariant_columns(gens) if method == "lie" else None
             gens = None  # only one block's generators are alive at a time
         if method != "lie":

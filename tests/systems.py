@@ -33,6 +33,12 @@ def square_graph():
     )
 
 
+def theta_graph():
+    """Two vertices joined by three edges, one of them reversed: three edge
+    ends at each vertex, so a block can hold an irrep more than once."""
+    return Graph(("x", "y"), [("a", "x", "y"), ("b", "x", "y"), ("c", "y", "x")])
+
+
 def loop_graph():
     return Graph(("x",), [("l", "x", "x")])
 

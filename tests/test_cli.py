@@ -201,6 +201,14 @@ def test_verify_exit_two_on_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_exit_two_names_a_run_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"\xff\xfe[group]\nkind = u1\n")
+    rc = main(["verify", "--config", str(path)])
+    assert rc == 2
+    assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_verify_exit_two_on_band_too_small(tmp_path, capsys):
     rc = main(
         [

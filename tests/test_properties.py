@@ -7,9 +7,12 @@ block's generators must equal each generator built on its own (and the
 scalar sweep of the one-dimensional blocks their entries), the pass must
 read each one-dimensional block's copy and seeds as the per-block route
 does and keep its invariant vector exactly when the null-space rule does,
-each generator's next power past the degree the pass stops it at must lie
-in the span of the powers before, and the pass's seed supports must be the
-running union of the oracle's, which steps every power,
+each ``Gamma_{v,z}`` must be diagonal on the copies with the eigenvalues the
+pass reads, and their powers' coordinates the dense ones, each generator's
+next power past the degree the pass stops it at must lie in the span of the
+powers before, the oracle's supports must agree across the Lie directions
+at each vertex, and the pass's seed supports must be the running union of
+the oracle's, which steps every power,
 the irrep-based commutant must match the dense oracle, the dimension
 ledger must hold, the component closure must match the round-based oracle
 closure, the quadrature averages of generator powers 1 and 2 must have the

@@ -18,6 +18,7 @@ from gaugereduce import (
     InvariantSpace,
     IrrepLabel,
     commutant_basis,
+    ideal_closure,
     invariant_basis,
     invariant_projector,
     kernel_pi_basis,
@@ -27,10 +28,11 @@ from gaugereduce import (
     rho_block,
     vertex_flux,
 )
-from gaugereduce.lattice import block_generators
+from gaugereduce.lattice import block_generators, lie_directions
 from gaugereduce.reduction import (
     RANK_RTOL,
     _block_seeds,
+    _diagonal_coords,
     _isotypic_copies,
     _null_columns,
     own_elements,
@@ -50,6 +52,7 @@ from .oracles import (
     pair_commutant,
     product_projector,
     stepped_rows,
+    stepped_supports,
 )
 from .systems import (
     CANON,
@@ -63,6 +66,7 @@ from .systems import (
     loop_graph,
     make,
     parallel_graph,
+    theta_graph,
     triangle_graph,
 )
 
@@ -233,10 +237,10 @@ def assert_one_dim_blocks_match_null_space(trunc, n_max=3):
         if block.dim > 1:
             continue
         gens = block_generators(block)
-        u, split, degree = _isotypic_copies(block, gens)
+        u, split, eig = _isotypic_copies(block, gens)
         assert [(space.irreps[c], cols) for c, cols in space.copies[i]] == split
         assert np.array_equal(space.bases[i], u)
-        want = _block_seeds(gens, degree, u, space.copies[i], n_max)
+        want = _block_seeds(eig, space.copies[i], n_max)
         assert np.array_equal(support[:, space.by_pair[(i, i)]], want)
         # a kept block's invariant row is its basis vector, entry exactly 1
         kept = rows[:, trunc.offsets[i]]
@@ -401,46 +405,86 @@ def test_conjugation_leaves_own_coordinates_alone(trunc):
 
 
 def minimal_degrees(trunc):
-    """Per block, the pass's degree of each generator's minimal polynomial."""
-    return [_isotypic_copies(b, block_generators(b))[2] for b in trunc.blocks]
+    """Per block, the degree the pass steps the generators at each vertex
+    to: the number of distinct eigenvalues it reads there."""
+    eigs = [_isotypic_copies(b, block_generators(b))[2] for b in trunc.blocks]
+    return [np.array([len(set(lam.tolist())) for lam in eig]) for eig in eigs]
 
 
 def assert_powers_stop_at_the_minimal_polynomial(trunc):
-    """On every block of dimension above one, the degree the pass steps a
-    generator to is its number of distinct eigenvalues, and the next power
-    lies in the span of the powers up to it."""
-    for block, degree in zip(trunc.blocks, minimal_degrees(trunc)):
+    """On every block of dimension above one, ``Gamma_{v,z}`` is diagonal in
+    the copy basis, with the eigenvalues the pass reads on its diagonal, and
+    the coordinates the pass reads off their powers are those of the dense
+    powers.  The degree the pass steps each generator at a vertex to is its
+    number of distinct eigenvalues, and the next power lies in the span of
+    the powers up to it."""
+    space = commutant_basis(trunc)
+    for i, (block, degree) in enumerate(zip(trunc.blocks, minimal_degrees(trunc))):
         if block.dim == 1:
             continue
-        for gamma, k in zip(block_generators(block), degree):
-            assert np.unique(np.round(np.linalg.eigvals(gamma), 8)).size == k
-            powers = [gamma]
-            for _ in range(k):
-                powers.append(powers[-1] @ gamma)
-            span = np.column_stack([p.ravel() for p in powers[:k]])
-            norms = np.linalg.norm(span, axis=0)
-            span /= np.where(norms > 0, norms, 1.0)  # a zero generator stays zero
-            top = powers[k].ravel()
-            x = np.linalg.lstsq(span, top, rcond=None)[0]
-            assert np.linalg.norm(span @ x - top) <= 1e-10 * np.linalg.norm(top)
+        gens = block_generators(block)
+        u, _, eig = _isotypic_copies(block, gens)
+        _, read = own_elements(space.copies[i])
+        nl = len(lie_directions(block))
+        for v, (k, lam) in enumerate(zip(degree, eig)):
+            gz = u.conj().T @ gens[v * nl + nl - 1] @ u
+            assert np.abs(gz - np.diag(lam)).max() <= 1e-12 * np.linalg.norm(gz)
+            gn = gz
+            for n in range(1, k + 2):
+                _, got = _diagonal_coords(lam**n, space.copies[i])
+                assert np.abs(got - read(gn)).max() <= 1e-12 * np.linalg.norm(gn)
+                gn = gn @ gz
+            for gamma in gens[v * nl : (v + 1) * nl]:
+                assert np.unique(np.round(np.linalg.eigvals(gamma), 8)).size == k
+                powers = [gamma]
+                for _ in range(k):
+                    powers.append(powers[-1] @ gamma)
+                span = np.column_stack([p.ravel() for p in powers[:k]])
+                norms = np.linalg.norm(span, axis=0)
+                span /= np.where(norms > 0, norms, 1.0)  # a zero generator stays zero
+                top = powers[k].ravel()
+                x = np.linalg.lstsq(span, top, rcond=None)[0]
+                assert np.linalg.norm(span @ x - top) <= 1e-10 * np.linalg.norm(top)
 
 
 def assert_supports_are_running_union(trunc, n_max=None):
     """The pass's seed supports are the running union of the per-power
     supports of every power up to ``n_max`` (by default three past the
-    largest minimal-polynomial degree), which the oracle steps one by one."""
+    largest minimal-polynomial degree), which the oracle steps one by one.
+
+    At each vertex the oracle's rows are the same for every Lie direction,
+    which a gauge rotation there carries to one another; the pass reads the
+    last one only.  On an element ``(a, b != a)`` between two copies of one
+    irrep in a block, the pass's coordinate is exactly zero and the dense
+    oracle's is roundoff (``assert_powers_stop_at_the_minimal_polynomial``
+    bounds it), which the cut keeps when the component is reached.  So the
+    pass matches the oracle on every element ``(a, a)``, sets no other, and
+    closes every row to the same ideal."""
     if n_max is None:
         n_max = max(int(d.max(initial=1)) for d in minimal_degrees(trunc)) + 3
     space, _, support = reduce_blocks(trunc, n_max=n_max)
-    assert np.array_equal(support, np.logical_or.accumulate(stepped_rows(space, n_max)))
+    for i, block in enumerate(trunc.blocks):
+        gens, nl = block_generators(block), len(lie_directions(block))
+        u, copies = space.bases[i], space.copies[i]
+        for v in range(0, len(gens), nl):  # the generators at one vertex
+            rows = [stepped_supports(gens[[d]], u, copies, n_max) for d in range(v, v + nl)]
+            assert all(np.array_equal(rows[0], r) for r in rows[1:])
+    want = np.logical_or.accumulate(stepped_rows(space, n_max))
+    same = np.array([(i, a) == (j, b) for i, a, j, b in space.elements])
+    assert np.array_equal(support[:, same], want[:, same])
+    assert not support[:, ~same].any()
+    for got, ref in zip(support, want):
+        assert np.array_equal(ideal_closure(space, got).mask, ideal_closure(space, ref).mask)
 
 
-# systems whose generators have minimal polynomials of degree 1 to 9, and the
-# power each pass is compared to the oracle up to (None: three past the degree)
+# systems whose generators have minimal polynomials of degree 1 to 9, one
+# (theta) with blocks holding an irrep more than once, and the power each
+# pass is compared to the oracle up to (None: three past the degree)
 DEGREE_CASES = {k: (build(k), None) for k in SMALL} | {
     "su2-parallel-b1": (make(parallel_graph(), SU2, 1), None),
     "su2-triangle-b1": (make(triangle_graph(), SU2, 1), None),
     "su2-loop-b4": (make(loop_graph(), SU2, 4), 40),
+    "su2-theta-b1": (make(theta_graph(), SU2, 1), None),
 }
 
 
