@@ -278,6 +278,13 @@ def _y_rotation(t: float) -> GroupPoint:
     return su2_point(math.cos(0.5 * t), 0.0, math.sin(0.5 * t), 0.0)
 
 
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on ``[-1, 1]``, by Golub-Welsch."""
+    k = np.arange(1, n)
+    nodes, vecs = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1), 1), UPLO="U")
+    return nodes, 2 * vecs[0] ** 2
+
+
 def haar_scheme(group: GroupId, band: IrrepLabel) -> HaarScheme:
     """Build the product quadrature of the requested band."""
     if band.group is not group:
@@ -291,7 +298,7 @@ def haar_scheme(group: GroupId, band: IrrepLabel) -> HaarScheme:
         n_alpha = b + 1
         n_beta = b // 2 + 1
         n_gamma = 2 * b + 1
-        xs, ws = np.polynomial.legendre.leggauss(n_beta)
+        xs, ws = gauss_legendre(n_beta)
         pts = []
         wts = []
         for ka in range(n_alpha):

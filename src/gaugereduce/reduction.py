@@ -2,35 +2,27 @@
 
 Four objects are produced from a truncation:
 
-* the invariant subspace of the field space (joint kernel of the vertex
-  Gauss generators, or equivalently the range of the Haar-averaged
-  projector), held block by block as orthonormal columns,
-* the commutant algebra -- the block operators commuting with every
-  gauge transformation.  Each block is split once into irreducible copies
-  of the gauge action, labelled by a gauge irrep ``lam``; the commutant is
-  then ``sum_lam M_{m_lam}(C)``, one full matrix algebra per irrep, whose
-  matrix units between copies (Schur's lemma) are held as copy indices,
-* the supports of the Haar-averaged Gauss generator powers in the
-  commutant coordinates, the seeds of the ideal in ``ideal.py``.  A matrix
-  unit commutes with every gauge transformation, so a coordinate of
-  ``rho(k) X rho(k)^-1`` is that of ``X`` for every ``k``: an average's
-  coordinates are the raw power's; and as a rotation at ``v`` carries
-  ``Gamma_{v,z}`` to the other directions there, only ``Gamma_{v,z}`` is
-  read.  It is diagonal on the copies, so its powers are elementwise, up
-  to its number of distinct eigenvalues, the degree of its minimal
-  polynomial; the supports are cumulative over the powers,
-* the matrix of the restriction map ``pi`` sending a commutant element to
-  its compression onto the invariant subspace, and its kernel, kept by its
-  complement, the row space of ``pi``.  Neither uses the irrep labels, so
-  comparing the kernel with the ideal built from them is a genuine check.
+* the invariant subspace (joint kernel of the vertex Gauss generators, or
+  the range of the Haar-averaged projector), as orthonormal columns per block,
+* the commutant algebra of the gauge action: each block is split once into
+  irreducible copies, labelled by a gauge irrep ``lam``, and the commutant
+  is ``sum_lam M_{m_lam}(C)``, whose matrix units between copies (Schur's
+  lemma) are held as copy indices,
+* the supports of the Haar-averaged Gauss generator powers in commutant
+  coordinates, the seeds of the ideal in ``ideal.py``.  A matrix unit
+  commutes with every gauge transformation, so an average's coordinates are
+  the raw power's; a rotation at ``v`` carries ``Gamma_{v,z}`` to the other
+  directions there, so only it is read.  It is diagonal on the copies: its
+  powers are elementwise, up to its number of distinct eigenvalues,
+* the matrix of the restriction map ``pi`` onto the invariant subspace, and
+  its kernel, kept by its complement, the row space of ``pi``.  Neither uses
+  the irrep labels, so comparing the kernel with the ideal is a real check.
 
-The first three come from one pass over the blocks (``reduce_blocks``):
-each block's Gauss generators are built once, everything that needs them is
-read off, and they are dropped before the next block is built.  A
-one-dimensional block carries a character of ``G^V`` and its generators are
-scalars, so all such blocks are read off one array of them at once.  The
-``method`` picks only how the invariant vectors are found: generator null
-spaces (``"lie"``) or the Haar projector (``"quadrature"``).
+The first three come from one pass over the blocks (``reduce_blocks``) with no
+``d x d`` operator: a block is graded by joint weights off per-edge diagonals,
+ladder operators act one edge at a time, and either ``method`` finds the
+invariants on the weight-zero indices alone (null space or Haar projector).
+The one-dimensional blocks carry characters of ``G^V``, read off one array.
 
 Ranks are decided at a single relative tolerance, so the counts reported
 downstream are stable.  Roundoff in a seed is cut once, where its
@@ -39,13 +31,15 @@ coordinates are computed, relative to the size of the power it comes from.
 
 from __future__ import annotations
 
-from itertools import repeat
+import functools
+from itertools import product, repeat
 
 import numpy as np
 
 from .blocks import BlockLabel, Truncation
-from .groups import IrrepLabel, haar_scheme, identity_point, required_band
-from .lattice import GaugeElement, block_generators, lie_directions, rho_block, scalar_generators
+from .groups import IrrepLabel, haar_scheme, identity_point, irrep_matrix, lie_dim, required_band
+from .lattice import GaugeElement, _edge_pieces, lie_directions, rho_block
+from .lattice import block_generators, scalar_generators  # noqa: F401  (the bench wraps the first)
 
 RANK_RTOL = 1e-10
 
@@ -134,22 +128,11 @@ def vertex_actions(block: BlockLabel, need: IrrepLabel, band: IrrepLabel | None)
 def invariant_projector(
     block: BlockLabel, method: str = "lie", band: IrrepLabel | None = None
 ) -> np.ndarray:
-    """Orthogonal projector onto the gauge-invariant vectors of a block.
-
-    ``method="lie"`` intersects the kernels of the vertex generators;
-    ``method="quadrature"`` multiplies the exact Haar averages of the block
-    action over each vertex, each summed as its points arrive.  Both agree
-    to rank tolerance on every system.
-    """
-    if method == "lie":
-        v = _invariant_columns(block_generators(block))
-        return v @ v.conj().T
-    if method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
-    out = np.eye(block.dim, dtype=complex)
-    for points in vertex_actions(block, projector_band(block), band):
-        out = sum(w * rho for w, rho in points) @ out
-    return out
+    """Orthogonal projector onto the gauge-invariant vectors of a block, by
+    the ``method`` of ``_zero_invariants``."""
+    at, _, zero = _weight_spaces(block)
+    v = _zero_invariants(block, at, zero, method, band)
+    return v @ v.conj().T
 
 
 def _null_columns(a: np.ndarray) -> np.ndarray:
@@ -164,10 +147,90 @@ def _null_columns(a: np.ndarray) -> np.ndarray:
     return vh[np.count_nonzero(s > RANK_RTOL * s.max(initial=0.0)) :].conj().T
 
 
-def _invariant_columns(gens: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the vectors that every generator of the
-    ``(n, d, d)`` stack ``gens`` annihilates."""
-    return _null_columns(gens.reshape(-1, gens.shape[1]))
+@functools.cache
+def _pieces(label: IrrepLabel, ends: tuple[int, ...]) -> dict:
+    """An edge's read-only pieces at its ``ends`` at one vertex (0 source, 1
+    target; both for a loop): ``weight``, ``rint(2 Re(i Gamma_z))`` on the
+    diagonal; for SU(2) ``x``, ``y``, ``up`` (``J_+ = i (x + i y)``), ``down``."""
+    parts = [sum(_edge_pieces(label, a)[s] for s in ends) for a in range(lie_dim(label.group))]
+    out = {"weight": np.rint(2 * (1j * np.diagonal(parts[-1])).real).astype(int)}
+    if len(parts) > 1:
+        up = 1j * (parts[0] + 1j * parts[1])
+        out.update(x=parts[0], y=parts[1], up=up, down=up.conj().T)
+    for piece in out.values():
+        piece.setflags(write=False)
+    return out
+
+
+def _weight_spaces(block: BlockLabel) -> tuple[list, dict, list]:
+    """Per vertex, its edge ends ``(pieces, (w, post))`` (``_pieces``; ``w`` the
+    edge's dimension, ``post`` that after it); per joint weight (``2 <J_z^v>``
+    over the vertices, by first appearance) its indices; and those of weight 0."""
+    index, post = block.graph.vertex_index, block.dim
+    at, weights = [[] for _ in index], np.zeros((len(index), block.dim), dtype=int)
+    for e, lab in zip(block.graph.edges, block.labels):
+        post //= lab.dim**2
+        loop = e.source == e.target  # a loop's ends act on one vertex as one piece
+        for v, ends in {index[e.target]: (1,), index[e.source]: (0, 1) if loop else (0,)}.items():
+            at[v].append((_pieces(lab, ends), (lab.dim**2, post)))
+            shared = weights[v].reshape(-1, lab.dim**2, post)
+            shared += at[v][-1][0]["weight"][:, None]
+    spaces: dict[tuple[int, ...], list[int]] = {}
+    for k, lam in enumerate(map(tuple, weights.T.tolist())):
+        spaces.setdefault(lam, []).append(k)
+    return at, spaces, spaces.get((0,) * len(at), [])
+
+
+def _act(ends: list, key: str, x: np.ndarray) -> np.ndarray:
+    """Sum over one vertex's edge ``ends`` of ``1_pre (x) piece (x) 1_post``, on ``x``'s rows."""
+    terms = [(pieces[key] @ x.reshape(-1, *shape)).reshape(x.shape) for pieces, shape in ends]
+    return sum(terms[1:], terms[0]) if terms else np.zeros_like(x)
+
+
+def _zero_invariants(block: BlockLabel, at, zero: list, method: str, band) -> np.ndarray:
+    """Orthonormal invariant columns, found on the weight-zero indices ``zero``
+    where all lie: the null space there of every ``Gamma_{v,x}`` and ``Gamma_{v,y}``
+    (``"lie"``, with no raising operator), or the Haar projector's range there."""
+    units = np.equal.outer(zero, np.arange(block.dim)).astype(complex)  # as rows
+    if method == "lie":
+        if not zero:
+            return units.T
+        dirs = "xy"[: len(lie_directions(block)) - 1]
+        images = np.hstack([units[:, :0]] + [_act(e, a, units) for e in at for a in dirs])
+        return units.T @ _null_columns(images[:, images.any(axis=0)].T)
+    if method != "quadrature":
+        raise ValueError(f"unknown method {method!r}")
+    vals, vecs = np.linalg.eigh(_haar_on_zero(block, zero, band))
+    return units.T @ vecs[:, vals > 0.5]
+
+
+@functools.cache
+def _edge_factors(label: IrrepLabel, band: IrrepLabel, source: bool, target: bool) -> np.ndarray:
+    """``rho_block``'s read-only edge factors at the points of the scheme of
+    ``band``, taken at the edge's source and/or target, the identity else."""
+    one = np.eye(label.dim)
+    mats = [irrep_matrix(label, p) for p in haar_scheme(label.group, band).points]
+    out = np.array([np.kron(np.conj(m) if source else one, m if target else one) for m in mats])
+    out.setflags(write=False)
+    return out
+
+
+def _haar_on_zero(block: BlockLabel, zero: list, band: IrrepLabel | None) -> np.ndarray:
+    """The Haar projector ``prod_v P_v`` on the weight-zero indices ``zero``,
+    after the band check.  ``P_v`` maps ``W_0`` into itself: it commutes
+    with every ``J_z^u``, ``u != v``, and its range has weight zero at ``v``."""
+    need = projector_band(block)
+    band = need if band is None else band
+    if band.degree < need.degree:
+        raise BandError(need, band)
+    out, dims = np.eye(len(zero), dtype=complex), [lab.dim**2 for lab in block.labels]
+    digits = np.unravel_index(np.array(zero, dtype=int), dims) if dims else ()
+    for v in block.graph.vertices if zero else ():
+        term = haar_scheme(block.group, band).weights[:, None, None]
+        for e, lab, p in zip(block.graph.edges, block.labels, digits):
+            term = term * _edge_factors(lab, band, e.source == v, e.target == v)[:, p[:, None], p]
+        out = term.sum(axis=0) @ out
+    return out
 
 
 def invariant_basis(trunc: Truncation, method: str = "lie") -> InvariantSpace:
@@ -248,50 +311,42 @@ class EquivariantSpace:
         return csr_matrix((vals, (x * q + m, y)), shape), csr_matrix((vals, (y * q + m, x)), shape)
 
 
-def _isotypic_copies(block: BlockLabel, gens: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
-    """The block split into irreducible copies of the gauge action, read
-    off its generators ``gens = block_generators(block)``.
-
-    Returns a unitary with the copies side by side; per copy ``(lam,
-    cols)``: its columns, and ``2 <J_z^v>`` of its highest-weight vector at
-    each vertex ``v``: ``2 j_v`` for SU(2), minus twice the vertex flux for
-    U(1); and per vertex the eigenvalue of ``Gamma_{v,z}`` on each column.
-    With ``Gamma_{v,a} = -i J_a^v``, the raising operators are ``J_+^v = i
-    (Gamma_{v,1} + i Gamma_{v,2})`` and ``J_z^v = i Gamma_{v,3}`` is
-    diagonal in the block's weight basis, so the highest-weight vectors of
-    each weight are the joint null space of the raising operators on the
-    basis vectors of that weight.  Normalized lowering fills in the rest of
-    each copy, in the same order for every copy of an irrep, and keeps each
-    column in one weight space.  U(1) has no raising operators, so every
-    vector is a highest-weight vector.
-    """
-    nl = len(lie_directions(block))
-    gz = np.diagonal(gens[nl - 1 :: nl], axis1=1, axis2=2)  # Gamma_{v,z} = -i J_z^v
-    weights = [tuple(w) for w in np.rint(2 * (1j * gz).real).astype(int).T.tolist()]
-    raising = 1j * (gens[::nl] + 1j * gens[1::nl]) if nl > 1 else gens[:0]
-    stacked = raising.reshape(-1, block.dim)
-    lowering = [up.conj().T for up in raising]
-    columns, copies = [], []
-    for lam in dict.fromkeys(weights):
-        cols = [k for k, w in enumerate(weights) if w == lam]
-        hw = _null_columns(stacked[:, cols]) if nl > 1 else np.eye(len(cols))
-        for coeffs in hw.T:
-            chain = [np.zeros(block.dim, dtype=complex)]
-            chain[0][cols] = coeffs
-            for v, down in enumerate(lowering):
-                chain = [w for t in chain for w in _lowered(down, t, lam[v])]
-            copies.append((lam, slice(len(columns), len(columns) + len(chain))))
-            columns += chain
-    return np.column_stack(columns), copies, gz[:, [np.abs(w).argmax() for w in columns]]
-
-
-def _lowered(down: np.ndarray, top: np.ndarray, steps: int) -> list[np.ndarray]:
-    """``top`` followed by ``steps`` normalized applications of ``down``."""
-    out = [top]
-    for _ in range(steps):
-        w = down @ out[-1]
-        out.append(w / np.linalg.norm(w))
-    return out
+def _graded_copies(block: BlockLabel, at: list, spaces: dict) -> tuple:
+    """The block's irreducible copies: a unitary with them side by side, per
+    copy ``(lam, cols)`` (``lam_v = 2 j_v``), and per vertex the eigenvalue
+    ``-i mu_v / 2`` of ``Gamma_{v,z}`` on each column, of weight ``mu``.  A
+    dominant ``lam`` is highest in ``m = sum_S (-1)^|S| |W_{lam + 2 e_S}|``
+    copies (``S``: sets of vertices), the raising operators' null space on
+    ``W_lam``, lowered together vertex by vertex, each step normalized."""
+    d, nv = block.dim, len(at)
+    signed = [((-1) ** s.count(2), s) for s in product((0, 2), repeat=nv)]
+    rows, copies, weights = np.empty((d, d), dtype=complex), [], []  # rows: the copy basis
+    for lam, cols in ((k, c) for k, c in spaces.items() if min(k, default=0) >= 0):  # dominant
+        sizes = [len(spaces.get(tuple(a + b for a, b in zip(lam, s)), ())) for _, s in signed]
+        m = sum(sign * n for (sign, _), n in zip(signed, sizes))
+        if not m:
+            continue
+        top = np.equal.outer(cols, np.arange(d)).astype(complex)  # as rows
+        if m < len(cols):
+            above = [(e, lam[:v] + (lam[v] + 2,) + lam[v + 1 :]) for v, e in enumerate(at)]
+            raised = np.hstack([_act(e, "up", top)[:, spaces[w]] for e, w in above if w in spaces])
+            hw = _null_columns(raised.T)
+            if hw.shape[1] != m:
+                raise RuntimeError(f"{block}: {hw.shape[1]} highest weights {lam}, not {m}")
+            top = hw.T @ top
+        chain, mus = top[None], [lam]  # (chain length, m, d), and each link's weight
+        for v, (ends, steps) in enumerate(zip(at, lam)):
+            levels = [chain]
+            for t in range(1, steps + 1):  # |J_- v| = sqrt(t (steps + 1 - t)) on the (t-1)-th
+                y = _act(ends, "down", levels[-1].reshape(-1, d))
+                levels.append((y / np.sqrt(t * (steps + 1 - t))).reshape(chain.shape))
+            chain = np.stack(levels, axis=1).reshape(-1, m, d)
+            mus = [mu[:v] + (mu[v] - 2 * k,) + mu[v + 1 :] for mu in mus for k in range(steps + 1)]
+        n, start = len(chain), copies[-1][1].stop if copies else 0
+        copies += [(lam, slice(start + a * n, start + a * n + n)) for a in range(m)]
+        rows[start : start + m * n] = chain.transpose(1, 0, 2).reshape(-1, d)
+        weights += mus * m
+    return rows.T, copies, -0.5j * np.array(weights).T
 
 
 def commutant_basis(trunc: Truncation) -> EquivariantSpace:
@@ -379,27 +434,24 @@ def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=N
     supports are cumulative: entry ``(n - 1, k)`` is set when some
     ``GeneratorSpec(i, v, a, m)`` with ``m <= n`` has a nonzero coordinate
     ``k`` (``_block_seeds``).  The one-dimensional blocks are read off one
-    array (``_scalar_parts``); every other block's generators are built
-    once and dropped before the next block's.
+    array (``_scalar_parts``), every other block off its weight spaces.
     """
     irreps: dict[tuple[int, ...], int] = {}
     bases, copies, columns, seeded = [], [], [], []
     scalar = _scalar_parts(trunc, n_max)
     for block, d in zip(trunc.blocks, trunc.dims):
         if d == 1:
-            u, split, seed, cols = next(scalar)
+            (u, split, seed, cols), at = next(scalar), None
+            zero = [] if any(split[0][0]) else [0]
         else:
-            gens = block_generators(block)
-            u, split, eig = _isotypic_copies(block, gens)
+            at, spaces, zero = _weight_spaces(block)
+            u, split, eig = _graded_copies(block, at, spaces)
         bases.append(u)
         copies.append([(irreps.setdefault(lam, len(irreps)), c) for lam, c in split])
         if d > 1:
             seed = _block_seeds(eig, copies[-1], n_max)
-            cols = _invariant_columns(gens) if method == "lie" else None
-            gens = None  # only one block's generators are alive at a time
-        if method != "lie":
-            vals, vecs = np.linalg.eigh(invariant_projector(block, method, band))
-            cols = vecs[:, vals > 0.5]
+        if d > 1 or method != "lie":
+            cols = _zero_invariants(block, at, zero, method, band)
         seeded.append(seed)
         columns.append(cols)
     space = EquivariantSpace(trunc, bases, copies, irreps)

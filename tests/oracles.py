@@ -21,7 +21,11 @@ that summing the generators over an energy level leaves the ideal as it is
 gets its own route (``level_summed_masks``), which cuts roundoff only after
 summing.  The seed supports of every power, not only of those up to each
 generator's minimal polynomial, come from ``stepped_supports``, which steps
-every power to ``n_max``.
+every power to ``n_max``.  The library reads a block's copies and invariants
+off its weight spaces; the dense route it replaced is kept here: the copies
+from the dense generators (``isotypic_copies``), the invariants as the null
+space of the whole generator stack (``invariant_columns``) and as the range
+of the Haar projector over the whole block (``haar_projector``).
 """
 
 import itertools
@@ -32,8 +36,16 @@ from scipy.sparse import csr_matrix
 
 from gaugereduce.blocks import kron_chain
 from gaugereduce.groups import haar_scheme, irrep_generator
-from gaugereduce.lattice import GaugeElement, block_generators, rho_block
-from gaugereduce.reduction import RANK_RTOL, _roundoff_cut, own_elements, pi_matrix
+from gaugereduce.lattice import GaugeElement, block_generators, lie_directions, rho_block
+from gaugereduce.reduction import (
+    RANK_RTOL,
+    _null_columns,
+    _roundoff_cut,
+    own_elements,
+    pi_matrix,
+    projector_band,
+    vertex_actions,
+)
 
 MINIMUM_SEED = 1e-12
 
@@ -219,6 +231,67 @@ def product_projector(block, band):
     out = np.zeros((block.dim, block.dim), dtype=complex)
     for w, g in product_scheme(block.graph, block.group, band):
         out += w * rho_block(block, g)
+    return out
+
+
+def haar_projector(block, band=None):
+    """Invariant projector of a block on its whole space: the product over
+    vertices of the Haar average of the dense block action there, each
+    summed as the points of ``vertex_actions`` arrive."""
+    out = np.eye(block.dim, dtype=complex)
+    for points in vertex_actions(block, projector_band(block), band):
+        out = sum(w * rho for w, rho in points) @ out
+    return out
+
+
+def invariant_columns(gens):
+    """Orthonormal columns spanning the vectors that every generator of the
+    ``(n, d, d)`` stack ``gens`` annihilates: the null space of all of them
+    stacked, over the whole block."""
+    return _null_columns(gens.reshape(-1, gens.shape[1]))
+
+
+def isotypic_copies(block, gens):
+    """The block split into irreducible copies of the gauge action, read
+    off its dense generators ``gens = block_generators(block)``: the copy
+    basis, the copies ``(lam, cols)`` and the per-vertex eigenvalues of
+    ``Gamma_{v,z}`` on the columns, as ``reduction._graded_copies`` returns
+    them.
+
+    With ``Gamma_{v,a} = -i J_a^v``, the raising operators are ``J_+^v = i
+    (Gamma_{v,1} + i Gamma_{v,2})`` and ``J_z^v = i Gamma_{v,3}`` is
+    diagonal in the block's weight basis, so the highest-weight vectors of
+    each weight, dominant or not, are the joint null space of the whole
+    stack of raising operators on the basis vectors of that weight.  Each is
+    lowered on its own by dense matrix-vector products.  U(1) has no raising
+    operators, so every vector is a highest-weight vector.
+    """
+    nl = len(lie_directions(block))
+    gz = np.diagonal(gens[nl - 1 :: nl], axis1=1, axis2=2)  # Gamma_{v,z} = -i J_z^v
+    weights = [tuple(w) for w in np.rint(2 * (1j * gz).real).astype(int).T.tolist()]
+    raising = 1j * (gens[::nl] + 1j * gens[1::nl]) if nl > 1 else gens[:0]
+    stacked = raising.reshape(-1, block.dim)
+    lowering = [up.conj().T for up in raising]
+    columns, copies = [], []
+    for lam in dict.fromkeys(weights):
+        cols = [k for k, w in enumerate(weights) if w == lam]
+        hw = _null_columns(stacked[:, cols]) if nl > 1 else np.eye(len(cols))
+        for coeffs in hw.T:
+            chain = [np.zeros(block.dim, dtype=complex)]
+            chain[0][cols] = coeffs
+            for v, down in enumerate(lowering):
+                chain = [w for t in chain for w in _lowered(down, t, lam[v])]
+            copies.append((lam, slice(len(columns), len(columns) + len(chain))))
+            columns += chain
+    return np.column_stack(columns), copies, gz[:, [np.abs(w).argmax() for w in columns]]
+
+
+def _lowered(down, top, steps):
+    """``top`` followed by ``steps`` normalized applications of ``down``."""
+    out = [top]
+    for _ in range(steps):
+        w = down @ out[-1]
+        out.append(w / np.linalg.norm(w))
     return out
 
 

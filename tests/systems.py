@@ -80,7 +80,14 @@ CANON = {
 
 SMALL = [k for k in CANON if k not in ("u1-triangle-b2", "u1-parallel-b2")]
 
+# SU(2) systems at the frontier, spin up to 1 on every edge, in the format of
+# CANON; their counts are the Clebsch-Gordan ledger's (test_multiplicity.py)
+FRONTIER = {
+    "su2-triangle-j1": (triangle_graph, SU2, 2, 359, 3, 350, 2),
+    "su2-theta-j1": (theta_graph, SU2, 2, 4117, 11, 3996, 2),
+}
+
 
 def build(name):
-    builder, group, bound, *_ = CANON[name]
+    builder, group, bound, *_ = CANON[name] if name in CANON else FRONTIER[name]
     return make(builder(), group, bound)

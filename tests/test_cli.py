@@ -225,6 +225,14 @@ def test_verify_exit_two_on_band_too_small(tmp_path, capsys):
     assert "band" in capsys.readouterr().err
 
 
+def test_band_is_checked_on_blocks_without_weight_zero(capsys):
+    # su2 edge b1's spin-1/2 block needs band 1, and has no weight-zero
+    # vector, so no invariant: the band check must not be skipped with it
+    cfg = str(GOLDEN / "su2-edge-b1.cfg")
+    assert main(["verify", "--config", cfg, "--method", "quad", "--band", "0"]) == 2
+    assert "need at least 1" in capsys.readouterr().err
+
+
 def test_band_governs_the_invariant_projector(capsys):
     # every U(1) block is one-dimensional, so the band reaches nothing but
     # the projector, and a charged block needs more than band 0
@@ -451,3 +459,26 @@ def test_commands_run_without_scipy(tmp_path):
     got = json.loads(proc.stdout)
     assert got["codes"] == [0] * len(argv)
     assert got["loaded"] == [[]] * (len(argv) + 1)
+
+
+def test_quadrature_leaves_numpy_polynomial_unloaded(tmp_path):
+    # the Gauss-Legendre nodes come from one eigh, so a fresh process that
+    # verifies by quadrature never imports numpy.polynomial
+    script = textwrap.dedent(
+        """
+        import sys
+        import gaugereduce.cli
+
+        code = gaugereduce.cli.main(sys.argv[1:])
+        print(code, "numpy.polynomial" in sys.modules)
+        """
+    )
+    argv = ["verify", "--config", str(GOLDEN / "su2-triangle-b1.cfg"), "--method", "quad"]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv, "--nmax", "2", "--out", str(tmp_path / "r.json")],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]

@@ -13,6 +13,7 @@ from gaugereduce.groups import (
     IrrepLabel,
     casimir_eigenvalue,
     exp_point,
+    gauss_legendre,
     haar_scheme,
     identity_point,
     inverse,
@@ -232,6 +233,15 @@ def test_schur_orthogonality_within_band(group, band):
                     / a.dim
                 )
             assert_allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_gauss_legendre_matches_numpy(n):
+    # Golub-Welsch against numpy's own nodes and weights
+    x, w = gauss_legendre(n)
+    want_x, want_w = np.polynomial.legendre.leggauss(n)
+    assert_allclose(x, want_x, rtol=0, atol=1e-14)
+    assert_allclose(w, want_w, rtol=0, atol=1e-14)
 
 
 def test_single_coefficient_integrals_vanish():

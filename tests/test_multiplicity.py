@@ -25,10 +25,11 @@ from collections import Counter
 
 import pytest
 
-from gaugereduce import commutant_basis, invariant_basis, kernel_pi_basis, verify_ideal
+from gaugereduce import Graph, commutant_basis, invariant_basis, kernel_pi_basis, verify_ideal
 
 from .systems import (
     CANON,
+    FRONTIER,
     SU2,
     U1,
     edge_graph,
@@ -93,6 +94,9 @@ SYSTEMS.update(
         "su2-triangle-b1": (triangle_graph, 1, (26, 2, 22)),
     }
 )
+SYSTEMS.update(
+    {name: (graph, bound, (q, hk, kk)) for name, (graph, _, bound, q, hk, kk, _) in FRONTIER.items()}
+)
 
 
 @pytest.mark.parametrize("name", list(SYSTEMS))
@@ -137,6 +141,19 @@ def test_su2_triangle_verifies_at_the_default_power_budget():
     assert report.passed
     assert (report.dim_ak, report.dim_hk, report.dim_ker_pi) == (26, 2, 22)
     assert [row.dim_ideal for row in report.rows[:2]] == [0, 22]
+
+
+def test_su2_k4_verifies_with_the_counted_rows():
+    # the complete graph on four vertices, spin 1/2 on each of its six edges:
+    # 64 blocks up to dimension 4,096, with no invariant on the largest
+    graph = Graph(("w", "x", "y", "z"), [(a + b, a, b) for a, b in itertools.combinations("wxyz", 2)])
+    mult = irrep_multiplicities(graph, 1)
+    nonzero = sum(m * m for lam, m in mult.items() if lam != (0,) * 4)
+    assert ledger(graph, 1) == (5119, 8, 5055) and nonzero == 5055
+    report = verify_ideal(make(graph, SU2, 1), n_max=2)
+    assert report.passed
+    assert (report.dim_ak, report.dim_hk, report.dim_ker_pi) == (5119, 8, 5055)
+    assert [row.dim_ideal for row in report.rows] == [0, nonzero]
 
 
 def flux_multiplicities(graph, bound):

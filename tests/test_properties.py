@@ -7,7 +7,8 @@ block's generators must equal each generator built on its own (and the
 scalar sweep of the one-dimensional blocks their entries), the pass must
 read each one-dimensional block's copy and seeds as the per-block route
 does and keep its invariant vector exactly when the null-space rule does,
-each ``Gamma_{v,z}`` must be diagonal on the copies with the eigenvalues the
+the weight-graded copies and invariant projectors must be the dense
+routes', each ``Gamma_{v,z}`` must be diagonal on the copies with the eigenvalues the
 pass reads, and their powers' coordinates the dense ones, each generator's
 next power past the degree the pass stops it at must lie in the span of the
 powers before, the oracle's supports must agree across the Lie directions
@@ -45,6 +46,7 @@ from .systems import SU2, U1, make
 from .test_lattice import assert_generators_match_oracle, assert_sweep_matches_single_builds
 from .test_oracles import assert_closures_agree, assert_rows_match_dense_oracle
 from .test_reduction import (
+    assert_graded_route_matches_dense_oracles,
     assert_one_dim_blocks_match_null_space,
     assert_powers_stop_at_the_minimal_polynomial,
     assert_supports_are_running_union,
@@ -87,6 +89,7 @@ def test_random_graphs(trunc):
     assert_generators_match_oracle(trunc)
     assert_sweep_matches_single_builds(trunc)
     assert_one_dim_blocks_match_null_space(trunc)
+    assert_graded_route_matches_dense_oracles(trunc)
     assert_powers_stop_at_the_minimal_polynomial(trunc)
     assert_supports_are_running_union(trunc)
     space = commutant_basis(trunc)

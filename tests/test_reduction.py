@@ -33,8 +33,9 @@ from gaugereduce.reduction import (
     RANK_RTOL,
     _block_seeds,
     _diagonal_coords,
-    _isotypic_copies,
+    _graded_copies,
     _null_columns,
+    _weight_spaces,
     own_elements,
     reduce_blocks,
 )
@@ -47,7 +48,10 @@ from .oracles import (
     dense_space,
     element_matrix,
     element_op,
+    haar_projector,
+    invariant_columns,
     invariant_rows,
+    isotypic_copies,
     op_from_coords,
     pair_commutant,
     product_projector,
@@ -227,17 +231,18 @@ def test_null_columns_match_scipy_null_space(shape, scale):
 def assert_one_dim_blocks_match_null_space(trunc, n_max=3):
     """The pass reads every one-dimensional block off one array of scalar
     generators.  Block by block, from the block's own generators, the copy
-    split, copy basis and seed supports must be those of ``_isotypic_copies``
-    and ``_block_seeds``, and the block must keep its invariant vector exactly
-    when the null-space rule on its stacked generators (``_null_columns``,
-    which ``_invariant_columns`` applies) does."""
+    split, copy basis and seed supports must be those of the dense
+    ``isotypic_copies`` and ``_block_seeds``, and the block must keep its
+    invariant vector exactly when the null-space rule on its stacked
+    generators (``_null_columns``, which ``invariant_columns`` applies)
+    does."""
     space, inv, support = reduce_blocks(trunc, n_max=n_max)
     rows = invariant_rows(trunc, inv)
     for i, block in enumerate(trunc.blocks):
         if block.dim > 1:
             continue
         gens = block_generators(block)
-        u, split, eig = _isotypic_copies(block, gens)
+        u, split, eig = isotypic_copies(block, gens)
         assert [(space.irreps[c], cols) for c, cols in space.copies[i]] == split
         assert np.array_equal(space.bases[i], u)
         want = _block_seeds(eig, space.copies[i], n_max)
@@ -404,10 +409,18 @@ def test_conjugation_leaves_own_coordinates_alone(trunc):
                     assert np.abs(got - want).max() <= 1e-12 * np.linalg.norm(gn)
 
 
+def graded(block):
+    """The pass's copy basis, copies and ``Gamma_{v,z}`` eigenvalues of a
+    block of dimension above one."""
+    return _graded_copies(block, *_weight_spaces(block)[:2])
+
+
 def minimal_degrees(trunc):
     """Per block, the degree the pass steps the generators at each vertex
-    to: the number of distinct eigenvalues it reads there."""
-    eigs = [_isotypic_copies(b, block_generators(b))[2] for b in trunc.blocks]
+    to: the number of distinct eigenvalues it reads there, one on a
+    one-dimensional block."""
+    one = np.zeros((len(trunc.graph.vertices), 1))
+    eigs = [graded(b)[2] if b.dim > 1 else one for b in trunc.blocks]
     return [np.array([len(set(lam.tolist())) for lam in eig]) for eig in eigs]
 
 
@@ -423,7 +436,7 @@ def assert_powers_stop_at_the_minimal_polynomial(trunc):
         if block.dim == 1:
             continue
         gens = block_generators(block)
-        u, _, eig = _isotypic_copies(block, gens)
+        u, _, eig = graded(block)
         _, read = own_elements(space.copies[i])
         nl = len(lie_directions(block))
         for v, (k, lam) in enumerate(zip(degree, eig)):
@@ -475,6 +488,53 @@ def assert_supports_are_running_union(trunc, n_max=None):
     assert not support[:, ~same].any()
     for got, ref in zip(support, want):
         assert np.array_equal(ideal_closure(space, got).mask, ideal_closure(space, ref).mask)
+
+
+def assert_graded_route_matches_dense_oracles(trunc):
+    """Block by block, the pass's weight-graded route against the dense
+    routes it replaced (``oracles.py``): the same copies in the same order,
+    with the same ``Gamma_{v,z}`` eigenvalue on every column, the same
+    projector onto each irrep's copies, and both invariant projectors equal
+    to the dense ones, the null space of the whole generator stack and the
+    Haar projector over the whole block, to 1e-12."""
+    for block in trunc.blocks:
+        gens = block_generators(block)
+        v = invariant_columns(gens)
+        assert_allclose(invariant_projector(block, "lie"), v @ v.conj().T, rtol=0, atol=1e-12)
+        got = invariant_projector(block, "quadrature")
+        assert_allclose(got, haar_projector(block), rtol=0, atol=1e-12)
+        if block.dim == 1:
+            continue
+        u, split, eig = graded(block)
+        dense, want, want_eig = isotypic_copies(block, gens)
+        assert split == want
+        assert np.array_equal(eig, want_eig)
+        for lam in dict.fromkeys(lam for lam, _ in split):
+            cols = np.concatenate([np.arange(c.start, c.stop) for k, c in split if k == lam])
+            got, ref = u[:, cols], dense[:, cols]
+            assert_allclose(got @ got.conj().T, ref @ ref.conj().T, rtol=0, atol=1e-12)
+
+
+def test_highest_weight_count_is_checked(monkeypatch):
+    # the raising operators' null space on a weight must have the dimension
+    # the weight multiplicities give; a rank decision that lost a vector
+    # would drop a copy, so the pass refuses it
+    short = lambda a: _null_columns(a)[:, 1:]  # noqa: E731
+    monkeypatch.setattr("gaugereduce.reduction._null_columns", short)
+    with pytest.raises(RuntimeError, match="highest weights"):
+        reduce_blocks(make(loop_graph(), SU2, 1))
+
+
+GRADED_CASES = {k: build(k) for k in SMALL} | {
+    "su2-theta-b1": make(theta_graph(), SU2, 1),
+    "su2-loops-and-parallels": make(loops_and_parallels(), SU2, 1),
+    "u1-loops-and-parallels": make(loops_and_parallels(), U1, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(GRADED_CASES))
+def test_graded_route_matches_dense_oracles(name):
+    assert_graded_route_matches_dense_oracles(GRADED_CASES[name])
 
 
 # systems whose generators have minimal polynomials of degree 1 to 9, one
