@@ -15,7 +15,9 @@ over edges in declaration order; a block therefore has dimension
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -39,10 +41,7 @@ class BlockLabel:
 
     @property
     def dim(self) -> int:
-        d = 1
-        for lab in self.labels:
-            d *= lab.dim**2
-        return d
+        return math.prod(lab.dim**2 for lab in self.labels)
 
     def __repr__(self) -> str:
         inner = ",".join(str(lab.value) for lab in self.labels)
@@ -72,9 +71,7 @@ class Truncation:
         self.bound = bound
         self.blocks = enumerate_blocks(graph, group, bound)
         self.dims = tuple(b.dim for b in self.blocks)
-        self.offsets = tuple(
-            int(x) for x in np.concatenate([[0], np.cumsum(self.dims)])
-        )
+        self.offsets = tuple(accumulate(self.dims, initial=0))
         self.total_dim = self.offsets[-1]
 
     def __repr__(self) -> str:

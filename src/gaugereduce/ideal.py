@@ -77,27 +77,20 @@ def conjugation_band(block: BlockLabel) -> IrrepLabel:
     return IrrepLabel(block.group, vertex_degree(block))
 
 
-def _conjugation_average(gn: np.ndarray, actions) -> np.ndarray:
-    """Haar average of ``rho(k) gn rho(k)^-1``: the map
-    ``X -> sum_s w_s rho_v(s) X rho_v(s)^H`` applied once per vertex, each
-    sum taken as the points of ``vertex_actions`` arrive."""
-    for points in actions:
-        gn = sum(w * (rho @ gn @ rho.conj().T) for w, rho in points)
-    return gn
-
-
 def generator_op(
     trunc: Truncation, spec: GeneratorSpec, band: IrrepLabel | None = None
 ) -> np.ndarray:
     """Haar average of a generator power on one block, by exact quadrature:
-    the averaged ``d x d`` matrix of block ``spec.block``.  A
-    one-dimensional block conjugates trivially, so its band is not checked."""
+    the averaged ``d x d`` matrix of block ``spec.block``, by the map ``X ->
+    sum_s w_s rho_v(s) X rho_v(s)^H`` once per vertex, each sum taken as the
+    points of ``vertex_actions`` arrive.  A one-dimensional block conjugates
+    trivially, so its band is not checked."""
     block = trunc.blocks[spec.block]
     gamma = gauss_generator_block(block, VertexGenerator(spec.vertex, spec.lie_index))
     gn = np.linalg.matrix_power(gamma, spec.power)
-    if block.dim == 1:
-        return gn
-    return _conjugation_average(gn, vertex_actions(block, conjugation_band(block), band))
+    for points in vertex_actions(block, conjugation_band(block), band) if block.dim > 1 else ():
+        gn = sum(w * (rho @ gn @ rho.conj().T) for w, rho in points)
+    return gn
 
 
 def generator_coords(
@@ -110,9 +103,9 @@ def generator_coords(
 
     ``method="lie"`` exploits that averaging is the orthogonal projection
     onto the commutant: the coordinates of the average are the inner
-    products of the raw power with the basis.  ``method="quadrature"``
-    reads them off the explicit average of ``generator_op``.  The two agree
-    to roundoff.
+    products of the raw power with the basis, read in the dense copy basis
+    (``EquivariantSpace.bases``).  ``method="quadrature"`` reads them off
+    the explicit average of ``generator_op``.  The two agree to roundoff.
 
     Coordinates on a component whose norm there is at most ``RANK_RTOL``
     times the Frobenius norm of the raw power are roundoff and are set to

@@ -19,10 +19,11 @@ Four objects are produced from a truncation:
   the irrep labels, so comparing the kernel with the ideal is a real check.
 
 The first three come from one pass over the blocks (``reduce_blocks``) with no
-``d x d`` operator: a block is graded by joint weights off per-edge diagonals,
-ladder operators act one edge at a time, and either ``method`` finds the
-invariants on the weight-zero indices alone (null space or Haar projector).
-The one-dimensional blocks carry characters of ``G^V``, read off one array.
+``d x d`` array: a block is graded by joint weights off per-edge diagonals,
+ladder operators act one edge at a time, a copy keeps only its irrep, its
+column weights and its column of weight zero, all that ``pi`` reads, and
+either ``method`` finds the invariants on the weight-zero indices alone.  The
+one-dimensional blocks carry characters of ``G^V``, read off one array.
 
 Ranks are decided at a single relative tolerance, so the counts reported
 downstream are stable.  Roundoff in a seed is cut once, where its
@@ -32,7 +33,7 @@ coordinates are computed, relative to the size of the power it comes from.
 from __future__ import annotations
 
 import functools
-from itertools import product, repeat
+from itertools import product
 
 import numpy as np
 
@@ -244,9 +245,8 @@ def own_elements(copies: list):
     the block's copies of it): their components, and a map reading their
     coordinates off an operator given in the block's copy basis, the
     normalised trace of each element's copy block."""
-    pairs = sorted(
-        (c, a, b) for a, (c, _) in enumerate(copies) for b, (cb, _) in enumerate(copies) if c == cb
-    )
+    kinds = [c for c, _ in copies]
+    pairs = sorted((c, a, b) for a, c in enumerate(kinds) for b, cb in enumerate(kinds) if c == cb)
     r, c, starts, scale = [], [], [], []
     for _, a, b in pairs:
         rows, cols = copies[a][1], copies[b][1]
@@ -261,31 +261,38 @@ def own_elements(copies: list):
 class EquivariantSpace:
     """The commutant as one full matrix algebra per gauge irrep.
 
-    ``bases[i]`` is a unitary whose columns are block ``i``'s irreducible
-    copies side by side; ``copies[i][a] = (c, cols)`` puts copy ``a`` of
-    irrep ``irreps[c]`` on the columns ``cols``, and ``members[c]`` lists its
-    ``(block, copy)`` pairs.  Element ``k`` is the index ``(i, a, j, b)`` of
-    the matrix unit ``u_a u_b^H / sqrt(dim)``.  The elements are orthonormal;
-    those of irrep ``components[k]`` run row-major over its members squared,
-    and ``by_pair`` lists those of each block pair."""
+    ``copies[i][a] = (c, cols)`` puts copy ``a`` of block ``i``, of irrep
+    ``irreps[c]``, on the columns ``cols``; ``members[c]`` lists its
+    ``(block, copy)`` pairs; ``weight_zero[i]`` holds the block's ``W_0``
+    indices and weight-zero columns (``_graded_copies``).  Element ``k``, the
+    index ``(i, a, j, b)`` of the matrix unit ``u_a u_b^H / sqrt(dim)``, is
+    orthonormal to the others; those of irrep ``components[k]`` run row-major
+    over its members squared, and ``by_pair`` lists those of each block pair."""
 
-    def __init__(self, trunc: Truncation, bases, copies, irreps):
+    def __init__(self, trunc: Truncation, weight_zero, copies, irreps):
         self.trunc = trunc
-        self.bases = bases
+        self.weight_zero = weight_zero
         self.copies = copies
         self.irreps = tuple(irreps)
         self.members = [[] for _ in self.irreps]
         for i, block_copies in enumerate(copies):
             for a, (c, _) in enumerate(block_copies):
                 self.members[c].append((i, a))
-        self.elements = tuple(
-            (i, a, j, b) for held in self.members for i, a in held for j, b in held
-        )
+        self.elements = tuple((i, a, j, b) for m in self.members for i, a in m for j, b in m)
         sizes = [len(held) for held in self.members]
         self.components = np.repeat(np.arange(len(sizes)), np.square(sizes))
         self.by_pair: dict[tuple[int, int], list[int]] = {}
         for k, (i, _, j, _) in enumerate(self.elements):
             self.by_pair.setdefault((i, j), []).append(k)
+
+    @functools.cached_property
+    def bases(self) -> list:
+        """Per block, the unitary with its copies side by side (``_graded_copies``
+        at every level), built on first read; only the reference routes read it."""
+        return [
+            _graded_copies(b, *_weight_spaces(b)[:2], True)[0] if b.dim > 1 else _UNIT
+            for b in self.trunc.blocks
+        ]
 
     @property
     def dim(self) -> int:
@@ -311,20 +318,28 @@ class EquivariantSpace:
         return csr_matrix((vals, (x * q + m, y)), shape), csr_matrix((vals, (y * q + m, x)), shape)
 
 
-def _graded_copies(block: BlockLabel, at: list, spaces: dict) -> tuple:
-    """The block's irreducible copies: a unitary with them side by side, per
-    copy ``(lam, cols)`` (``lam_v = 2 j_v``), and per vertex the eigenvalue
-    ``-i mu_v / 2`` of ``Gamma_{v,z}`` on each column, of weight ``mu``.  A
-    dominant ``lam`` is highest in ``m = sum_S (-1)^|S| |W_{lam + 2 e_S}|``
-    copies (``S``: sets of vertices), the raising operators' null space on
-    ``W_lam``, lowered together vertex by vertex, each step normalized."""
-    d, nv = block.dim, len(at)
+def _graded_copies(block: BlockLabel, at: list, spaces: dict, every: bool = False) -> tuple:
+    """The block's irreducible copies: each one's column of weight zero on
+    ``W_0`` (zero if some ``lam_v`` is odd), or with ``every`` a unitary of all
+    their columns; per copy ``(lam, cols)`` (``lam_v = 2 j_v``); and per vertex
+    the eigenvalue ``-i mu_v / 2`` of ``Gamma_{v,z}`` on each column, ``mu`` in
+    ``prod_v range(lam_v, -lam_v - 1, -2)`` within a copy.  A dominant ``lam``
+    is highest in ``m = sum_S (-1)^|S| |W_{lam + 2 e_S}|`` copies (``S``: sets
+    of vertices), the raising operators' null space on ``W_lam``, lowered
+    together vertex by vertex to weight zero or every level, each step normalized."""
+    d, nv, zero = block.dim, len(at), spaces.get((0,) * len(at), [])
     signed = [((-1) ** s.count(2), s) for s in product((0, 2), repeat=nv)]
-    rows, copies, weights = np.empty((d, d), dtype=complex), [], []  # rows: the copy basis
+    kept, copies, weights = [], [], []  # kept: the columns, as rows
     for lam, cols in ((k, c) for k, c in spaces.items() if min(k, default=0) >= 0):  # dominant
         sizes = [len(spaces.get(tuple(a + b for a, b in zip(lam, s)), ())) for _, s in signed]
         m = sum(sign * n for (sign, _), n in zip(signed, sizes))
         if not m:
+            continue
+        mus, start = list(product(*(range(s, -s - 1, -2) for s in lam))), len(weights)
+        weights += mus * m  # mus: one copy's weights
+        copies += [(lam, slice(k, k + len(mus))) for k in range(start, len(weights), len(mus))]
+        if not every and any(s % 2 for s in lam):  # no weight zero
+            kept.append(np.zeros((m, len(zero)), dtype=complex))
             continue
         top = np.equal.outer(cols, np.arange(d)).astype(complex)  # as rows
         if m < len(cols):
@@ -334,30 +349,21 @@ def _graded_copies(block: BlockLabel, at: list, spaces: dict) -> tuple:
             if hw.shape[1] != m:
                 raise RuntimeError(f"{block}: {hw.shape[1]} highest weights {lam}, not {m}")
             top = hw.T @ top
-        chain, mus = top[None], [lam]  # (chain length, m, d), and each link's weight
-        for v, (ends, steps) in enumerate(zip(at, lam)):
-            levels = [chain]
-            for t in range(1, steps + 1):  # |J_- v| = sqrt(t (steps + 1 - t)) on the (t-1)-th
-                y = _act(ends, "down", levels[-1].reshape(-1, d))
-                levels.append((y / np.sqrt(t * (steps + 1 - t))).reshape(chain.shape))
-            chain = np.stack(levels, axis=1).reshape(-1, m, d)
-            mus = [mu[:v] + (mu[v] - 2 * k,) + mu[v + 1 :] for mu in mus for k in range(steps + 1)]
-        n, start = len(chain), copies[-1][1].stop if copies else 0
-        copies += [(lam, slice(start + a * n, start + a * n + n)) for a in range(m)]
-        rows[start : start + m * n] = chain.transpose(1, 0, 2).reshape(-1, d)
-        weights += mus * m
-    return rows.T, copies, -0.5j * np.array(weights).T
+        chain = [top]  # the copies' rows, one array per column kept
+        for ends, steps in zip(at, lam):
+            levels = [chain]  # |J_- v| = sqrt(t (steps + 1 - t)) on level t - 1
+            for t in range(1, (steps if every else steps // 2) + 1):
+                lowered = [_act(ends, "down", r) for r in levels[-1]]
+                levels.append([y / np.sqrt(t * (steps + 1 - t)) for y in lowered])
+            chain = [r for rows in zip(*levels) for r in rows] if every else levels[-1]
+        kept.append(np.stack(chain, axis=1).reshape(-1, d) if every else chain[0][:, zero])
+    return np.vstack(kept).T, copies, -0.5j * np.array(weights).T
 
 
 def commutant_basis(trunc: Truncation) -> EquivariantSpace:
-    """Orthonormal basis of the operators commuting with the gauge action.
-
-    For every pair of copies ``u_a``, ``u_b`` of the same irrep, in any two
-    blocks, the matrix unit ``u_a u_b^H / sqrt(dim)`` maps copy ``b`` onto
-    copy ``a`` and is zero elsewhere; by Schur's lemma these span the
-    commutant, one full matrix algebra per irrep.  Each matrix unit is held
-    as the index of its two copies.
-    """
+    """Orthonormal basis of the operators commuting with the gauge action:
+    by Schur's lemma, the matrix units ``u_a u_b^H / sqrt(dim)`` between
+    the copies of each irrep, in any two blocks, held as copy indices."""
     return reduce_blocks(trunc)[0]
 
 
@@ -399,31 +405,33 @@ def _block_seeds(eig: np.ndarray, copies: list, n_max: int):
     return np.logical_or.accumulate(seen)[np.minimum(np.arange(n_max), len(seen) - 1)]
 
 
-# the copy basis, or kept invariant column, of every one-dimensional block:
-# one array shared by all of them, so it is read-only
+# the copy basis, weight-zero column, or kept invariant column of every
+# one-dimensional block: one array shared by all of them, so it is read-only
 _UNIT, _EMPTY = np.ones((1, 1), dtype=complex), np.zeros((1, 0), dtype=complex)
 _UNIT.setflags(write=False)
 _EMPTY.setflags(write=False)
 
 
 def _scalar_parts(trunc: Truncation, n_max: int):
-    """Per one-dimensional block of ``trunc``, in order, the ``(basis,
-    copies, seed supports, lie invariant columns)`` of ``reduce_blocks``,
-    read with whole-array operations off their stacked scalar generators
+    """Per one-dimensional block of ``trunc``, in order, the ``(zeros, copies,
+    seed supports, lie invariant columns)`` of ``reduce_blocks``, read with
+    whole-array operations off their stacked scalar generators
     (``scalar_generators``); every truncation has one, of all-zero labels.
     Such a block carries a character of ``G^V``: it is one copy, with basis
     ``[[1]]`` and weight ``2 Re(i Gamma_{v,L-1})`` at each vertex, and it is
-    invariant iff every scalar is zero.  A scalar power is its own average
-    and its own coordinate, and it is zero exactly when the scalar is, so
-    the ``(n_max, 1)`` support repeats whether any scalar is nonzero."""
+    invariant, of weight zero, iff every scalar is zero.  A scalar power is
+    its own average and its own coordinate, and it is zero exactly when the
+    scalar is, so the ``(n_max, 1)`` support repeats whether any scalar is
+    nonzero."""
     blocks = [b for b, d in zip(trunc.blocks, trunc.dims) if d == 1]
     gens = scalar_generators(blocks)
     nl = len(lie_directions(blocks[0]))
     weights = np.rint(2 * (1j * gens[:, nl - 1 :: nl]).real).astype(int).tolist()
     live = gens.any(axis=1)
     seeded = np.repeat(live[:, None, None], n_max, axis=1)
+    zeros = [([], _UNIT[:0]) if touched else ([0], _UNIT) for touched in live]
     columns = [_EMPTY if touched else _UNIT for touched in live]
-    return zip(repeat(_UNIT), ([(tuple(w), slice(0, 1))] for w in weights), seeded, columns)
+    return zip(zeros, ([(tuple(w), slice(0, 1))] for w in weights), seeded, columns)
 
 
 def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=None):
@@ -437,16 +445,15 @@ def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=N
     array (``_scalar_parts``), every other block off its weight spaces.
     """
     irreps: dict[tuple[int, ...], int] = {}
-    bases, copies, columns, seeded = [], [], [], []
+    zeros, copies, columns, seeded = [], [], [], []
     scalar = _scalar_parts(trunc, n_max)
     for block, d in zip(trunc.blocks, trunc.dims):
         if d == 1:
-            (u, split, seed, cols), at = next(scalar), None
-            zero = [] if any(split[0][0]) else [0]
+            ((zero, z), split, seed, cols), at = next(scalar), None
         else:
             at, spaces, zero = _weight_spaces(block)
-            u, split, eig = _graded_copies(block, at, spaces)
-        bases.append(u)
+            z, split, eig = _graded_copies(block, at, spaces)
+        zeros.append((zero, z))
         copies.append([(irreps.setdefault(lam, len(irreps)), c) for lam, c in split])
         if d > 1:
             seed = _block_seeds(eig, copies[-1], n_max)
@@ -454,7 +461,7 @@ def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=N
             cols = _zero_invariants(block, at, zero, method, band)
         seeded.append(seed)
         columns.append(cols)
-    space = EquivariantSpace(trunc, bases, copies, irreps)
+    space = EquivariantSpace(trunc, zeros, copies, irreps)
     support = np.zeros((n_max, space.dim), dtype=bool)
     own = [k for i in range(len(seeded)) for k in space.by_pair[(i, i)]]
     support[:, own] = np.hstack(seeded)
@@ -465,25 +472,28 @@ def pi_matrix(space: EquivariantSpace, inv: InvariantSpace) -> np.ndarray:
     """Matrix of the compression map onto the invariant subspace.
 
     Columns follow the commutant basis; rows are the flattened matrix units
-    of the invariant-subspace basis.  Element ``(i, a, j, b)`` compresses to
-    ``O_i[:, a] O_j[:, b]^H / sqrt(dim)``, ``O_i`` the overlaps of the
-    invariant vectors with block ``i``'s copy basis, nonzero only on block
-    ``i``'s invariant rows.  So a block without invariant vectors has no
-    overlaps, and a component none of whose copies lies in such a block
-    compresses to zero: both are skipped.
+    of the invariant-subspace basis.  An invariant vector has weight zero, so
+    it meets copy ``a`` in its weight-zero column ``z_a`` alone
+    (``EquivariantSpace.weight_zero``), and element ``(i, a, j, b)``
+    compresses to ``o_a o_b^H / sqrt(dim)``, ``o_a = inv_i^H z_a`` on
+    ``W_0``, nonzero only on block ``i``'s invariant rows.  So a block without invariant vectors
+    has no overlaps, and a component none of whose copies lies in such a
+    block compresses to zero: both are skipped.
     """
     h, start = inv.dim, 0
     out = np.zeros((h, h, space.dim), dtype=complex)
     first = np.cumsum([0] + [cols.shape[1] for cols in inv.columns])  # row offsets
-    over = {i: c.conj().T @ u for i, (c, u) in enumerate(zip(inv.columns, space.bases)) if c.size}
+    zeros = zip(inv.columns, space.weight_zero)
+    over = {i: c[w].conj().T @ z for i, (c, (w, z)) in enumerate(zeros) if c.size}  # on W_0
     for held in space.members:
         m, live = len(held), [(p, i, a) for p, (i, a) in enumerate(held) if i in over]
         if live:
-            o = np.vstack([over[i][:, space.copies[i][a][1]] for _, i, a in live])
+            n = space.copies[held[0][0]][held[0][1]][1]  # the columns of one copy
+            o = np.concatenate([over[i][:, a] for _, i, a in live])
             rows = np.concatenate([np.arange(first[i], first[i + 1]) for _, i, _ in live])
             at = np.concatenate([np.full(first[i + 1] - first[i], p) for p, i, _ in live])
             cols = start + at[:, None] * m + at  # element (p, t) for rows of members p, t
-            out[rows[:, None], rows, cols] = o @ o.conj().T / np.sqrt(o.shape[1])
+            out[rows[:, None], rows, cols] = np.outer(o, o.conj()) / np.sqrt(n.stop - n.start)
         start += m * m
     return out.reshape(h * h, space.dim)
 

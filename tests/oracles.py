@@ -25,7 +25,10 @@ every power to ``n_max``.  The library reads a block's copies and invariants
 off its weight spaces; the dense route it replaced is kept here: the copies
 from the dense generators (``isotypic_copies``), the invariants as the null
 space of the whole generator stack (``invariant_columns``) and as the range
-of the Haar projector over the whole block (``haar_projector``).
+of the Haar projector over the whole block (``haar_projector``).  The
+library's ``pi`` reads each copy's one column of weight zero; the dense
+overlaps with every column of the copy basis are kept here
+(``dense_pi_matrix``).
 """
 
 import itertools
@@ -444,6 +447,27 @@ def stepped_rows(space, n_max):
         rows = stepped_supports(gens, space.bases[i], space.copies[i], n_max)
         out[:, space.by_pair[(i, i)]] = rows
     return out
+
+
+def dense_pi_matrix(space, inv):
+    """The matrix of ``pi`` read through the dense copy bases: element ``(i,
+    a, j, b)`` compresses to ``O_i[:, a] O_j[:, b]^H / sqrt(dim)``, ``O_i``
+    the overlaps of block ``i``'s invariant vectors with every column of its
+    copy basis, over the whole block, summed over each copy's columns."""
+    h, start = inv.dim, 0
+    out = np.zeros((h, h, space.dim), dtype=complex)
+    first = np.cumsum([0] + [cols.shape[1] for cols in inv.columns])  # row offsets
+    over = {i: c.conj().T @ u for i, (c, u) in enumerate(zip(inv.columns, space.bases)) if c.size}
+    for held in space.members:
+        m, live = len(held), [(p, i, a) for p, (i, a) in enumerate(held) if i in over]
+        if live:
+            o = np.vstack([over[i][:, space.copies[i][a][1]] for _, i, a in live])
+            rows = np.concatenate([np.arange(first[i], first[i + 1]) for _, i, _ in live])
+            at = np.concatenate([np.full(first[i + 1] - first[i], p) for p, i, _ in live])
+            cols = start + at[:, None] * m + at  # element (p, t) for rows of members p, t
+            out[rows[:, None], rows, cols] = o @ o.conj().T / np.sqrt(o.shape[1])
+        start += m * m
+    return out.reshape(h * h, space.dim)
 
 
 def mask_basis(ideal):

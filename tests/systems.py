@@ -85,6 +85,7 @@ SMALL = [k for k in CANON if k not in ("u1-triangle-b2", "u1-parallel-b2")]
 FRONTIER = {
     "su2-triangle-j1": (triangle_graph, SU2, 2, 359, 3, 350, 2),
     "su2-theta-j1": (theta_graph, SU2, 2, 4117, 11, 3996, 2),
+    "su2-square-j1": (square_graph, SU2, 2, 2018, 3, 2009, 2),
 }
 
 

@@ -352,12 +352,19 @@ def test_decompose_lists_blocks(tmp_path, capsys):
 
 
 def test_decompose_builds_each_blocks_generators_once(tmp_path, capsys, monkeypatch):
+    # every U(1) block is one-dimensional, read off one array of scalars; an
+    # SU(2) block is split by its weights and ladder pieces.  decompose takes
+    # no --method: a config's is ignored.  No dense generator, block action
+    # or copy basis is built
     built = count_builds(monkeypatch)
-    assert main(["decompose", "--config", write_cfg(tmp_path, U1_TRIANGLE)]) == 0
-    blocks = json.loads(capsys.readouterr().out)["blocks"]
-    assert len(blocks) == 27
-    # every U(1) block is one-dimensional, read off one array of scalars
-    assert len(set(built)) == len(built) == sum(b["dim"] > 1 for b in blocks) == 0
+    su2 = (GOLDEN / "su2-triangle-b1.cfg").read_text()
+    for text, n_blocks, big in [(U1_TRIANGLE, 27, 0), (su2, 8, 7)]:
+        for method in ("lie", "quad"):
+            cfg = write_cfg(tmp_path, f"{text}\n[verify]\nmethod = {method}\n")
+            assert main(["decompose", "--config", cfg]) == 0
+            blocks = json.loads(capsys.readouterr().out)["blocks"]
+            assert (len(blocks), sum(b["dim"] > 1 for b in blocks)) == (n_blocks, big)
+    assert built == []
 
 
 def test_spectrum_reports_levels(tmp_path, capsys):

@@ -350,8 +350,24 @@ def count_builds(monkeypatch) -> list:
     """Record every dense operator the library builds on a block: a Gauss
     generator matrix (``lattice._generators``, behind ``block_generators``
     and ``gauss_generator_block``), a block action (``rho_block``) or a
-    Kronecker chain (``kron_chain``), wherever the caller imported it from."""
+    Kronecker chain (``kron_chain``), wherever the caller imported it from,
+    and a commutant's dense copy bases (``EquivariantSpace.bases``), when
+    they are built or assigned."""
     built = []
+    space_cls = gaugereduce.reduction.EquivariantSpace
+    lazy = vars(space_cls).get("bases")
+
+    class RecordedBases:
+        def __get__(self, space, owner=None):
+            if space is not None and "bases" not in vars(space):
+                self.__set__(space, lazy.func(space))
+            return self if space is None else vars(space)["bases"]
+
+        def __set__(self, space, value):
+            built.append(("bases", space.trunc))
+            vars(space)["bases"] = value
+
+    monkeypatch.setattr(space_cls, "bases", RecordedBases(), raising=False)
     for module, name in [
         (gaugereduce.lattice, "_generators"),
         (gaugereduce.reduction, "block_generators"),
@@ -377,9 +393,10 @@ def count_builds(monkeypatch) -> list:
     ids=["u1-triangle-b2", "su2-triangle-b1", "su2-theta-b1"],
 )
 def test_verify_builds_no_dense_generator_and_calls_no_rho_block(trunc, method, monkeypatch):
-    # blocks are split by their weights and ladder pieces, and both methods
-    # find the invariants on the weight-zero indices from per-edge pieces
-    # or per-edge factors: no d x d generator or block action is built
+    # blocks are split by their weights and ladder pieces, both methods find
+    # the invariants on the weight-zero indices from per-edge pieces or
+    # per-edge factors, and pi reads each copy's weight-zero column: no d x d
+    # generator, block action or copy basis is built
     built = count_builds(monkeypatch)
     assert verify_ideal(trunc, n_max=2, method=method).passed
     assert built == []

@@ -21,6 +21,7 @@ the ideal holds every nonzero component from ``n = 1`` on.
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -32,6 +33,7 @@ from .systems import (
     FRONTIER,
     SU2,
     U1,
+    build,
     edge_graph,
     loop_graph,
     make,
@@ -154,6 +156,26 @@ def test_su2_k4_verifies_with_the_counted_rows():
     assert report.passed
     assert (report.dim_ak, report.dim_hk, report.dim_ker_pi) == (5119, 8, 5055)
     assert [row.dim_ideal for row in report.rows] == [0, nonzero]
+
+
+@pytest.mark.parametrize("method", ["lie", "quadrature"])
+def test_su2_square_verifies_below_one_dense_block(method):
+    # spin up to 1 on the four edges of a square: 81 blocks up to dimension
+    # 3^8 = 6,561.  The pass keeps one weight-zero column per copy, so its
+    # traced peak stays below one d x d complex array of the largest block.
+    # The ledger of these counts is checked with the other SYSTEMS
+    trunc = build("su2-square-j1")
+    counts = FRONTIER["su2-square-j1"][3:6]
+    tracemalloc.start()
+    try:
+        report = verify_ideal(trunc, n_max=2, method=method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * max(trunc.dims) ** 2
+    assert report.passed
+    assert (report.dim_ak, report.dim_hk, report.dim_ker_pi) == counts
+    assert [row.dim_ideal for row in report.rows] == [0, 2009]
 
 
 def flux_multiplicities(graph, bound):

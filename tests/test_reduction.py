@@ -45,6 +45,7 @@ from .oracles import (
     SpanConsistencyError,
     coords_of,
     coords_of_matrix,
+    dense_pi_matrix,
     dense_space,
     element_matrix,
     element_op,
@@ -328,14 +329,17 @@ def test_kernel_elements_compress_to_zero():
 
 def phased(space):
     """The same commutant with a complex phase on each copy, so on the matrix
-    units between copies."""
-    bases = []
+    units between copies: on the copy's columns in the dense basis and on its
+    weight-zero column, which ``pi_matrix`` reads, alike."""
+    zeros, bases = [], []
     for i, u in enumerate(space.bases):
-        ph = np.ones(u.shape[1], dtype=complex)
-        for a, (_, cols) in enumerate(space.copies[i]):
-            ph[cols] = np.exp(0.3j * (i + 2 * a + 1))
-        bases.append(u * ph)
-    return EquivariantSpace(space.trunc, bases, space.copies, space.irreps)
+        ph = np.exp(0.3j * (i + 2 * np.arange(len(space.copies[i])) + 1))
+        rows, z = space.weight_zero[i]
+        zeros.append((rows, z * ph))
+        bases.append(u * np.repeat(ph, [c.stop - c.start for _, c in space.copies[i]]))
+    out = EquivariantSpace(space.trunc, zeros, space.copies, space.irreps)
+    out.bases = bases
+    return out
 
 
 @pytest.mark.parametrize("name", ["u1-parallel-b1", "su2-loop-j2", "su2-edge-j2"])
@@ -410,9 +414,9 @@ def test_conjugation_leaves_own_coordinates_alone(trunc):
 
 
 def graded(block):
-    """The pass's copy basis, copies and ``Gamma_{v,z}`` eigenvalues of a
-    block of dimension above one."""
-    return _graded_copies(block, *_weight_spaces(block)[:2])
+    """The pass's copy basis, kept at every lowering level, copies and
+    ``Gamma_{v,z}`` eigenvalues of a block of dimension above one."""
+    return _graded_copies(block, *_weight_spaces(block)[:2], True)
 
 
 def minimal_degrees(trunc):
@@ -496,7 +500,28 @@ def assert_graded_route_matches_dense_oracles(trunc):
     with the same ``Gamma_{v,z}`` eigenvalue on every column, the same
     projector onto each irrep's copies, and both invariant projectors equal
     to the dense ones, the null space of the whole generator stack and the
-    Haar projector over the whole block, to 1e-12."""
+    Haar projector over the whole block, to 1e-12.  The weight-zero column
+    the pass keeps of each copy is exactly that copy's column of weight zero
+    in the lazily built copy basis, on ``W_0`` (zero if it has none), those
+    columns are an orthonormal basis of ``W_0`` to 1e-12, and ``pi_matrix``
+    equals the dense overlaps' ``dense_pi_matrix`` to 1e-12."""
+    space, inv, _ = reduce_blocks(trunc)
+    for i, (block, (rows, z)) in enumerate(zip(trunc.blocks, space.weight_zero)):
+        u = space.bases[i]
+        lams = np.array([space.irreps[c] for c, _ in space.copies[i]]).T
+        weights = graded(block)[2] if block.dim > 1 else lams
+        at_zero = ~weights.any(axis=0)  # the columns of weight zero
+        assert np.array_equal(rows, _weight_spaces(block)[2])
+        has = []
+        for a, (_, cols) in enumerate(space.copies[i]):
+            k = cols.start + np.flatnonzero(at_zero[cols])
+            assert k.size <= 1
+            has.append(k.size == 1)
+            assert np.array_equal(z[:, a], u[rows, k[0]] if k.size else np.zeros(len(rows)))
+        live = z[:, has]
+        assert live.shape == (len(rows), len(rows))
+        assert_allclose(live.conj().T @ live, np.eye(len(rows)), rtol=0, atol=1e-12)
+    assert_allclose(pi_matrix(space, inv), dense_pi_matrix(space, inv), rtol=0, atol=1e-12)
     for block in trunc.blocks:
         gens = block_generators(block)
         v = invariant_columns(gens)
