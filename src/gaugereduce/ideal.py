@@ -18,12 +18,12 @@ same.  Only ``generator_op`` and ``generator_coords`` sum conjugations.
 The closure step works in commutant coordinates.  The commutant is a sum
 of full matrix algebras, one per gauge irrep, and a two-sided ideal of such
 an algebra is a sum of whole components (Wedderburn-Artin): the ideal
-generated by a set of seeds is the sum of the components they touch, held
-as a boolean mask over the coordinates.  The seeds themselves come from
-the one pass over the blocks in ``reduction.py``; this module keeps the
-spec-by-spec reference routes to them (``generator_op``,
-``generator_coords``), the closure, the distances to ``ker(pi)`` and the
-verification that compares the two.
+generated by a set of seeds is the sum of the components they touch.  So
+the one pass over the blocks in ``reduction.py`` records only the components
+each power reaches; this module keeps the spec-by-spec reference routes to
+the seeds (``generator_op``, ``generator_coords``), the closure of their
+coordinate rows, the ideal's mask over the coordinates, the distances to
+``ker(pi)`` and the verification that compares the two.
 """
 
 from __future__ import annotations
@@ -208,9 +208,9 @@ def verify_ideal(
     band: IrrepLabel | None = None,
 ) -> IdealReport:
     """Compare the kernel of the invariant compression with the averaged
-    generator ideal, power by power up to ``n_max``.  The seed supports are
-    cumulative, so the ideal grows only where they change; every other row
-    repeats the one before it, with no closure or distance recomputed."""
+    generator ideal, power by power up to ``n_max``: the components each power
+    reaches.  They are cumulative, so the ideal grows only where they change;
+    every other row repeats the one before it, with nothing recomputed."""
     t0 = time.perf_counter()
     if n_max is None:
         n_max = default_n_max(trunc)
@@ -220,9 +220,9 @@ def verify_ideal(
     kernel = kernel_pi_basis(space, inv)
     rows = []
     grew = np.r_[True, (support[1:] != support[:-1]).any(axis=1)]
-    for n, (seeds, new) in enumerate(zip(support, grew), 1):
+    for n, (touched, new) in enumerate(zip(support, grew), 1):
         if new:
-            ideal = ideal_closure(space, seeds)
+            ideal = IdealMask(touched[space.components])
             row = ideal.dim, containment_residual(ideal, kernel), subspace_distance(ideal, kernel)
         rows.append(IdealRow(n, *row))
     passed = rows[-1].distance <= tol and all(r.containment_residual <= tol for r in rows)

@@ -8,12 +8,12 @@ Four objects are produced from a truncation:
   irreducible copies, labelled by a gauge irrep ``lam``, and the commutant
   is ``sum_lam M_{m_lam}(C)``, whose matrix units between copies (Schur's
   lemma) are held as copy indices,
-* the supports of the Haar-averaged Gauss generator powers in commutant
-  coordinates, the seeds of the ideal in ``ideal.py``.  A matrix unit
-  commutes with every gauge transformation, so an average's coordinates are
-  the raw power's; a rotation at ``v`` carries ``Gamma_{v,z}`` to the other
-  directions there, so only it is read.  It is diagonal on the copies: its
-  powers are elementwise, up to its number of distinct eigenvalues,
+* the commutant components (gauge irreps) that the Haar-averaged Gauss
+  generator powers reach, the seeds of the ideal in ``ideal.py``.  A matrix
+  unit commutes with every gauge transformation, so an average's coordinates
+  are the raw power's; a rotation at ``v`` carries ``Gamma_{v,z}`` to the
+  other directions there, so only it is read.  It is diagonal on the copies:
+  its powers are elementwise, up to its number of distinct eigenvalues,
 * the matrix of the restriction map ``pi`` onto the invariant subspace, and
   its kernel, kept by its complement, the row space of ``pi``.  Neither uses
   the irrep labels, so comparing the kernel with the ideal is a real check.
@@ -264,10 +264,11 @@ class EquivariantSpace:
     ``copies[i][a] = (c, cols)`` puts copy ``a`` of block ``i``, of irrep
     ``irreps[c]``, on the columns ``cols``; ``members[c]`` lists its
     ``(block, copy)`` pairs; ``weight_zero[i]`` holds the block's ``W_0``
-    indices and weight-zero columns (``_graded_copies``).  Element ``k``, the
-    index ``(i, a, j, b)`` of the matrix unit ``u_a u_b^H / sqrt(dim)``, is
-    orthonormal to the others; those of irrep ``components[k]`` run row-major
-    over its members squared, and ``by_pair`` lists those of each block pair."""
+    indices and weight-zero columns (``_graded_copies``).  Element ``k``, a
+    matrix unit ``u_a u_b^H / sqrt(dim)`` of component ``components[k]``, is
+    orthonormal to the others; a component's run row-major over its members
+    squared.  Only the reference routes read their indices ``(i, a, j, b)``
+    (``elements``) and those of each block pair (``by_pair``), built lazily."""
 
     def __init__(self, trunc: Truncation, weight_zero, copies, irreps):
         self.trunc = trunc
@@ -278,12 +279,19 @@ class EquivariantSpace:
         for i, block_copies in enumerate(copies):
             for a, (c, _) in enumerate(block_copies):
                 self.members[c].append((i, a))
-        self.elements = tuple((i, a, j, b) for m in self.members for i, a in m for j, b in m)
         sizes = [len(held) for held in self.members]
         self.components = np.repeat(np.arange(len(sizes)), np.square(sizes))
-        self.by_pair: dict[tuple[int, int], list[int]] = {}
+
+    @functools.cached_property
+    def elements(self) -> tuple:
+        return tuple((i, a, j, b) for m in self.members for i, a in m for j, b in m)
+
+    @functools.cached_property
+    def by_pair(self) -> dict[tuple[int, int], list[int]]:
+        out: dict[tuple[int, int], list[int]] = {}
         for k, (i, _, j, _) in enumerate(self.elements):
-            self.by_pair.setdefault((i, j), []).append(k)
+            out.setdefault((i, j), []).append(k)
+        return out
 
     @functools.cached_property
     def bases(self) -> list:
@@ -296,7 +304,7 @@ class EquivariantSpace:
 
     @property
     def dim(self) -> int:
-        return len(self.elements)
+        return len(self.components)
 
     def structure_maps(self):
         """Sparse product tables: row ``x*q + m`` of ``L @ w`` (``R @ w``) is
@@ -378,30 +386,22 @@ def _roundoff_cut(comps: np.ndarray, coords, norms) -> np.ndarray:
     return coords
 
 
-def _diagonal_coords(values: np.ndarray, copies: list):
-    """One block's ``own_elements``: their components, and the coordinates
-    of operators whose diagonals in the copy basis run along the last axis
-    of ``values``: copy ``a``'s normalised trace on ``(a, a)``, else zero."""
-    starts, sizes = zip(*((cols.start, cols.stop - cols.start) for _, cols in copies))
-    traces = np.add.reduceat(values, starts, axis=-1) / np.sqrt(sizes)
-    kinds = [c for c, _ in copies]
-    pairs = [(c, a, b) for a, c in enumerate(kinds) for b, cb in enumerate(kinds) if c == cb]
-    comps, a, b = np.array(sorted(pairs)).T  # in the order of own_elements
-    return comps, np.where(a == b, traces[..., a], 0)
-
-
-def _block_seeds(eig: np.ndarray, copies: list, n_max: int):
-    """Cumulative seed supports on one block's ``own_elements``: entry
-    ``(n - 1, k)`` is set when some generator's averaged power ``m <= n``
-    has a nonzero coordinate ``k``, read off the eigenvalues ``eig[v]`` of
-    ``Gamma_{v,z}`` on the copy columns (module docstring), each divided by
-    the largest at its vertex so that no power overflows."""
+def _block_seeds(eig: np.ndarray, copies: list, n_max: int) -> np.ndarray:
+    """Cumulative seed supports on one block's copies: entry ``(n - 1, a)`` is
+    set when some generator's averaged power ``m <= n`` reaches copy ``a``'s
+    component: the norm of the normalised traces (the coordinates) of that
+    component's copies exceeds ``RANK_RTOL`` times the power's Frobenius norm;
+    less is roundoff.  Read off the eigenvalues ``eig[v]`` of ``Gamma_{v,z}`` on
+    the copy columns, each divided by the largest at its vertex so no power overflows."""
     steps = np.minimum([len(set(lam.tolist())) for lam in eig], n_max)
     base = eig / np.abs(eig).max(axis=1, keepdims=True, initial=np.finfo(float).tiny)
     n = np.arange(1, steps.max(initial=0) + 1)[:, None]
     powers = np.where(n <= steps[:, None, None], base[:, None] ** n, 0)  # none past the steps
-    comps, coords = _diagonal_coords(powers, copies)
-    seen = (_roundoff_cut(comps, coords, np.linalg.norm(powers, axis=-1)) != 0).any(axis=0)
+    kinds, starts, sizes = zip(*((c, cols.start, cols.stop - cols.start) for c, cols in copies))
+    traces = np.add.reduceat(powers, starts, axis=-1) / np.sqrt(sizes)
+    weight = np.abs(traces) ** 2 @ np.equal.outer(kinds, kinds)  # per copy, its component's
+    cut = RANK_RTOL * np.linalg.norm(powers, axis=-1)[..., None]
+    seen = (np.sqrt(weight) > cut).any(axis=0)
     return np.logical_or.accumulate(seen)[np.minimum(np.arange(n_max), len(seen) - 1)]
 
 
@@ -439,9 +439,9 @@ def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=N
     the ``method`` of ``invariant_projector`` (``band`` overrides its
     quadrature band), and the seed supports of the averaged powers
     ``1..n_max``, read off the raw powers whatever the ``method``.  The
-    supports are cumulative: entry ``(n - 1, k)`` is set when some
-    ``GeneratorSpec(i, v, a, m)`` with ``m <= n`` has a nonzero coordinate
-    ``k`` (``_block_seeds``).  The one-dimensional blocks are read off one
+    supports are per component and cumulative: entry ``(n - 1, c)`` is set
+    when some ``GeneratorSpec(i, v, a, m)`` with ``m <= n`` reaches component
+    ``c`` (``_block_seeds``).  The one-dimensional blocks are read off one
     array (``_scalar_parts``), every other block off its weight spaces.
     """
     irreps: dict[tuple[int, ...], int] = {}
@@ -461,11 +461,9 @@ def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=N
             cols = _zero_invariants(block, at, zero, method, band)
         seeded.append(seed)
         columns.append(cols)
-    space = EquivariantSpace(trunc, zeros, copies, irreps)
-    support = np.zeros((n_max, space.dim), dtype=bool)
-    own = [k for i in range(len(seeded)) for k in space.by_pair[(i, i)]]
-    support[:, own] = np.hstack(seeded)
-    return space, InvariantSpace(columns), support
+    support = np.zeros((n_max, len(irreps)), dtype=bool)
+    np.logical_or.at(support.T, [c for split in copies for c, _ in split], np.hstack(seeded).T)
+    return EquivariantSpace(trunc, zeros, copies, irreps), InvariantSpace(columns), support
 
 
 def pi_matrix(space: EquivariantSpace, inv: InvariantSpace) -> np.ndarray:

@@ -21,7 +21,9 @@ that summing the generators over an energy level leaves the ideal as it is
 gets its own route (``level_summed_masks``), which cuts roundoff only after
 summing.  The seed supports of every power, not only of those up to each
 generator's minimal polynomial, come from ``stepped_supports``, which steps
-every power to ``n_max``.  The library reads a block's copies and invariants
+every power to ``n_max`` and cuts every coordinate; the library records only
+the components a power reaches, and ``touched_components`` reduces the
+coordinate rows to those.  The library reads a block's copies and invariants
 off its weight spaces; the dense route it replaced is kept here: the copies
 from the dense generators (``isotypic_copies``), the invariants as the null
 space of the whole generator stack (``invariant_columns``) and as the range
@@ -447,6 +449,14 @@ def stepped_rows(space, n_max):
         rows = stepped_supports(gens, space.bases[i], space.copies[i], n_max)
         out[:, space.by_pair[(i, i)]] = rows
     return out
+
+
+def touched_components(space, rows):
+    """Per row of coordinate supports (``q`` wide), which components of
+    ``space`` it has a set coordinate on, as ``(rows, components)`` booleans."""
+    labels = np.arange(len(space.irreps))
+    touched = [np.isin(labels, space.components[row]) for row in rows]
+    return np.array(touched, dtype=bool).reshape(-1, labels.size)
 
 
 def dense_pi_matrix(space, inv):

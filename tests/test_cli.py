@@ -354,8 +354,8 @@ def test_decompose_lists_blocks(tmp_path, capsys):
 def test_decompose_builds_each_blocks_generators_once(tmp_path, capsys, monkeypatch):
     # every U(1) block is one-dimensional, read off one array of scalars; an
     # SU(2) block is split by its weights and ladder pieces.  decompose takes
-    # no --method: a config's is ignored.  No dense generator, block action
-    # or copy basis is built
+    # no --method: a config's is ignored.  No dense generator, block action,
+    # copy basis or per-element index is built
     built = count_builds(monkeypatch)
     su2 = (GOLDEN / "su2-triangle-b1.cfg").read_text()
     for text, n_blocks, big in [(U1_TRIANGLE, 27, 0), (su2, 8, 7)]:

@@ -45,6 +45,7 @@ from .oracles import (
     product_scheme,
     stepped_rows,
     subspace_distance,
+    touched_components,
 )
 from .systems import (
     CANON,
@@ -140,14 +141,12 @@ def test_stepped_seed_rows_equal_spec_by_spec_coords(name, method):
     # The oracle steps every power Gamma^n = Gamma^(n-1) Gamma from generators
     # built once; each spec here rebuilds its generator and takes a matrix
     # power.  Power by power, the stepped support is the union of the specs'
-    # supports.  The pass stops each generator at its minimal polynomial and
-    # returns the running union of those rows.  On a block holding an irrep
-    # more than once (theta), an element (a, b != a) between two of its
-    # copies has a roundoff coordinate in the dense routes, which the cut
-    # keeps when the component is reached, and exactly zero in the pass.  So,
-    # as in ``assert_supports_are_running_union``, the rows are compared on
-    # every element (a, a), the pass sets no other, and each closes to the
-    # same ideal.
+    # supports on every element (a, a).  On a block holding an irrep more
+    # than once (theta), an element (a, b != a) between two of its copies has
+    # a roundoff coordinate in both dense routes, which the cut keeps when
+    # the component is reached, so those are compared by the components
+    # they touch.  The pass stops each generator at its minimal polynomial
+    # and records the running union of the components those rows touch.
     trunc = make(theta_graph(), SU2, 1) if name == "su2-theta-b1" else build(name)
     space, _, support = reduce_blocks(trunc, method, 4)
     same = np.array([(i, a) == (j, b) for i, a, j, b in space.elements])
@@ -160,13 +159,10 @@ def test_stepped_seed_rows_equal_spec_by_spec_coords(name, method):
                 spec = GeneratorSpec(i, v, a, n)
                 want |= generator_coords(space, spec, method=method) != 0
         assert np.array_equal(got[same], want[same]), n
-        assert np.array_equal(ideal_closure(space, got).mask, ideal_closure(space, want).mask)
+        assert np.array_equal(*touched_components(space, [got, want])), n
     assert support.dtype == bool
     union = np.logical_or.accumulate(per_power)
-    assert np.array_equal(support[:, same], union[:, same])
-    assert not support[:, ~same].any()
-    for got, want in zip(support, union):
-        assert np.array_equal(ideal_closure(space, got).mask, ideal_closure(space, want).mask)
+    assert np.array_equal(support, touched_components(space, union))
 
 
 @pytest.mark.parametrize(
@@ -350,24 +346,28 @@ def count_builds(monkeypatch) -> list:
     """Record every dense operator the library builds on a block: a Gauss
     generator matrix (``lattice._generators``, behind ``block_generators``
     and ``gauss_generator_block``), a block action (``rho_block``) or a
-    Kronecker chain (``kron_chain``), wherever the caller imported it from,
-    and a commutant's dense copy bases (``EquivariantSpace.bases``), when
-    they are built or assigned."""
+    Kronecker chain (``kron_chain``), wherever the caller imported it from;
+    and a commutant's dense copy bases (``EquivariantSpace.bases``) and its
+    per-element indices (``elements``, ``by_pair``), when they are built or
+    assigned."""
     built = []
     space_cls = gaugereduce.reduction.EquivariantSpace
-    lazy = vars(space_cls).get("bases")
 
-    class RecordedBases:
+    class Recorded:
+        def __init__(self, name):
+            self.name, self.lazy = name, vars(space_cls).get(name)
+
         def __get__(self, space, owner=None):
-            if space is not None and "bases" not in vars(space):
-                self.__set__(space, lazy.func(space))
-            return self if space is None else vars(space)["bases"]
+            if space is not None and self.name not in vars(space):
+                self.__set__(space, self.lazy.func(space))
+            return self if space is None else vars(space)[self.name]
 
         def __set__(self, space, value):
-            built.append(("bases", space.trunc))
-            vars(space)["bases"] = value
+            built.append((self.name, space.trunc))
+            vars(space)[self.name] = value
 
-    monkeypatch.setattr(space_cls, "bases", RecordedBases(), raising=False)
+    for name in ("bases", "elements", "by_pair"):
+        monkeypatch.setattr(space_cls, name, Recorded(name), raising=False)
     for module, name in [
         (gaugereduce.lattice, "_generators"),
         (gaugereduce.reduction, "block_generators"),
@@ -395,8 +395,9 @@ def count_builds(monkeypatch) -> list:
 def test_verify_builds_no_dense_generator_and_calls_no_rho_block(trunc, method, monkeypatch):
     # blocks are split by their weights and ladder pieces, both methods find
     # the invariants on the weight-zero indices from per-edge pieces or
-    # per-edge factors, and pi reads each copy's weight-zero column: no d x d
-    # generator, block action or copy basis is built
+    # per-edge factors, pi reads each copy's weight-zero column, and the ideal
+    # is read off the components the seeds reach: no d x d generator, block
+    # action or copy basis, and no per-element index, is built
     built = count_builds(monkeypatch)
     assert verify_ideal(trunc, n_max=2, method=method).passed
     assert built == []

@@ -6,9 +6,10 @@ oracles in ``oracles.py`` know nothing of irreps: a Kronecker null space per
 pair of blocks, and a round-based multiplication sweep through numeric
 product tables.  On every small
 system both must give the same commutant and the same ideals.  The library
-also holds ``ker(pi)`` by the row space of ``pi`` and the ideal as a mask;
-the dense oracle bases must give the same kernel dimension, containment
-residual and distance at every power.
+also holds ``ker(pi)`` by the row space of ``pi`` and the ideal as a mask
+of the components the seeds reach; the oracle's seed rows must reach the
+same components, and the dense oracle bases must give the same kernel
+dimension, containment residual and distance at every power.
 """
 
 import numpy as np
@@ -33,7 +34,9 @@ from .oracles import (
     mask_basis,
     pair_commutant,
     round_closure,
+    stepped_rows,
     subspace_distance,
+    touched_components,
 )
 from .systems import CANON, SMALL, build
 
@@ -72,9 +75,14 @@ def assert_closures_agree(space, n_max=3):
 
 
 def assert_rows_match_dense_oracle(trunc, n_max):
-    """Verify ``trunc`` and check every row against the dense routes; return
-    the report."""
+    """Verify ``trunc`` and check every row against the dense routes: the
+    pass's components per power against those the oracle's stepped seed rows
+    touch, and the report's numbers against the closure of those rows and
+    the dense kernel.  Return the report."""
     space, inv, support = reduce_blocks(trunc, n_max=n_max)
+    per_power = stepped_rows(space, n_max)
+    want = touched_components(space, np.logical_or.accumulate(per_power))
+    assert np.array_equal(support, want)
     kernel = kernel_pi_basis(space, inv)
     dense = dense_kernel_basis(space, inv)
     assert kernel.dim == dense.dim
@@ -83,7 +91,7 @@ def assert_rows_match_dense_oracle(trunc, n_max):
     report = verify_ideal(trunc, n_max=n_max)
     assert report.dim_ker_pi == dense.dim
     ideal = None
-    for row, seeds in zip(report.rows, support):
+    for row, seeds in zip(report.rows, per_power):
         ideal = ideal_closure(space, seeds, start=ideal)
         basis = mask_basis(ideal)
         assert row.dim_ideal == basis.dim, row.n

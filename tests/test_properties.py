@@ -12,8 +12,8 @@ routes', each ``Gamma_{v,z}`` must be diagonal on the copies with the eigenvalue
 pass reads, and their powers' coordinates the dense ones, each generator's
 next power past the degree the pass stops it at must lie in the span of the
 powers before, the oracle's supports must agree across the Lie directions
-at each vertex, and the pass's seed supports must be the running union of
-the oracle's, which steps every power,
+at each vertex, and the components the pass's seed supports reach must be
+those the running union of the oracle's touches, which steps every power,
 the irrep-based commutant must match the dense oracle, the dimension
 ledger must hold, the component closure must match the round-based oracle
 closure, the quadrature averages of generator powers 1 and 2 must have the

@@ -18,7 +18,6 @@ from gaugereduce import (
     InvariantSpace,
     IrrepLabel,
     commutant_basis,
-    ideal_closure,
     invariant_basis,
     invariant_projector,
     kernel_pi_basis,
@@ -32,9 +31,9 @@ from gaugereduce.lattice import block_generators, lie_directions
 from gaugereduce.reduction import (
     RANK_RTOL,
     _block_seeds,
-    _diagonal_coords,
     _graded_copies,
     _null_columns,
+    _scalar_parts,
     _weight_spaces,
     own_elements,
     reduce_blocks,
@@ -58,6 +57,7 @@ from .oracles import (
     product_projector,
     stepped_rows,
     stepped_supports,
+    touched_components,
 )
 from .systems import (
     CANON,
@@ -229,16 +229,28 @@ def test_null_columns_match_scipy_null_space(shape, scale):
     assert_allclose(got @ got.conj().T, want @ want.conj().T, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("small,reached", [(0.8e-10, True), (0.6e-10, False)])
+def test_block_seeds_cut_each_component_by_its_norm(small, reached):
+    # two one-column copies of component 0, each with trace `small` against a
+    # power of norm about 1, and one copy of component 1: component 0 is
+    # reached when sqrt(2) * small passes RANK_RTOL, though neither trace does
+    copies = [(0, slice(0, 1)), (0, slice(1, 2)), (1, slice(2, 3))]
+    got = _block_seeds(np.array([[small, small, 1.0]]), copies, 1)
+    assert np.array_equal(got, [[reached, reached, True]])
+
+
 def assert_one_dim_blocks_match_null_space(trunc, n_max=3):
     """The pass reads every one-dimensional block off one array of scalar
-    generators.  Block by block, from the block's own generators, the copy
-    split, copy basis and seed supports must be those of the dense
-    ``isotypic_copies`` and ``_block_seeds``, and the block must keep its
+    generators (``_scalar_parts``).  Block by block, from the block's own
+    generators, the copy split, copy basis and seed rows must be those of
+    the dense ``isotypic_copies`` and ``_block_seeds``, the pass's support
+    must hold the component of every row set, and the block must keep its
     invariant vector exactly when the null-space rule on its stacked
     generators (``_null_columns``, which ``invariant_columns`` applies)
     does."""
     space, inv, support = reduce_blocks(trunc, n_max=n_max)
     rows = invariant_rows(trunc, inv)
+    scalar = _scalar_parts(trunc, n_max)
     for i, block in enumerate(trunc.blocks):
         if block.dim > 1:
             continue
@@ -247,7 +259,8 @@ def assert_one_dim_blocks_match_null_space(trunc, n_max=3):
         assert [(space.irreps[c], cols) for c, cols in space.copies[i]] == split
         assert np.array_equal(space.bases[i], u)
         want = _block_seeds(eig, space.copies[i], n_max)
-        assert np.array_equal(support[:, space.by_pair[(i, i)]], want)
+        assert np.array_equal(next(scalar)[2], want)
+        assert support[:, [c for c, _ in space.copies[i]]][want].all()
         # a kept block's invariant row is its basis vector, entry exactly 1
         kept = rows[:, trunc.offsets[i]]
         want = _null_columns(np.vstack(gens))
@@ -431,8 +444,10 @@ def minimal_degrees(trunc):
 def assert_powers_stop_at_the_minimal_polynomial(trunc):
     """On every block of dimension above one, ``Gamma_{v,z}`` is diagonal in
     the copy basis, with the eigenvalues the pass reads on its diagonal, and
-    the coordinates the pass reads off their powers are those of the dense
-    powers.  The degree the pass steps each generator at a vertex to is its
+    the copies' normalised traces of their powers, the coordinates the pass
+    reads, are the dense powers' on every element ``(a, a)``; on an element
+    ``(a, b != a)`` between two copies of one irrep the dense coordinate is
+    roundoff.  The degree the pass steps each generator at a vertex to is its
     number of distinct eigenvalues, and the next power lies in the span of
     the powers up to it."""
     space = commutant_basis(trunc)
@@ -442,14 +457,18 @@ def assert_powers_stop_at_the_minimal_polynomial(trunc):
         gens = block_generators(block)
         u, _, eig = graded(block)
         _, read = own_elements(space.copies[i])
+        a, b = np.array([space.elements[k][1::2] for k in space.by_pair[(i, i)]]).T
+        starts, sizes = zip(*((c.start, c.stop - c.start) for _, c in space.copies[i]))
         nl = len(lie_directions(block))
         for v, (k, lam) in enumerate(zip(degree, eig)):
             gz = u.conj().T @ gens[v * nl + nl - 1] @ u
             assert np.abs(gz - np.diag(lam)).max() <= 1e-12 * np.linalg.norm(gz)
             gn = gz
             for n in range(1, k + 2):
-                _, got = _diagonal_coords(lam**n, space.copies[i])
-                assert np.abs(got - read(gn)).max() <= 1e-12 * np.linalg.norm(gn)
+                traces = np.add.reduceat(lam**n, starts) / np.sqrt(sizes)
+                got, bound = read(gn), 1e-12 * np.linalg.norm(gn)
+                assert np.abs(got[a == b] - traces[a[a == b]]).max() <= bound
+                assert np.abs(got[a != b]).max(initial=0.0) <= bound
                 gn = gn @ gz
             for gamma in gens[v * nl : (v + 1) * nl]:
                 assert np.unique(np.round(np.linalg.eigvals(gamma), 8)).size == k
@@ -471,12 +490,8 @@ def assert_supports_are_running_union(trunc, n_max=None):
 
     At each vertex the oracle's rows are the same for every Lie direction,
     which a gauge rotation there carries to one another; the pass reads the
-    last one only.  On an element ``(a, b != a)`` between two copies of one
-    irrep in a block, the pass's coordinate is exactly zero and the dense
-    oracle's is roundoff (``assert_powers_stop_at_the_minimal_polynomial``
-    bounds it), which the cut keeps when the component is reached.  So the
-    pass matches the oracle on every element ``(a, a)``, sets no other, and
-    closes every row to the same ideal."""
+    last one only.  The pass records only the components a power reaches,
+    so its rows are compared with the components the oracle's touch."""
     if n_max is None:
         n_max = max(int(d.max(initial=1)) for d in minimal_degrees(trunc)) + 3
     space, _, support = reduce_blocks(trunc, n_max=n_max)
@@ -487,11 +502,8 @@ def assert_supports_are_running_union(trunc, n_max=None):
             rows = [stepped_supports(gens[[d]], u, copies, n_max) for d in range(v, v + nl)]
             assert all(np.array_equal(rows[0], r) for r in rows[1:])
     want = np.logical_or.accumulate(stepped_rows(space, n_max))
-    same = np.array([(i, a) == (j, b) for i, a, j, b in space.elements])
-    assert np.array_equal(support[:, same], want[:, same])
-    assert not support[:, ~same].any()
-    for got, ref in zip(support, want):
-        assert np.array_equal(ideal_closure(space, got).mask, ideal_closure(space, ref).mask)
+    assert support.shape == (n_max, len(space.irreps))
+    assert np.array_equal(support, touched_components(space, want))
 
 
 def assert_graded_route_matches_dense_oracles(trunc):
