@@ -69,7 +69,7 @@ ker = kernel_pi_basis(space, inv)
 q, h = space.dim, inv.dim
 print(f"  commutant dimension        q  = {q}")
 print(f"  invariant dimension        h  = {inv.dim}")
-print(f"  rank of pi (k = q - r)     r  = {ker.complement.shape[0]}")
+print(f"  rank of pi (k = q - r)     r  = {ker.rank}")
 print(f"  kernel of the compression  k  = {ker.dim}")
 print(f"  ledger q = k + h^2:  {q} = {ker.dim} + {h * h}  "
       f"-> {'holds' if q == ker.dim + h * h else 'BROKEN'}")

@@ -65,7 +65,6 @@ from .reduction import (
     invariant_basis,
     invariant_projector,
     kernel_pi_basis,
-    pi_matrix,
     projector_band,
 )
 from .spectrum import (

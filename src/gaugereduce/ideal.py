@@ -22,7 +22,7 @@ generated by a set of seeds is the sum of the components they touch.  So
 the one pass over the blocks in ``reduction.py`` records only the components
 each power reaches; this module keeps the spec-by-spec reference routes to
 the seeds (``generator_op``, ``generator_coords``), the closure of their
-coordinate rows, the ideal's mask over the coordinates, the distances to
+coordinate rows, the ideal's mask over the components, the distances to
 ``ker(pi)`` and the verification that compares the two.
 """
 
@@ -127,14 +127,15 @@ def generator_coords(
 
 class IdealMask:
     """A two-sided ideal of the commutant, as a sum of whole components:
-    ``mask[k]`` is set when basis element ``k`` lies in the ideal."""
+    ``mask[c]`` is set when component ``c``, of ``sizes[c]**2`` elements, lies
+    in the ideal."""
 
-    def __init__(self, mask: np.ndarray):
-        self.mask = mask
+    def __init__(self, mask: np.ndarray, sizes: np.ndarray):
+        self.mask, self.sizes = mask, sizes
 
     @property
     def dim(self) -> int:
-        return int(np.count_nonzero(self.mask))
+        return int(np.square(self.sizes[self.mask]).sum())
 
 
 def ideal_closure(
@@ -148,25 +149,28 @@ def ideal_closure(
     rows = np.asarray(seeds).reshape(-1, space.dim)
     touched = np.zeros(len(space.irreps), dtype=bool)
     touched[space.components[rows.any(axis=0)]] = True
-    mask = touched[space.components]
-    return IdealMask(mask if start is None else mask | start.mask)
+    return IdealMask(touched if start is None else touched | start.mask, space.sizes)
 
 
 def subspace_distance(ideal: IdealMask, kernel: PiKernel) -> float:
     """Operator-norm distance between the orthogonal projectors: exactly 1
     when the dimensions differ, otherwise the sine of the largest principal
     angle (Bjorck and Golub, Math. Comp. 27, 1973), which is the spectral
-    norm of the kernel's complement on the ideal's coordinates."""
+    norm of the kernel's complement on the ideal's coordinates.  Its rows are
+    orthonormal and lie in one component: that is 1 if the ideal holds it."""
     if ideal.dim != kernel.dim:
         return 1.0
-    block = kernel.complement[:, ideal.mask]
-    return float(np.linalg.norm(block, 2)) if block.size else 0.0
+    return float(kernel.rank > 0 and ideal.mask[kernel.component])
 
 
 def containment_residual(ideal: IdealMask, kernel: PiKernel) -> float:
-    """Largest norm of an ideal basis element off the kernel."""
-    block = kernel.complement[:, ideal.mask]
-    return float(np.linalg.norm(block, axis=0).max()) if block.size else 0.0
+    """Largest norm of an ideal basis element off the kernel: ``sqrt(sum_kept
+    |w_ap|^2 |w_bt|^2)`` for element ``(p, t)`` of the kernel's component, and
+    zero for every other element."""
+    if kernel.rank == 0 or not ideal.mask[kernel.component]:
+        return 0.0
+    weight = np.abs(kernel.w) ** 2
+    return float(np.sqrt((weight.T @ kernel.kept @ weight).max()))
 
 
 @dataclass(frozen=True)
@@ -222,7 +226,7 @@ def verify_ideal(
     grew = np.r_[True, (support[1:] != support[:-1]).any(axis=1)]
     for n, (touched, new) in enumerate(zip(support, grew), 1):
         if new:
-            ideal = IdealMask(touched[space.components])
+            ideal = IdealMask(touched, space.sizes)
             row = ideal.dim, containment_residual(ideal, kernel), subspace_distance(ideal, kernel)
         rows.append(IdealRow(n, *row))
     passed = rows[-1].distance <= tol and all(r.containment_residual <= tol for r in rows)

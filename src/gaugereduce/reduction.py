@@ -14,9 +14,10 @@ Four objects are produced from a truncation:
   are the raw power's; a rotation at ``v`` carries ``Gamma_{v,z}`` to the
   other directions there, so only it is read.  It is diagonal on the copies:
   its powers are elementwise, up to its number of distinct eigenvalues,
-* the matrix of the restriction map ``pi`` onto the invariant subspace, and
-  its kernel, kept by its complement, the row space of ``pi``.  Neither uses
-  the irrep labels, so comparing the kernel with the ideal is a real check.
+* the kernel of the restriction map ``pi`` onto the invariant subspace, kept
+  by its complement, the row space of ``pi``: the Kronecker square of the
+  SVD of one component's overlaps with the invariant vectors.  No irrep
+  label is read, so comparing the kernel with the ideal is a real check.
 
 The first three come from one pass over the blocks (``reduce_blocks``) with no
 ``d x d`` array: a block is graded by joint weights off per-edge diagonals,
@@ -68,17 +69,17 @@ class InvariantSpace:
 
 
 class PiKernel:
-    """The kernel of ``pi`` in commutant coordinates, known by its
-    orthogonal complement: ``complement`` has orthonormal rows ``V_r`` and
-    the kernel is every ``w`` with ``V_r @ w = 0``."""
+    """The kernel of ``pi`` in commutant coordinates, known by its orthogonal
+    complement in the one ``component`` that ``pi`` sees: a row ``kron(w[a],
+    conj(w[b]))`` on its elements per pair ``kept[a, b]``, ``w`` orthonormal
+    rows.  Dropping the other components moves no singular value of ``pi`` by
+    more than ``delta`` (Weyl); the least kept is ``margin`` times the cut."""
 
-    def __init__(self, ambient_dim: int, complement: np.ndarray):
-        self.ambient_dim = ambient_dim
-        self.complement = complement
-
-    @property
-    def dim(self) -> int:
-        return self.ambient_dim - self.complement.shape[0]
+    def __init__(self, ambient_dim, component, w, kept, delta=0.0, margin=np.inf):
+        self.component, self.w, self.kept = component, w, kept
+        self.delta, self.margin = delta, margin
+        self.rank = int(np.count_nonzero(kept))
+        self.dim = ambient_dim - self.rank
 
 
 def vertex_degree(block: BlockLabel) -> int:
@@ -264,11 +265,12 @@ class EquivariantSpace:
     ``copies[i][a] = (c, cols)`` puts copy ``a`` of block ``i``, of irrep
     ``irreps[c]``, on the columns ``cols``; ``members[c]`` lists its
     ``(block, copy)`` pairs; ``weight_zero[i]`` holds the block's ``W_0``
-    indices and weight-zero columns (``_graded_copies``).  Element ``k``, a
-    matrix unit ``u_a u_b^H / sqrt(dim)`` of component ``components[k]``, is
-    orthonormal to the others; a component's run row-major over its members
-    squared.  Only the reference routes read their indices ``(i, a, j, b)``
-    (``elements``) and those of each block pair (``by_pair``), built lazily."""
+    indices and weight-zero columns (``_graded_copies``); ``sizes[c]`` counts
+    component ``c``'s members.  Element ``k``, a matrix unit ``u_a u_b^H /
+    sqrt(dim)`` of component ``components[k]``, is orthonormal to the others;
+    a component's run row-major over its members squared.  Only the reference
+    routes read the ``components``, the indices ``(i, a, j, b)`` (``elements``)
+    and those of each block pair (``by_pair``), built lazily."""
 
     def __init__(self, trunc: Truncation, weight_zero, copies, irreps):
         self.trunc = trunc
@@ -279,8 +281,12 @@ class EquivariantSpace:
         for i, block_copies in enumerate(copies):
             for a, (c, _) in enumerate(block_copies):
                 self.members[c].append((i, a))
-        sizes = [len(held) for held in self.members]
-        self.components = np.repeat(np.arange(len(sizes)), np.square(sizes))
+        self.sizes = np.array([len(held) for held in self.members])
+        self.dim = int(np.square(self.sizes).sum())
+
+    @functools.cached_property
+    def components(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.sizes)), np.square(self.sizes))
 
     @functools.cached_property
     def elements(self) -> tuple:
@@ -301,10 +307,6 @@ class EquivariantSpace:
             _graded_copies(b, *_weight_spaces(b)[:2], True)[0] if b.dim > 1 else _UNIT
             for b in self.trunc.blocks
         ]
-
-    @property
-    def dim(self) -> int:
-        return len(self.components)
 
     def structure_maps(self):
         """Sparse product tables: row ``x*q + m`` of ``L @ w`` (``R @ w``) is
@@ -466,46 +468,40 @@ def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=N
     return EquivariantSpace(trunc, zeros, copies, irreps), InvariantSpace(columns), support
 
 
-def pi_matrix(space: EquivariantSpace, inv: InvariantSpace) -> np.ndarray:
-    """Matrix of the compression map onto the invariant subspace.
-
-    Columns follow the commutant basis; rows are the flattened matrix units
-    of the invariant-subspace basis.  An invariant vector has weight zero, so
-    it meets copy ``a`` in its weight-zero column ``z_a`` alone
-    (``EquivariantSpace.weight_zero``), and element ``(i, a, j, b)``
-    compresses to ``o_a o_b^H / sqrt(dim)``, ``o_a = inv_i^H z_a`` on
-    ``W_0``, nonzero only on block ``i``'s invariant rows.  So a block without invariant vectors
-    has no overlaps, and a component none of whose copies lies in such a
-    block compresses to zero: both are skipped.
-    """
-    h, start = inv.dim, 0
-    out = np.zeros((h, h, space.dim), dtype=complex)
-    first = np.cumsum([0] + [cols.shape[1] for cols in inv.columns])  # row offsets
-    zeros = zip(inv.columns, space.weight_zero)
-    over = {i: c[w].conj().T @ z for i, (c, (w, z)) in enumerate(zeros) if c.size}  # on W_0
-    for held in space.members:
-        m, live = len(held), [(p, i, a) for p, (i, a) in enumerate(held) if i in over]
-        if live:
-            n = space.copies[held[0][0]][held[0][1]][1]  # the columns of one copy
-            o = np.concatenate([over[i][:, a] for _, i, a in live])
-            rows = np.concatenate([np.arange(first[i], first[i + 1]) for _, i, _ in live])
-            at = np.concatenate([np.full(first[i + 1] - first[i], p) for p, i, _ in live])
-            cols = start + at[:, None] * m + at  # element (p, t) for rows of members p, t
-            out[rows[:, None], rows, cols] = np.outer(o, o.conj()) / np.sqrt(n.stop - n.start)
-        start += m * m
-    return out.reshape(h * h, space.dim)
-
-
 def kernel_pi_basis(space: EquivariantSpace, inv: InvariantSpace) -> PiKernel:
     """Kernel of the compression map, by the row space of its matrix.
 
-    A thin SVD of ``pi_matrix`` keeps the right singular vectors whose
-    singular value exceeds ``RANK_RTOL`` times the largest, the rank rule of
-    ``scipy.linalg.null_space``.  The kernel is the whole commutant when the
-    invariant space is zero.
+    An invariant vector has weight zero, so it meets copy ``a`` in its
+    weight-zero column ``z_a`` alone (``EquivariantSpace.weight_zero``), and
+    component ``c``'s columns of ``pi`` are ``(O_c (x) conj O_c) / sqrt(w_c)``,
+    ``O_c`` its copies' overlaps ``inv^H z_a`` on ``W_0``, ``w_c`` their size.
+    The component of largest norm ``|O_c|_F^2 / sqrt(w_c)`` is kept and a
+    second one above ``RANK_RTOL`` of it refused: correct invariant vectors
+    span trivial copies.  A pair of singular values of ``O_c`` is kept when its
+    product exceeds ``RANK_RTOL`` times the largest, the rank rule of
+    ``scipy.linalg.null_space``.  With no invariants the kernel is everything.
     """
-    q = space.dim
     if inv.dim == 0:
-        return PiKernel(q, np.zeros((0, q), dtype=complex))
-    _, s, vh = np.linalg.svd(pi_matrix(space, inv), full_matrices=False)
-    return PiKernel(q, vh[: np.count_nonzero(s > RANK_RTOL * s[0])])
+        return PiKernel(space.dim, None, np.zeros((0, 0)), np.zeros((0, 0), dtype=bool))
+    first = np.cumsum([0] + [cols.shape[1] for cols in inv.columns])  # row offsets
+    zeros = zip(inv.columns, space.weight_zero)
+    over = {i: c[w].conj().T @ z for i, (c, (w, z)) in enumerate(zeros) if c.size}  # on W_0
+    norms = np.zeros(len(space.irreps))
+    for i, o in over.items():
+        kinds, sizes = zip(*((c, cols.stop - cols.start) for c, cols in space.copies[i]))
+        np.add.at(norms, list(kinds), np.square(np.abs(o)).sum(axis=0) / np.sqrt(sizes))
+    keep, rest = int(norms.argmax()), norms.copy()
+    rest[keep] = 0.0
+    if rest.max() > RANK_RTOL * norms[keep]:
+        second = f"{rest.max():.3e} on component {rest.argmax()}"
+        raise RuntimeError(f"pi has norm {norms[keep]:.3e} on component {keep} and {second}")
+    o = np.zeros((inv.dim, len(space.members[keep])), dtype=complex)
+    for p, (i, a) in enumerate(space.members[keep]):
+        if i in over:
+            o[first[i] : first[i + 1], p] = over[i][:, a]
+    _, s, vh = np.linalg.svd(o, full_matrices=False)
+    products = np.outer(s, s)  # the singular values of pi, times sqrt(w_c)
+    kept = products > RANK_RTOL * products.max()
+    k = np.count_nonzero(kept[:, 0])  # s is sorted, so the kept pairs are a staircase
+    margin = products[kept].min() / (RANK_RTOL * products.max())
+    return PiKernel(space.dim, keep, vh[:k], kept[:k, :k], float(np.linalg.norm(rest)), margin)

@@ -11,7 +11,7 @@ reached by a round-based sweep of left and right multiplications through
 those numeric product tables.  They are slow but independent.  Subspaces
 are dense orthonormal row bases here (``SubspaceBasis``; ``invariant_rows``
 writes the library's per-block invariant vectors out that way):
-``ker(pi)`` is the full-SVD null space of ``pi_matrix``, and the distance
+``ker(pi)`` is the full-SVD null space of ``dense_pi_matrix``, and the distance
 between two subspaces is read off an eigendecomposition of the difference
 of their projectors.  A Gauss generator is also built here the long way,
 as one full Kronecker chain of per-edge factors for every edge at the
@@ -28,9 +28,11 @@ off its weight spaces; the dense route it replaced is kept here: the copies
 from the dense generators (``isotypic_copies``), the invariants as the null
 space of the whole generator stack (``invariant_columns``) and as the range
 of the Haar projector over the whole block (``haar_projector``).  The
-library's ``pi`` reads each copy's one column of weight zero; the dense
-overlaps with every column of the copy basis are kept here
-(``dense_pi_matrix``).
+library reads each copy's one column of weight zero and keeps ``ker(pi)``
+by the Kronecker square of one component's overlaps; the matrix of ``pi``
+from the dense overlaps with every column of the copy basis is kept here
+(``dense_pi_matrix``), and the library's complement is written out as dense
+rows over the whole commutant (``complement_rows``).
 """
 
 import itertools
@@ -47,7 +49,6 @@ from gaugereduce.reduction import (
     _null_columns,
     _roundoff_cut,
     own_elements,
-    pi_matrix,
     projector_band,
     vertex_actions,
 )
@@ -480,21 +481,41 @@ def dense_pi_matrix(space, inv):
     return out.reshape(h * h, space.dim)
 
 
+def element_mask(ideal):
+    """An ideal's mask over the components written out over the commutant
+    coordinates: every element of a component it holds."""
+    return np.repeat(ideal.mask, np.square(ideal.sizes))
+
+
 def mask_basis(ideal):
-    """The identity rows of an ideal's masked coordinates, as a basis."""
-    keep = np.flatnonzero(ideal.mask)
-    basis = np.zeros((keep.size, ideal.mask.size), dtype=complex)
+    """The identity rows of an ideal's coordinates, as a basis."""
+    mask = element_mask(ideal)
+    keep = np.flatnonzero(mask)
+    basis = np.zeros((keep.size, mask.size), dtype=complex)
     basis[np.arange(keep.size), keep] = 1.0
-    return SubspaceBasis(ideal.mask.size, basis)
+    return SubspaceBasis(mask.size, basis)
+
+
+def complement_rows(sizes, kernel):
+    """The library's ``ker(pi)`` complement written out as dense rows over
+    the commutant of components with ``sizes`` members: ``kron(w[a],
+    conj(w[b]))`` on the kept component's elements, one row per kept pair."""
+    rows = np.zeros((kernel.rank, int(np.square(sizes).sum())), dtype=complex)
+    a, b = np.nonzero(kernel.kept)
+    start = int(np.square(sizes[: kernel.component]).sum())
+    m = kernel.w.shape[1]
+    block = (kernel.w[a, :, None] * kernel.w[b, None, :].conj()).reshape(len(a), m * m)
+    rows[:, start : start + block.shape[1]] = block
+    return rows
 
 
 def dense_kernel_basis(space, inv):
     """Orthonormal rows spanning ``ker(pi)``: the full-SVD null space of
-    ``pi_matrix``, or the whole commutant when there are no invariants."""
+    ``dense_pi_matrix``, or the whole commutant when there are no invariants."""
     q = space.dim
     if inv.dim == 0:
         return SubspaceBasis(q, np.eye(q, dtype=complex))
-    return SubspaceBasis(q, null_space(pi_matrix(space, inv), rcond=RANK_RTOL).T)
+    return SubspaceBasis(q, null_space(dense_pi_matrix(space, inv), rcond=RANK_RTOL).T)
 
 
 def project_out(basis, rows):

@@ -5,6 +5,8 @@ existed and are frozen; see the individual test modules for the
 independent routes that recompute them.
 """
 
+import itertools
+
 from gaugereduce import Graph, IrrepLabel, Truncation
 from gaugereduce.groups import GroupId
 
@@ -37,6 +39,12 @@ def theta_graph():
     """Two vertices joined by three edges, one of them reversed: three edge
     ends at each vertex, so a block can hold an irrep more than once."""
     return Graph(("x", "y"), [("a", "x", "y"), ("b", "x", "y"), ("c", "y", "x")])
+
+
+def k4_graph():
+    """The complete graph on four vertices: six edges, three ends at each."""
+    vertices = ("w", "x", "y", "z")
+    return Graph(vertices, [(a + b, a, b) for a, b in itertools.combinations(vertices, 2)])
 
 
 def loop_graph():

@@ -33,13 +33,16 @@ from gaugereduce import (
 )
 from gaugereduce.groups import casimir_eigenvalue, lie_dim
 from gaugereduce.ideal import conjugation_band, default_n_max
-from gaugereduce.reduction import reduce_blocks
+from gaugereduce.reduction import RANK_RTOL, reduce_blocks
 
+from . import oracles
 from .oracles import (
     SubspaceBasis,
+    complement_rows,
     containment_residual,
     coords_of,
     coords_of_matrix,
+    element_mask,
     element_op,
     mask_basis,
     product_scheme,
@@ -227,13 +230,14 @@ def test_closure_is_two_sided_stable(name):
     rng = np.random.default_rng(53)
     seeds = rng.normal(size=(2, space.dim)) + 1j * rng.normal(size=(2, space.dim))
     ideal = ideal_closure(space, seeds)
-    for m in np.flatnonzero(ideal.mask):
+    inside = element_mask(ideal)
+    for m in np.flatnonzero(inside):
         x = element_op(space, int(m))
         for k in rng.integers(0, space.dim, size=6):
             b = element_op(space, int(k))
             for prod in (b @ x, x @ b):
                 w = coords_of_matrix(space, prod)
-                assert np.linalg.norm(w[~ideal.mask]) < 1e-9
+                assert np.linalg.norm(w[~inside]) < 1e-9
 
 
 def test_closure_incremental_equals_batch():
@@ -276,21 +280,31 @@ def test_containment_residual_extremes():
 
 
 def test_mask_numbers_equal_dense_oracle_off_the_kernel():
-    # A kernel in general position, so that residuals and equal-dimension
-    # distances are neither 0 nor 1; every mask of the coordinates.
+    # A kernel in general position on component 1 of four: random orthonormal
+    # rows w, and a rank cut on products of singular values that keeps some
+    # pairs and drops others, so residuals are neither 0 nor 1; every mask of
+    # the components.  With every pair kept the kernel is the other
+    # components, which a mask of them meets at distance 0.
     rng = np.random.default_rng(67)
-    q, rank = 7, 3
-    raw = rng.normal(size=(q, rank)) + 1j * rng.normal(size=(q, rank))
-    kernel = PiKernel(q, np.linalg.qr(raw)[0].T)
-    dense = SubspaceBasis(q, null_space(kernel.complement).T)
-    assert kernel.dim == dense.dim == q - rank
-    for bits in itertools.product((False, True), repeat=q):
-        ideal = IdealMask(np.array(bits))
-        basis = mask_basis(ideal)
-        want = containment_residual(basis, dense)
-        assert abs(gaugereduce.containment_residual(ideal, kernel) - want) <= 1e-12
-        want = subspace_distance(basis, dense)
-        assert abs(gaugereduce.subspace_distance(ideal, kernel) - want) <= 1e-12
+    sizes = np.array([1, 3, 2, 1])
+    q = int(np.square(sizes).sum())
+    w = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0].T
+    s = np.array([1.0, 1e-3, 1e-8])
+    cut = np.outer(s, s) > RANK_RTOL
+    assert 0 < np.count_nonzero(cut) < cut.size
+    kept = [(w, cut), (w[:2], np.ones((2, 2), dtype=bool)), (w, np.ones((3, 3), dtype=bool))]
+    for rows, pairs in kept:
+        kernel = PiKernel(q, 1, rows, pairs)
+        dense = SubspaceBasis(q, null_space(complement_rows(sizes, kernel)).T)
+        assert kernel.dim == dense.dim == q - np.count_nonzero(pairs)
+        for bits in itertools.product((False, True), repeat=len(sizes)):
+            ideal = IdealMask(np.array(bits), sizes)
+            basis = mask_basis(ideal)
+            assert ideal.dim == basis.dim
+            want = containment_residual(basis, dense)
+            assert abs(gaugereduce.containment_residual(ideal, kernel) - want) <= 1e-12
+            want = subspace_distance(basis, dense)
+            assert abs(gaugereduce.subspace_distance(ideal, kernel) - want) <= 1e-12
 
 
 @pytest.mark.parametrize("name", list(CANON))
@@ -347,9 +361,10 @@ def count_builds(monkeypatch) -> list:
     generator matrix (``lattice._generators``, behind ``block_generators``
     and ``gauss_generator_block``), a block action (``rho_block``) or a
     Kronecker chain (``kron_chain``), wherever the caller imported it from;
-    and a commutant's dense copy bases (``EquivariantSpace.bases``) and its
-    per-element indices (``elements``, ``by_pair``), when they are built or
-    assigned."""
+    the dense matrix of ``pi`` (``oracles.dense_pi_matrix``); and a
+    commutant's dense copy bases (``EquivariantSpace.bases``), its
+    per-element components (``components``) and indices (``elements``,
+    ``by_pair``), when they are built or assigned."""
     built = []
     space_cls = gaugereduce.reduction.EquivariantSpace
 
@@ -366,7 +381,7 @@ def count_builds(monkeypatch) -> list:
             built.append((self.name, space.trunc))
             vars(space)[self.name] = value
 
-    for name in ("bases", "elements", "by_pair"):
+    for name in ("bases", "components", "elements", "by_pair"):
         monkeypatch.setattr(space_cls, name, Recorded(name), raising=False)
     for module, name in [
         (gaugereduce.lattice, "_generators"),
@@ -376,6 +391,7 @@ def count_builds(monkeypatch) -> list:
         (gaugereduce.reduction, "rho_block"),
         (gaugereduce.blocks, "kron_chain"),
         (gaugereduce.lattice, "kron_chain"),
+        (oracles, "dense_pi_matrix"),
     ]:
 
         def record(*args, build=getattr(module, name), name=name):
@@ -395,9 +411,10 @@ def count_builds(monkeypatch) -> list:
 def test_verify_builds_no_dense_generator_and_calls_no_rho_block(trunc, method, monkeypatch):
     # blocks are split by their weights and ladder pieces, both methods find
     # the invariants on the weight-zero indices from per-edge pieces or
-    # per-edge factors, pi reads each copy's weight-zero column, and the ideal
-    # is read off the components the seeds reach: no d x d generator, block
-    # action or copy basis, and no per-element index, is built
+    # per-edge factors, ker(pi) is read off one component's weight-zero
+    # overlaps, and the ideal off the components the seeds reach: no d x d
+    # generator, block action, copy basis or matrix of pi, and nothing per
+    # element, is built
     built = count_builds(monkeypatch)
     assert verify_ideal(trunc, n_max=2, method=method).passed
     assert built == []

@@ -26,7 +26,7 @@ from collections import Counter
 
 import pytest
 
-from gaugereduce import Graph, commutant_basis, kernel_pi_basis, verify_ideal
+from gaugereduce import commutant_basis, kernel_pi_basis, verify_ideal
 from gaugereduce.reduction import reduce_blocks
 
 from .systems import (
@@ -36,6 +36,7 @@ from .systems import (
     U1,
     build,
     edge_graph,
+    k4_graph,
     loop_graph,
     make,
     parallel_graph,
@@ -147,7 +148,7 @@ def test_su2_triangle_verifies_at_the_default_power_budget():
 def test_su2_k4_verifies_with_the_counted_rows():
     # the complete graph on four vertices, spin 1/2 on each of its six edges:
     # 64 blocks up to dimension 4,096, with no invariant on the largest
-    graph = Graph(("w", "x", "y", "z"), [(a + b, a, b) for a, b in itertools.combinations("wxyz", 2)])
+    graph = k4_graph()
     mult = irrep_multiplicities(graph, 1)
     nonzero = sum(m * m for lam, m in mult.items() if lam != (0,) * 4)
     assert ledger(graph, 1) == (5119, 8, 5055) and nonzero == 5055
@@ -191,17 +192,30 @@ def flux_multiplicities(graph, bound):
 
 @pytest.mark.parametrize(
     "graph,bound,counts",
-    [(triangle_graph, 3, (1225, 7, 1176)), (square_graph, 2, (1333, 5, 1308))],
-    ids=["u1-triangle-b3", "u1-square-b2"],
+    [
+        (triangle_graph, 3, (1225, 7, 1176)),
+        (square_graph, 2, (1333, 5, 1308)),
+        (k4_graph, 2, (426425, 65, 422200)),
+    ],
+    ids=["u1-triangle-b3", "u1-square-b2", "u1-k4-b2"],
 )
 def test_u1_flux_count_fixes_a_verify_past_a_thousand(graph, bound, counts):
+    # ker(pi) is read off the one component pi sees, so verify holds nothing
+    # of length dim A^K, and no matrix of pi: on u1 K4 b2 that matrix alone
+    # would be 65^2 x 426,425 complex, 26.8 GiB; its traced peak stays below 64 MiB
     g = graph()
     mult = flux_multiplicities(g, bound)
     h = brute_force_balanced(g, bound)
     assert mult[(0,) * len(g.vertices)] == h
     dim_ak = sum(m * m for m in mult.values())
     assert (dim_ak, h, dim_ak - h * h) == counts
-    report = verify_ideal(make(g, U1, bound))
+    tracemalloc.start()
+    try:
+        report = verify_ideal(make(g, U1, bound))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
     assert report.passed
     assert (report.dim_ak, report.dim_hk, report.dim_ker_pi) == counts
     assert report.rows[0].dim_ideal == report.dim_ker_pi

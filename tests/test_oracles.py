@@ -6,10 +6,11 @@ oracles in ``oracles.py`` know nothing of irreps: a Kronecker null space per
 pair of blocks, and a round-based multiplication sweep through numeric
 product tables.  On every small
 system both must give the same commutant and the same ideals.  The library
-also holds ``ker(pi)`` by the row space of ``pi`` and the ideal as a mask
-of the components the seeds reach; the oracle's seed rows must reach the
-same components, and the dense oracle bases must give the same kernel
-dimension, containment residual and distance at every power.
+also holds ``ker(pi)`` by the row space of one component's block of ``pi``
+and the ideal as a mask of the components the seeds reach; the oracle's
+seed rows must reach the same components, and the dense oracle bases must
+give the same kernel dimension, containment residual and distance at every
+power.
 """
 
 import numpy as np
@@ -27,6 +28,7 @@ from gaugereduce.groups import lie_dim
 from gaugereduce.reduction import reduce_blocks
 
 from .oracles import (
+    complement_rows,
     containment_residual,
     dense_kernel_basis,
     dense_space,
@@ -87,7 +89,8 @@ def assert_rows_match_dense_oracle(trunc, n_max):
     dense = dense_kernel_basis(space, inv)
     assert kernel.dim == dense.dim
     # V_r N = 0: the oracle's null basis lies in the library's kernel
-    assert np.abs(kernel.complement @ dense.vectors.T).max(initial=0.0) <= 1e-12
+    rows = complement_rows(space.sizes, kernel)
+    assert np.abs(rows @ dense.vectors.T).max(initial=0.0) <= 1e-12
     report = verify_ideal(trunc, n_max=n_max)
     assert report.dim_ker_pi == dense.dim
     ideal = None

@@ -21,7 +21,6 @@ from gaugereduce import (
     invariant_basis,
     invariant_projector,
     kernel_pi_basis,
-    pi_matrix,
     projector_band,
     random_point,
     rho_block,
@@ -42,6 +41,7 @@ from gaugereduce.reduction import (
 from .oracles import (
     DenseSpace,
     SpanConsistencyError,
+    complement_rows,
     coords_of,
     coords_of_matrix,
     dense_pi_matrix,
@@ -319,7 +319,7 @@ def test_pi_sends_identity_to_identity():
     trunc = build("su2-loop-j2")
     space = commutant_basis(trunc)
     inv = invariant_basis(trunc)
-    mat = pi_matrix(space, inv)
+    mat = dense_pi_matrix(space, inv)
     w = coords_of_matrix(space, np.eye(trunc.total_dim))
     assert_allclose((mat @ w).reshape(inv.dim, inv.dim), np.eye(inv.dim), atol=1e-10)
 
@@ -330,7 +330,7 @@ def test_kernel_elements_compress_to_zero():
     inv = invariant_basis(trunc)
     ker = kernel_pi_basis(space, inv)
     rows = invariant_rows(trunc, inv)
-    null = null_space(ker.complement)
+    null = null_space(complement_rows(space.sizes, ker))
     assert null.shape[1] == ker.dim
     for row in null.T:
         op = op_from_coords(space, row)
@@ -343,7 +343,7 @@ def test_kernel_elements_compress_to_zero():
 def phased(space):
     """The same commutant with a complex phase on each copy, so on the matrix
     units between copies: on the copy's columns in the dense basis and on its
-    weight-zero column, which ``pi_matrix`` reads, alike."""
+    weight-zero column, which ``kernel_pi_basis`` reads, alike."""
     zeros, bases = [], []
     for i, u in enumerate(space.bases):
         ph = np.exp(0.3j * (i + 2 * np.arange(len(space.copies[i])) + 1))
@@ -358,16 +358,18 @@ def phased(space):
 @pytest.mark.parametrize("name", ["u1-parallel-b1", "su2-loop-j2", "su2-edge-j2"])
 def test_pi_matrix_compresses_each_element(name):
     # overlaps with the copy bases against each dense element compressed
-    # directly; the phases make the overlaps complex
+    # directly, and the kernel's complement, read off the weight-zero
+    # overlaps, spans the row space of those compressions; the phases make
+    # the overlaps complex
     trunc = build(name)
     space = phased(commutant_basis(trunc))
     inv = invariant_basis(trunc)
     rows = invariant_rows(trunc, inv)
-    want = [
-        (rows.conj() @ element_op(space, k) @ rows.T).ravel()
-        for k in range(space.dim)
-    ]
-    assert_allclose(pi_matrix(space, inv), np.array(want).T, rtol=0, atol=1e-12)
+    want = np.array(
+        [(rows.conj() @ element_op(space, k) @ rows.T).ravel() for k in range(space.dim)]
+    ).T
+    assert_allclose(dense_pi_matrix(space, inv), want, rtol=0, atol=1e-12)
+    assert_kernel_spans_the_row_space(space, inv, want)
 
 
 def test_coordinate_round_trip():
@@ -515,8 +517,9 @@ def assert_graded_route_matches_dense_oracles(trunc):
     Haar projector over the whole block, to 1e-12.  The weight-zero column
     the pass keeps of each copy is exactly that copy's column of weight zero
     in the lazily built copy basis, on ``W_0`` (zero if it has none), those
-    columns are an orthonormal basis of ``W_0`` to 1e-12, and ``pi_matrix``
-    equals the dense overlaps' ``dense_pi_matrix`` to 1e-12."""
+    columns are an orthonormal basis of ``W_0`` to 1e-12, and by both
+    methods the kernel's complement spans the row space of the dense
+    overlaps' ``dense_pi_matrix`` (``assert_kernel_spans_the_row_space``)."""
     space, inv, _ = reduce_blocks(trunc)
     for i, (block, (rows, z)) in enumerate(zip(trunc.blocks, space.weight_zero)):
         u = space.bases[i]
@@ -533,7 +536,7 @@ def assert_graded_route_matches_dense_oracles(trunc):
         live = z[:, has]
         assert live.shape == (len(rows), len(rows))
         assert_allclose(live.conj().T @ live, np.eye(len(rows)), rtol=0, atol=1e-12)
-    assert_allclose(pi_matrix(space, inv), dense_pi_matrix(space, inv), rtol=0, atol=1e-12)
+    assert_kernel_matches_dense_pi(trunc)
     for block in trunc.blocks:
         gens = block_generators(block)
         v = invariant_columns(gens)
@@ -550,6 +553,74 @@ def assert_graded_route_matches_dense_oracles(trunc):
             cols = np.concatenate([np.arange(c.start, c.stop) for k, c in split if k == lam])
             got, ref = u[:, cols], dense[:, cols]
             assert_allclose(got @ got.conj().T, ref @ ref.conj().T, rtol=0, atol=1e-12)
+
+
+def assert_kernel_spans_the_row_space(space, inv, mat, atol=1e-12):
+    """The kernel's complement, written out over the commutant
+    (``complement_rows``), spans the row space of the matrix ``mat`` of
+    ``pi``, cut by the rank rule: its projector equals that of the SVD's
+    rows to ``atol``.  The dropped components' bound ``delta`` is at most
+    1e-12 of the largest singular value, and the smallest kept product of
+    singular values is at least 100 times the cut.  Return the kernel."""
+    kernel = kernel_pi_basis(space, inv)
+    rows = complement_rows(space.sizes, kernel)
+    _, s, vh = np.linalg.svd(mat, full_matrices=False)
+    ref = vh[: np.count_nonzero(s > RANK_RTOL * s[0])]
+    assert kernel.rank == ref.shape[0]
+    assert_allclose(rows @ rows.conj().T, np.eye(kernel.rank), rtol=0, atol=1e-12)
+    # equal ranks, so the projectors' distance is the part of ref off rows
+    assert np.linalg.norm(ref - (ref @ rows.conj().T) @ rows, 2) <= atol
+    assert kernel.delta <= 1e-12 * s[0]
+    assert kernel.margin >= 100
+    return kernel
+
+
+def assert_kernel_matches_dense_pi(trunc):
+    """``assert_kernel_spans_the_row_space`` of ``dense_pi_matrix``, with the
+    invariants found by either method."""
+    for method in ("lie", "quadrature"):
+        space, inv, _ = reduce_blocks(trunc, method)
+        assert_kernel_spans_the_row_space(space, inv, dense_pi_matrix(space, inv))
+
+
+@pytest.mark.parametrize("name", ["su2-triangle-j1", "su2-theta-j1"])
+def test_frontier_kernel_matches_dense_pi(name):
+    assert_kernel_matches_dense_pi(build(name))
+
+
+@pytest.mark.parametrize("name", ["u1-parallel-b1", "su2-loop-j2", "su2-theta-b1"])
+def test_kernel_keeps_pairs_by_their_product(name):
+    # invariant columns rescaled by 1 and 1e-6 in turn: the overlaps' singular
+    # values are those scales, pi's are their products, and the rank rule keeps
+    # the pairs 1 * 1 and 1 * 1e-6 and drops 1e-6 * 1e-6, which a rule on the
+    # overlaps' own singular values would keep or drop whole.  The kept rows
+    # span the dense matrix's row space cut the same way, to the roundoff over
+    # the gap 1e-6 that the dense SVD's singular vectors carry (Wedin)
+    trunc = make(theta_graph(), SU2, 1) if name == "su2-theta-b1" else build(name)
+    space, inv, _ = reduce_blocks(trunc)
+    scales = iter(np.resize([1.0, 1e-6], inv.dim))
+    columns = [c * np.fromiter(scales, float, c.shape[1]) for c in inv.columns]
+    scaled = InvariantSpace(columns)
+    mat = dense_pi_matrix(space, scaled)
+    kernel = assert_kernel_spans_the_row_space(space, scaled, mat, atol=1e-8)
+    small = np.count_nonzero(np.resize([False, True], inv.dim))
+    assert kernel.rank == inv.dim**2 - small**2
+
+
+def test_kernel_refuses_a_second_component():
+    # su2 loop j1's m = 0 spin-1 state lies in W_0 but is not invariant; with
+    # it among the invariant vectors, pi sees two components, its kernel is
+    # no single Kronecker square, and the pass refuses it
+    trunc = build("su2-loop-j1")
+    space, inv, _ = reduce_blocks(trunc)
+    rows, z = space.weight_zero[1]
+    a = next(a for a, (c, _) in enumerate(space.copies[1]) if space.irreps[c] == (2,))
+    extra = np.zeros((trunc.dims[1], 1), dtype=complex)
+    extra[rows, 0] = z[:, a]
+    bad = InvariantSpace([inv.columns[0], np.hstack([inv.columns[1], extra])])
+    assert bad.dim == inv.dim + 1
+    with pytest.raises(RuntimeError, match=r"on component \d+ and .* on component \d+"):
+        kernel_pi_basis(space, bad)
 
 
 def test_highest_weight_count_is_checked(monkeypatch):
