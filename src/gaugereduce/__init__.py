@@ -9,7 +9,7 @@ checks that the ideal coincides with the kernel of the compression onto the
 invariant subspace.
 """
 
-from .blocks import BlockLabel, Truncation, enumerate_blocks, regular_action_block
+from .blocks import BlockLabel, Truncation, regular_action_block
 from .config import ConfigError, RunConfig, parse_config
 from .graphs import Edge, Graph
 from .groups import (

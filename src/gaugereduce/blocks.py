@@ -15,9 +15,9 @@ over edges in declaration order; a block therefore has dimension
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -48,20 +48,12 @@ class BlockLabel:
         return f"BlockLabel({inner})"
 
 
-def enumerate_blocks(
-    graph: Graph, group: GroupId, bound: IrrepLabel
-) -> tuple[BlockLabel, ...]:
-    """Every block whose edge labels all have degree at most the bound,
-    ordered lexicographically over edges in declaration order."""
-    per_edge = labels_within(group, bound)
-    combos = [()]
-    for _ in graph.edges:
-        combos = [c + (lab,) for c in combos for lab in per_edge]
-    return tuple(BlockLabel(graph, group, c) for c in combos)
-
-
 class Truncation:
-    """All blocks with every edge label of degree at most a bound."""
+    """All blocks with every edge label of degree at most a bound, held as
+    arrays: ``labels[i]`` has block ``i``'s label values, one per edge, in
+    lexicographic order over edges in declaration order (first edge
+    slowest); ``dims`` and ``offsets`` their dimensions and starts.  A
+    ``BlockLabel`` is built on demand (``block``, ``blocks``)."""
 
     def __init__(self, graph: Graph, group: GroupId, bound: IrrepLabel):
         if bound.group is not group:
@@ -69,15 +61,26 @@ class Truncation:
         self.graph = graph
         self.group = group
         self.bound = bound
-        self.blocks = enumerate_blocks(graph, group, bound)
-        self.dims = tuple(b.dim for b in self.blocks)
-        self.offsets = tuple(accumulate(self.dims, initial=0))
-        self.total_dim = self.offsets[-1]
+        per_edge = labels_within(group, bound)
+        n, ne = len(per_edge), len(graph.edges)
+        which = np.indices((n,) * ne).reshape(ne, n**ne).T  # an edgeless graph: one block
+        self.labels = np.array([lab.value for lab in per_edge])[which]
+        self.dims = np.prod(np.array([lab.dim**2 for lab in per_edge])[which], axis=1)
+        self.offsets = np.concatenate([[0], np.cumsum(self.dims)])
+        self.total_dim = int(self.offsets[-1])
+
+    def block(self, i: int) -> BlockLabel:
+        labels = tuple(IrrepLabel(self.group, v) for v in self.labels[i].tolist())
+        return BlockLabel(self.graph, self.group, labels)
+
+    @functools.cached_property
+    def blocks(self) -> tuple[BlockLabel, ...]:
+        return tuple(self.block(i) for i in range(len(self.dims)))
 
     def __repr__(self) -> str:
         return (
             f"Truncation({self.group.value}, bound={self.bound.value}, "
-            f"{len(self.blocks)} blocks, dim={self.total_dim})"
+            f"{len(self.dims)} blocks, dim={self.total_dim})"
         )
 
 

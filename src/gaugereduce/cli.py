@@ -22,6 +22,7 @@ time goes to stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -32,7 +33,7 @@ from .config import METHODS, ConfigError, RunConfig, parse_config
 from .groups import IrrepLabel
 from .ideal import DEFAULT_TOL, IdealReport, verify_ideal
 from .reduction import reduce_blocks
-from .spectrum import EnergyGrouping, block_energy, eigenspace_grouping
+from .spectrum import EnergyGrouping, eigenspace_grouping
 
 
 def _quantize_seconds(elapsed: float) -> float:
@@ -50,8 +51,16 @@ def _graph_json(cfg: RunConfig) -> dict:
     }
 
 
-def _emit(payload: dict, out: str | None) -> None:
+def _emit(payload: dict, out: str | None, labels=None) -> None:
+    """Write ``payload`` as ``json.dumps(indent=2, sort_keys=True)``; ``labels``,
+    if given, goes in its first key ``"blocks"`` (``[]`` there) as the list of
+    its rows would, from one template of the ``indent=2`` layout."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if labels is not None:
+        row = "    [\n" + ",\n".join(["      %d"] * labels.shape[1]) + "\n    ]"
+        rows = ",\n".join([row if labels.shape[1] else "    []"] * len(labels))
+        rows %= tuple(labels.ravel().tolist())
+        text = text.replace('{\n  "blocks": []', '{\n  "blocks": [\n' + rows + "\n  ]", 1)
     if not out:
         sys.stdout.write(text)
         return
@@ -67,7 +76,7 @@ def _report_json(cfg: RunConfig, report: IdealReport, grouping: EnergyGrouping |
         "group": report.group.value,
         "graph": _graph_json(cfg),
         "bound": report.bound,
-        "blocks": [list(labels) for labels in report.block_labels],
+        "blocks": [],  # the label array, written by _emit
         "method": report.method,
         "tolerance": report.tolerance,
         "coarse": grouping is not None,
@@ -110,16 +119,13 @@ def cmd_decompose(cfg: RunConfig, args) -> int:
     t0 = time.perf_counter()
     trunc = _truncation(cfg)
     space, inv, _ = reduce_blocks(trunc)
-    blocks = []
-    for i, block in enumerate(trunc.blocks):
-        blocks.append(
-            {
-                "labels": [lab.value for lab in block.labels],
-                "dim": trunc.dims[i],
-                "invariant_dim": inv.columns[i].shape[1],
-                "energy": str(block_energy(block)),
-            }
-        )
+    levels = eigenspace_grouping(trunc)
+    energy = {i: str(e) for e, members in zip(levels.energies, levels.groups) for i in members}
+    columns = trunc.labels.tolist(), trunc.dims.tolist(), inv.counts.tolist()
+    blocks = [
+        {"labels": labels, "dim": dim, "invariant_dim": n, "energy": energy[i]}
+        for i, (labels, dim, n) in enumerate(zip(*columns))
+    ]
     elapsed = time.perf_counter() - t0
     payload = {
         "group": cfg.group.value,
@@ -150,10 +156,11 @@ def cmd_verify(cfg: RunConfig, args) -> int:
             for e, members, dim in zip(grouping.energies, grouping.groups, grouping.dims)
         ]
     print(f"elapsed: {report.seconds:.3f}s", file=sys.stderr)
-    _emit(payload, args.out or cfg.out)
+    _emit(payload, args.out or cfg.out, report.block_labels)
     return 0 if report.passed else 1
 
 
+@functools.cache  # one parser per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaugereduce",

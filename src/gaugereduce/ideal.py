@@ -85,7 +85,7 @@ def generator_op(
     sum_s w_s rho_v(s) X rho_v(s)^H`` once per vertex, each sum taken as the
     points of ``vertex_actions`` arrive.  A one-dimensional block conjugates
     trivially, so its band is not checked."""
-    block = trunc.blocks[spec.block]
+    block = trunc.block(spec.block)
     gamma = gauss_generator_block(block, VertexGenerator(spec.vertex, spec.lie_index))
     gn = np.linalg.matrix_power(gamma, spec.power)
     for points in vertex_actions(block, conjugation_band(block), band) if block.dim > 1 else ():
@@ -111,7 +111,7 @@ def generator_coords(
     times the Frobenius norm of the raw power are roundoff and are set to
     zero, so a power that averages to zero on a component leaves it alone.
     """
-    i, block = spec.block, space.trunc.blocks[spec.block]
+    i, block = spec.block, space.trunc.block(spec.block)
     gamma = gauss_generator_block(block, VertexGenerator(spec.vertex, spec.lie_index))
     u = space.bases[i]
     if method not in ("lie", "quadrature"):
@@ -147,7 +147,7 @@ def ideal_closure(
     nonzero coordinate, together with the already-closed ``start``.
     """
     rows = np.asarray(seeds).reshape(-1, space.dim)
-    touched = np.zeros(len(space.irreps), dtype=bool)
+    touched = np.zeros(len(space.sizes), dtype=bool)
     touched[space.components[rows.any(axis=0)]] = True
     return IdealMask(touched if start is None else touched | start.mask, space.sizes)
 
@@ -196,12 +196,12 @@ class IdealReport:
     rows: tuple[IdealRow, ...]
     passed: bool
     seconds: float
-    block_labels: tuple[tuple[int, ...], ...] = field(default=())
+    block_labels: np.ndarray | None = field(default=None, repr=False)
     final_ideal: IdealMask | None = field(default=None, repr=False)
 
 
 def default_n_max(trunc: Truncation) -> int:
-    return max(trunc.dims)
+    return int(trunc.dims.max())
 
 
 def verify_ideal(
@@ -237,15 +237,13 @@ def verify_ideal(
         method=method,
         tolerance=tol,
         dim_total=trunc.total_dim,
-        n_blocks=len(trunc.blocks),
+        n_blocks=len(trunc.dims),
         dim_hk=inv.dim,
         dim_ak=space.dim,
         dim_ker_pi=kernel.dim,
         rows=tuple(rows),
         passed=passed,
         seconds=time.perf_counter() - t0,
-        block_labels=tuple(
-            tuple(lab.value for lab in b.labels) for b in trunc.blocks
-        ),
+        block_labels=trunc.labels,
         final_ideal=ideal,
     )

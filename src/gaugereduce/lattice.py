@@ -140,21 +140,26 @@ def block_generators(block: BlockLabel) -> np.ndarray:
     return _generators(block, [VertexGenerator(v, k) for v in block.graph.vertices for k in lie])
 
 
-def scalar_generators(blocks: list[BlockLabel]) -> np.ndarray:
-    """The Gauss generators of one-dimensional blocks of one graph as one
-    ``(n_blocks, V*L)`` array: row ``b`` is ``block_generators(blocks[b])[:,
-    0, 0]``, bitwise, from one sweep over the edges that adds each end's
-    ``[0, 0]`` piece entry in the order ``_generators`` does."""
-    graph, lie = blocks[0].graph, lie_directions(blocks[0])
-    values = np.array([[lab.value for lab in b.labels] for b in blocks])
-    out = np.zeros((len(blocks), len(graph.vertices) * len(lie)), dtype=complex)
+def label_table(group: GroupId, column: np.ndarray, fn, *args) -> np.ndarray:
+    """``fn(label, *args)``, arrays of one shape, at the label of each entry of
+    a column of label values, from one call per value in its range."""
+    lo, hi = int(column.min(initial=0)), int(column.max(initial=0))
+    return np.array([fn(IrrepLabel(group, v), *args) for v in range(lo, hi + 1)])[column - lo]
+
+
+def scalar_generators(graph: Graph, group: GroupId, labels: np.ndarray) -> np.ndarray:
+    """The Gauss generators of one-dimensional blocks of ``graph``, their
+    label values the rows of ``labels``, as one ``(n_blocks, V*L)`` array: row
+    ``b`` is ``block_generators`` of that block at ``[:, 0, 0]``, bitwise, from
+    one sweep over the label columns that adds each end's ``[0, 0]`` piece
+    entry in the order ``_generators`` does."""
+    lie = range(lie_dim(group))
+    out = np.zeros((len(labels), len(graph.vertices) * len(lie)), dtype=complex)
     for j, e in enumerate(graph.edges):
-        _, first, which = np.unique(values[:, j], return_index=True, return_inverse=True)
-        labels = [blocks[b].labels[j] for b in first]  # this edge's distinct labels
         for k in lie:
+            pieces = label_table(group, labels[:, j], _edge_pieces, k)[:, :, 0, 0]
             for s, end in enumerate((e.source, e.target)):
-                entry = np.array([_edge_pieces(lab, k)[s][0, 0] for lab in labels])
-                out[:, graph.vertex_index[end] * len(lie) + k] += entry[which]
+                out[:, graph.vertex_index[end] * len(lie) + k] += pieces[:, s]
     return out
 
 

@@ -24,7 +24,9 @@ The first three come from one pass over the blocks (``reduce_blocks``) with no
 ladder operators act one edge at a time, a copy keeps only its irrep, its
 column weights and its column of weight zero, all that ``pi`` reads, and
 either ``method`` finds the invariants on the weight-zero indices alone.  The
-one-dimensional blocks carry characters of ``G^V``, read off one array.
+one-dimensional blocks carry characters of ``G^V``: they stay arrays over the
+truncation's label array, from their scalar generators to the overlaps of
+``pi``, and no ``BlockLabel`` is built for them.
 
 Ranks are decided at a single relative tolerance, so the counts reported
 downstream are stable.  Roundoff in a seed is cut once, where its
@@ -40,7 +42,7 @@ import numpy as np
 
 from .blocks import BlockLabel, Truncation
 from .groups import IrrepLabel, haar_scheme, identity_point, irrep_matrix, lie_dim, required_band
-from .lattice import GaugeElement, _edge_pieces, lie_directions, rho_block
+from .lattice import GaugeElement, _edge_pieces, label_table, lie_directions, rho_block
 from .lattice import block_generators, scalar_generators  # noqa: F401  (the bench wraps the first)
 
 RANK_RTOL = 1e-10
@@ -59,13 +61,22 @@ class BandError(ValueError):
 
 
 class InvariantSpace:
-    """The invariant subspace, block by block: ``columns[i]`` holds block
-    ``i``'s orthonormal invariant vectors as columns.  Taken in block order,
-    they are an orthonormal basis of the whole subspace."""
+    """The invariant subspace, block by block: ``counts[i]`` orthonormal
+    vectors in block ``i``, the columns of ``given[i]`` if it is there (every
+    block is, when ``columns`` is a list and ``counts`` is left out), else the
+    one-dimensional block's basis vector.  Taken in block order, they are an
+    orthonormal basis of the whole subspace.  Every block's ``columns`` are
+    built on first read."""
 
-    def __init__(self, columns):
-        self.columns = list(columns)
-        self.dim = sum(cols.shape[1] for cols in self.columns)
+    def __init__(self, columns, counts=None):
+        if counts is None:
+            columns = dict(enumerate(columns))
+            counts = np.array([cols.shape[1] for cols in columns.values()], dtype=int)
+        self.given, self.counts, self.dim = columns, counts, int(counts.sum())
+
+    @functools.cached_property
+    def columns(self) -> list:
+        return [self.given.get(i, _UNIT[:, :n]) for i, n in enumerate(self.counts.tolist())]
 
 
 class PiKernel:
@@ -82,14 +93,19 @@ class PiKernel:
         self.dim = ambient_dim - self.rank
 
 
+def vertex_degrees(graph, labels: np.ndarray) -> np.ndarray:
+    """Per row of label values, the largest summed label degree of the edge
+    endpoints at one vertex; a loop counts twice."""
+    ends = np.zeros((len(graph.edges), len(graph.vertices)), dtype=int)
+    for j, e in enumerate(graph.edges):
+        np.add.at(ends[j], [graph.vertex_index[e.source], graph.vertex_index[e.target]], 1)
+    return (np.abs(labels) @ ends).max(axis=1, initial=0)
+
+
 def vertex_degree(block: BlockLabel) -> int:
-    """Largest summed label degree of the edge endpoints at one vertex; a
-    loop counts twice."""
-    degree = dict.fromkeys(block.graph.vertices, 0)
-    for e, lab in zip(block.graph.edges, block.labels):
-        degree[e.source] += lab.degree
-        degree[e.target] += lab.degree
-    return max(degree.values(), default=0)
+    """``vertex_degrees`` of one block."""
+    labels = np.array([[lab.value for lab in block.labels]], dtype=int)
+    return int(vertex_degrees(block.graph, labels)[0])
 
 
 def projector_band(block: BlockLabel) -> IrrepLabel:
@@ -262,27 +278,50 @@ def own_elements(copies: list):
 class EquivariantSpace:
     """The commutant as one full matrix algebra per gauge irrep.
 
-    ``copies[i][a] = (c, cols)`` puts copy ``a`` of block ``i``, of irrep
-    ``irreps[c]``, on the columns ``cols``; ``members[c]`` lists its
-    ``(block, copy)`` pairs; ``weight_zero[i]`` holds the block's ``W_0``
-    indices and weight-zero columns (``_graded_copies``); ``sizes[c]`` counts
-    component ``c``'s members.  Element ``k``, a matrix unit ``u_a u_b^H /
-    sqrt(dim)`` of component ``components[k]``, is orthonormal to the others;
-    a component's run row-major over its members squared.  Only the reference
-    routes read the ``components``, the indices ``(i, a, j, b)`` (``elements``)
-    and those of each block pair (``by_pair``), built lazily."""
+    ``scalar[i]`` is the component of one-dimensional block ``i``, one copy on
+    column 0, of weight-zero column ``[[1]]`` if its irrep is trivial; or -1
+    (everywhere, if not given) for a block held per block, whose ``W_0``
+    indices and weight-zero columns (``_graded_copies``) are ``weight_zero[i]``
+    and whose copies are ``copies[i]``: ``(c, cols)`` puts one of irrep
+    ``irreps[c]`` (row ``c`` of ``lams``) on the columns ``cols``.  ``sizes[c]``
+    counts component ``c``'s copies.  Element ``k``, a matrix unit ``u_a u_b^H
+    / sqrt(dim)`` of component ``components[k]``, is orthonormal to the others;
+    a component's run row-major over its ``members`` (``held_by``) squared.
+    Every block's ``copies`` and ``weight_zero``, and each cached property,
+    are built on first read."""
 
-    def __init__(self, trunc: Truncation, weight_zero, copies, irreps):
-        self.trunc = trunc
-        self.weight_zero = weight_zero
-        self.copies = copies
-        self.irreps = tuple(irreps)
-        self.members = [[] for _ in self.irreps]
-        for i, block_copies in enumerate(copies):
-            for a, (c, _) in enumerate(block_copies):
-                self.members[c].append((i, a))
-        self.sizes = np.array([len(held) for held in self.members])
+    def __init__(self, trunc: Truncation, weight_zero, copies, irreps, scalar=None):
+        self.trunc, self.lams = trunc, np.array(irreps, dtype=int).reshape(len(irreps), -1)
+        self.scalar = np.full(len(trunc.dims), -1) if scalar is None else scalar
+        self.held = np.flatnonzero(self.scalar < 0).tolist()
+        self._zero, self._copies = weight_zero, copies
+        kinds = [c for i in self.held for c, _ in copies[i]]
+        comps = np.concatenate([self.scalar[self.scalar >= 0], kinds]).astype(int)
+        self.sizes = np.bincount(comps, minlength=len(self.lams))
         self.dim = int(np.square(self.sizes).sum())
+
+    def held_by(self, c: int) -> list:
+        """Component ``c``'s ``(block, copy)`` pairs, in block order."""
+        held = [(i, a) for i in self.held for a, (k, _) in enumerate(self._copies[i]) if k == c]
+        return sorted(held + [(i, 0) for i in np.flatnonzero(self.scalar == c).tolist()])
+
+    @functools.cached_property
+    def irreps(self) -> tuple:
+        return tuple(map(tuple, self.lams.tolist()))
+
+    @functools.cached_property
+    def copies(self) -> list:
+        scalar = enumerate(self.scalar.tolist())
+        return [self._copies[i] if c < 0 else [(c, slice(0, 1))] for i, c in scalar]
+
+    @functools.cached_property
+    def weight_zero(self) -> list:
+        zero = [([], _UNIT[:0]) if any(lam) else ([0], _UNIT) for lam in self.lams.tolist()]
+        return [self._zero[i] if c < 0 else zero[c] for i, c in enumerate(self.scalar.tolist())]
+
+    @functools.cached_property
+    def members(self) -> list:
+        return [self.held_by(c) for c in range(len(self.sizes))]
 
     @functools.cached_property
     def components(self) -> np.ndarray:
@@ -409,31 +448,35 @@ def _block_seeds(eig: np.ndarray, copies: list, n_max: int) -> np.ndarray:
 
 # the copy basis, weight-zero column, or kept invariant column of every
 # one-dimensional block: one array shared by all of them, so it is read-only
-_UNIT, _EMPTY = np.ones((1, 1), dtype=complex), np.zeros((1, 0), dtype=complex)
+_UNIT = np.ones((1, 1), dtype=complex)
 _UNIT.setflags(write=False)
-_EMPTY.setflags(write=False)
 
 
-def _scalar_parts(trunc: Truncation, n_max: int):
-    """Per one-dimensional block of ``trunc``, in order, the ``(zeros, copies,
-    seed supports, lie invariant columns)`` of ``reduce_blocks``, read with
-    whole-array operations off their stacked scalar generators
-    (``scalar_generators``); every truncation has one, of all-zero labels.
-    Such a block carries a character of ``G^V``: it is one copy, with basis
-    ``[[1]]`` and weight ``2 Re(i Gamma_{v,L-1})`` at each vertex, and it is
-    invariant, of weight zero, iff every scalar is zero.  A scalar power is
-    its own average and its own coordinate, and it is zero exactly when the
-    scalar is, so the ``(n_max, 1)`` support repeats whether any scalar is
-    nonzero."""
-    blocks = [b for b, d in zip(trunc.blocks, trunc.dims) if d == 1]
-    gens = scalar_generators(blocks)
-    nl = len(lie_directions(blocks[0]))
-    weights = np.rint(2 * (1j * gens[:, nl - 1 :: nl]).real).astype(int).tolist()
-    live = gens.any(axis=1)
-    seeded = np.repeat(live[:, None, None], n_max, axis=1)
-    zeros = [([], _UNIT[:0]) if touched else ([0], _UNIT) for touched in live]
-    columns = [_EMPTY if touched else _UNIT for touched in live]
-    return zip(zeros, ([(tuple(w), slice(0, 1))] for w in weights), seeded, columns)
+def _scalar_invariants(trunc: Truncation, live: np.ndarray, method: str, band) -> np.ndarray:
+    """Which one-dimensional blocks are invariant: by ``"lie"`` those whose
+    scalars are all zero (not ``live``), by ``"quadrature"`` those of them
+    whose 1x1 Haar projector ``prod_v P_v``, a sum over the scheme points at
+    each vertex, exceeds 1/2, after the band check of every block: a ``band``
+    too small raises ``BandError`` for the first block that needs more."""
+    if method not in ("lie", "quadrature"):
+        raise ValueError(f"unknown method {method!r}")
+    kept = ~live
+    if method == "lie":
+        return kept
+    group, degree = trunc.group, vertex_degrees(trunc.graph, trunc.labels)
+    short = (degree + 1) // 2 > (np.inf if band is None else band.degree)
+    if short.any():
+        raise BandError(required_band(group, degree[short.argmax()]), band)
+    labels, value = trunc.labels[trunc.dims == 1][kept], 1.0
+    band = band or required_band(group, degree[trunc.dims == 1][kept].max(initial=0))
+    for v in trunc.graph.vertices:
+        term = haar_scheme(group, band).weights
+        for j, e in enumerate(trunc.graph.edges):
+            at = e.source == v, e.target == v
+            term = term * label_table(group, labels[:, j], _edge_factors, band, *at)[:, :, 0, 0]
+        value = term.sum(axis=-1) * value
+    kept[kept] = np.real(value) > 0.5
+    return kept
 
 
 def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=None):
@@ -443,29 +486,46 @@ def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=N
     ``1..n_max``, read off the raw powers whatever the ``method``.  The
     supports are per component and cumulative: entry ``(n - 1, c)`` is set
     when some ``GeneratorSpec(i, v, a, m)`` with ``m <= n`` reaches component
-    ``c`` (``_block_seeds``).  The one-dimensional blocks are read off one
-    array (``_scalar_parts``), every other block off its weight spaces.
+    ``c`` (``_block_seeds``).  Components are numbered by first appearance,
+    in block order, then copy order.
+
+    A one-dimensional block carries a character of ``G^V``: one copy, basis
+    ``[[1]]``, of weight ``2 Re(i Gamma_{v,L-1})`` at each vertex, read off
+    the stacked ``scalar_generators`` of them all.  A scalar power is its own
+    average and coordinate, zero exactly when the scalar is, so it seeds its
+    component at every power if some scalar is nonzero.  Every other block is
+    read off its weight spaces.
     """
-    irreps: dict[tuple[int, ...], int] = {}
-    zeros, copies, columns, seeded = [], [], [], []
-    scalar = _scalar_parts(trunc, n_max)
-    for block, d in zip(trunc.blocks, trunc.dims):
-        if d == 1:
-            ((zero, z), split, seed, cols), at = next(scalar), None
-        else:
-            at, spaces, zero = _weight_spaces(block)
-            z, split, eig = _graded_copies(block, at, spaces)
-        zeros.append((zero, z))
-        copies.append([(irreps.setdefault(lam, len(irreps)), c) for lam, c in split])
-        if d > 1:
-            seed = _block_seeds(eig, copies[-1], n_max)
-        if d > 1 or method != "lie":
-            cols = _zero_invariants(block, at, zero, method, band)
-        seeded.append(seed)
-        columns.append(cols)
-    support = np.zeros((n_max, len(irreps)), dtype=bool)
-    np.logical_or.at(support.T, [c for split in copies for c, _ in split], np.hstack(seeded).T)
-    return EquivariantSpace(trunc, zeros, copies, irreps), InvariantSpace(columns), support
+    one, nl, counts = trunc.dims == 1, lie_dim(trunc.group), np.zeros(len(trunc.dims), int)
+    gens = scalar_generators(trunc.graph, trunc.group, trunc.labels[one])
+    live, rows = gens.any(axis=1), np.rint(-2 * gens[:, nl - 1 :: nl].imag).astype(int)
+    del gens  # the pass's largest array
+    counts[one] = _scalar_invariants(trunc, live, method, band)
+    held, columns = {}, {}
+    for i in np.flatnonzero(~one).tolist():
+        block = trunc.block(i)
+        at, spaces, zero = _weight_spaces(block)
+        held[i] = zero, *_graded_copies(block, at, spaces)
+        columns[i] = _zero_invariants(block, at, zero, method, band)
+        counts[i] = columns[i].shape[1]
+    # the one-dimensional blocks come first: U(1) has no other, SU(2) one, block 0
+    lams = [lam for _, _, split, _ in held.values() for lam, _ in split]
+    rows = np.concatenate([rows, np.array(lams, dtype=int).reshape(len(lams), rows.shape[1])])
+    lo = rows.min(axis=0, initial=0)
+    key = np.ravel_multi_index(tuple((rows - lo).T), rows.max(axis=0, initial=0) - lo + 1)
+    _, first, which = np.unique(key, return_index=True, return_inverse=True)
+    comps = np.argsort(np.argsort(first))[which]  # numbered by first appearance
+    scalar = np.full(len(trunc.dims), -1)
+    scalar[one], comps = comps[: len(live)], iter(comps[len(live) :].tolist())
+    support = np.zeros((n_max, len(first)), dtype=bool)
+    support[:, scalar[one][live]] = True
+    zeros, copies = {}, {}
+    for i, (zero, z, split, eig) in held.items():
+        zeros[i], copies[i] = (zero, z), [(next(comps), c) for _, c in split]
+        seeds = _block_seeds(eig, copies[i], n_max)
+        np.logical_or.at(support.T, [c for c, _ in copies[i]], seeds.T)
+    space = EquivariantSpace(trunc, zeros, copies, rows[np.sort(first)], scalar)
+    return space, InvariantSpace(columns, counts), support
 
 
 def kernel_pi_basis(space: EquivariantSpace, inv: InvariantSpace) -> PiKernel:
@@ -475,6 +535,8 @@ def kernel_pi_basis(space: EquivariantSpace, inv: InvariantSpace) -> PiKernel:
     weight-zero column ``z_a`` alone (``EquivariantSpace.weight_zero``), and
     component ``c``'s columns of ``pi`` are ``(O_c (x) conj O_c) / sqrt(w_c)``,
     ``O_c`` its copies' overlaps ``inv^H z_a`` on ``W_0``, ``w_c`` their size.
+    A one-dimensional block that both spaces hold as arrays (``unit``) meets
+    its one copy in the overlap 1, or 0 off the trivial irrep.
     The component of largest norm ``|O_c|_F^2 / sqrt(w_c)`` is kept and a
     second one above ``RANK_RTOL`` of it refused: correct invariant vectors
     span trivial copies.  A pair of singular values of ``O_c`` is kept when its
@@ -483,10 +545,15 @@ def kernel_pi_basis(space: EquivariantSpace, inv: InvariantSpace) -> PiKernel:
     """
     if inv.dim == 0:
         return PiKernel(space.dim, None, np.zeros((0, 0)), np.zeros((0, 0), dtype=bool))
-    first = np.cumsum([0] + [cols.shape[1] for cols in inv.columns])  # row offsets
-    zeros = zip(inv.columns, space.weight_zero)
-    over = {i: c[w].conj().T @ z for i, (c, (w, z)) in enumerate(zeros) if c.size}  # on W_0
-    norms = np.zeros(len(space.irreps))
+    first = np.concatenate([[0], np.cumsum(inv.counts)])  # row offsets
+    unit = (space.scalar >= 0) & (inv.counts > 0)
+    unit[list(inv.given)] = False
+    over = {}  # on W_0
+    for i in np.flatnonzero((inv.counts > 0) & ~unit).tolist():
+        w, z = space.weight_zero[i]
+        over[i] = inv.columns[i][w].conj().T @ z
+    trivial = ~space.lams.any(axis=1)
+    norms = np.bincount(space.scalar[unit], trivial[space.scalar[unit]], len(space.sizes)) * 1.0
     for i, o in over.items():
         kinds, sizes = zip(*((c, cols.stop - cols.start) for c, cols in space.copies[i]))
         np.add.at(norms, list(kinds), np.square(np.abs(o)).sum(axis=0) / np.sqrt(sizes))
@@ -495,10 +562,13 @@ def kernel_pi_basis(space: EquivariantSpace, inv: InvariantSpace) -> PiKernel:
     if rest.max() > RANK_RTOL * norms[keep]:
         second = f"{rest.max():.3e} on component {rest.argmax()}"
         raise RuntimeError(f"pi has norm {norms[keep]:.3e} on component {keep} and {second}")
-    o = np.zeros((inv.dim, len(space.members[keep])), dtype=complex)
-    for p, (i, a) in enumerate(space.members[keep]):
+    members = space.held_by(keep)
+    o = np.zeros((inv.dim, len(members)), dtype=complex)
+    for p, (i, a) in enumerate(members):
         if i in over:
             o[first[i] : first[i + 1], p] = over[i][:, a]
+        elif unit[i]:
+            o[first[i], p] = trivial[keep]
     _, s, vh = np.linalg.svd(o, full_matrices=False)
     products = np.outer(s, s)  # the singular values of pi, times sqrt(w_c)
     kept = products > RANK_RTOL * products.max()

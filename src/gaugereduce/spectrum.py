@@ -2,7 +2,8 @@
 
 Each block carries a total energy: the sum over edges of the quadratic
 Casimir eigenvalue of the edge label (charge squared for U(1), j(j+1) for
-SU(2)).  Energies are kept as exact rationals so grouping blocks into
+SU(2)).  Energies are exact: integers ``n^2`` or ``2j (2j + 2)`` summed
+over the label array, then rationals, one per level, so grouping blocks into
 levels never depends on floating-point ties.
 
 Merging all blocks of one energy level and summing their averaged
@@ -19,7 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .blocks import BlockLabel, Truncation
+from .groups import GroupId
 from .groups import casimir_eigenvalue as label_energy
 
 
@@ -41,10 +45,10 @@ class EnergyGrouping:
 
 
 def eigenspace_grouping(trunc: Truncation) -> EnergyGrouping:
-    by_energy: dict[Fraction, list[int]] = {}
-    for i, block in enumerate(trunc.blocks):
-        by_energy.setdefault(block_energy(block), []).append(i)
-    energies = tuple(sorted(by_energy))
-    groups = tuple(tuple(by_energy[e]) for e in energies)
-    dims = tuple(sum(trunc.dims[i] for i in g) for g in groups)
-    return EnergyGrouping(energies, groups, dims)
+    v, scale = trunc.labels, 1 if trunc.group is GroupId.U1 else 4
+    scaled = (v * v if scale == 1 else v * (v + 2)).sum(axis=1)  # n^2, or 2j (2j + 2)
+    levels, which = np.unique(scaled, return_inverse=True)
+    members = np.split(np.argsort(which, kind="stable"), np.cumsum(np.bincount(which))[:-1])
+    energies = tuple(Fraction(n, scale) for n in levels.tolist())
+    groups = tuple(tuple(g.tolist()) for g in members)
+    return EnergyGrouping(energies, groups, tuple(int(trunc.dims[g].sum()) for g in members))

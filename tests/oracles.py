@@ -32,28 +32,107 @@ library reads each copy's one column of weight zero and keeps ``ker(pi)``
 by the Kronecker square of one component's overlaps; the matrix of ``pi``
 from the dense overlaps with every column of the copy basis is kept here
 (``dense_pi_matrix``), and the library's complement is written out as dense
-rows over the whole commutant (``complement_rows``).
+rows over the whole commutant (``complement_rows``).  The library holds the
+truncation, and every one-dimensional block through the pass, as arrays; the
+per-block routes it replaced are kept here: the blocks enumerated one
+``BlockLabel`` at a time (``enumerate_blocks``), energies summed as
+``Fraction`` per block (``fraction_grouping``), every block's copies and
+weight-zero columns read off its own weight spaces (``per_block_pass``), and
+the kernel's overlaps gathered block by block (``per_block_kernel``).
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import null_space
 from scipy.sparse import csr_matrix
 
-from gaugereduce.blocks import kron_chain
-from gaugereduce.groups import haar_scheme, irrep_generator
+from gaugereduce.blocks import BlockLabel, kron_chain
+from gaugereduce.groups import haar_scheme, irrep_generator, labels_within
 from gaugereduce.lattice import GaugeElement, block_generators, lie_directions, rho_block
 from gaugereduce.reduction import (
     RANK_RTOL,
+    PiKernel,
+    _graded_copies,
     _null_columns,
     _roundoff_cut,
+    _weight_spaces,
     own_elements,
     projector_band,
     vertex_actions,
 )
+from gaugereduce.spectrum import EnergyGrouping, block_energy
 
 MINIMUM_SEED = 1e-12
+
+
+def enumerate_blocks(graph, group, bound):
+    """Every block whose edge labels all have degree at most the bound,
+    ordered lexicographically over edges in declaration order."""
+    per_edge = labels_within(group, bound)
+    combos = [()]
+    for _ in graph.edges:
+        combos = [c + (lab,) for c in combos for lab in per_edge]
+    return tuple(BlockLabel(graph, group, c) for c in combos)
+
+
+def fraction_grouping(blocks, dims):
+    """The blocks grouped by energy, summed per block as ``Fraction``s."""
+    by_energy = {}
+    for i, block in enumerate(blocks):
+        by_energy.setdefault(block_energy(block), []).append(i)
+    energies = tuple(sorted(by_energy))
+    groups = tuple(tuple(by_energy[e]) for e in energies)
+    return EnergyGrouping(energies, groups, tuple(sum(dims[i] for i in g) for g in groups))
+
+
+def per_block_pass(trunc):
+    """The irreps, every block's copies ``(c, cols)`` and ``(W_0 indices,
+    weight-zero columns)``, and each component's ``(block, copy)`` members,
+    read block by block off the block's own weight spaces: a one-dimensional
+    block is one copy of its one weight, any other is ``_graded_copies``."""
+    irreps, copies, zeros = {}, [], []
+    for block in trunc.blocks:
+        at, spaces, zero = _weight_spaces(block)
+        if block.dim == 1:
+            z, split = np.eye(1, dtype=complex)[:, : len(zero)].T, [(*spaces, slice(0, 1))]
+        else:
+            z, split, _ = _graded_copies(block, at, spaces)
+        zeros.append((zero, z))
+        copies.append([(irreps.setdefault(lam, len(irreps)), c) for lam, c in split])
+    members = [[] for _ in irreps]
+    for i, split in enumerate(copies):
+        for a, (c, _) in enumerate(split):
+            members[c].append((i, a))
+    return tuple(irreps), copies, zeros, members
+
+
+def per_block_kernel(space, inv):
+    """``kernel_pi_basis`` with every block's overlaps gathered one block at
+    a time from the lazily built ``copies``, ``weight_zero``, ``members`` and
+    ``columns``, as it was before the one-dimensional blocks became arrays."""
+    if inv.dim == 0:
+        return PiKernel(space.dim, None, np.zeros((0, 0)), np.zeros((0, 0), dtype=bool))
+    first = np.cumsum([0] + [cols.shape[1] for cols in inv.columns])
+    zeros = zip(inv.columns, space.weight_zero)
+    over = {i: c[w].conj().T @ z for i, (c, (w, z)) in enumerate(zeros) if c.size}
+    norms = np.zeros(len(space.irreps))
+    for i, o in over.items():
+        kinds, sizes = zip(*((c, cols.stop - cols.start) for c, cols in space.copies[i]))
+        np.add.at(norms, list(kinds), np.square(np.abs(o)).sum(axis=0) / np.sqrt(sizes))
+    keep, rest = int(norms.argmax()), norms.copy()
+    rest[keep] = 0.0
+    o = np.zeros((inv.dim, len(space.members[keep])), dtype=complex)
+    for p, (i, a) in enumerate(space.members[keep]):
+        if i in over:
+            o[first[i] : first[i + 1], p] = over[i][:, a]
+    _, s, vh = np.linalg.svd(o, full_matrices=False)
+    products = np.outer(s, s)
+    kept = products > RANK_RTOL * products.max()
+    k = np.count_nonzero(kept[:, 0])
+    margin = products[kept].min() / (RANK_RTOL * products.max())
+    return PiKernel(space.dim, keep, vh[:k], kept[:k, :k], float(np.linalg.norm(rest)), margin)
 
 
 class SubspaceBasis:

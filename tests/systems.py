@@ -47,6 +47,19 @@ def k4_graph():
     return Graph(vertices, [(a + b, a, b) for a, b in itertools.combinations(vertices, 2)])
 
 
+def cube_graph():
+    """The cube: eight vertices, twelve edges, each from the vertex with a 0
+    in one coordinate to the vertex with a 1 there."""
+    vertices = ["".join(bits) for bits in itertools.product("01", repeat=3)]
+    edges = [
+        (v + "-" + v[:k] + "1" + v[k + 1 :], v, v[:k] + "1" + v[k + 1 :])
+        for v in vertices
+        for k in range(3)
+        if v[k] == "0"
+    ]
+    return Graph(vertices, edges)
+
+
 def loop_graph():
     return Graph(("x",), [("l", "x", "x")])
 

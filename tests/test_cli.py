@@ -1,5 +1,6 @@
 """Run descriptions and the command line front end."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -7,13 +8,16 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gaugereduce.ideal
+from gaugereduce import cli
 from gaugereduce.cli import main
 from gaugereduce.config import ConfigError, parse_config
 from gaugereduce.groups import GroupId
 
+from .systems import SU2, U1, edge_graph, edgeless_graph, make, parallel_graph, triangle_graph
 from .test_golden import GOLDEN
 from .test_ideal import count_builds
 
@@ -408,6 +412,45 @@ def test_coarse_flag(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["coarse"] is True
     assert payload["n_groups"] == 4
+
+
+def test_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    # the parser is built on the first command and reused by every later one
+    made, init = [], argparse.ArgumentParser.__init__
+
+    def counted(parser, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    try:
+        cfg = write_cfg(tmp_path, U1_EDGE)
+        assert [main(["verify", "--config", cfg]) for _ in range(2)] == [0, 0]
+    finally:
+        cli.build_parser.cache_clear()
+    assert made.count("gaugereduce") == 1
+    assert len(made) == 4  # and one subparser per command
+
+
+@pytest.mark.parametrize(
+    "trunc",
+    [
+        make(edgeless_graph(), U1, 1),
+        make(edge_graph(), U1, 0),
+        make(parallel_graph(), U1, 2),
+        make(triangle_graph(), SU2, 1),
+    ],
+    ids=["no-edges", "one-block", "negative-charges", "su2-labels"],
+)
+def test_emit_writes_label_rows_as_json_does(tmp_path, trunc):
+    # the "blocks" list comes from the label array by one template; it must
+    # be what json.dumps(indent=2, sort_keys=True) makes of the list form
+    payload = {"blocks": [], "bound": 2, "per_nmax": [{"n": 1, "pass": True}]}
+    out = tmp_path / "report.json"
+    cli._emit(payload, str(out), trunc.labels)
+    want = {**payload, "blocks": trunc.labels.tolist()}
+    assert out.read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
 def test_bad_subcommand_usage_exits_two():

@@ -7,6 +7,7 @@ corresponding power of i times the vertex flux.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -418,6 +419,44 @@ def test_verify_builds_no_dense_generator_and_calls_no_rho_block(trunc, method, 
     built = count_builds(monkeypatch)
     assert verify_ideal(trunc, n_max=2, method=method).passed
     assert built == []
+
+
+def count_labels(monkeypatch) -> list:
+    """Record the labels of every ``BlockLabel`` built, and ``"blocks"`` for
+    every read of ``Truncation.blocks``."""
+    built = []
+    label_cls, trunc_cls = gaugereduce.blocks.BlockLabel, gaugereduce.blocks.Truncation
+    check, lazy = label_cls.__post_init__, vars(trunc_cls).get("blocks")
+
+    def post_init(block):
+        built.append(block.labels)
+        check(block)
+
+    def blocks(trunc):
+        built.append("blocks")
+        return lazy.func(trunc)
+
+    monkeypatch.setattr(label_cls, "__post_init__", post_init)
+    monkeypatch.setattr(trunc_cls, "blocks", property(blocks), raising=False)
+    return built
+
+
+@pytest.mark.parametrize("method", ["lie", "quadrature"])
+@pytest.mark.parametrize("name", list(CANON))
+def test_verify_builds_block_labels_only_past_one_dimension(name, method, monkeypatch):
+    # the truncation is an array of labels, and the one-dimensional blocks
+    # stay arrays through the pass: on U(1) no BlockLabel is built and
+    # Truncation.blocks is never read; on SU(2) a block of dimension > 1 is
+    # built once, for its weight spaces, and no other block is
+    builder, group, bound, *_ = CANON[name]
+    built = count_labels(monkeypatch)
+    trunc = make(builder(), group, bound)
+    assert verify_ideal(trunc, n_max=2, method=method).passed
+    assert "blocks" not in built
+    assert len(set(built)) == len(built)
+    assert all(math.prod(lab.dim for lab in labels) > 1 for labels in built)
+    if group is U1:
+        assert built == []
 
 
 def test_su2_loop_default_power_budget_stays_on_the_kernel():

@@ -190,7 +190,7 @@ def assert_sweep_matches_single_builds(trunc):
                 assert np.array_equal(gens[vi * nl + k], one), (block, v, k)
     one_dim = [b for b in trunc.blocks if b.dim == 1]
     if one_dim:
-        got = scalar_generators(one_dim)
+        got = scalar_generators(trunc.graph, trunc.group, trunc.labels[trunc.dims == 1])
         want = np.array([block_generators(b)[:, 0, 0] for b in one_dim])
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()  # signed zeros too

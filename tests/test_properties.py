@@ -21,12 +21,17 @@ same commutant coordinates as the Lie route (and the averaged square must
 be the commutant element with those coordinates), and the
 averaged-generator ideal must reach ``ker(pi)`` by power 2, with the
 kernel dimension, containment residual and distance of every power equal
-to the dense oracle's.
+to the dense oracle's.  The arrays the library holds the truncation and its
+one-dimensional blocks in must equal the per-block routes they replaced
+(``assert_arrays_match_per_block_routes``), there and on the edgeless,
+isolated-vertex and loops-and-parallels graphs of both groups.
 """
 
+import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -37,12 +42,28 @@ from gaugereduce import (
     generator_coords,
     generator_op,
     invariant_basis,
+    eigenspace_grouping,
     kernel_pi_basis,
 )
 from gaugereduce.groups import lie_dim
+from gaugereduce.reduction import reduce_blocks
 
-from .oracles import op_from_coords
-from .systems import SU2, U1, make
+from .oracles import (
+    enumerate_blocks,
+    fraction_grouping,
+    op_from_coords,
+    per_block_kernel,
+    per_block_pass,
+)
+from .systems import (
+    SU2,
+    U1,
+    edgeless_graph,
+    isolated_vertex_graph,
+    loops_and_parallels,
+    make,
+    parallel_graph,
+)
 from .test_lattice import assert_generators_match_oracle, assert_sweep_matches_single_builds
 from .test_oracles import assert_closures_agree, assert_rows_match_dense_oracle
 from .test_reduction import (
@@ -83,9 +104,61 @@ def truncations(draw):
     return trunc
 
 
+def assert_arrays_match_per_block_routes(trunc):
+    """The truncation's label array, dims and offsets are those of the blocks
+    enumerated one ``BlockLabel`` at a time, and its energy levels those
+    summed per block as ``Fraction``s; the lazily built ``copies``,
+    ``members`` and ``weight_zero`` are those read off each block's own
+    weight spaces (``per_block_pass``); and by both methods the kernel's
+    component, complement projector and margin are those of the overlaps
+    gathered block by block (``per_block_kernel``)."""
+    blocks = enumerate_blocks(trunc.graph, trunc.group, trunc.bound)
+    dims = [b.dim for b in blocks]
+    assert trunc.labels.shape == (len(blocks), len(trunc.graph.edges))
+    assert trunc.labels.tolist() == [[lab.value for lab in b.labels] for b in blocks]
+    assert trunc.dims.tolist() == dims
+    assert trunc.offsets.tolist() == list(itertools.accumulate(dims, initial=0))
+    assert trunc.total_dim == sum(dims) and trunc.blocks == blocks
+    assert eigenspace_grouping(trunc) == fraction_grouping(blocks, dims)
+    irreps, copies, zeros, members = per_block_pass(trunc)
+    for method in ("lie", "quadrature"):
+        space, inv, _ = reduce_blocks(trunc, method)
+        assert (space.irreps, space.copies, space.members) == (irreps, copies, members)
+        for (rows, z), (want_rows, want_z) in zip(space.weight_zero, zeros, strict=True):
+            assert list(rows) == list(want_rows)
+            assert z.shape == want_z.shape and np.array_equal(z, want_z)
+        got, want = kernel_pi_basis(space, inv), per_block_kernel(space, inv)
+        assert (got.component, got.rank, got.margin) == (want.component, want.rank, want.margin)
+        got, want = complement_parts(got), complement_parts(want)
+        assert got.keys() == want.keys()
+        for n, (q, p) in got.items():
+            assert np.allclose(q, want[n][0], rtol=0, atol=1e-12)
+            assert np.allclose(p, want[n][1], rtol=0, atol=1e-12)
+
+
+def complement_parts(kernel):
+    """The kernel's complement ``sum_n Q_n (x) conj(P_n)`` by its parts: per
+    count ``n`` of pairs kept with a row of ``w``, the projector ``Q_n`` onto
+    the rows with that count and ``P_n`` onto the first ``n`` rows.  Rows of
+    one singular value have one count and ``n`` ends no run of equal singular
+    values, so the parts do not depend on the basis ``w`` holds."""
+    n = kernel.kept.sum(axis=1)
+    w = kernel.w
+    return {k: (w[n == k].conj().T @ w[n == k], w[:k].conj().T @ w[:k]) for k in set(n.tolist())}
+
+
+@pytest.mark.parametrize("group,bound", [(U1, 1), (U1, 2), (SU2, 1)])
+@pytest.mark.parametrize(
+    "graph", [edgeless_graph, isolated_vertex_graph, loops_and_parallels, parallel_graph]
+)
+def test_arrays_match_per_block_routes(graph, group, bound):
+    assert_arrays_match_per_block_routes(make(graph(), group, bound))
+
+
 @given(truncations())
 def test_random_graphs(trunc):
     assert trunc.total_dim <= MAX_DIM
+    assert_arrays_match_per_block_routes(trunc)
     assert_generators_match_oracle(trunc)
     assert_sweep_matches_single_builds(trunc)
     assert_one_dim_blocks_match_null_space(trunc)

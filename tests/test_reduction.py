@@ -32,7 +32,6 @@ from gaugereduce.reduction import (
     _block_seeds,
     _graded_copies,
     _null_columns,
-    _scalar_parts,
     _weight_spaces,
     own_elements,
     reduce_blocks,
@@ -213,6 +212,26 @@ def test_unknown_method_is_rejected():
     trunc = build("u1-edge-b1")
     with pytest.raises(ValueError):
         invariant_projector(trunc.blocks[0], "monte-carlo")
+    with pytest.raises(ValueError, match="unknown method 'monte-carlo'"):
+        reduce_blocks(trunc, "monte-carlo")
+
+
+@pytest.mark.parametrize("name", list(CANON) + ["u1-loops-and-parallels"])
+def test_band_error_names_the_first_short_block(name):
+    # the pass checks every block's band from the label array at once; the
+    # error must name the band of the first block, in block order, that needs
+    # more than the given one, as a check block by block does
+    trunc = make(loops_and_parallels(), U1, 2) if name not in CANON else build(name)
+    need, h = [projector_band(block) for block in trunc.blocks], invariant_basis(trunc).dim
+    for b in range(max(n.degree for n in need) + 1):
+        band = IrrepLabel(trunc.group, b)
+        short = [n for n in need if n.degree > b]
+        if not short:
+            assert reduce_blocks(trunc, "quadrature", band=band)[1].dim == h
+            continue
+        with pytest.raises(BandError) as err:
+            reduce_blocks(trunc, "quadrature", band=band)
+        assert str(err.value) == str(BandError(short[0], band))
 
 
 @pytest.mark.parametrize("shape", [(12, 5), (5, 12), (7, 7)])
@@ -241,16 +260,17 @@ def test_block_seeds_cut_each_component_by_its_norm(small, reached):
 
 def assert_one_dim_blocks_match_null_space(trunc, n_max=3):
     """The pass reads every one-dimensional block off one array of scalar
-    generators (``_scalar_parts``).  Block by block, from the block's own
-    generators, the copy split, copy basis and seed rows must be those of
-    the dense ``isotypic_copies`` and ``_block_seeds``, the pass's support
-    must hold the component of every row set, and the block must keep its
-    invariant vector exactly when the null-space rule on its stacked
-    generators (``_null_columns``, which ``invariant_columns`` applies)
-    does."""
+    generators.  Block by block, from the block's own generators, the copy
+    split, copy basis and seed rows must be those of the dense
+    ``isotypic_copies`` and ``_block_seeds``, the pass's support must hold
+    the component of every row set and, a one-dimensional block's component
+    being its own, miss it at every power where no row is set, and the block
+    must keep its invariant vector exactly when the null-space rule on its
+    stacked generators (``_null_columns``, which ``invariant_columns``
+    applies) does."""
     space, inv, support = reduce_blocks(trunc, n_max=n_max)
     rows = invariant_rows(trunc, inv)
-    scalar = _scalar_parts(trunc, n_max)
+    alone = space.sizes == 1  # components with no other block to set them
     for i, block in enumerate(trunc.blocks):
         if block.dim > 1:
             continue
@@ -259,8 +279,10 @@ def assert_one_dim_blocks_match_null_space(trunc, n_max=3):
         assert [(space.irreps[c], cols) for c, cols in space.copies[i]] == split
         assert np.array_equal(space.bases[i], u)
         want = _block_seeds(eig, space.copies[i], n_max)
-        assert np.array_equal(next(scalar)[2], want)
-        assert support[:, [c for c, _ in space.copies[i]]][want].all()
+        (c, _), = space.copies[i]
+        assert support[:, [c]][want].all()
+        if alone[c]:
+            assert np.array_equal(support[:, [c]], want)
         # a kept block's invariant row is its basis vector, entry exactly 1
         kept = rows[:, trunc.offsets[i]]
         want = _null_columns(np.vstack(gens))
