@@ -21,8 +21,8 @@ Four objects are produced from a truncation:
 
 The first three come from one pass over the blocks (``reduce_blocks``) with no
 ``d x d`` array: a block is graded by joint weights off per-edge diagonals,
-ladder operators act one edge at a time, a copy keeps only its irrep, its
-column weights and its column of weight zero, all that ``pi`` reads, and
+ladder operators are maps between weight spaces, a copy keeps only its irrep,
+its column weights and its column of weight zero, all that ``pi`` reads, and
 either ``method`` finds the invariants on the weight-zero indices alone.  The
 one-dimensional blocks carry characters of ``G^V``: they stay arrays over the
 truncation's label array, from their scalar generators to the overlaps of
@@ -42,7 +42,7 @@ import numpy as np
 
 from .blocks import BlockLabel, Truncation
 from .groups import IrrepLabel, haar_scheme, identity_point, irrep_matrix, lie_dim, required_band
-from .lattice import GaugeElement, _edge_pieces, label_table, lie_directions, rho_block
+from .lattice import GaugeElement, _edge_pieces, rho_block
 from .lattice import block_generators, scalar_generators  # noqa: F401  (the bench wraps the first)
 
 RANK_RTOL = 1e-10
@@ -62,16 +62,12 @@ class BandError(ValueError):
 
 class InvariantSpace:
     """The invariant subspace, block by block: ``counts[i]`` orthonormal
-    vectors in block ``i``, the columns of ``given[i]`` if it is there (every
-    block is, when ``columns`` is a list and ``counts`` is left out), else the
-    one-dimensional block's basis vector.  Taken in block order, they are an
-    orthonormal basis of the whole subspace.  Every block's ``columns`` are
-    built on first read."""
+    vectors in block ``i``, the columns of ``given[i]`` if it is there, else
+    the one-dimensional block's basis vector.  Taken in block order, they are
+    an orthonormal basis of the whole subspace.  Every block's ``columns``
+    are built on first read."""
 
-    def __init__(self, columns, counts=None):
-        if counts is None:
-            columns = dict(enumerate(columns))
-            counts = np.array([cols.shape[1] for cols in columns.values()], dtype=int)
+    def __init__(self, columns: dict, counts: np.ndarray):
         self.given, self.counts, self.dim = columns, counts, int(counts.sum())
 
     @functools.cached_property
@@ -148,8 +144,8 @@ def invariant_projector(
 ) -> np.ndarray:
     """Orthogonal projector onto the gauge-invariant vectors of a block, by
     the ``method`` of ``_zero_invariants``."""
-    at, _, zero = _weight_spaces(block)
-    v = _zero_invariants(block, at, zero, method, band)
+    ladder, _, zero = _weight_spaces(block)
+    v = _zero_invariants(block, ladder, zero, method, band)
     return v @ v.conj().T
 
 
@@ -169,21 +165,20 @@ def _null_columns(a: np.ndarray) -> np.ndarray:
 def _pieces(label: IrrepLabel, ends: tuple[int, ...]) -> dict:
     """An edge's read-only pieces at its ``ends`` at one vertex (0 source, 1
     target; both for a loop): ``weight``, ``rint(2 Re(i Gamma_z))`` on the
-    diagonal; for SU(2) ``x``, ``y``, ``up`` (``J_+ = i (x + i y)``), ``down``."""
+    diagonal; ``up``, ``J_+ = i (Gamma_x + i Gamma_y)`` (zero for U(1)), and ``down``."""
     parts = [sum(_edge_pieces(label, a)[s] for s in ends) for a in range(lie_dim(label.group))]
-    out = {"weight": np.rint(2 * (1j * np.diagonal(parts[-1])).real).astype(int)}
-    if len(parts) > 1:
-        up = 1j * (parts[0] + 1j * parts[1])
-        out.update(x=parts[0], y=parts[1], up=up, down=up.conj().T)
+    up = 1j * (parts[0] + 1j * parts[1]) if len(parts) > 1 else np.zeros_like(parts[0])
+    out = {"weight": np.rint(2 * (1j * np.diagonal(parts[-1])).real).astype(int), "up": up}
+    out["down"] = up.conj().T
     for piece in out.values():
         piece.setflags(write=False)
     return out
 
 
-def _weight_spaces(block: BlockLabel) -> tuple[list, dict, list]:
-    """Per vertex, its edge ends ``(pieces, (w, post))`` (``_pieces``; ``w`` the
-    edge's dimension, ``post`` that after it); per joint weight (``2 <J_z^v>``
-    over the vertices, by first appearance) its indices; and those of weight 0."""
+def _weight_spaces(block: BlockLabel) -> tuple:
+    """The block's ``_ladder`` maps, each built once, as ``ladder(mu, v, key)``;
+    per joint weight (``2 <J_z^v>`` over the vertices, by first appearance) its
+    indices, ascending; and those of weight 0."""
     index, post = block.graph.vertex_index, block.dim
     at, weights = [[] for _ in index], np.zeros((len(index), block.dim), dtype=int)
     for e, lab in zip(block.graph.edges, block.labels):
@@ -196,30 +191,43 @@ def _weight_spaces(block: BlockLabel) -> tuple[list, dict, list]:
     spaces: dict[tuple[int, ...], list[int]] = {}
     for k, lam in enumerate(map(tuple, weights.T.tolist())):
         spaces.setdefault(lam, []).append(k)
-    return at, spaces, spaces.get((0,) * len(at), [])
+    ladder = functools.cache(functools.partial(_ladder, at, spaces))
+    return ladder, spaces, spaces.get((0,) * len(at), [])
 
 
-def _act(ends: list, key: str, x: np.ndarray) -> np.ndarray:
-    """Sum over one vertex's edge ``ends`` of ``1_pre (x) piece (x) 1_post``, on ``x``'s rows."""
-    terms = [(pieces[key] @ x.reshape(-1, *shape)).reshape(x.shape) for pieces, shape in ends]
-    return sum(terms[1:], terms[0]) if terms else np.zeros_like(x)
+def _ladder(at: list, spaces: dict, mu: tuple, v: int, key: str) -> np.ndarray:
+    """``J_+^v`` (``key`` "up") or ``J_-^v`` ("down") out of ``W_mu``, as the dense
+    ``|W_{mu +- 2 e_v}| x |W_mu|`` matrix, from the pieces of ``v``'s edge ends
+    ``at[v]``, ``(pieces, (w, post))`` (``w`` the edge's dimension, ``post``
+    that after it).  An end's piece changes index ``k``'s digit ``(k // post)
+    % w`` alone, so within one end no entry is placed twice."""
+    shifted = (*mu[:v], mu[v] + (2 if key == "up" else -2), *mu[v + 1 :])
+    src, dst = np.array(spaces.get(mu, []), int), np.array(spaces.get(shifted, []), int)
+    out = np.zeros((len(dst), len(src)), dtype=complex)
+    for pieces, (w, post) in at[v] if out.size else ():  # an empty map reads no piece
+        digit = src // post % w
+        r, c = np.nonzero(pieces[key][:, digit])
+        out[np.searchsorted(dst, src[c] + (r - digit[c]) * post), c] += pieces[key][r, digit[c]]
+    return out
 
 
-def _zero_invariants(block: BlockLabel, at, zero: list, method: str, band) -> np.ndarray:
+def _zero_invariants(block: BlockLabel, ladder, zero: list, method: str, band) -> np.ndarray:
     """Orthonormal invariant columns, found on the weight-zero indices ``zero``
-    where all lie: the null space there of every ``Gamma_{v,x}`` and ``Gamma_{v,y}``
-    (``"lie"``, with no raising operator), or the Haar projector's range there."""
-    units = np.equal.outer(zero, np.arange(block.dim)).astype(complex)  # as rows
+    where all lie and placed into the block once: the null space there of
+    every ``J_+^v`` and ``J_-^v`` stacked (``"lie"``, which is not the copies'
+    null space of the ``J_+`` alone), or the Haar projector's range there."""
     if method == "lie":
-        if not zero:
-            return units.T
-        dirs = "xy"[: len(lie_directions(block)) - 1]
-        images = np.hstack([units[:, :0]] + [_act(e, a, units) for e in at for a in dirs])
-        return units.T @ _null_columns(images[:, images.any(axis=0)].T)
-    if method != "quadrature":
+        key = (0,) * len(block.graph.vertices)
+        maps = [ladder(key, v, s) for v in range(len(key)) for s in ("up", "down")]
+        cols = _null_columns(np.vstack([np.zeros((0, len(zero)))] + maps))
+    elif method == "quadrature":
+        vals, vecs = np.linalg.eigh(_haar_on_zero(block, zero, band))
+        cols = vecs[:, vals > 0.5]
+    else:
         raise ValueError(f"unknown method {method!r}")
-    vals, vecs = np.linalg.eigh(_haar_on_zero(block, zero, band))
-    return units.T @ vecs[:, vals > 0.5]
+    out = np.zeros((block.dim, cols.shape[1]), dtype=complex)
+    out[zero] = cols
+    return out
 
 
 @functools.cache
@@ -280,19 +288,19 @@ class EquivariantSpace:
 
     ``scalar[i]`` is the component of one-dimensional block ``i``, one copy on
     column 0, of weight-zero column ``[[1]]`` if its irrep is trivial; or -1
-    (everywhere, if not given) for a block held per block, whose ``W_0``
-    indices and weight-zero columns (``_graded_copies``) are ``weight_zero[i]``
-    and whose copies are ``copies[i]``: ``(c, cols)`` puts one of irrep
-    ``irreps[c]`` (row ``c`` of ``lams``) on the columns ``cols``.  ``sizes[c]``
-    counts component ``c``'s copies.  Element ``k``, a matrix unit ``u_a u_b^H
-    / sqrt(dim)`` of component ``components[k]``, is orthonormal to the others;
-    a component's run row-major over its ``members`` (``held_by``) squared.
-    Every block's ``copies`` and ``weight_zero``, and each cached property,
-    are built on first read."""
+    for a block held per block, whose ``W_0`` indices and weight-zero columns
+    (``_graded_copies``) are ``weight_zero[i]`` and whose copies are
+    ``copies[i]``: ``(c, cols)`` puts one of irrep ``irreps[c]`` (row ``c`` of
+    ``lams``) on the columns ``cols``.  ``sizes[c]`` counts component ``c``'s
+    copies.  Element ``k``, a matrix unit ``u_a u_b^H / sqrt(dim)`` of
+    component ``components[k]``, is orthonormal to the others; a component's
+    run row-major over its ``members`` (``held_by``) squared.  Every block's
+    ``copies`` and ``weight_zero``, and each cached property, are built on
+    first read."""
 
-    def __init__(self, trunc: Truncation, weight_zero, copies, irreps, scalar=None):
+    def __init__(self, trunc: Truncation, weight_zero, copies, irreps, scalar: np.ndarray):
         self.trunc, self.lams = trunc, np.array(irreps, dtype=int).reshape(len(irreps), -1)
-        self.scalar = np.full(len(trunc.dims), -1) if scalar is None else scalar
+        self.scalar = scalar
         self.held = np.flatnonzero(self.scalar < 0).tolist()
         self._zero, self._copies = weight_zero, copies
         kinds = [c for i in self.held for c, _ in copies[i]]
@@ -367,46 +375,48 @@ class EquivariantSpace:
         return csr_matrix((vals, (x * q + m, y)), shape), csr_matrix((vals, (y * q + m, x)), shape)
 
 
-def _graded_copies(block: BlockLabel, at: list, spaces: dict, every: bool = False) -> tuple:
+def _graded_copies(block: BlockLabel, ladder, spaces: dict, every: bool = False) -> tuple:
     """The block's irreducible copies: each one's column of weight zero on
     ``W_0`` (zero if some ``lam_v`` is odd), or with ``every`` a unitary of all
     their columns; per copy ``(lam, cols)`` (``lam_v = 2 j_v``); and per vertex
     the eigenvalue ``-i mu_v / 2`` of ``Gamma_{v,z}`` on each column, ``mu`` in
     ``prod_v range(lam_v, -lam_v - 1, -2)`` within a copy.  A dominant ``lam``
     is highest in ``m = sum_S (-1)^|S| |W_{lam + 2 e_S}|`` copies (``S``: sets
-    of vertices), the raising operators' null space on ``W_lam``, lowered
-    together vertex by vertex to weight zero or every level, each step normalized."""
-    d, nv, zero = block.dim, len(at), spaces.get((0,) * len(at), [])
+    of vertices), the null space on ``W_lam`` of the stacked ``J_+`` maps, held
+    as rows per weight and lowered vertex by vertex to weight zero or every
+    level, each weight from the one above it, each step normalized."""
+    nv = len(block.graph.vertices)
     signed = [((-1) ** s.count(2), s) for s in product((0, 2), repeat=nv)]
     kept, copies, weights = [], [], []  # kept: the columns, as rows
+    out = np.zeros((block.dim, block.dim), dtype=complex) if every else None
     for lam, cols in ((k, c) for k, c in spaces.items() if min(k, default=0) >= 0):  # dominant
         sizes = [len(spaces.get(tuple(a + b for a, b in zip(lam, s)), ())) for _, s in signed]
         m = sum(sign * n for (sign, _), n in zip(signed, sizes))
         if not m:
             continue
         mus, start = list(product(*(range(s, -s - 1, -2) for s in lam))), len(weights)
-        weights += mus * m  # mus: one copy's weights
+        weights += mus * m  # mus: one copy's weights, lam first
         copies += [(lam, slice(k, k + len(mus))) for k in range(start, len(weights), len(mus))]
         if not every and any(s % 2 for s in lam):  # no weight zero
-            kept.append(np.zeros((m, len(zero)), dtype=complex))
+            kept.append(np.zeros((m, len(spaces.get((0,) * nv, ()))), dtype=complex))
             continue
-        top = np.equal.outer(cols, np.arange(d)).astype(complex)  # as rows
+        rows = {lam: np.eye(len(cols), dtype=complex)}  # per mu, the copies' rows on W_mu
         if m < len(cols):
-            above = [(e, lam[:v] + (lam[v] + 2,) + lam[v + 1 :]) for v, e in enumerate(at)]
-            raised = np.hstack([_act(e, "up", top)[:, spaces[w]] for e, w in above if w in spaces])
-            hw = _null_columns(raised.T)
+            hw = _null_columns(np.vstack([ladder(lam, v, "up") for v in range(nv)]))
             if hw.shape[1] != m:
                 raise RuntimeError(f"{block}: {hw.shape[1]} highest weights {lam}, not {m}")
-            top = hw.T @ top
-        chain = [top]  # the copies' rows, one array per column kept
-        for ends, steps in zip(at, lam):
-            levels = [chain]  # |J_- v| = sqrt(t (steps + 1 - t)) on level t - 1
-            for t in range(1, (steps if every else steps // 2) + 1):
-                lowered = [_act(ends, "down", r) for r in levels[-1]]
-                levels.append([y / np.sqrt(t * (steps + 1 - t)) for y in lowered])
-            chain = [r for rows in zip(*levels) for r in rows] if every else levels[-1]
-        kept.append(np.stack(chain, axis=1).reshape(-1, d) if every else chain[0][:, zero])
-    return np.vstack(kept).T, copies, -0.5j * np.array(weights).T
+            rows[lam] = hw.T
+        path = [(*(0,) * v, s, *lam[v + 1 :]) for v in range(nv) for s in range(lam[v] - 2, -1, -2)]
+        for mu in mus[1:] if every else path:  # from one step above, at the last vertex below lam
+            k = max(v for v in range(nv) if mu[v] < lam[v])
+            above, t = (*mu[:k], mu[k] + 2, *mu[k + 1 :]), (lam[k] - mu[k]) // 2  # step t at k
+            rows[mu] = rows[above] @ ladder(above, k, "down").T / np.sqrt(t * (lam[k] + 1 - t))
+        if not every:
+            kept.append(rows[(0,) * nv])
+            continue
+        for t, mu in enumerate(mus):  # copy a's column t is start + a len(mus) + t
+            out[np.array(spaces[mu])[:, None], start + t + len(mus) * np.arange(m)] = rows[mu].T
+    return out if every else np.vstack(kept).T, copies, -0.5j * np.array(weights).T
 
 
 def commutant_basis(trunc: Truncation) -> EquivariantSpace:
@@ -453,30 +463,20 @@ _UNIT.setflags(write=False)
 
 
 def _scalar_invariants(trunc: Truncation, live: np.ndarray, method: str, band) -> np.ndarray:
-    """Which one-dimensional blocks are invariant: by ``"lie"`` those whose
-    scalars are all zero (not ``live``), by ``"quadrature"`` those of them
-    whose 1x1 Haar projector ``prod_v P_v``, a sum over the scheme points at
-    each vertex, exceeds 1/2, after the band check of every block: a ``band``
-    too small raises ``BandError`` for the first block that needs more."""
+    """Which one-dimensional blocks are invariant, by either ``method``: those
+    whose scalars are all zero (not ``live``).  The Haar average of a
+    character of ``G^V`` is 1 exactly when the character is trivial, so
+    ``"quadrature"`` keeps the same blocks; it checks the band of every block
+    first, and a ``band`` too small raises ``BandError`` for the first block
+    that needs more."""
     if method not in ("lie", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
-    kept = ~live
-    if method == "lie":
-        return kept
-    group, degree = trunc.group, vertex_degrees(trunc.graph, trunc.labels)
-    short = (degree + 1) // 2 > (np.inf if band is None else band.degree)
-    if short.any():
-        raise BandError(required_band(group, degree[short.argmax()]), band)
-    labels, value = trunc.labels[trunc.dims == 1][kept], 1.0
-    band = band or required_band(group, degree[trunc.dims == 1][kept].max(initial=0))
-    for v in trunc.graph.vertices:
-        term = haar_scheme(group, band).weights
-        for j, e in enumerate(trunc.graph.edges):
-            at = e.source == v, e.target == v
-            term = term * label_table(group, labels[:, j], _edge_factors, band, *at)[:, :, 0, 0]
-        value = term.sum(axis=-1) * value
-    kept[kept] = np.real(value) > 0.5
-    return kept
+    if method == "quadrature":
+        degree = vertex_degrees(trunc.graph, trunc.labels)
+        short = (degree + 1) // 2 > (np.inf if band is None else band.degree)
+        if short.any():
+            raise BandError(required_band(trunc.group, degree[short.argmax()]), band)
+    return ~live
 
 
 def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=None):
@@ -504,9 +504,9 @@ def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=N
     held, columns = {}, {}
     for i in np.flatnonzero(~one).tolist():
         block = trunc.block(i)
-        at, spaces, zero = _weight_spaces(block)
-        held[i] = zero, *_graded_copies(block, at, spaces)
-        columns[i] = _zero_invariants(block, at, zero, method, band)
+        ladder, spaces, zero = _weight_spaces(block)
+        held[i] = zero, *_graded_copies(block, ladder, spaces)
+        columns[i] = _zero_invariants(block, ladder, zero, method, band)
         counts[i] = columns[i].shape[1]
     # the one-dimensional blocks come first: U(1) has no other, SU(2) one, block 0
     lams = [lam for _, _, split, _ in held.values() for lam, _ in split]

@@ -35,6 +35,12 @@ def square_graph():
     )
 
 
+def pentagon_graph():
+    """A cycle of five vertices, each edge to the next."""
+    vertices = ("v", "w", "x", "y", "z")
+    return Graph(vertices, [(a + b, a, b) for a, b in zip(vertices, vertices[1:] + vertices[:1])])
+
+
 def theta_graph():
     """Two vertices joined by three edges, one of them reversed: three edge
     ends at each vertex, so a block can hold an irrep more than once."""

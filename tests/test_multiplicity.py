@@ -20,9 +20,14 @@ the ideal holds every nonzero component from ``n = 1`` on.
 """
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +47,7 @@ from .systems import (
     loop_graph,
     make,
     parallel_graph,
+    pentagon_graph,
     square_graph,
     triangle_graph,
 )
@@ -178,6 +184,50 @@ def test_su2_square_verifies_below_one_dense_block(method):
     assert report.passed
     assert (report.dim_ak, report.dim_hk, report.dim_ker_pi) == counts
     assert [row.dim_ideal for row in report.rows] == [0, 2009]
+
+
+def run_file(graph, group, bound):
+    """The text of a run file for ``graph`` at the label bound ``bound``."""
+    edges = "".join(f"edge = {e.id} {e.source} {e.target}\n" for e in graph.edges)
+    head = f"[group]\nkind = {group}\n\n[graph]\nvertices = {' '.join(graph.vertices)}\n"
+    return f"{head}{edges}\n[truncation]\nbound = {bound}\n"
+
+
+@pytest.mark.parametrize(
+    "graph,bound,method",
+    [(square_graph, 3, "lie"), (pentagon_graph, 2, "quad")],
+    ids=["su2-square-b3-lie", "su2-pentagon-b2-quad"],
+)
+def test_su2_frontier_verifies_in_a_capped_process(tmp_path, graph, bound, method):
+    # a square with spin up to 3/2 (blocks up to 4^8 = 65,536 dimensions) and
+    # a pentagon with spin up to 1 (up to 3^10 = 59,049): every ladder
+    # operator is a map between two weight spaces, so no array of the block's
+    # length per weight-zero vector is built, and a whole `verify` process
+    # passes with its address space capped at 768 MiB: the child sets the cap
+    # on itself before it imports anything else.  Its counts are the
+    # Clebsch-Gordan ledger's
+    g = graph()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(run_file(g, "su2", bound))
+    out = tmp_path / "report.json"
+    capped = (
+        "import resource, runpy, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (768 * 2**20, 768 * 2**20))\n"
+        "sys.argv[0] = 'gaugereduce'\n"
+        "runpy.run_module('gaugereduce', run_name='__main__')\n"
+    )
+    argv = ["verify", "--config", str(cfg), "--nmax", "2", "--method", method, "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c", capped, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = json.loads(out.read_text())
+    dim_ak, hk, kk = ledger(g, bound)
+    assert (report["dim_AK"], report["dim_HK"], report["dim_ker_pi"]) == (dim_ak, hk, kk)
+    assert report["pass"] and [row["dim_ideal"] for row in report["per_nmax"]] == [0, kk]
 
 
 def flux_multiplicities(graph, bound):

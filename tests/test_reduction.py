@@ -6,6 +6,8 @@ constraints, with no block bookkeeping at all, and must agree with the
 irrep-based computation in both dimension and span.
 """
 
+from itertools import product
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,6 +17,7 @@ from gaugereduce import (
     BandError,
     EquivariantSpace,
     GaugeElement,
+    Graph,
     InvariantSpace,
     IrrepLabel,
     commutant_basis,
@@ -362,6 +365,12 @@ def test_kernel_elements_compress_to_zero():
                 assert abs(val) < 1e-10
 
 
+def invariant_space(columns):
+    """An ``InvariantSpace`` that holds the given columns of every block."""
+    counts = np.array([c.shape[1] for c in columns], dtype=int)
+    return InvariantSpace(dict(enumerate(columns)), counts)
+
+
 def phased(space):
     """The same commutant with a complex phase on each copy, so on the matrix
     units between copies: on the copy's columns in the dense basis and on its
@@ -372,7 +381,8 @@ def phased(space):
         rows, z = space.weight_zero[i]
         zeros.append((rows, z * ph))
         bases.append(u * np.repeat(ph, [c.stop - c.start for _, c in space.copies[i]]))
-    out = EquivariantSpace(space.trunc, zeros, space.copies, space.irreps)
+    held = np.full(len(space.trunc.dims), -1)  # every block held per block, phases and all
+    out = EquivariantSpace(space.trunc, zeros, space.copies, space.irreps, held)
     out.bases = bases
     return out
 
@@ -622,7 +632,7 @@ def test_kernel_keeps_pairs_by_their_product(name):
     space, inv, _ = reduce_blocks(trunc)
     scales = iter(np.resize([1.0, 1e-6], inv.dim))
     columns = [c * np.fromiter(scales, float, c.shape[1]) for c in inv.columns]
-    scaled = InvariantSpace(columns)
+    scaled = invariant_space(columns)
     mat = dense_pi_matrix(space, scaled)
     kernel = assert_kernel_spans_the_row_space(space, scaled, mat, atol=1e-8)
     small = np.count_nonzero(np.resize([False, True], inv.dim))
@@ -639,7 +649,7 @@ def test_kernel_refuses_a_second_component():
     a = next(a for a, (c, _) in enumerate(space.copies[1]) if space.irreps[c] == (2,))
     extra = np.zeros((trunc.dims[1], 1), dtype=complex)
     extra[rows, 0] = z[:, a]
-    bad = InvariantSpace([inv.columns[0], np.hstack([inv.columns[1], extra])])
+    bad = invariant_space([inv.columns[0], np.hstack([inv.columns[1], extra])])
     assert bad.dim == inv.dim + 1
     with pytest.raises(RuntimeError, match=r"on component \d+ and .* on component \d+"):
         kernel_pi_basis(space, bad)
@@ -653,6 +663,33 @@ def test_highest_weight_count_is_checked(monkeypatch):
     monkeypatch.setattr("gaugereduce.reduction._null_columns", short)
     with pytest.raises(RuntimeError, match="highest weights"):
         reduce_blocks(make(loop_graph(), SU2, 1))
+
+
+LADDER_CASES = {k: build(k) for k in SMALL if CANON[k][1] is SU2} | {
+    "su2-theta-b1": make(theta_graph(), SU2, 1),
+    "su2-loops-and-parallels": make(loops_and_parallels(), SU2, 1),
+    "su2-isolated-vertex": make(isolated_vertex_graph(), SU2, 1),
+    "su2-reversed-edge-b2": make(Graph(("x", "y"), [("e", "y", "x")]), SU2, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(LADDER_CASES))
+def test_ladder_maps_are_the_dense_restrictions(name):
+    # every map the pass applies is the dense J_+-^v = i (Gamma_{v,x} +- i
+    # Gamma_{v,y}) of block_generators on the columns W_mu, restricted to the
+    # rows W_{mu +- 2 e_v}; the dense operator is zero on every other row.  A
+    # loop's two ends, or a digit read at the wrong place, would break it
+    for block in LADDER_CASES[name].blocks:
+        gens = block_generators(block).reshape(len(block.graph.vertices), 3, block.dim, block.dim)
+        ladder, spaces, _ = _weight_spaces(block)
+        for (v, (x, y, _)), (key, sign) in product(enumerate(gens), [("up", 1), ("down", -1)]):
+            dense = 1j * (x + sign * 1j * y)
+            for mu, cols in spaces.items():
+                shifted = (*mu[:v], mu[v] + 2 * sign, *mu[v + 1 :])
+                rows = spaces.get(shifted, [])
+                assert_allclose(ladder(mu, v, key), dense[np.ix_(rows, cols)], rtol=0, atol=1e-12)
+                rest = np.delete(dense[:, cols], rows, axis=0)
+                assert np.abs(rest).max(initial=0.0) <= 1e-12
 
 
 GRADED_CASES = {k: build(k) for k in SMALL} | {
@@ -731,6 +768,6 @@ def test_kernel_is_everything_when_no_invariants():
     # hand: the compression map to a zero-dimensional space has full kernel
     trunc = build("u1-edge-b1")
     space = commutant_basis(trunc)
-    empty = InvariantSpace(np.zeros((d, 0), dtype=complex) for d in trunc.dims)
+    empty = invariant_space([np.zeros((d, 0), dtype=complex) for d in trunc.dims])
     ker = kernel_pi_basis(space, empty)
     assert ker.dim == space.dim
