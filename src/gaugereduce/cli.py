@@ -13,10 +13,10 @@ Three subcommands work from the same run description file:
   the grouping the same way.
 
 Malformed run files, unwritable report paths and quadrature bands too
-small for their integrands exit with status 2.  Reports are JSON with
-sorted keys; the ``seconds`` field is quantized to whole minutes so that
-repeated runs of the same input produce byte-identical output (exact wall
-time goes to stderr).
+small for their integrands exit with status 2, any other error (running out
+of memory among them) with 3.  Reports are JSON with sorted keys; the
+``seconds`` field is quantized to whole minutes so that repeated runs of the
+same input produce byte-identical output (exact wall time goes to stderr).
 """
 
 from __future__ import annotations
@@ -212,6 +212,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash is no verdict on the equality, whose failure is 1
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def run() -> None:

@@ -285,8 +285,9 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, 2 * vecs[0] ** 2
 
 
+@functools.cache
 def haar_scheme(group: GroupId, band: IrrepLabel) -> HaarScheme:
-    """Build the product quadrature of the requested band."""
+    """The product quadrature of the requested band, built once per band."""
     if band.group is not group:
         raise ValueError("band label belongs to a different group")
     b = band.degree

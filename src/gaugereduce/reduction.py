@@ -19,11 +19,11 @@ Four objects are produced from a truncation:
   SVD of one component's overlaps with the invariant vectors.  No irrep
   label is read, so comparing the kernel with the ideal is a real check.
 
-The first three come from one pass over the blocks (``reduce_blocks``) with no
-``d x d`` array: a block is graded by joint weights off per-edge diagonals,
-ladder operators are maps between weight spaces, a copy keeps only its irrep,
-its column weights and its column of weight zero, all that ``pi`` reads, and
-either ``method`` finds the invariants on the weight-zero indices alone.  The
+The first three come from one pass over the blocks (``reduce_blocks``) with
+no array of a block's length: ``G^V`` acts on a block vertex by vertex, so it
+is ``(x)_v E_v``, ``E_v`` the product of the irreps at ``v``'s edge ends, and
+its copies, invariants, overlaps and seeds are products of those of the
+``E_v``, each split once per pattern of ends (``_vertex_split``).  The
 one-dimensional blocks carry characters of ``G^V``: they stay arrays over the
 truncation's label array, from their scalar generators to the overlaps of
 ``pi``, and no ``BlockLabel`` is built for them.
@@ -41,8 +41,9 @@ from itertools import product
 import numpy as np
 
 from .blocks import BlockLabel, Truncation
-from .groups import IrrepLabel, haar_scheme, identity_point, irrep_matrix, lie_dim, required_band
-from .lattice import GaugeElement, _edge_pieces, rho_block
+from .groups import IrrepLabel, haar_scheme, identity_point, irrep_generator, irrep_matrix
+from .groups import lie_dim, required_band
+from .lattice import GaugeElement, rho_block
 from .lattice import block_generators, scalar_generators  # noqa: F401  (the bench wraps the first)
 
 RANK_RTOL = 1e-10
@@ -62,17 +63,24 @@ class BandError(ValueError):
 
 class InvariantSpace:
     """The invariant subspace, block by block: ``counts[i]`` orthonormal
-    vectors in block ``i``, the columns of ``given[i]`` if it is there, else
-    the one-dimensional block's basis vector.  Taken in block order, they are
-    an orthonormal basis of the whole subspace.  Every block's ``columns``
-    are built on first read."""
+    vectors in block ``i``, in block order an orthonormal basis of the whole.
+    A block of dimension above one holds the products of its vertices'
+    invariants (``splits[i]``) and their overlaps ``overlaps[i]`` with its
+    copies' weight-zero columns; a one-dimensional one, its basis vector if
+    it is invariant.  Every block's ``columns`` are built on first read."""
 
-    def __init__(self, columns: dict, counts: np.ndarray):
-        self.given, self.counts, self.dim = columns, counts, int(counts.sum())
+    def __init__(self, trunc: Truncation, splits: dict, counts: np.ndarray, overlaps: dict):
+        self.trunc, self.splits, self.overlaps = trunc, splits, overlaps
+        self.counts, self.dim = counts, int(counts.sum())
 
     @functools.cached_property
     def columns(self) -> list:
-        return [self.given.get(i, _UNIT[:, :n]) for i, n in enumerate(self.counts.tolist())]
+        out = [_UNIT[:, :n] for n in self.counts.tolist()]
+        for i, splits in self.splits.items():
+            rows, v = _on_zero(self.trunc.block(i), splits, "inv")
+            out[i] = np.zeros((self.trunc.dims[i], v.shape[1]), dtype=complex)
+            out[i][rows] = v
+        return out
 
 
 class PiKernel:
@@ -143,119 +151,144 @@ def invariant_projector(
     block: BlockLabel, method: str = "lie", band: IrrepLabel | None = None
 ) -> np.ndarray:
     """Orthogonal projector onto the gauge-invariant vectors of a block, by
-    the ``method`` of ``_zero_invariants``."""
-    ladder, _, zero = _weight_spaces(block)
-    v = _zero_invariants(block, ladder, zero, method, band)
-    return v @ v.conj().T
+    the ``method`` of ``reduce_blocks``."""
+    labels = np.array([[lab.value for lab in block.labels]], dtype=int)
+    _check_method(block.graph, block.group, labels, method, band)
+    if block.dim == 1:
+        return _UNIT * float(not scalar_generators(block.graph, block.group, labels).any())
+    splits = _block_splits(block.graph, block.group, labels[0], method, band)
+    rows, v = _on_zero(block, splits, "inv")
+    out = np.zeros((block.dim, block.dim), dtype=complex)
+    out[rows[:, None], rows] = v @ v.conj().T
+    return out
 
 
 def _null_columns(a: np.ndarray) -> np.ndarray:
     """Orthonormal null space of ``a`` by the rank rule of ``null_space``
     (singular values above ``RANK_RTOL`` times the largest), from an SVD
-    that is thin unless ``a`` is wide.  A tall stack is first reduced to
-    its QR triangle, which has the same singular values and right factor
-    and holds no left factor the size of the stack."""
-    if a.shape[0] > a.shape[1]:
-        a = np.linalg.qr(a, mode="r")
+    that is thin unless ``a`` is wide."""
+    if not a.size:  # no constraint, or no column
+        return np.eye(a.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     return vh[np.count_nonzero(s > RANK_RTOL * s.max(initial=0.0)) :].conj().T
 
 
-@functools.cache
-def _pieces(label: IrrepLabel, ends: tuple[int, ...]) -> dict:
-    """An edge's read-only pieces at its ``ends`` at one vertex (0 source, 1
-    target; both for a loop): ``weight``, ``rint(2 Re(i Gamma_z))`` on the
-    diagonal; ``up``, ``J_+ = i (Gamma_x + i Gamma_y)`` (zero for U(1)), and ``down``."""
-    parts = [sum(_edge_pieces(label, a)[s] for s in ends) for a in range(lie_dim(label.group))]
-    up = 1j * (parts[0] + 1j * parts[1]) if len(parts) > 1 else np.zeros_like(parts[0])
-    out = {"weight": np.rint(2 * (1j * np.diagonal(parts[-1])).real).astype(int), "up": up}
-    out["down"] = up.conj().T
-    for piece in out.values():
-        piece.setflags(write=False)
-    return out
+def _ends(graph) -> list:
+    """Per vertex, its edge ends ``(j, s)`` in edge order: edge ``j``'s row
+    digit (``s = 0``, its source end, conjugated) or column digit (``s = 1``,
+    its target end); a loop's row before its column."""
+    at = [(j, s, u) for j, e in enumerate(graph.edges) for s, u in enumerate([e.source, e.target])]
+    return [[(j, s) for j, s, u in at if u == v] for v in graph.vertices]
 
 
-def _weight_spaces(block: BlockLabel) -> tuple:
-    """The block's ``_ladder`` maps, each built once, as ``ladder(mu, v, key)``;
-    per joint weight (``2 <J_z^v>`` over the vertices, by first appearance) its
-    indices, ascending; and those of weight 0."""
-    index, post = block.graph.vertex_index, block.dim
-    at, weights = [[] for _ in index], np.zeros((len(index), block.dim), dtype=int)
-    for e, lab in zip(block.graph.edges, block.labels):
-        post //= lab.dim**2
-        loop = e.source == e.target  # a loop's ends act on one vertex as one piece
-        for v, ends in {index[e.target]: (1,), index[e.source]: (0, 1) if loop else (0,)}.items():
-            at[v].append((_pieces(lab, ends), (lab.dim**2, post)))
-            shared = weights[v].reshape(-1, lab.dim**2, post)
-            shared += at[v][-1][0]["weight"][:, None]
-    spaces: dict[tuple[int, ...], list[int]] = {}
-    for k, lam in enumerate(map(tuple, weights.T.tolist())):
-        spaces.setdefault(lam, []).append(k)
-    ladder = functools.cache(functools.partial(_ladder, at, spaces))
-    return ladder, spaces, spaces.get((0,) * len(at), [])
+def _block_splits(graph, group, labels: np.ndarray, method: str, band) -> tuple:
+    """Per vertex, the ``_vertex_split`` of its ends in the block of label
+    values ``labels``, but for spin-0 ends: factors of dimension one."""
+    x = labels.tolist()
+    patterns = [tuple((x[j], s) for j, s in at if x[j]) for at in _ends(graph)]
+    return tuple(_vertex_split(group, ends, method, band) for ends in patterns)
 
 
-def _ladder(at: list, spaces: dict, mu: tuple, v: int, key: str) -> np.ndarray:
-    """``J_+^v`` (``key`` "up") or ``J_-^v`` ("down") out of ``W_mu``, as the dense
-    ``|W_{mu +- 2 e_v}| x |W_mu|`` matrix, from the pieces of ``v``'s edge ends
-    ``at[v]``, ``(pieces, (w, post))`` (``w`` the edge's dimension, ``post``
-    that after it).  An end's piece changes index ``k``'s digit ``(k // post)
-    % w`` alone, so within one end no entry is placed twice."""
-    shifted = (*mu[:v], mu[v] + (2 if key == "up" else -2), *mu[v + 1 :])
-    src, dst = np.array(spaces.get(mu, []), int), np.array(spaces.get(shifted, []), int)
-    out = np.zeros((len(dst), len(src)), dtype=complex)
-    for pieces, (w, post) in at[v] if out.size else ():  # an empty map reads no piece
-        digit = src // post % w
-        r, c = np.nonzero(pieces[key][:, digit])
-        out[np.searchsorted(dst, src[c] + (r - digit[c]) * post), c] += pieces[key][r, digit[c]]
-    return out
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices, as one broadcast product."""
+    return np.multiply.outer(a, b).swapaxes(1, 2).reshape(len(a) * len(b), a.shape[1] * b.shape[1])
 
 
-def _zero_invariants(block: BlockLabel, ladder, zero: list, method: str, band) -> np.ndarray:
-    """Orthonormal invariant columns, found on the weight-zero indices ``zero``
-    where all lie and placed into the block once: the null space there of
-    every ``J_+^v`` and ``J_-^v`` stacked (``"lie"``, which is not the copies'
-    null space of the ``J_+`` alone), or the Haar projector's range there."""
-    if method == "lie":
-        key = (0,) * len(block.graph.vertices)
-        maps = [ladder(key, v, s) for v in range(len(key)) for s in ("up", "down")]
-        cols = _null_columns(np.vstack([np.zeros((0, len(zero)))] + maps))
-    elif method == "quadrature":
-        vals, vecs = np.linalg.eigh(_haar_on_zero(block, zero, band))
-        cols = vecs[:, vals > 0.5]
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    out = np.zeros((block.dim, cols.shape[1]), dtype=complex)
-    out[zero] = cols
-    return out
+def _copy_index(splits: tuple) -> np.ndarray:
+    """A block's copies, the products of its vertices' copies in lexicographic
+    order, vertex 0 slowest: row ``v`` holds each copy's ``a_v``."""
+    return np.indices([len(s["lams"]) for s in splits]).reshape(len(splits), -1)
+
+
+def _edge_major(block: BlockLabel, index: list) -> np.ndarray:
+    """The block's own indices of the products, vertex 0 slowest, of indices
+    ``index[v]`` into the ``E_v``: a block index has one digit per edge end,
+    each edge's row (``2 j``) then its column, an ``E_v`` index its ends'."""
+    ends = _ends(block.graph)
+    own = np.arange(block.dim).reshape([lab.dim for lab in block.labels for _ in "rc"])
+    own = own.transpose([2 * j + s for at in ends for j, s in at])  # by vertex
+    sizes = [np.prod([block.labels[j].dim for j, _ in at], dtype=int) for at in ends]
+    return own.reshape(sizes)[np.ix_(*index)].ravel()
+
+
+def _on_zero(block: BlockLabel, splits: tuple, key: str) -> tuple:
+    """The block's weight-zero indices, the products of its vertices' ``zero``
+    indices, and the Kronecker product of their ``key`` columns there."""
+    rows = _edge_major(block, [s["zero"] for s in splits])
+    return rows, functools.reduce(_kron, [s[key] for s in splits])
+
+
+def _copy_basis(block: BlockLabel, splits: tuple) -> np.ndarray:
+    """A block's unitary with its copies side by side, in ``_copy_index``
+    order: each the Kronecker product of its vertices' columns."""
+    parts = [np.split(s["basis"], np.cumsum(s["lams"] + 1)[:-1], axis=1) for s in splits]
+    u = np.hstack([functools.reduce(_kron, cols) for cols in product(*parts)])
+    return u[np.argsort(_edge_major(block, [np.arange(len(s["basis"])) for s in splits]))]
 
 
 @functools.cache
-def _edge_factors(label: IrrepLabel, band: IrrepLabel, source: bool, target: bool) -> np.ndarray:
-    """``rho_block``'s read-only edge factors at the points of the scheme of
-    ``band``, taken at the edge's source and/or target, the identity else."""
-    one = np.eye(label.dim)
-    mats = [irrep_matrix(label, p) for p in haar_scheme(label.group, band).points]
-    out = np.array([np.kron(np.conj(m) if source else one, m if target else one) for m in mats])
+def _haar_matrices(label: IrrepLabel, band: IrrepLabel) -> np.ndarray:
+    """An irrep's read-only matrices at the points of the scheme of ``band``."""
+    out = np.array([irrep_matrix(label, p) for p in haar_scheme(label.group, band).points])
     out.setflags(write=False)
     return out
 
 
-def _haar_on_zero(block: BlockLabel, zero: list, band: IrrepLabel | None) -> np.ndarray:
-    """The Haar projector ``prod_v P_v`` on the weight-zero indices ``zero``,
-    after the band check.  ``P_v`` maps ``W_0`` into itself: it commutes
-    with every ``J_z^u``, ``u != v``, and its range has weight zero at ``v``."""
-    need = projector_band(block)
-    band = need if band is None else band
-    if band.degree < need.degree:
-        raise BandError(need, band)
-    out, dims = np.eye(len(zero), dtype=complex), [lab.dim**2 for lab in block.labels]
-    digits = np.unravel_index(np.array(zero, dtype=int), dims) if dims else ()
-    for v in block.graph.vertices if zero else ():
-        term = haar_scheme(block.group, band).weights[:, None, None]
-        for e, lab, p in zip(block.graph.edges, block.labels, digits):
-            term = term * _edge_factors(lab, band, e.source == v, e.target == v)[:, p[:, None], p]
-        out = term.sum(axis=0) @ out
+@functools.cache
+def _vertex_split(group, ends: tuple, method: str, band) -> dict:
+    """``E_v``, the product of the irreps ``(value, s)`` at a vertex's edge
+    ends, conjugated at a source (``s = 0``), split into irreducible copies,
+    read-only: ``basis`` has them side by side, irrep ``lams[a] = 2j`` on
+    ``lams[a] + 1`` columns of descending weight, ``z`` their columns of
+    weight zero and ``inv`` the invariants on the indices ``zero``, ``traces``
+    and ``norms`` those of ``Gamma_z``'s scaled powers up to its number of
+    eigenvalues.  A dominant ``lam`` is highest in ``|W_lam| - |W_{lam+2}|``
+    copies, the null space of ``J_+`` on ``W_lam``, lowered by ``J_-``; the
+    invariants are the null space on ``W_0`` of ``J_+`` and ``J_-`` stacked
+    (``"lie"``) or the range of the Haar projector there."""
+    w, up = np.zeros(1, dtype=int), np.zeros((1, 1), dtype=complex)
+    for value, s in ends:  # one factor at a time
+        lab = IrrepLabel(group, value)
+        x, y, gz = (np.conj(g) if s == 0 else g for g in map(irrep_generator, [lab] * 3, range(3)))
+        w = (w[:, None] + np.rint(2 * (1j * np.diagonal(gz)).real).astype(int)).ravel()
+        up = _kron(up, np.eye(lab.dim)) + _kron(np.eye(len(up)), 1j * (x + 1j * y))
+    down, lams, tops = up.conj().T, [], []
+    for lam in [lam for lam in sorted(set(w.tolist())) if lam >= 0]:
+        cols, above = np.flatnonzero(w == lam), np.flatnonzero(w == lam + 2)
+        m = len(cols) - len(above)
+        if not m:
+            continue
+        hw = _null_columns(up[above[:, None], cols])  # all of W_lam if nothing is above
+        if hw.shape[1] != m:
+            raise RuntimeError(f"ends {ends}: {hw.shape[1]} highest weights {lam}, not {m}")
+        tops.append(np.eye(len(w), dtype=complex)[:, cols] @ hw)
+        lams += [lam] * m
+    lams = np.array(lams)
+    chain = [np.hstack(tops)]
+    for t in range(1, lams.max() + 1):  # the t-th step down, past the bottom of the smaller copies
+        chain.append(down @ chain[-1] / np.sqrt(np.maximum(t * (lams + 1 - t), 1)))
+    starts, copy = np.cumsum(lams + 1) - lams - 1, np.repeat(np.arange(len(lams)), lams + 1)
+    t = np.arange(len(w)) - starts[copy]  # each column's steps down its copy
+    basis = np.array(chain)[t, :, copy].T
+    zero = np.flatnonzero(w == 0)
+    z = np.where(lams % 2 == 0, basis[zero[:, None], starts + lams // 2], 0)
+    if method == "lie" or not len(zero):  # no weight zero, no invariant
+        inv = _null_columns(np.vstack([up[w == 2][:, zero], down[w == -2][:, zero]]))
+    else:  # the Haar projector of band, or of its own, maps W_0 into itself
+        scheme = haar_scheme(group, band or required_band(group, sum(value for value, _ in ends)))
+        term = scheme.weights[:, None, None]
+        for (value, s), p in zip(ends, np.unravel_index(zero, [v + 1 for v, _ in ends] or 1)):
+            mats = _haar_matrices(IrrepLabel(group, value), scheme.band)  # gathered end by end
+            term = term * (np.conj(mats) if s == 0 else mats)[:, p[:, None], p]
+        vals, vecs = np.linalg.eigh(term.sum(axis=0))
+        inv = vecs[:, vals > 0.5]
+    eig = -0.5j * (lams[copy] - 2 * t)  # Gamma_z's, with lams.max() + 1 distinct ones
+    eig = eig / np.abs(eig).max(initial=np.finfo(float).tiny)
+    powers = eig ** np.arange(1, lams.max() + 2)[:, None]
+    out = dict(lams=lams, basis=basis, zero=zero, z=z, inv=inv, overlaps=inv.conj().T @ z)
+    out.update(traces=np.add.reduceat(powers, starts, axis=1), norms=np.linalg.norm(powers, axis=1))
+    for part in out.values():
+        part.setflags(write=False)
     return out
 
 
@@ -288,29 +321,32 @@ class EquivariantSpace:
 
     ``scalar[i]`` is the component of one-dimensional block ``i``, one copy on
     column 0, of weight-zero column ``[[1]]`` if its irrep is trivial; or -1
-    for a block held per block, whose ``W_0`` indices and weight-zero columns
-    (``_graded_copies``) are ``weight_zero[i]`` and whose copies are
-    ``copies[i]``: ``(c, cols)`` puts one of irrep ``irreps[c]`` (row ``c`` of
-    ``lams``) on the columns ``cols``.  ``sizes[c]`` counts component ``c``'s
-    copies.  Element ``k``, a matrix unit ``u_a u_b^H / sqrt(dim)`` of
-    component ``components[k]``, is orthonormal to the others; a component's
-    run row-major over its ``members`` (``held_by``) squared.  Every block's
-    ``copies`` and ``weight_zero``, and each cached property, are built on
-    first read."""
+    for a block held by its vertices' ``splits[i]``, whose copies, products
+    of theirs (``_copy_index``), are of components ``kinds[i]``, rows of
+    ``lams``.  ``sizes[c]`` counts component ``c``'s copies.  Element ``k``, a
+    matrix unit ``u_a u_b^H / sqrt(dim)`` of component ``components[k]``, is
+    orthonormal to the others; a component's run row-major over its
+    ``members`` (``held_by``) squared.  Every block's ``copies`` (``(c,
+    cols)``, on the columns ``cols`` of ``bases``) and ``weight_zero`` (its
+    ``W_0`` indices and copies' columns there), and each cached property, are
+    built on first read."""
 
-    def __init__(self, trunc: Truncation, weight_zero, copies, irreps, scalar: np.ndarray):
+    def __init__(self, trunc: Truncation, splits: dict, kinds: dict, irreps, scalar: np.ndarray):
         self.trunc, self.lams = trunc, np.array(irreps, dtype=int).reshape(len(irreps), -1)
-        self.scalar = scalar
-        self.held = np.flatnonzero(self.scalar < 0).tolist()
-        self._zero, self._copies = weight_zero, copies
-        kinds = [c for i in self.held for c, _ in copies[i]]
-        comps = np.concatenate([self.scalar[self.scalar >= 0], kinds]).astype(int)
+        self.scalar, self._splits, self._kinds = scalar, splits, kinds
+        comps = np.concatenate([self.scalar[self.scalar >= 0], *kinds.values()]).astype(int)
         self.sizes = np.bincount(comps, minlength=len(self.lams))
         self.dim = int(np.square(self.sizes).sum())
 
+    def split(self, i: int) -> tuple:
+        """Block ``i``'s copies: their components and numbers of columns."""
+        if self.scalar[i] >= 0:
+            return self.scalar[i : i + 1], np.ones(1, dtype=int)
+        return self._kinds[i], np.prod(self.lams[self._kinds[i]] + 1, axis=1)
+
     def held_by(self, c: int) -> list:
         """Component ``c``'s ``(block, copy)`` pairs, in block order."""
-        held = [(i, a) for i in self.held for a, (k, _) in enumerate(self._copies[i]) if k == c]
+        held = [(i, a) for i, k in self._kinds.items() for a in np.flatnonzero(k == c).tolist()]
         return sorted(held + [(i, 0) for i in np.flatnonzero(self.scalar == c).tolist()])
 
     @functools.cached_property
@@ -319,13 +355,18 @@ class EquivariantSpace:
 
     @functools.cached_property
     def copies(self) -> list:
-        scalar = enumerate(self.scalar.tolist())
-        return [self._copies[i] if c < 0 else [(c, slice(0, 1))] for i, c in scalar]
+        return [
+            [(c, slice(b - m, b)) for c, m, b in zip(k.tolist(), n.tolist(), np.cumsum(n).tolist())]
+            for k, n in map(self.split, range(len(self.scalar)))
+        ]
 
     @functools.cached_property
     def weight_zero(self) -> list:
         zero = [([], _UNIT[:0]) if any(lam) else ([0], _UNIT) for lam in self.lams.tolist()]
-        return [self._zero[i] if c < 0 else zero[c] for i, c in enumerate(self.scalar.tolist())]
+        return [
+            _on_zero(self.trunc.block(i), self._splits[i], "z") if c < 0 else zero[c]
+            for i, c in enumerate(self.scalar.tolist())
+        ]
 
     @functools.cached_property
     def members(self) -> list:
@@ -348,11 +389,11 @@ class EquivariantSpace:
 
     @functools.cached_property
     def bases(self) -> list:
-        """Per block, the unitary with its copies side by side (``_graded_copies``
-        at every level), built on first read; only the reference routes read it."""
+        """Per block, the unitary with its copies side by side (``_copy_basis``),
+        built on first read; only the reference routes read it."""
         return [
-            _graded_copies(b, *_weight_spaces(b)[:2], True)[0] if b.dim > 1 else _UNIT
-            for b in self.trunc.blocks
+            _copy_basis(self.trunc.block(i), self._splits[i]) if c < 0 else _UNIT
+            for i, c in enumerate(self.scalar.tolist())
         ]
 
     def structure_maps(self):
@@ -375,50 +416,6 @@ class EquivariantSpace:
         return csr_matrix((vals, (x * q + m, y)), shape), csr_matrix((vals, (y * q + m, x)), shape)
 
 
-def _graded_copies(block: BlockLabel, ladder, spaces: dict, every: bool = False) -> tuple:
-    """The block's irreducible copies: each one's column of weight zero on
-    ``W_0`` (zero if some ``lam_v`` is odd), or with ``every`` a unitary of all
-    their columns; per copy ``(lam, cols)`` (``lam_v = 2 j_v``); and per vertex
-    the eigenvalue ``-i mu_v / 2`` of ``Gamma_{v,z}`` on each column, ``mu`` in
-    ``prod_v range(lam_v, -lam_v - 1, -2)`` within a copy.  A dominant ``lam``
-    is highest in ``m = sum_S (-1)^|S| |W_{lam + 2 e_S}|`` copies (``S``: sets
-    of vertices), the null space on ``W_lam`` of the stacked ``J_+`` maps, held
-    as rows per weight and lowered vertex by vertex to weight zero or every
-    level, each weight from the one above it, each step normalized."""
-    nv = len(block.graph.vertices)
-    signed = [((-1) ** s.count(2), s) for s in product((0, 2), repeat=nv)]
-    kept, copies, weights = [], [], []  # kept: the columns, as rows
-    out = np.zeros((block.dim, block.dim), dtype=complex) if every else None
-    for lam, cols in ((k, c) for k, c in spaces.items() if min(k, default=0) >= 0):  # dominant
-        sizes = [len(spaces.get(tuple(a + b for a, b in zip(lam, s)), ())) for _, s in signed]
-        m = sum(sign * n for (sign, _), n in zip(signed, sizes))
-        if not m:
-            continue
-        mus, start = list(product(*(range(s, -s - 1, -2) for s in lam))), len(weights)
-        weights += mus * m  # mus: one copy's weights, lam first
-        copies += [(lam, slice(k, k + len(mus))) for k in range(start, len(weights), len(mus))]
-        if not every and any(s % 2 for s in lam):  # no weight zero
-            kept.append(np.zeros((m, len(spaces.get((0,) * nv, ()))), dtype=complex))
-            continue
-        rows = {lam: np.eye(len(cols), dtype=complex)}  # per mu, the copies' rows on W_mu
-        if m < len(cols):
-            hw = _null_columns(np.vstack([ladder(lam, v, "up") for v in range(nv)]))
-            if hw.shape[1] != m:
-                raise RuntimeError(f"{block}: {hw.shape[1]} highest weights {lam}, not {m}")
-            rows[lam] = hw.T
-        path = [(*(0,) * v, s, *lam[v + 1 :]) for v in range(nv) for s in range(lam[v] - 2, -1, -2)]
-        for mu in mus[1:] if every else path:  # from one step above, at the last vertex below lam
-            k = max(v for v in range(nv) if mu[v] < lam[v])
-            above, t = (*mu[:k], mu[k] + 2, *mu[k + 1 :]), (lam[k] - mu[k]) // 2  # step t at k
-            rows[mu] = rows[above] @ ladder(above, k, "down").T / np.sqrt(t * (lam[k] + 1 - t))
-        if not every:
-            kept.append(rows[(0,) * nv])
-            continue
-        for t, mu in enumerate(mus):  # copy a's column t is start + a len(mus) + t
-            out[np.array(spaces[mu])[:, None], start + t + len(mus) * np.arange(m)] = rows[mu].T
-    return out if every else np.vstack(kept).T, copies, -0.5j * np.array(weights).T
-
-
 def commutant_basis(trunc: Truncation) -> EquivariantSpace:
     """Orthonormal basis of the operators commuting with the gauge action:
     by Schur's lemma, the matrix units ``u_a u_b^H / sqrt(dim)`` between
@@ -437,23 +434,27 @@ def _roundoff_cut(comps: np.ndarray, coords, norms) -> np.ndarray:
     return coords
 
 
-def _block_seeds(eig: np.ndarray, copies: list, n_max: int) -> np.ndarray:
-    """Cumulative seed supports on one block's copies: entry ``(n - 1, a)`` is
-    set when some generator's averaged power ``m <= n`` reaches copy ``a``'s
-    component: the norm of the normalised traces (the coordinates) of that
-    component's copies exceeds ``RANK_RTOL`` times the power's Frobenius norm;
-    less is roundoff.  Read off the eigenvalues ``eig[v]`` of ``Gamma_{v,z}`` on
-    the copy columns, each divided by the largest at its vertex so no power overflows."""
-    steps = np.minimum([len(set(lam.tolist())) for lam in eig], n_max)
-    base = eig / np.abs(eig).max(axis=1, keepdims=True, initial=np.finfo(float).tiny)
-    n = np.arange(1, steps.max(initial=0) + 1)[:, None]
-    powers = np.where(n <= steps[:, None, None], base[:, None] ** n, 0)  # none past the steps
-    kinds, starts, sizes = zip(*((c, cols.start, cols.stop - cols.start) for c, cols in copies))
-    traces = np.add.reduceat(powers, starts, axis=-1) / np.sqrt(sizes)
-    weight = np.abs(traces) ** 2 @ np.equal.outer(kinds, kinds)  # per copy, its component's
-    cut = RANK_RTOL * np.linalg.norm(powers, axis=-1)[..., None]
-    seen = (np.sqrt(weight) > cut).any(axis=0)
-    return np.logical_or.accumulate(seen)[np.minimum(np.arange(n_max), len(seen) - 1)]
+def _block_seeds(splits: tuple, kinds: np.ndarray, n_max: int) -> np.ndarray:
+    """Cumulative seed supports on one block's copies, of components
+    ``kinds``: entry ``(n - 1, a)`` is set when some ``Gamma_{v,z}``'s power
+    ``m <= n`` reaches copy ``a``'s component, its copies' normalised traces
+    (the coordinates) above ``RANK_RTOL`` times the power's norm; less is
+    roundoff.  Copy ``(a_u)``, of ``size = prod_u dim a_u`` columns, has
+    ``E_v``'s trace of ``a_v`` times ``size / dim a_v``, and the power has
+    ``E_v``'s norm times ``sqrt(d / dim E_v)``."""
+    at, dims = _copy_index(splits), [s["lams"] + 1 for s in splits]
+    size = np.prod([n[a] for n, a in zip(dims, at)], axis=0)
+    d = np.prod([len(s["basis"]) for s in splits])
+    steps = min(max(len(s["norms"]) for s in splits), n_max)
+    seen = np.zeros((steps, len(kinds)), dtype=bool)
+    for s, n, a in zip(splits, dims, at):
+        k = min(len(s["norms"]), steps)
+        traces = (s["traces"][:k] / n)[:, a] * np.sqrt(size)
+        key = kinds + (kinds.max() + 1) * np.arange(k)[:, None]  # (power, component)
+        weight = np.bincount(key.ravel(), np.abs(traces.ravel()) ** 2)[key]
+        cut = RANK_RTOL * np.sqrt(d / len(s["basis"])) * s["norms"][:k, None]
+        seen[:k] |= np.sqrt(weight) > cut
+    return np.logical_or.accumulate(seen)[np.minimum(np.arange(n_max), steps - 1)]
 
 
 # the copy basis, weight-zero column, or kept invariant column of every
@@ -462,80 +463,78 @@ _UNIT = np.ones((1, 1), dtype=complex)
 _UNIT.setflags(write=False)
 
 
-def _scalar_invariants(trunc: Truncation, live: np.ndarray, method: str, band) -> np.ndarray:
-    """Which one-dimensional blocks are invariant, by either ``method``: those
-    whose scalars are all zero (not ``live``).  The Haar average of a
-    character of ``G^V`` is 1 exactly when the character is trivial, so
-    ``"quadrature"`` keeps the same blocks; it checks the band of every block
-    first, and a ``band`` too small raises ``BandError`` for the first block
-    that needs more."""
+def _check_method(graph, group, labels: np.ndarray, method: str, band) -> None:
+    """Refuse an unknown ``method``; for ``"quadrature"``, raise ``BandError``
+    for the first row of label values that needs more than ``band``."""
     if method not in ("lie", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
     if method == "quadrature":
-        degree = vertex_degrees(trunc.graph, trunc.labels)
+        degree = vertex_degrees(graph, labels)
         short = (degree + 1) // 2 > (np.inf if band is None else band.degree)
         if short.any():
-            raise BandError(required_band(trunc.group, degree[short.argmax()]), band)
-    return ~live
+            raise BandError(required_band(group, degree[short.argmax()]), band)
 
 
 def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=None):
-    """One pass over the blocks: the commutant, the invariant subspace by
-    the ``method`` of ``invariant_projector`` (``band`` overrides its
-    quadrature band), and the seed supports of the averaged powers
-    ``1..n_max``, read off the raw powers whatever the ``method``.  The
-    supports are per component and cumulative: entry ``(n - 1, c)`` is set
-    when some ``GeneratorSpec(i, v, a, m)`` with ``m <= n`` reaches component
-    ``c`` (``_block_seeds``).  Components are numbered by first appearance,
-    in block order, then copy order.
+    """One pass over the blocks: the commutant, the invariant subspace by the
+    null spaces (``"lie"``) or the Haar projector (``"quadrature"``, its band
+    checked on every block first, or ``band``), and the seed supports of the
+    averaged powers ``1..n_max``, read off the raw powers whatever the
+    ``method``.  The supports are per component and cumulative: entry ``(n -
+    1, c)`` is set when some ``GeneratorSpec(i, v, a, m)`` with ``m <= n``
+    reaches component ``c`` (``_block_seeds``).  Components are numbered by
+    first appearance, in block order, then copy order.
 
     A one-dimensional block carries a character of ``G^V``: one copy, basis
     ``[[1]]``, of weight ``2 Re(i Gamma_{v,L-1})`` at each vertex, read off
     the stacked ``scalar_generators`` of them all.  A scalar power is its own
     average and coordinate, zero exactly when the scalar is, so it seeds its
-    component at every power if some scalar is nonzero.  Every other block is
-    read off its weight spaces.
+    component at every power if some scalar is nonzero; its Haar average is 1
+    exactly when it is trivial, so both methods keep it when every scalar is
+    zero.  Every other block's copies, invariants and their overlaps are the
+    products of its vertices' (``_vertex_split``), vertex 0 slowest.
     """
     one, nl, counts = trunc.dims == 1, lie_dim(trunc.group), np.zeros(len(trunc.dims), int)
     gens = scalar_generators(trunc.graph, trunc.group, trunc.labels[one])
     live, rows = gens.any(axis=1), np.rint(-2 * gens[:, nl - 1 :: nl].imag).astype(int)
     del gens  # the pass's largest array
-    counts[one] = _scalar_invariants(trunc, live, method, band)
-    held, columns = {}, {}
-    for i in np.flatnonzero(~one).tolist():
-        block = trunc.block(i)
-        ladder, spaces, zero = _weight_spaces(block)
-        held[i] = zero, *_graded_copies(block, ladder, spaces)
-        columns[i] = _zero_invariants(block, ladder, zero, method, band)
-        counts[i] = columns[i].shape[1]
+    _check_method(trunc.graph, trunc.group, trunc.labels, method, band)
+    counts[one] = ~live
+    splits = {
+        i: _block_splits(trunc.graph, trunc.group, trunc.labels[i], method, band)
+        for i in np.flatnonzero(~one).tolist()
+    }
     # the one-dimensional blocks come first: U(1) has no other, SU(2) one, block 0
-    lams = [lam for _, _, split, _ in held.values() for lam, _ in split]
-    rows = np.concatenate([rows, np.array(lams, dtype=int).reshape(len(lams), rows.shape[1])])
+    grids = [np.array([s["lams"][a] for s, a in zip(x, _copy_index(x))]).T for x in splits.values()]
+    rows = np.concatenate([rows, *grids])
     lo = rows.min(axis=0, initial=0)
     key = np.ravel_multi_index(tuple((rows - lo).T), rows.max(axis=0, initial=0) - lo + 1)
     _, first, which = np.unique(key, return_index=True, return_inverse=True)
     comps = np.argsort(np.argsort(first))[which]  # numbered by first appearance
     scalar = np.full(len(trunc.dims), -1)
-    scalar[one], comps = comps[: len(live)], iter(comps[len(live) :].tolist())
+    scalar[one] = comps[: len(live)]
+    cuts = np.cumsum([len(live)] + [len(g) for g in grids])
+    kinds = dict(zip(splits, np.split(comps, cuts)[1:]))
     support = np.zeros((n_max, len(first)), dtype=bool)
     support[:, scalar[one][live]] = True
-    zeros, copies = {}, {}
-    for i, (zero, z, split, eig) in held.items():
-        zeros[i], copies[i] = (zero, z), [(next(comps), c) for _, c in split]
-        seeds = _block_seeds(eig, copies[i], n_max)
-        np.logical_or.at(support.T, [c for c, _ in copies[i]], seeds.T)
-    space = EquivariantSpace(trunc, zeros, copies, rows[np.sort(first)], scalar)
-    return space, InvariantSpace(columns, counts), support
+    overlaps = {}
+    for i, sp in splits.items():
+        np.logical_or.at(support.T, kinds[i], _block_seeds(sp, kinds[i], n_max).T)
+        counts[i] = np.prod([s["inv"].shape[1] for s in sp])
+        if counts[i]:
+            overlaps[i] = functools.reduce(_kron, [s["overlaps"] for s in sp])
+    space = EquivariantSpace(trunc, splits, kinds, rows[np.sort(first)], scalar)
+    return space, InvariantSpace(trunc, splits, counts, overlaps), support
 
 
 def kernel_pi_basis(space: EquivariantSpace, inv: InvariantSpace) -> PiKernel:
     """Kernel of the compression map, by the row space of its matrix.
 
     An invariant vector has weight zero, so it meets copy ``a`` in its
-    weight-zero column ``z_a`` alone (``EquivariantSpace.weight_zero``), and
-    component ``c``'s columns of ``pi`` are ``(O_c (x) conj O_c) / sqrt(w_c)``,
-    ``O_c`` its copies' overlaps ``inv^H z_a`` on ``W_0``, ``w_c`` their size.
-    A one-dimensional block that both spaces hold as arrays (``unit``) meets
+    weight-zero column ``z_a`` alone, and component ``c``'s columns of ``pi``
+    are ``(O_c (x) conj O_c) / sqrt(w_c)``, ``O_c`` its copies' overlaps
+    ``inv^H z_a`` (``InvariantSpace.overlaps``), ``w_c`` their size.  A
+    one-dimensional block that both spaces hold as arrays (``unit``) meets
     its one copy in the overlap 1, or 0 off the trivial irrep.
     The component of largest norm ``|O_c|_F^2 / sqrt(w_c)`` is kept and a
     second one above ``RANK_RTOL`` of it refused: correct invariant vectors
@@ -545,18 +544,14 @@ def kernel_pi_basis(space: EquivariantSpace, inv: InvariantSpace) -> PiKernel:
     """
     if inv.dim == 0:
         return PiKernel(space.dim, None, np.zeros((0, 0)), np.zeros((0, 0), dtype=bool))
-    first = np.concatenate([[0], np.cumsum(inv.counts)])  # row offsets
+    first, over = np.concatenate([[0], np.cumsum(inv.counts)]), inv.overlaps  # row offsets
     unit = (space.scalar >= 0) & (inv.counts > 0)
-    unit[list(inv.given)] = False
-    over = {}  # on W_0
-    for i in np.flatnonzero((inv.counts > 0) & ~unit).tolist():
-        w, z = space.weight_zero[i]
-        over[i] = inv.columns[i][w].conj().T @ z
+    unit[list(over)] = False
     trivial = ~space.lams.any(axis=1)
     norms = np.bincount(space.scalar[unit], trivial[space.scalar[unit]], len(space.sizes)) * 1.0
     for i, o in over.items():
-        kinds, sizes = zip(*((c, cols.stop - cols.start) for c, cols in space.copies[i]))
-        np.add.at(norms, list(kinds), np.square(np.abs(o)).sum(axis=0) / np.sqrt(sizes))
+        kinds, sizes = space.split(i)
+        np.add.at(norms, kinds, np.square(np.abs(o)).sum(axis=0) / np.sqrt(sizes))
     keep, rest = int(norms.argmax()), norms.copy()
     rest[keep] = 0.0
     if rest.max() > RANK_RTOL * norms[keep]:

@@ -24,10 +24,11 @@ generator's minimal polynomial, come from ``stepped_supports``, which steps
 every power to ``n_max`` and cuts every coordinate; the library records only
 the components a power reaches, and ``touched_components`` reduces the
 coordinate rows to those.  The library reads a block's copies and invariants
-off its weight spaces; the dense route it replaced is kept here: the copies
-from the dense generators (``isotypic_copies``), the invariants as the null
-space of the whole generator stack (``invariant_columns``) and as the range
-of the Haar projector over the whole block (``haar_projector``).  The
+off the products of its vertices' splits; the dense route over the whole
+block is kept here: the copies from the dense generators
+(``isotypic_copies``), the invariants as the null space of the whole
+generator stack (``invariant_columns``) and as the range of the Haar
+projector over the whole block (``haar_projector``).  The
 library reads each copy's one column of weight zero and keeps ``ker(pi)``
 by the Kronecker square of one component's overlaps; the matrix of ``pi``
 from the dense overlaps with every column of the copy basis is kept here
@@ -37,7 +38,7 @@ truncation, and every one-dimensional block through the pass, as arrays; the
 per-block routes it replaced are kept here: the blocks enumerated one
 ``BlockLabel`` at a time (``enumerate_blocks``), energies summed as
 ``Fraction`` per block (``fraction_grouping``), every block's copies and
-weight-zero columns read off its own weight spaces (``per_block_pass``), and
+weight-zero indices read off its own dense generators (``per_block_pass``), and
 the kernel's overlaps gathered block by block (``per_block_kernel``).
 """
 
@@ -54,10 +55,8 @@ from gaugereduce.lattice import GaugeElement, block_generators, lie_directions, 
 from gaugereduce.reduction import (
     RANK_RTOL,
     PiKernel,
-    _graded_copies,
     _null_columns,
     _roundoff_cut,
-    _weight_spaces,
     own_elements,
     projector_band,
     vertex_actions,
@@ -88,24 +87,16 @@ def fraction_grouping(blocks, dims):
 
 
 def per_block_pass(trunc):
-    """The irreps, every block's copies ``(c, cols)`` and ``(W_0 indices,
-    weight-zero columns)``, and each component's ``(block, copy)`` members,
-    read block by block off the block's own weight spaces: a one-dimensional
-    block is one copy of its one weight, any other is ``_graded_copies``."""
-    irreps, copies, zeros = {}, [], []
+    """Block by block, off the block's own dense generators: the copy basis,
+    the copies ``(lam, cols)`` and the per-vertex ``Gamma_{v,z}`` eigenvalues
+    on the columns (``isotypic_copies``), and the weight-zero indices, where
+    every ``Gamma_{v,z}`` vanishes on the diagonal, ascending."""
+    out = []
     for block in trunc.blocks:
-        at, spaces, zero = _weight_spaces(block)
-        if block.dim == 1:
-            z, split = np.eye(1, dtype=complex)[:, : len(zero)].T, [(*spaces, slice(0, 1))]
-        else:
-            z, split, _ = _graded_copies(block, at, spaces)
-        zeros.append((zero, z))
-        copies.append([(irreps.setdefault(lam, len(irreps)), c) for lam, c in split])
-    members = [[] for _ in irreps]
-    for i, split in enumerate(copies):
-        for a, (c, _) in enumerate(split):
-            members[c].append((i, a))
-    return tuple(irreps), copies, zeros, members
+        gens, nl = block_generators(block), len(lie_directions(block))
+        gz = np.diagonal(gens[nl - 1 :: nl], axis1=1, axis2=2)  # Gamma_{v,z}, per vertex
+        out.append((*isotypic_copies(block, gens), np.flatnonzero(~gz.any(axis=0))))
+    return out
 
 
 def per_block_kernel(space, inv):
@@ -340,8 +331,7 @@ def isotypic_copies(block, gens):
     """The block split into irreducible copies of the gauge action, read
     off its dense generators ``gens = block_generators(block)``: the copy
     basis, the copies ``(lam, cols)`` and the per-vertex eigenvalues of
-    ``Gamma_{v,z}`` on the columns, as ``reduction._graded_copies`` returns
-    them.
+    ``Gamma_{v,z}`` on the columns.
 
     With ``Gamma_{v,a} = -i J_a^v``, the raising operators are ``J_+^v = i
     (Gamma_{v,1} + i Gamma_{v,2})`` and ``J_z^v = i Gamma_{v,3}`` is

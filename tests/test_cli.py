@@ -205,6 +205,20 @@ def test_verify_exit_two_on_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("error", [MemoryError, RuntimeError])
+def test_verify_exit_three_on_a_crash(tmp_path, capsys, monkeypatch, error):
+    # running out of memory, or an internal check refusing a result, is no
+    # verdict on the equality: the run exits 3, not 1, with one error line
+    # naming the exception
+    def crash(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(gaugereduce.ideal, "reduce_blocks", crash)
+    rc = main(["verify", "--config", write_cfg(tmp_path, SU2_LOOP)])
+    assert rc == 3
+    assert capsys.readouterr().err.splitlines() == [f"error: {error.__name__}: injected"]
+
+
 def test_verify_exit_two_names_a_run_file_that_is_not_utf8(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_bytes(b"\xff\xfe[group]\nkind = u1\n")

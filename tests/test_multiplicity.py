@@ -195,17 +195,33 @@ def run_file(graph, group, bound):
 
 @pytest.mark.parametrize(
     "graph,bound,method",
-    [(square_graph, 3, "lie"), (pentagon_graph, 2, "quad")],
-    ids=["su2-square-b3-lie", "su2-pentagon-b2-quad"],
+    [
+        (square_graph, 3, "lie"),
+        (pentagon_graph, 2, "quad"),
+        (k4_graph, 2, "lie"),
+        (k4_graph, 2, "quad"),
+        (cube_graph, 1, "lie"),
+        (cube_graph, 1, "quad"),
+    ],
+    ids=[
+        "su2-square-b3-lie",
+        "su2-pentagon-b2-quad",
+        "su2-k4-b2-lie",
+        "su2-k4-b2-quad",
+        "su2-cube-b1-lie",
+        "su2-cube-b1-quad",
+    ],
 )
 def test_su2_frontier_verifies_in_a_capped_process(tmp_path, graph, bound, method):
-    # a square with spin up to 3/2 (blocks up to 4^8 = 65,536 dimensions) and
-    # a pentagon with spin up to 1 (up to 3^10 = 59,049): every ladder
-    # operator is a map between two weight spaces, so no array of the block's
-    # length per weight-zero vector is built, and a whole `verify` process
-    # passes with its address space capped at 768 MiB: the child sets the cap
-    # on itself before it imports anything else.  Its counts are the
-    # Clebsch-Gordan ledger's
+    # a square with spin up to 3/2 (blocks up to 4^8 = 65,536 dimensions), a
+    # pentagon and K4 with spin up to 1 (up to 3^10 = 59,049 and 3^12 =
+    # 531,441) and the cube with spin up to 1/2 (up to 2^24 = 16,777,216):
+    # a block is split vertex by vertex, so no array of a block's length is
+    # built, and a whole `verify` process passes with its address space capped
+    # at 768 MiB: the child sets the cap on itself before it imports anything
+    # else.  Its counts are the Clebsch-Gordan ledger's.  Both methods run on
+    # K4 and the cube, since only the Haar projector finds the invariants by
+    # other means than the raising operators that also find the copies
     g = graph()
     cfg = tmp_path / "run.cfg"
     cfg.write_text(run_file(g, "su2", bound))

@@ -7,11 +7,11 @@ block's generators must equal each generator built on its own (and the
 scalar sweep of the one-dimensional blocks their entries), the pass must
 read each one-dimensional block's copy and seeds as the per-block route
 does and keep its invariant vector exactly when the null-space rule does,
-the weight-graded copies and invariant projectors must be the dense
-routes', each ``Gamma_{v,z}`` must be diagonal on the copies with the eigenvalues the
-pass reads, and their powers' coordinates the dense ones, each generator's
-next power past the degree the pass stops it at must lie in the span of the
-powers before, the oracle's supports must agree across the Lie directions
+the copies assembled from the vertices' splits and the invariant projectors
+must be the dense routes', each ``Gamma_{v,z}`` must be diagonal on the
+copies with the eigenvalues the pass reads, and their powers' coordinates
+the dense ones, each generator's next power past the degree the pass stops
+it at must lie in the span of the powers before, the oracle's supports must agree across the Lie directions
 at each vertex, and the components the pass's seed supports reach must be
 those the running union of the oracle's touches, which steps every power,
 the irrep-based commutant must match the dense oracle, the dimension
@@ -23,12 +23,14 @@ averaged-generator ideal must reach ``ker(pi)`` by power 2, with the
 kernel dimension, containment residual and distance of every power equal
 to the dense oracle's.  The arrays the library holds the truncation and its
 one-dimensional blocks in must equal the per-block routes they replaced
-(``assert_arrays_match_per_block_routes``), there and on the edgeless,
+(``assert_arrays_match_per_block_routes``, basis-free where a component
+holds several copies), there and on the edgeless,
 isolated-vertex and loops-and-parallels graphs of both groups.
 """
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -107,11 +109,15 @@ def truncations(draw):
 def assert_arrays_match_per_block_routes(trunc):
     """The truncation's label array, dims and offsets are those of the blocks
     enumerated one ``BlockLabel`` at a time, and its energy levels those
-    summed per block as ``Fraction``s; the lazily built ``copies``,
-    ``members`` and ``weight_zero`` are those read off each block's own
-    weight spaces (``per_block_pass``); and by both methods the kernel's
-    component, complement projector and margin are those of the overlaps
-    gathered block by block (``per_block_kernel``)."""
+    summed per block as ``Fraction``s; the components' irreps, each block's
+    count of copies of each and its weight-zero indices are those read off
+    the block's own dense generators (``per_block_pass``), and so are the
+    parts that do not depend on the basis chosen within a component: the
+    projector onto each component's weight-zero columns in a block and the
+    norm of their overlaps with the invariant vectors; and by both methods
+    the kernel's component, complement projector and margin (to roundoff:
+    the library's overlaps are products of its vertices') are those of the
+    overlaps gathered block by block (``per_block_kernel``)."""
     blocks = enumerate_blocks(trunc.graph, trunc.group, trunc.bound)
     dims = [b.dim for b in blocks]
     assert trunc.labels.shape == (len(blocks), len(trunc.graph.edges))
@@ -120,15 +126,29 @@ def assert_arrays_match_per_block_routes(trunc):
     assert trunc.offsets.tolist() == list(itertools.accumulate(dims, initial=0))
     assert trunc.total_dim == sum(dims) and trunc.blocks == blocks
     assert eigenspace_grouping(trunc) == fraction_grouping(blocks, dims)
-    irreps, copies, zeros, members = per_block_pass(trunc)
+    dense = per_block_pass(trunc)
     for method in ("lie", "quadrature"):
         space, inv, _ = reduce_blocks(trunc, method)
-        assert (space.irreps, space.copies, space.members) == (irreps, copies, members)
-        for (rows, z), (want_rows, want_z) in zip(space.weight_zero, zeros, strict=True):
-            assert list(rows) == list(want_rows)
-            assert z.shape == want_z.shape and np.array_equal(z, want_z)
+        assert set(space.irreps) == {lam for _, split, _, _ in dense for lam, _ in split}
+        held = Counter((space.irreps[c], i) for c, m in enumerate(space.members) for i, _ in m)
+        want = Counter((lam, i) for i, (_, split, _, _) in enumerate(dense) for lam, _ in split)
+        assert held == want
+        for i, (u, split, eig, zero) in enumerate(dense):
+            rows, z = space.weight_zero[i]
+            assert sorted(rows) == zero.tolist()
+            z = z[np.argsort(rows)]  # on W_0 in ascending order, as the dense columns
+            at = [c.start + np.flatnonzero(~eig[:, c].any(axis=0)) for _, c in split]
+            want = np.column_stack([u[zero, k[0]] if k.size else np.zeros(len(zero)) for k in at])
+            cols = inv.columns[i][zero]
+            for lam in {lam for lam, _ in split}:
+                got = z[:, [space.irreps[c] == lam for c, _ in space.copies[i]]]
+                ref = want[:, [k == lam for k, _ in split]]
+                assert np.allclose(got @ got.conj().T, ref @ ref.conj().T, rtol=0, atol=1e-12)
+                norms = [np.linalg.norm(cols.conj().T @ x) for x in (got, ref)]
+                assert np.isclose(*norms, rtol=0, atol=1e-12)
         got, want = kernel_pi_basis(space, inv), per_block_kernel(space, inv)
-        assert (got.component, got.rank, got.margin) == (want.component, want.rank, want.margin)
+        assert (got.component, got.rank) == (want.component, want.rank)
+        assert np.isclose(got.margin, want.margin, rtol=1e-12, atol=0)  # overlaps two ways
         got, want = complement_parts(got), complement_parts(want)
         assert got.keys() == want.keys()
         for n, (q, p) in got.items():

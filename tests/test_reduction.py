@@ -29,13 +29,14 @@ from gaugereduce import (
     rho_block,
     vertex_flux,
 )
+from gaugereduce.blocks import kron_chain
+from gaugereduce.groups import irrep_generator
 from gaugereduce.lattice import block_generators, lie_directions
 from gaugereduce.reduction import (
     RANK_RTOL,
     _block_seeds,
-    _graded_copies,
     _null_columns,
-    _weight_spaces,
+    _vertex_split,
     own_elements,
     reduce_blocks,
 )
@@ -56,6 +57,7 @@ from .oracles import (
     isotypic_copies,
     op_from_coords,
     pair_commutant,
+    per_block_pass,
     product_projector,
     stepped_rows,
     stepped_supports,
@@ -69,6 +71,7 @@ from .systems import (
     build,
     edgeless_graph,
     isolated_vertex_graph,
+    k4_graph,
     loops_and_parallels,
     loop_graph,
     make,
@@ -253,19 +256,25 @@ def test_null_columns_match_scipy_null_space(shape, scale):
 
 @pytest.mark.parametrize("small,reached", [(0.8e-10, True), (0.6e-10, False)])
 def test_block_seeds_cut_each_component_by_its_norm(small, reached):
-    # two one-column copies of component 0, each with trace `small` against a
-    # power of norm about 1, and one copy of component 1: component 0 is
-    # reached when sqrt(2) * small passes RANK_RTOL, though neither trace does
-    copies = [(0, slice(0, 1)), (0, slice(1, 2)), (1, slice(2, 3))]
-    got = _block_seeds(np.array([[small, small, 1.0]]), copies, 1)
+    # a block of two vertices.  At the first, two one-column copies each trace
+    # `small` against a power of norm 1, and a three-column copy traces 1; the
+    # second holds one two-column copy and reads nothing.  So the block has
+    # copies of 2, 2 and 6 columns, the two of component 0 trace sqrt(2) small
+    # each, and the power's norm is sqrt(10 / 5): component 0 is reached when
+    # 2 small passes sqrt(2) RANK_RTOL, though neither trace does
+    first = {"lams": np.array([0, 0, 2]), "basis": np.eye(5), "norms": np.ones(1)}
+    first["traces"] = np.array([[small, small, 1.0]])
+    second = {"lams": np.ones(1, dtype=int), "basis": np.eye(2), "norms": np.ones(1)}
+    second["traces"] = np.zeros((1, 1))
+    got = _block_seeds((first, second), np.array([0, 0, 1]), 1)
     assert np.array_equal(got, [[reached, reached, True]])
 
 
 def assert_one_dim_blocks_match_null_space(trunc, n_max=3):
     """The pass reads every one-dimensional block off one array of scalar
     generators.  Block by block, from the block's own generators, the copy
-    split, copy basis and seed rows must be those of the dense
-    ``isotypic_copies`` and ``_block_seeds``, the pass's support must hold
+    split and copy basis must be those of the dense ``isotypic_copies``, and
+    the seed rows those ``stepped_supports`` steps; the pass's support must hold
     the component of every row set and, a one-dimensional block's component
     being its own, miss it at every power where no row is set, and the block
     must keep its invariant vector exactly when the null-space rule on its
@@ -278,10 +287,10 @@ def assert_one_dim_blocks_match_null_space(trunc, n_max=3):
         if block.dim > 1:
             continue
         gens = block_generators(block)
-        u, split, eig = isotypic_copies(block, gens)
+        u, split, _ = isotypic_copies(block, gens)
         assert [(space.irreps[c], cols) for c, cols in space.copies[i]] == split
         assert np.array_equal(space.bases[i], u)
-        want = _block_seeds(eig, space.copies[i], n_max)
+        want = stepped_supports(gens, u, space.copies[i], n_max)
         (c, _), = space.copies[i]
         assert support[:, [c]][want].all()
         if alone[c]:
@@ -365,25 +374,30 @@ def test_kernel_elements_compress_to_zero():
                 assert abs(val) < 1e-10
 
 
-def invariant_space(columns):
-    """An ``InvariantSpace`` that holds the given columns of every block."""
+def invariant_space(space, columns):
+    """An ``InvariantSpace`` that holds the given columns of every block, and
+    their overlaps with the weight-zero columns of ``space``, which
+    ``kernel_pi_basis`` reads."""
     counts = np.array([c.shape[1] for c in columns], dtype=int)
-    return InvariantSpace(dict(enumerate(columns)), counts)
+    zeros = zip(columns, space.weight_zero)
+    overlaps = {i: c[w].conj().T @ z for i, (c, (w, z)) in enumerate(zeros) if c.shape[1]}
+    out = InvariantSpace(space.trunc, {}, counts, overlaps)
+    out.columns = columns
+    return out
 
 
 def phased(space):
     """The same commutant with a complex phase on each copy, so on the matrix
     units between copies: on the copy's columns in the dense basis and on its
-    weight-zero column, which ``kernel_pi_basis`` reads, alike."""
+    weight-zero column alike."""
     zeros, bases = [], []
     for i, u in enumerate(space.bases):
         ph = np.exp(0.3j * (i + 2 * np.arange(len(space.copies[i])) + 1))
         rows, z = space.weight_zero[i]
         zeros.append((rows, z * ph))
         bases.append(u * np.repeat(ph, [c.stop - c.start for _, c in space.copies[i]]))
-    held = np.full(len(space.trunc.dims), -1)  # every block held per block, phases and all
-    out = EquivariantSpace(space.trunc, zeros, space.copies, space.irreps, held)
-    out.bases = bases
+    out = EquivariantSpace(space.trunc, space._splits, space._kinds, space.irreps, space.scalar)
+    out.weight_zero, out.bases = zeros, bases
     return out
 
 
@@ -395,7 +409,7 @@ def test_pi_matrix_compresses_each_element(name):
     # the overlaps complex
     trunc = build(name)
     space = phased(commutant_basis(trunc))
-    inv = invariant_basis(trunc)
+    inv = invariant_space(space, invariant_basis(trunc).columns)
     rows = invariant_rows(trunc, inv)
     want = np.array(
         [(rows.conj() @ element_op(space, k) @ rows.T).ravel() for k in range(space.dim)]
@@ -460,18 +474,22 @@ def test_conjugation_leaves_own_coordinates_alone(trunc):
                     assert np.abs(got - want).max() <= 1e-12 * np.linalg.norm(gn)
 
 
-def graded(block):
-    """The pass's copy basis, kept at every lowering level, copies and
-    ``Gamma_{v,z}`` eigenvalues of a block of dimension above one."""
-    return _graded_copies(block, *_weight_spaces(block)[:2], True)
+def column_eigenvalues(space, i):
+    """Per vertex, the eigenvalue ``-i mu_v / 2`` of ``Gamma_{v,z}`` on each
+    column of the copy basis of block ``i``, of dimension above one: within
+    a copy of irrep ``lam``, ``mu`` runs over ``prod_v range(lam_v, -lam_v -
+    1, -2)``, vertex 0 slowest."""
+    lams = [space.irreps[c] for c, _ in space.copies[i]]
+    mus = [mu for lam in lams for mu in product(*(range(s, -s - 1, -2) for s in lam))]
+    return -0.5j * np.array(mus, dtype=float).T
 
 
-def minimal_degrees(trunc):
+def minimal_degrees(space):
     """Per block, the degree the pass steps the generators at each vertex
     to: the number of distinct eigenvalues it reads there, one on a
     one-dimensional block."""
-    one = np.zeros((len(trunc.graph.vertices), 1))
-    eigs = [graded(b)[2] if b.dim > 1 else one for b in trunc.blocks]
+    one = np.zeros((len(space.trunc.graph.vertices), 1))
+    eigs = [column_eigenvalues(space, i) if d > 1 else one for i, d in enumerate(space.trunc.dims)]
     return [np.array([len(set(lam.tolist())) for lam in eig]) for eig in eigs]
 
 
@@ -485,11 +503,11 @@ def assert_powers_stop_at_the_minimal_polynomial(trunc):
     number of distinct eigenvalues, and the next power lies in the span of
     the powers up to it."""
     space = commutant_basis(trunc)
-    for i, (block, degree) in enumerate(zip(trunc.blocks, minimal_degrees(trunc))):
+    for i, (block, degree) in enumerate(zip(trunc.blocks, minimal_degrees(space))):
         if block.dim == 1:
             continue
         gens = block_generators(block)
-        u, _, eig = graded(block)
+        u, eig = space.bases[i], column_eigenvalues(space, i)
         _, read = own_elements(space.copies[i])
         a, b = np.array([space.elements[k][1::2] for k in space.by_pair[(i, i)]]).T
         starts, sizes = zip(*((c.start, c.stop - c.start) for _, c in space.copies[i]))
@@ -527,7 +545,7 @@ def assert_supports_are_running_union(trunc, n_max=None):
     last one only.  The pass records only the components a power reaches,
     so its rows are compared with the components the oracle's touch."""
     if n_max is None:
-        n_max = max(int(d.max(initial=1)) for d in minimal_degrees(trunc)) + 3
+        n_max = max(int(d.max(initial=1)) for d in minimal_degrees(commutant_basis(trunc))) + 3
     space, _, support = reduce_blocks(trunc, n_max=n_max)
     for i, block in enumerate(trunc.blocks):
         gens, nl = block_generators(block), len(lie_directions(block))
@@ -541,24 +559,30 @@ def assert_supports_are_running_union(trunc, n_max=None):
 
 
 def assert_graded_route_matches_dense_oracles(trunc):
-    """Block by block, the pass's weight-graded route against the dense
-    routes it replaced (``oracles.py``): the same copies in the same order,
-    with the same ``Gamma_{v,z}`` eigenvalue on every column, the same
-    projector onto each irrep's copies, and both invariant projectors equal
-    to the dense ones, the null space of the whole generator stack and the
-    Haar projector over the whole block, to 1e-12.  The weight-zero column
-    the pass keeps of each copy is exactly that copy's column of weight zero
-    in the lazily built copy basis, on ``W_0`` (zero if it has none), those
-    columns are an orthonormal basis of ``W_0`` to 1e-12, and by both
-    methods the kernel's complement spans the row space of the dense
-    overlaps' ``dense_pi_matrix`` (``assert_kernel_spans_the_row_space``)."""
+    """Block by block, the pass's factored route against the dense routes
+    over the whole block (``oracles.py``), by what does not depend on the
+    basis chosen within a component: the same irreps, each as often, the
+    same projector onto each irrep's copies, the same weight-zero indices,
+    and both invariant projectors equal to the dense ones, the null space of
+    the whole generator stack and the Haar projector over the whole block,
+    to 1e-12.  The weight-zero column the pass keeps of each copy is exactly
+    that copy's column of weight zero in the lazily built copy basis (zero
+    if it has none), those columns are an orthonormal basis of ``W_0`` to
+    1e-12, and by both methods the kernel's complement spans the row space
+    of the dense overlaps' ``dense_pi_matrix``
+    (``assert_kernel_spans_the_row_space``)."""
     space, inv, _ = reduce_blocks(trunc)
-    for i, (block, (rows, z)) in enumerate(zip(trunc.blocks, space.weight_zero)):
-        u = space.bases[i]
-        lams = np.array([space.irreps[c] for c, _ in space.copies[i]]).T
-        weights = graded(block)[2] if block.dim > 1 else lams
+    for i, (block, (dense, want, _, zero)) in enumerate(zip(trunc.blocks, per_block_pass(trunc))):
+        u, (rows, z) = space.bases[i], space.weight_zero[i]
+        split = [(space.irreps[c], cols) for c, cols in space.copies[i]]
+        assert sorted(lam for lam, _ in split) == sorted(lam for lam, _ in want)
+        for lam in dict.fromkeys(lam for lam, _ in split):
+            got, ref = ([m[:, c] for k, c in p if k == lam] for m, p in [(u, split), (dense, want)])
+            got, ref = np.hstack(got), np.hstack(ref)
+            assert_allclose(got @ got.conj().T, ref @ ref.conj().T, rtol=0, atol=1e-12)
+        assert sorted(rows) == zero.tolist()
+        weights = column_eigenvalues(space, i) if block.dim > 1 else np.array(split[0][:1]).T
         at_zero = ~weights.any(axis=0)  # the columns of weight zero
-        assert np.array_equal(rows, _weight_spaces(block)[2])
         has = []
         for a, (_, cols) in enumerate(space.copies[i]):
             k = cols.start + np.flatnonzero(at_zero[cols])
@@ -575,16 +599,6 @@ def assert_graded_route_matches_dense_oracles(trunc):
         assert_allclose(invariant_projector(block, "lie"), v @ v.conj().T, rtol=0, atol=1e-12)
         got = invariant_projector(block, "quadrature")
         assert_allclose(got, haar_projector(block), rtol=0, atol=1e-12)
-        if block.dim == 1:
-            continue
-        u, split, eig = graded(block)
-        dense, want, want_eig = isotypic_copies(block, gens)
-        assert split == want
-        assert np.array_equal(eig, want_eig)
-        for lam in dict.fromkeys(lam for lam, _ in split):
-            cols = np.concatenate([np.arange(c.start, c.stop) for k, c in split if k == lam])
-            got, ref = u[:, cols], dense[:, cols]
-            assert_allclose(got @ got.conj().T, ref @ ref.conj().T, rtol=0, atol=1e-12)
 
 
 def assert_kernel_spans_the_row_space(space, inv, mat, atol=1e-12):
@@ -632,7 +646,7 @@ def test_kernel_keeps_pairs_by_their_product(name):
     space, inv, _ = reduce_blocks(trunc)
     scales = iter(np.resize([1.0, 1e-6], inv.dim))
     columns = [c * np.fromiter(scales, float, c.shape[1]) for c in inv.columns]
-    scaled = invariant_space(columns)
+    scaled = invariant_space(space, columns)
     mat = dense_pi_matrix(space, scaled)
     kernel = assert_kernel_spans_the_row_space(space, scaled, mat, atol=1e-8)
     small = np.count_nonzero(np.resize([False, True], inv.dim))
@@ -649,7 +663,7 @@ def test_kernel_refuses_a_second_component():
     a = next(a for a, (c, _) in enumerate(space.copies[1]) if space.irreps[c] == (2,))
     extra = np.zeros((trunc.dims[1], 1), dtype=complex)
     extra[rows, 0] = z[:, a]
-    bad = invariant_space([inv.columns[0], np.hstack([inv.columns[1], extra])])
+    bad = invariant_space(space, [inv.columns[0], np.hstack([inv.columns[1], extra])])
     assert bad.dim == inv.dim + 1
     with pytest.raises(RuntimeError, match=r"on component \d+ and .* on component \d+"):
         kernel_pi_basis(space, bad)
@@ -658,14 +672,20 @@ def test_kernel_refuses_a_second_component():
 def test_highest_weight_count_is_checked(monkeypatch):
     # the raising operators' null space on a weight must have the dimension
     # the weight multiplicities give; a rank decision that lost a vector
-    # would drop a copy, so the pass refuses it
+    # would drop a copy, so the pass refuses it.  The cache of splits is
+    # emptied first, so the pattern is split again, and after, so that no
+    # split made with the short rule outlives the test
     short = lambda a: _null_columns(a)[:, 1:]  # noqa: E731
     monkeypatch.setattr("gaugereduce.reduction._null_columns", short)
-    with pytest.raises(RuntimeError, match="highest weights"):
-        reduce_blocks(make(loop_graph(), SU2, 1))
+    _vertex_split.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="highest weights"):
+            reduce_blocks(make(loop_graph(), SU2, 1))
+    finally:
+        _vertex_split.cache_clear()
 
 
-LADDER_CASES = {k: build(k) for k in SMALL if CANON[k][1] is SU2} | {
+ASSEMBLY_CASES = {k: build(k) for k in SMALL if CANON[k][1] is SU2} | {
     "su2-theta-b1": make(theta_graph(), SU2, 1),
     "su2-loops-and-parallels": make(loops_and_parallels(), SU2, 1),
     "su2-isolated-vertex": make(isolated_vertex_graph(), SU2, 1),
@@ -673,23 +693,51 @@ LADDER_CASES = {k: build(k) for k in SMALL if CANON[k][1] is SU2} | {
 }
 
 
-@pytest.mark.parametrize("name", list(LADDER_CASES))
-def test_ladder_maps_are_the_dense_restrictions(name):
-    # every map the pass applies is the dense J_+-^v = i (Gamma_{v,x} +- i
-    # Gamma_{v,y}) of block_generators on the columns W_mu, restricted to the
-    # rows W_{mu +- 2 e_v}; the dense operator is zero on every other row.  A
-    # loop's two ends, or a digit read at the wrong place, would break it
-    for block in LADDER_CASES[name].blocks:
-        gens = block_generators(block).reshape(len(block.graph.vertices), 3, block.dim, block.dim)
-        ladder, spaces, _ = _weight_spaces(block)
-        for (v, (x, y, _)), (key, sign) in product(enumerate(gens), [("up", 1), ("down", -1)]):
-            dense = 1j * (x + sign * 1j * y)
-            for mu, cols in spaces.items():
-                shifted = (*mu[:v], mu[v] + 2 * sign, *mu[v + 1 :])
-                rows = spaces.get(shifted, [])
-                assert_allclose(ladder(mu, v, key), dense[np.ix_(rows, cols)], rtol=0, atol=1e-12)
-                rest = np.delete(dense[:, cols], rows, axis=0)
-                assert np.abs(rest).max(initial=0.0) <= 1e-12
+@pytest.mark.parametrize("name", list(ASSEMBLY_CASES))
+def test_copies_carry_the_irrep_generators(name):
+    # a block's copy basis is assembled from its vertices' splits, a
+    # Kronecker product placed into the block's own index order.  It is
+    # unitary, and every Gamma_{v,a} of block_generators, read in it, is zero
+    # between copies and, on a copy of irrep lam, the irrep generator of
+    # lam_v at v, tensored with the identity at every other vertex.  A source
+    # end left unconjugated, or an edge's row and column digits swapped,
+    # would break it
+    trunc = ASSEMBLY_CASES[name]
+    space = commutant_basis(trunc)
+    for i, block in enumerate(trunc.blocks):
+        u, gens = space.bases[i], block_generators(block)
+        assert_allclose(u.conj().T @ u, np.eye(block.dim), rtol=0, atol=1e-12)
+        for (v, a), gamma in zip(product(range(len(trunc.graph.vertices)), range(3)), gens):
+            want = np.zeros((block.dim, block.dim), dtype=complex)
+            for c, cols in space.copies[i]:
+                at = [IrrepLabel(SU2, s) for s in space.irreps[c]]
+                parts = [irrep_generator(lab, a) if k == v else np.eye(lab.dim) for k, lab in enumerate(at)]
+                want[cols, cols] = kron_chain(parts)
+            assert_allclose(u.conj().T @ gamma @ u, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "trunc,count",
+    [(make(k4_graph(), SU2, 2), 49), (make(loops_and_parallels(), SU2, 2), None)],
+    ids=["su2-k4-b2", "su2-loops-and-parallels-b2"],
+)
+def test_each_end_pattern_is_split_once(trunc, count):
+    # the pass splits one E_v per distinct pattern of (2j, end) at a vertex,
+    # over the blocks of dimension above one, however many blocks share it;
+    # the patterns are counted here from the graph and the label array.  A
+    # spin-0 end is a factor of dimension one and is left out: K4 j <= 1 has
+    # 108 patterns of all its ends and 49 of its other ends
+    edges = enumerate(trunc.graph.edges)
+    ends = [(j, k, at) for j, e in edges for k, at in enumerate((e.source, e.target))]
+    patterns = {
+        tuple((labels[j], k) for j, k, at in ends if at == v and labels[j])
+        for labels in trunc.labels[trunc.dims > 1].tolist()
+        for v in trunc.graph.vertices
+    }
+    assert count is None or len(patterns) == count
+    _vertex_split.cache_clear()
+    reduce_blocks(trunc, n_max=2)
+    assert _vertex_split.cache_info().misses == len(patterns)
 
 
 GRADED_CASES = {k: build(k) for k in SMALL} | {
@@ -768,6 +816,6 @@ def test_kernel_is_everything_when_no_invariants():
     # hand: the compression map to a zero-dimensional space has full kernel
     trunc = build("u1-edge-b1")
     space = commutant_basis(trunc)
-    empty = invariant_space([np.zeros((d, 0), dtype=complex) for d in trunc.dims])
+    empty = invariant_space(space, [np.zeros((d, 0), dtype=complex) for d in trunc.dims])
     ker = kernel_pi_basis(space, empty)
     assert ker.dim == space.dim
