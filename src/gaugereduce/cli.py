@@ -1,35 +1,29 @@
-"""Command line front end.
+"""Command line front end: ``decompose``, ``verify`` and ``spectrum`` (``USAGE``)
+work from one run description file, whose rules check the flags too.
+``verify`` compares the kernel of the invariant compression with the
+averaged-generator ideal power by power and exits 0 when they agree at the
+final power, 1 when they do not.  ``spectrum`` lists the energy levels next to
+the comparison: summing the generators over a level cannot change the ideal
+(see ``spectrum``), so the comparison is run once, per block, and ``verify
+--coarse`` reports the grouping the same way.
 
-Three subcommands work from the same run description file:
-
-* ``decompose``  -- enumerate the truncated blocks, their dimensions,
-  energies and invariant-vector counts.
-* ``verify``     -- compare the kernel of the invariant compression with
-  the averaged-generator ideal power by power; exit 0 when they agree at
-  the final power, 1 when they do not.
-* ``spectrum``   -- list the energy levels next to the comparison.  Summing
-  the generators over a level cannot change the ideal (see ``spectrum``),
-  so the comparison is run once, per block; ``verify --coarse`` reports
-  the grouping the same way.
-
-Malformed run files, unwritable report paths and quadrature bands too
-small for their integrands exit with status 2, any other error (running out
-of memory among them) with 3.  Reports are JSON with sorted keys; the
-``seconds`` field is quantized to whole minutes so that repeated runs of the
-same input produce byte-identical output (exact wall time goes to stderr).
+Bad usage, malformed run files, unwritable report paths and quadrature bands
+too small for their integrands exit 2, any other error (running out of memory
+among them) 3.  Reports are JSON with sorted keys; the ``seconds`` field is
+quantized to whole minutes so that repeated runs of the same input produce
+byte-identical output (exact wall time goes to stderr).
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import sys
 import time
+from types import SimpleNamespace
 
 from .blocks import Truncation
-from .config import METHODS, ConfigError, RunConfig, parse_config
+from .config import SETTINGS, ConfigError, RunConfig, parse_config
 from .groups import IrrepLabel
 from .ideal import DEFAULT_TOL, IdealReport, verify_ideal
 from .reduction import reduce_blocks
@@ -103,14 +97,12 @@ def _truncation(cfg: RunConfig) -> Truncation:
 
 
 def _verify_settings(cfg: RunConfig, args) -> dict:
-    n_max = args.nmax if args.nmax is not None else cfg.n_max
-    tol = args.tol if args.tol is not None else cfg.tol
-    method = args.method if args.method is not None else cfg.method
+    """Flags over the run file over defaults (by the rules only a band can be 0)."""
     band = args.band if args.band is not None else cfg.band
     return {
-        "n_max": n_max,
-        "tol": tol if tol is not None else DEFAULT_TOL,
-        "method": METHODS[method or "lie"],
+        "n_max": args.nmax or cfg.n_max,
+        "tol": args.tol or cfg.tol or DEFAULT_TOL,
+        "method": args.method or cfg.method or "lie",
         "band": IrrepLabel(cfg.group, band) if band is not None else None,
     }
 
@@ -160,55 +152,72 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     return 0 if report.passed else 1
 
 
-@functools.cache  # one parser per process
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gaugereduce",
-        description="Gauge reduction of truncated lattice observables.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("decompose", cmd_decompose),
-        ("verify", cmd_verify),
-        ("spectrum", cmd_verify),
-    ):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="run description file")
-        p.add_argument("--out", help="write the JSON report here instead of stdout")
-        p.set_defaults(fn=fn)
-        if name == "decompose":
-            continue
-        p.add_argument("--nmax", type=int, help="largest generator power")
-        p.add_argument("--tol", type=float, help="acceptance tolerance")
-        p.add_argument(
-            "--method",
-            choices=("lie", "quad"),
-            help="find the invariant vectors as generator null spaces or by the Haar projector",
-        )
-        p.add_argument(
-            "--band", type=int, help="override the quadrature band of the invariant projector"
-        )
-        if name == "verify":
-            p.add_argument(
-                "--coarse",
-                action="store_true",
-                help="report the energy-level grouping",
-            )
-    return parser
+USAGE = """\
+usage: gaugereduce decompose|verify|spectrum --config FILE [--out FILE] [--KEY VALUE ...]
+
+decompose lists the blocks, verify compares ker(pi) with the averaged-generator
+ideal, spectrum adds the energy levels; --out FILE writes the report there.
+verify and spectrum also take, by the rules of the run file's [verify] keys,
+  --nmax N  --tol X  --method lie|quad  --band N
+and verify a bare --coarse.  --KEY=VALUE is --KEY VALUE.
+"""
+
+# command -> (function, the flags it takes)
+_COMMANDS = {
+    "decompose": (cmd_decompose, ("config", "out")),
+    "verify": (cmd_verify, ("config", "out", "nmax", "tol", "method", "band", "coarse")),
+    "spectrum": (cmd_verify, ("config", "out", "nmax", "tol", "method", "band")),
+}
+
+
+class Parser:
+    """``parse_args(argv)``: ``COMMAND --KEY VALUE ...`` (or ``--KEY=VALUE``) as
+    ``args.KEY``, each value by the rule of its run file key (``config.SETTINGS``;
+    ``--config``, ``--out``: paths), ``--coarse`` bare; bad usage: ``ValueError``."""
+
+    def parse_args(self, argv: list[str]) -> SimpleNamespace:
+        if not argv or argv[0] not in _COMMANDS:
+            got = f"unknown command {argv[0]!r}" if argv else "no command"
+            raise ValueError(f"{got}: use decompose, verify or spectrum (-h for help)")
+        fn, takes = _COMMANDS[argv[0]]
+        flags = dict.fromkeys(_COMMANDS["spectrum"][1])  # None until given
+        args = SimpleNamespace(command=argv[0], fn=fn, **flags, coarse=False)
+        rest = iter(argv[1:])
+        for token in rest:
+            flag, eq, value = token.partition("=")
+            name = flag[2:] if flag.startswith("--") else None
+            if name not in takes:
+                if name in _COMMANDS["verify"][1]:
+                    raise ValueError(f"{argv[0]} takes no {flag}")
+                raise ValueError(f"unknown argument {token!r}")
+            if name == "coarse":
+                if eq:
+                    raise ValueError("--coarse takes no value")
+                args.coarse = True
+                continue
+            if not eq:
+                value = next(rest, None)
+                if value is None or value.startswith("--"):
+                    raise ValueError(f"{flag} needs a value")
+            key = "path" if name in ("config", "out") else name
+            setattr(args, name, SETTINGS[key][1](name, value))
+        if args.config is None:
+            raise ValueError(f"{argv[0]} needs --config FILE")
+        return args
+
+
+def build_parser() -> Parser:
+    return Parser()
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(USAGE)
+        return 0
     try:
-        cfg = parse_config(args.config)
-        if args.command in ("verify", "spectrum"):
-            if args.nmax is not None and args.nmax < 1:
-                raise ConfigError("nmax must be at least 1")
-            if args.tol is not None and not args.tol > 0:
-                raise ConfigError("tol must be positive")
-            if args.band is not None and args.band < 0:
-                raise ConfigError("band must be at least 0")
-        return args.fn(cfg, args)
+        args = build_parser().parse_args(argv)
+        return args.fn(parse_config(args.config), args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

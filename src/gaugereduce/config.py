@@ -53,16 +53,45 @@ class RunConfig:
     out: str | None = None
 
 
+METHODS = {"lie": "lie", "quad": "quadrature", "quadrature": "quadrature"}
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _rule(cast, kind: str, need: str = "", test=lambda value: True):
+    """``rule(key, text)``: ``cast(text)``, which must be ``kind`` and pass
+    ``test`` (``need`` says what it needs), or a ``ValueError`` naming ``key``."""
+
+    def rule(key: str, text: str):
+        try:
+            value = cast(text)
+        except (KeyError, ValueError):
+            raise ValueError(f"{key} must be {kind}, got {text!r}") from None
+        if not test(value):
+            raise ValueError(f"{key} must be {need}")
+        return value
+
+    return rule
+
+
+_COUNT = _rule(int, "an integer", "at least 0", lambda n: n >= 0)
+
+# The [verify] and [output] keys: key -> (RunConfig field, rule).  The
+# command line checks its flags by the same rules.
+SETTINGS = {
+    "nmax": ("n_max", _rule(int, "an integer", "at least 1", lambda n: n >= 1)),
+    "tol": ("tol", _rule(float, "a number", "positive", lambda x: x > 0)),
+    "method": ("method", _rule(lambda text: METHODS[text.lower()], "lie or quad")),
+    "band": ("band", _COUNT),
+    "coarse": ("coarse", _rule(lambda text: _BOOLS[text.lower()], "true or false")),
+    "path": ("out", _rule(str, "a path")),
+}
 _SECTIONS = {
     "group": {"kind"},
     "graph": {"vertices", "edge"},
     "truncation": {"bound"},
-    "verify": {"nmax", "tol", "method", "band", "coarse"},
+    "verify": set(SETTINGS) - {"path"},
     "output": {"path"},
 }
-
-METHODS = {"lie": "lie", "quad": "quadrature", "quadrature": "quadrature"}
-_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def _fail(path: str, line: int, msg: str) -> None:
@@ -93,8 +122,7 @@ def parse_config(path: str) -> RunConfig:
         if "=" not in text:
             _fail(path, lineno, "expected key = value")
         key, _, val = text.partition("=")
-        key = key.strip().lower()
-        val = val.strip()
+        key, val = key.strip().lower(), val.strip()
         if section is None:
             _fail(path, lineno, "key outside any section")
         if key not in _SECTIONS[section]:
@@ -143,54 +171,17 @@ def parse_config(path: str) -> RunConfig:
     graph = Graph(vertices, built)
 
     lineno, btext = need("truncation", "bound")
-    bound = _parse_int(path, lineno, "bound", btext, minimum=0)
-
-    n_max = tol = method = band = coarse = out = None
-    if ("verify", "nmax") in values:
-        lineno, v = values[("verify", "nmax")]
-        n_max = _parse_int(path, lineno, "nmax", v, minimum=1)
-    if ("verify", "tol") in values:
-        lineno, v = values[("verify", "tol")]
-        try:
-            tol = float(v)
-        except ValueError:
-            _fail(path, lineno, f"tol must be a number, got {v!r}")
-        if not tol > 0:
-            _fail(path, lineno, "tol must be positive")
-    if ("verify", "method") in values:
-        lineno, v = values[("verify", "method")]
-        method = METHODS.get(v.lower())
-        if method is None:
-            _fail(path, lineno, f"method must be lie or quad, got {v!r}")
-    if ("verify", "band") in values:
-        lineno, v = values[("verify", "band")]
-        band = _parse_int(path, lineno, "band", v, minimum=0)
-    if ("verify", "coarse") in values:
-        lineno, v = values[("verify", "coarse")]
-        coarse = _BOOLS.get(v.lower())
-        if coarse is None:
-            _fail(path, lineno, f"coarse must be true or false, got {v!r}")
-    if ("output", "path") in values:
-        out = values[("output", "path")][1]
-
-    return RunConfig(
-        group=group,
-        graph=graph,
-        bound=bound,
-        n_max=n_max,
-        tol=tol,
-        method=method,
-        band=band,
-        coarse=coarse,
-        out=out,
-    )
+    bound = _checked(path, lineno, _COUNT, "bound", btext)
+    settings = {}
+    for (section, key), (lineno, text) in values.items():
+        if section in ("verify", "output"):
+            field, rule = SETTINGS[key]
+            settings[field] = _checked(path, lineno, rule, key, text)
+    return RunConfig(group=group, graph=graph, bound=bound, **settings)
 
 
-def _parse_int(path: str, lineno: int, key: str, text: str, minimum: int) -> int:
+def _checked(path: str, lineno: int, rule, key: str, text: str):
     try:
-        value = int(text)
-    except ValueError:
-        _fail(path, lineno, f"{key} must be an integer, got {text!r}")
-    if value < minimum:
-        _fail(path, lineno, f"{key} must be at least {minimum}")
-    return value
+        return rule(key, text)
+    except ValueError as exc:
+        _fail(path, lineno, str(exc))

@@ -151,15 +151,15 @@ def scalar_generators(graph: Graph, group: GroupId, labels: np.ndarray) -> np.nd
     """The Gauss generators of one-dimensional blocks of ``graph``, their
     label values the rows of ``labels``, as one ``(n_blocks, V*L)`` array: row
     ``b`` is ``block_generators`` of that block at ``[:, 0, 0]``, bitwise, from
-    one sweep over the label columns that adds each end's ``[0, 0]`` piece
-    entry in the order ``_generators`` does."""
+    one sweep over the label columns that adds each end's irrep generator at
+    ``[0, 0]``, conjugated at a source, in the order ``_generators`` does."""
     lie = range(lie_dim(group))
     out = np.zeros((len(labels), len(graph.vertices) * len(lie)), dtype=complex)
     for j, e in enumerate(graph.edges):
         for k in lie:
-            pieces = label_table(group, labels[:, j], _edge_pieces, k)[:, :, 0, 0]
-            for s, end in enumerate((e.source, e.target)):
-                out[:, graph.vertex_index[end] * len(lie) + k] += pieces[:, s]
+            x = label_table(group, labels[:, j], irrep_generator, k)[:, 0, 0]
+            for end, value in ((e.source, np.conj(x)), (e.target, x)):
+                out[:, graph.vertex_index[end] * len(lie) + k] += value
     return out
 
 

@@ -156,7 +156,7 @@ def invariant_projector(
     _check_method(block.graph, block.group, labels, method, band)
     if block.dim == 1:
         return _UNIT * float(not scalar_generators(block.graph, block.group, labels).any())
-    splits = _block_splits(block.graph, block.group, labels[0], method, band)
+    splits = _block_splits(_ends(block.graph), block.group, labels[0], method, band)
     rows, v = _on_zero(block, splits, "inv")
     out = np.zeros((block.dim, block.dim), dtype=complex)
     out[rows[:, None], rows] = v @ v.conj().T
@@ -181,12 +181,12 @@ def _ends(graph) -> list:
     return [[(j, s) for j, s, u in at if u == v] for v in graph.vertices]
 
 
-def _block_splits(graph, group, labels: np.ndarray, method: str, band) -> tuple:
-    """Per vertex, the ``_vertex_split`` of its ends in the block of label
-    values ``labels``, but for spin-0 ends: factors of dimension one."""
+def _block_splits(ends: list, group, labels: np.ndarray, method: str, band) -> tuple:
+    """Per vertex, the ``_vertex_split`` of its ``ends`` (``_ends``) in the block
+    of label values ``labels``, but for spin-0 ends: factors of dimension one."""
     x = labels.tolist()
-    patterns = [tuple((x[j], s) for j, s in at if x[j]) for at in _ends(graph)]
-    return tuple(_vertex_split(group, ends, method, band) for ends in patterns)
+    patterns = [tuple((x[j], s) for j, s in at if x[j]) for at in ends]
+    return tuple(_vertex_split(group, p, method, band) for p in patterns)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -499,9 +499,9 @@ def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=N
     live, rows = gens.any(axis=1), np.rint(-2 * gens[:, nl - 1 :: nl].imag).astype(int)
     del gens  # the pass's largest array
     _check_method(trunc.graph, trunc.group, trunc.labels, method, band)
-    counts[one] = ~live
+    counts[one], ends = ~live, _ends(trunc.graph)
     splits = {
-        i: _block_splits(trunc.graph, trunc.group, trunc.labels[i], method, band)
+        i: _block_splits(ends, trunc.group, trunc.labels[i], method, band)
         for i in np.flatnonzero(~one).tolist()
     }
     # the one-dimensional blocks come first: U(1) has no other, SU(2) one, block 0

@@ -1,6 +1,5 @@
 """Run descriptions and the command line front end."""
 
-import argparse
 import json
 import os
 import subprocess
@@ -428,25 +427,6 @@ def test_coarse_flag(tmp_path, capsys):
     assert payload["n_groups"] == 4
 
 
-def test_one_parser_per_process(tmp_path, capsys, monkeypatch):
-    # the parser is built on the first command and reused by every later one
-    made, init = [], argparse.ArgumentParser.__init__
-
-    def counted(parser, *args, **kwargs):
-        made.append(kwargs.get("prog"))
-        init(parser, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    cli.build_parser.cache_clear()
-    try:
-        cfg = write_cfg(tmp_path, U1_EDGE)
-        assert [main(["verify", "--config", cfg]) for _ in range(2)] == [0, 0]
-    finally:
-        cli.build_parser.cache_clear()
-    assert made.count("gaugereduce") == 1
-    assert len(made) == 4  # and one subparser per command
-
-
 @pytest.mark.parametrize(
     "trunc",
     [
@@ -467,10 +447,100 @@ def test_emit_writes_label_rows_as_json_does(tmp_path, trunc):
     assert out.read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
-def test_bad_subcommand_usage_exits_two():
-    with pytest.raises(SystemExit) as err:
-        main(["verify"])  # --config is required
-    assert err.value.code == 2
+def test_bad_subcommand_usage_exits_two(capsys):
+    # --config is required; main returns the status, it raises no SystemExit
+    assert main(["verify"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: verify needs --config FILE"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["check", "--config", "{cfg}"],
+        ["verify", "--nmax", "2"],
+        ["verify", "--config", "{cfg}", "--bogus", "1"],
+        ["verify", "--config", "{cfg}", "stray"],
+        ["verify", "--conf", "{cfg}"],  # no prefixes
+        ["decompose", "--config", "{cfg}", "--nmax", "2"],
+        ["spectrum", "--config", "{cfg}", "--coarse"],
+        ["verify", "--config", "{cfg}", "--coarse=yes"],
+        ["verify", "--config", "{cfg}", "--nmax"],
+        ["verify", "--config", "{cfg}", "--tol", "--nmax", "2"],
+        ["verify", "--config", "{cfg}", "--nmax", "2.5"],
+    ],
+    ids=[
+        "no-arguments",
+        "unknown-command",
+        "no-config",
+        "unknown-flag",
+        "stray-word",
+        "prefix",
+        "decompose-nmax",
+        "spectrum-coarse",
+        "coarse-value",
+        "nmax-last",
+        "tol-before-flag",
+        "nmax-not-integer",
+    ],
+)
+def test_usage_errors_exit_two_with_one_error_line(tmp_path, capsys, argv):
+    cfg = write_cfg(tmp_path, U1_EDGE)
+    assert main([a.format(cfg=cfg) for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1
+    assert out.err.startswith("error: ")
+    assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["verify", "--help"], ["bogus", "-h"]])
+def test_help_exits_zero_and_names_every_flag(capsys, argv):
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    for word in ["decompose", "verify", "spectrum", "--KEY=VALUE"]:
+        assert word in out.out
+    for flag in ["--config", "--out", "--nmax", "--tol", "--method", "--band", "--coarse"]:
+        assert flag in out.out
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("nmax", "0"),
+        ("nmax", "two"),
+        ("tol", "tiny"),
+        ("tol", "-1"),
+        ("tol", "nan"),
+        ("method", "simpson"),
+        ("band", "-1"),
+    ],
+)
+def test_flag_and_run_file_line_fail_alike(tmp_path, capsys, key, value):
+    # the flags are checked by the run file's own rules, so both complain alike
+    cfg = write_cfg(tmp_path, U1_EDGE)
+    bad = write_cfg(tmp_path, f"{textwrap.dedent(U1_EDGE)}\n[verify]\n{key} = {value}\n", "bad.cfg")
+    with pytest.raises(ConfigError) as err:
+        parse_config(bad)
+    where, _, complaint = str(err.value).partition(": ")
+    assert where.startswith(bad + ":")
+    assert main(["verify", "--config", cfg, f"--{key}", value]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {complaint}"]
+
+
+def test_flags_take_the_equals_form_and_the_run_file_values(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SU2_LOOP)
+    reports = []
+    for flags in (
+        ["--nmax", "1", "--method", "quad"],
+        ["--nmax=1", "--method=quadrature"],
+        ["--method", "QUAD", "--nmax=1", "--band=2", "--band", "2"],
+    ):
+        assert main(["verify", "--config", cfg, *flags]) == 1
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] == reports[2]
+    assert json.loads(reports[0])["method"] == "quadrature"
 
 
 def test_module_entry_point(tmp_path):
@@ -488,7 +558,9 @@ def test_module_entry_point(tmp_path):
 def test_commands_run_without_scipy(tmp_path):
     # The package needs only numpy at run time: a fresh process imports the
     # front end and runs every command, with both averaging routes, on a
-    # small U(1) and a small SU(2) system, and scipy is never loaded.
+    # small U(1) and a small SU(2) system, and scipy is never loaded.  Nor is
+    # argparse: the flags are read by the run file's rules, with no parser to
+    # build in every process.
     argv = []
     for k, text in enumerate((U1_TRIANGLE, SU2_LOOP)):
         cfg = write_cfg(tmp_path, text, name=f"run{k}.cfg")
@@ -503,13 +575,13 @@ def test_commands_run_without_scipy(tmp_path):
         import json, sys
         import gaugereduce.cli
 
-        def scipy():
-            return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+        def heavy():
+            return sorted(m for m in sys.modules if m.partition(".")[0] in ("scipy", "argparse"))
 
-        loaded, codes = [scipy()], []
+        loaded, codes = [heavy()], []
         for argv in json.loads(sys.argv[1]):
             codes.append(gaugereduce.cli.main(argv))
-            loaded.append(scipy())
+            loaded.append(heavy())
         print(json.dumps({"codes": codes, "loaded": loaded}))
         """
     )
