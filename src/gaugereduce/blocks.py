@@ -85,10 +85,7 @@ class Truncation:
 
 
 def kron_chain(mats) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for m in mats:
-        out = np.kron(out, m)
-    return out
+    return functools.reduce(np.kron, mats, np.array([[1.0 + 0j]]))
 
 
 def regular_action_block(

@@ -194,12 +194,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.multiply.outer(a, b).swapaxes(1, 2).reshape(len(a) * len(b), a.shape[1] * b.shape[1])
 
 
-def _copy_index(splits: tuple) -> np.ndarray:
-    """A block's copies, the products of its vertices' copies in lexicographic
-    order, vertex 0 slowest: row ``v`` holds each copy's ``a_v``."""
-    return np.indices([len(s["lams"]) for s in splits]).reshape(len(splits), -1)
-
-
 def _edge_major(block: BlockLabel, index: list) -> np.ndarray:
     """The block's own indices of the products, vertex 0 slowest, of indices
     ``index[v]`` into the ``E_v``: a block index has one digit per edge end,
@@ -219,8 +213,8 @@ def _on_zero(block: BlockLabel, splits: tuple, key: str) -> tuple:
 
 
 def _copy_basis(block: BlockLabel, splits: tuple) -> np.ndarray:
-    """A block's unitary with its copies side by side, in ``_copy_index``
-    order: each the Kronecker product of its vertices' columns."""
+    """A block's unitary with its copies side by side, in order (``split``):
+    each the Kronecker product of its vertices' columns."""
     parts = [np.split(s["basis"], np.cumsum(s["lams"] + 1)[:-1], axis=1) for s in splits]
     u = np.hstack([functools.reduce(_kron, cols) for cols in product(*parts)])
     return u[np.argsort(_edge_major(block, [np.arange(len(s["basis"])) for s in splits]))]
@@ -240,19 +234,20 @@ def _vertex_split(group, ends: tuple, method: str, band) -> dict:
     ends, conjugated at a source (``s = 0``), split into irreducible copies,
     read-only: ``basis`` has them side by side, irrep ``lams[a] = 2j`` on
     ``lams[a] + 1`` columns of descending weight, ``z`` their columns of
-    weight zero and ``inv`` the invariants on the indices ``zero``, ``traces``
-    and ``norms`` those of ``Gamma_z``'s scaled powers up to its number of
-    eigenvalues.  A dominant ``lam`` is highest in ``|W_lam| - |W_{lam+2}|``
-    copies, the null space of ``J_+`` on ``W_lam``, lowered by ``J_-``; the
-    invariants are the null space on ``W_0`` of ``J_+`` and ``J_-`` stacked
-    (``"lie"``) or the range of the Haar projector there."""
+    weight zero and ``inv`` the invariants on the indices ``zero``; per
+    distinct irrep ``values[at[a]]`` (ascending), ``seedw`` sums its ``mult``
+    copies' ``|trace|^2 / dim`` of ``Gamma_z``'s scaled powers, of norms
+    ``norms``, up to its number of eigenvalues.  A dominant ``lam`` is highest
+    in ``|W_lam| - |W_{lam+2}|`` copies, the null space of ``J_+`` on ``W_lam``,
+    lowered by ``J_-``; the invariants are the null space on ``W_0`` of ``J_+``
+    and ``J_-`` stacked (``"lie"``) or the range of the Haar projector there."""
     w, up = np.zeros(1, dtype=int), np.zeros((1, 1), dtype=complex)
     for value, s in ends:  # one factor at a time
         lab = IrrepLabel(group, value)
         x, y, gz = (np.conj(g) if s == 0 else g for g in map(irrep_generator, [lab] * 3, range(3)))
         w = (w[:, None] + np.rint(2 * (1j * np.diagonal(gz)).real).astype(int)).ravel()
         up = _kron(up, np.eye(lab.dim)) + _kron(np.eye(len(up)), 1j * (x + 1j * y))
-    down, lams, tops = up.conj().T, [], []
+    down, groups, tops = up.conj().T, [], []
     for lam in [lam for lam in sorted(set(w.tolist())) if lam >= 0]:
         cols, above = np.flatnonzero(w == lam), np.flatnonzero(w == lam + 2)
         m = len(cols) - len(above)
@@ -262,8 +257,9 @@ def _vertex_split(group, ends: tuple, method: str, band) -> dict:
         if hw.shape[1] != m:
             raise RuntimeError(f"ends {ends}: {hw.shape[1]} highest weights {lam}, not {m}")
         tops.append(np.eye(len(w), dtype=complex)[:, cols] @ hw)
-        lams += [lam] * m
-    lams = np.array(lams)
+        groups.append((lam, m))
+    values, mult = np.array(groups).T  # by ascending lam
+    lams, first = np.repeat(values, mult), np.cumsum(mult) - mult
     chain = [np.hstack(tops)]
     for t in range(1, lams.max() + 1):  # the t-th step down, past the bottom of the smaller copies
         chain.append(down @ chain[-1] / np.sqrt(np.maximum(t * (lams + 1 - t), 1)))
@@ -285,8 +281,10 @@ def _vertex_split(group, ends: tuple, method: str, band) -> dict:
     eig = -0.5j * (lams[copy] - 2 * t)  # Gamma_z's, with lams.max() + 1 distinct ones
     eig = eig / np.abs(eig).max(initial=np.finfo(float).tiny)
     powers = eig ** np.arange(1, lams.max() + 2)[:, None]
+    per_copy = np.abs(np.add.reduceat(powers, starts, axis=1)) ** 2 / (lams + 1)
     out = dict(lams=lams, basis=basis, zero=zero, z=z, inv=inv, overlaps=inv.conj().T @ z)
-    out.update(traces=np.add.reduceat(powers, starts, axis=1), norms=np.linalg.norm(powers, axis=1))
+    out.update(values=values, mult=mult, seedw=np.add.reduceat(per_copy, first, axis=1))
+    out.update(at=np.repeat(np.arange(len(values)), mult), norms=np.linalg.norm(powers, axis=1))
     for part in out.values():
         part.setflags(write=False)
     return out
@@ -321,33 +319,39 @@ class EquivariantSpace:
 
     ``scalar[i]`` is the component of one-dimensional block ``i``, one copy on
     column 0, of weight-zero column ``[[1]]`` if its irrep is trivial; or -1
-    for a block held by its vertices' ``splits[i]``, whose copies, products
-    of theirs (``_copy_index``), are of components ``kinds[i]``, rows of
-    ``lams``.  ``sizes[c]`` counts component ``c``'s copies.  Element ``k``, a
-    matrix unit ``u_a u_b^H / sqrt(dim)`` of component ``components[k]``, is
-    orthonormal to the others; a component's run row-major over its
-    ``members`` (``held_by``) squared.  Every block's ``copies`` (``(c,
-    cols)``, on the columns ``cols`` of ``bases``) and ``weight_zero`` (its
-    ``W_0`` indices and copies' columns there), and each cached property, are
-    built on first read."""
+    for a block held by its vertices' ``splits[i]``, whose components, the
+    products of their distinct irreps (vertex 0 slowest), are ``kinds[i]``,
+    rows of ``lams``.  ``sizes[c]`` counts component ``c``'s copies.  Element
+    ``k``, a matrix unit ``u_a u_b^H / sqrt(dim)`` of component
+    ``components[k]``, is orthonormal to the others; a component's run
+    row-major over its ``members`` (``held_by``) squared.  Every block's
+    ``copies`` (``(c, cols)``, on the columns ``cols`` of ``bases``) and
+    ``weight_zero`` (its ``W_0`` indices and copies' columns there), and each
+    cached property, are built on first read."""
 
     def __init__(self, trunc: Truncation, splits: dict, kinds: dict, irreps, scalar: np.ndarray):
         self.trunc, self.lams = trunc, np.array(irreps, dtype=int).reshape(len(irreps), -1)
         self.scalar, self._splits, self._kinds = scalar, splits, kinds
-        comps = np.concatenate([self.scalar[self.scalar >= 0], *kinds.values()]).astype(int)
-        self.sizes = np.bincount(comps, minlength=len(self.lams))
+        own = np.flatnonzero(scalar >= 0)
+        mult = [functools.reduce(np.multiply.outer, [s["mult"] for s in splits[i]]) for i in kinds]
+        self._comps = np.concatenate([scalar[own], *kinds.values()]).astype(int)
+        weights = np.concatenate([np.ones(len(own)), *(m.ravel() for m in mult)])
+        self.sizes = np.bincount(self._comps, weights, len(self.lams)).astype(int)
         self.dim = int(np.square(self.sizes).sum())
+        self._owner = np.concatenate([own, *(np.full(len(k), i) for i, k in kinds.items())])
 
     def split(self, i: int) -> tuple:
-        """Block ``i``'s copies: their components and numbers of columns."""
+        """Block ``i``'s copies, in order: their components and numbers of columns."""
         if self.scalar[i] >= 0:
             return self.scalar[i : i + 1], np.ones(1, dtype=int)
-        return self._kinds[i], np.prod(self.lams[self._kinds[i]] + 1, axis=1)
+        sp = self._splits[i]
+        kinds = self._kinds[i].reshape([len(s["mult"]) for s in sp])[np.ix_(*[s["at"] for s in sp])]
+        return kinds.ravel(), np.prod(self.lams[kinds.ravel()] + 1, axis=1)
 
     def held_by(self, c: int) -> list:
-        """Component ``c``'s ``(block, copy)`` pairs, in block order."""
-        held = [(i, a) for i, k in self._kinds.items() for a in np.flatnonzero(k == c).tolist()]
-        return sorted(held + [(i, 0) for i in np.flatnonzero(self.scalar == c).tolist()])
+        """Component ``c``'s ``(block, copy)`` pairs, in block order, from the blocks holding it."""
+        held = self._owner[self._comps == c].tolist()
+        return [(i, a) for i in held for a in np.flatnonzero(self.split(i)[0] == c).tolist()]
 
     @functools.cached_property
     def irreps(self) -> tuple:
@@ -434,26 +438,25 @@ def _roundoff_cut(comps: np.ndarray, coords, norms) -> np.ndarray:
     return coords
 
 
-def _block_seeds(splits: tuple, kinds: np.ndarray, n_max: int) -> np.ndarray:
-    """Cumulative seed supports on one block's copies, of components
-    ``kinds``: entry ``(n - 1, a)`` is set when some ``Gamma_{v,z}``'s power
-    ``m <= n`` reaches copy ``a``'s component, its copies' normalised traces
-    (the coordinates) above ``RANK_RTOL`` times the power's norm; less is
-    roundoff.  Copy ``(a_u)``, of ``size = prod_u dim a_u`` columns, has
-    ``E_v``'s trace of ``a_v`` times ``size / dim a_v``, and the power has
-    ``E_v``'s norm times ``sqrt(d / dim E_v)``."""
-    at, dims = _copy_index(splits), [s["lams"] + 1 for s in splits]
-    size = np.prod([n[a] for n, a in zip(dims, at)], axis=0)
+def _block_seeds(splits: tuple, n_max: int) -> np.ndarray:
+    """Cumulative seed supports on one block's components, the products of its
+    vertices' distinct irreps, vertex 0 slowest: entry ``(n - 1, c)`` is set
+    when some ``Gamma_{v,z}``'s power ``m <= n`` reaches component ``c``, its
+    copies' normalised traces (the coordinates) above ``RANK_RTOL`` times the
+    power's norm; less is roundoff.  Copy ``(a_u)`` has ``E_v``'s trace of
+    ``a_v`` times ``prod_{u != v} dim a_u``, so component ``(lam_u)`` has
+    squared norm ``seedw_v(lam_v) prod_{u != v} m_u (lam_u + 1)``, and the
+    power has ``E_v``'s norm times ``sqrt(d / dim E_v)``."""
+    size = [s["mult"] * (s["values"] + 1) for s in splits]
+    cols = functools.reduce(np.multiply.outer, size)  # each component's columns, an integer
     d = np.prod([len(s["basis"]) for s in splits])
     steps = min(max(len(s["norms"]) for s in splits), n_max)
-    seen = np.zeros((steps, len(kinds)), dtype=bool)
-    for s, n, a in zip(splits, dims, at):
-        k = min(len(s["norms"]), steps)
-        traces = (s["traces"][:k] / n)[:, a] * np.sqrt(size)
-        key = kinds + (kinds.max() + 1) * np.arange(k)[:, None]  # (power, component)
-        weight = np.bincount(key.ravel(), np.abs(traces.ravel()) ** 2)[key]
+    seen = np.zeros((steps, cols.size), dtype=bool)
+    for v, s in enumerate(splits):
+        k, axis = min(len(s["norms"]), steps), [len(x) if u == v else 1 for u, x in enumerate(size)]
+        weight = s["seedw"][:k].reshape(k, *axis) * (cols // size[v].reshape(axis))
         cut = RANK_RTOL * np.sqrt(d / len(s["basis"])) * s["norms"][:k, None]
-        seen[:k] |= np.sqrt(weight) > cut
+        seen[:k] |= np.sqrt(weight.reshape(k, cols.size)) > cut
     return np.logical_or.accumulate(seen)[np.minimum(np.arange(n_max), steps - 1)]
 
 
@@ -491,39 +494,39 @@ def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=N
     average and coordinate, zero exactly when the scalar is, so it seeds its
     component at every power if some scalar is nonzero; its Haar average is 1
     exactly when it is trivial, so both methods keep it when every scalar is
-    zero.  Every other block's copies, invariants and their overlaps are the
-    products of its vertices' (``_vertex_split``), vertex 0 slowest.
+    zero.  Every other block's components, copies, invariants and overlaps
+    are the products of its vertices' (``_vertex_split``), vertex 0 slowest.
     """
+    _check_method(trunc.graph, trunc.group, trunc.labels, method, band)
     one, nl, counts = trunc.dims == 1, lie_dim(trunc.group), np.zeros(len(trunc.dims), int)
     gens = scalar_generators(trunc.graph, trunc.group, trunc.labels[one])
     live, rows = gens.any(axis=1), np.rint(-2 * gens[:, nl - 1 :: nl].imag).astype(int)
     del gens  # the pass's largest array
-    _check_method(trunc.graph, trunc.group, trunc.labels, method, band)
     counts[one], ends = ~live, _ends(trunc.graph)
     splits = {
         i: _block_splits(ends, trunc.group, trunc.labels[i], method, band)
         for i in np.flatnonzero(~one).tolist()
     }
     # the one-dimensional blocks come first: U(1) has no other, SU(2) one, block 0
-    grids = [np.array([s["lams"][a] for s, a in zip(x, _copy_index(x))]).T for x in splits.values()]
-    rows = np.concatenate([rows, *grids])
-    lo = rows.min(axis=0, initial=0)
-    key = np.ravel_multi_index(tuple((rows - lo).T), rows.max(axis=0, initial=0) - lo + 1)
-    _, first, which = np.unique(key, return_index=True, return_inverse=True)
+    lo, tops = rows.min(axis=0, initial=0), [[s["values"][-1] for s in x] for x in splits.values()]
+    shape = np.max([rows.max(axis=0, initial=0), *tops], axis=0) - lo + 1
+    axes = [np.ix_(*[s["values"] - b for s, b in zip(x, lo)]) for x in splits.values()]
+    keys = [np.ravel_multi_index(tuple(g), shape).ravel() for g in [(rows - lo).T, *axes]]
+    uniq, first, which = np.unique(np.concatenate(keys), return_index=True, return_inverse=True)
     comps = np.argsort(np.argsort(first))[which]  # numbered by first appearance
     scalar = np.full(len(trunc.dims), -1)
     scalar[one] = comps[: len(live)]
-    cuts = np.cumsum([len(live)] + [len(g) for g in grids])
-    kinds = dict(zip(splits, np.split(comps, cuts)[1:]))
+    kinds = dict(zip(splits, np.split(comps, np.cumsum([len(k) for k in keys[:-1]]))[1:]))
     support = np.zeros((n_max, len(first)), dtype=bool)
     support[:, scalar[one][live]] = True
     overlaps = {}
     for i, sp in splits.items():
-        np.logical_or.at(support.T, kinds[i], _block_seeds(sp, kinds[i], n_max).T)
+        support[:, kinds[i]] |= _block_seeds(sp, n_max)  # a block holds a component once
         counts[i] = np.prod([s["inv"].shape[1] for s in sp])
         if counts[i]:
             overlaps[i] = functools.reduce(_kron, [s["overlaps"] for s in sp])
-    space = EquivariantSpace(trunc, splits, kinds, rows[np.sort(first)], scalar)
+    lams = np.array(np.unravel_index(uniq[np.argsort(first)], shape)).T + lo
+    space = EquivariantSpace(trunc, splits, kinds, lams, scalar)
     return space, InvariantSpace(trunc, splits, counts, overlaps), support
 
 

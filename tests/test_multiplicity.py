@@ -19,6 +19,7 @@ Every averaged power of a U(1) generator is a power of ``i flux_v``, so
 the ideal holds every nonzero component from ``n = 1`` on.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -89,6 +90,13 @@ def ledger(graph, bound):
     m0 = mult[(0,) * len(graph.vertices)]
     dim_ak = sum(m * m for m in mult.values())
     return dim_ak, m0, dim_ak - m0 * m0
+
+
+@functools.cache
+def built_ledger(graph, bound):
+    """``ledger`` of the graph ``graph()`` builds, once per builder and bound:
+    K4 at 2j <= 4 takes seconds and is checked by two methods."""
+    return ledger(graph(), bound)
 
 
 # name -> (graph, 2j bound, (dim A^K, dim H^K, dim ker pi)); the counts
@@ -202,6 +210,8 @@ def run_file(graph, group, bound):
         (k4_graph, 2, "quad"),
         (cube_graph, 1, "lie"),
         (cube_graph, 1, "quad"),
+        (k4_graph, 4, "lie"),
+        (k4_graph, 4, "quad"),
     ],
     ids=[
         "su2-square-b3-lie",
@@ -210,18 +220,22 @@ def run_file(graph, group, bound):
         "su2-k4-b2-quad",
         "su2-cube-b1-lie",
         "su2-cube-b1-quad",
+        "su2-k4-b4-lie",
+        "su2-k4-b4-quad",
     ],
 )
 def test_su2_frontier_verifies_in_a_capped_process(tmp_path, graph, bound, method):
     # a square with spin up to 3/2 (blocks up to 4^8 = 65,536 dimensions), a
     # pentagon and K4 with spin up to 1 (up to 3^10 = 59,049 and 3^12 =
-    # 531,441) and the cube with spin up to 1/2 (up to 2^24 = 16,777,216):
-    # a block is split vertex by vertex, so no array of a block's length is
-    # built, and a whole `verify` process passes with its address space capped
-    # at 768 MiB: the child sets the cap on itself before it imports anything
-    # else.  Its counts are the Clebsch-Gordan ledger's.  Both methods run on
-    # K4 and the cube, since only the Haar projector finds the invariants by
-    # other means than the raising operators that also find the copies
+    # 531,441), the cube with spin up to 1/2 (up to 2^24 = 16,777,216) and K4
+    # with spin up to 2 (33,044,803 copies in 3,115,762 block components): a
+    # block is split vertex by vertex, so no array of a block's length is
+    # built, nor one with an entry per copy, and a whole `verify` process
+    # passes with its address space capped at 768 MiB: the child sets the cap
+    # on itself before it imports anything else.  Its counts are the
+    # Clebsch-Gordan ledger's.  Both methods run on K4 and the cube, since
+    # only the Haar projector finds the invariants by other means than the
+    # raising operators that also find the copies
     g = graph()
     cfg = tmp_path / "run.cfg"
     cfg.write_text(run_file(g, "su2", bound))
@@ -241,7 +255,7 @@ def test_su2_frontier_verifies_in_a_capped_process(tmp_path, graph, bound, metho
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     report = json.loads(out.read_text())
-    dim_ak, hk, kk = ledger(g, bound)
+    dim_ak, hk, kk = built_ledger(graph, bound)
     assert (report["dim_AK"], report["dim_HK"], report["dim_ker_pi"]) == (dim_ak, hk, kk)
     assert report["pass"] and [row["dim_ideal"] for row in report["per_nmax"]] == [0, kk]
 

@@ -240,6 +240,18 @@ def test_band_error_names_the_first_short_block(name):
         assert str(err.value) == str(BandError(short[0], band))
 
 
+def test_short_band_is_refused_before_the_scalar_generators(monkeypatch):
+    # the band is checked from the label array before the pass builds its
+    # largest array, the scalar generators of every one-dimensional block
+    def boom(*args):
+        raise AssertionError("scalar generators built before the band check")
+
+    monkeypatch.setattr("gaugereduce.reduction.scalar_generators", boom)
+    for trunc in (make(k4_graph(), U1, 2), build("su2-loop-j1")):
+        with pytest.raises(BandError):
+            reduce_blocks(trunc, "quadrature", band=IrrepLabel(trunc.group, 0))
+
+
 @pytest.mark.parametrize("shape", [(12, 5), (5, 12), (7, 7)])
 @pytest.mark.parametrize("scale", [1.0, 1e-13, 1e8])
 def test_null_columns_match_scipy_null_space(shape, scale):
@@ -256,18 +268,43 @@ def test_null_columns_match_scipy_null_space(shape, scale):
 
 @pytest.mark.parametrize("small,reached", [(0.8e-10, True), (0.6e-10, False)])
 def test_block_seeds_cut_each_component_by_its_norm(small, reached):
-    # a block of two vertices.  At the first, two one-column copies each trace
-    # `small` against a power of norm 1, and a three-column copy traces 1; the
-    # second holds one two-column copy and reads nothing.  So the block has
-    # copies of 2, 2 and 6 columns, the two of component 0 trace sqrt(2) small
-    # each, and the power's norm is sqrt(10 / 5): component 0 is reached when
-    # 2 small passes sqrt(2) RANK_RTOL, though neither trace does
-    first = {"lams": np.array([0, 0, 2]), "basis": np.eye(5), "norms": np.ones(1)}
-    first["traces"] = np.array([[small, small, 1.0]])
-    second = {"lams": np.ones(1, dtype=int), "basis": np.eye(2), "norms": np.ones(1)}
-    second["traces"] = np.zeros((1, 1))
-    got = _block_seeds((first, second), np.array([0, 0, 1]), 1)
-    assert np.array_equal(got, [[reached, reached, True]])
+    # a block of two vertices.  At the first, two one-column copies (irrep 0)
+    # each trace `small` against a power of norm 1, and a three-column copy
+    # (irrep 2) traces 1; the second holds one two-column copy and reads
+    # nothing.  So the block has copies of 2, 2 and 6 columns, the two of
+    # component 0 trace sqrt(2) small each, and the power's norm is sqrt(10 /
+    # 5): component 0 is reached when 2 small passes sqrt(2) RANK_RTOL, though
+    # neither trace does.  The splits hold, per distinct irrep, the copies'
+    # |trace|^2 / dim summed: 2 small^2 for irrep 0, 1 / 3 for irrep 2
+    first = {"values": np.array([0, 2]), "mult": np.array([2, 1]), "basis": np.eye(5)}
+    first.update(seedw=np.array([[2 * small**2, 1 / 3]]), norms=np.ones(1))
+    second = {"values": np.ones(1, dtype=int), "mult": np.ones(1, dtype=int), "basis": np.eye(2)}
+    second.update(seedw=np.zeros((1, 1)), norms=np.ones(1))
+    got = _block_seeds((first, second), 1)
+    assert np.array_equal(got, [[reached, True]])
+
+
+@pytest.mark.parametrize("loops", [1, 2])
+def test_split_sums_its_copies_traces_per_irrep(loops):
+    # on one vertex with loops a block is its vertex's E_v, index for index,
+    # so Gamma_z read in the split's basis is diagonal; per distinct irrep,
+    # seedw is the sum over its copies of |trace|^2 / dim of Gamma_z's powers
+    # scaled by its largest eigenvalue, and norms are the powers' norms
+    graph = Graph(("x",), [(f"l{k}", "x", "x") for k in range(loops)])
+    trunc = make(graph, SU2, 2)
+    space = commutant_basis(trunc)
+    for i, (split,) in space._splits.items():
+        u, lams = split["basis"], split["lams"]
+        assert np.array_equal(split["values"][split["at"]], lams)
+        assert np.array_equal(split["mult"], np.bincount(split["at"]))
+        eig = np.diagonal(u.conj().T @ block_generators(trunc.blocks[i])[2] @ u)
+        eig = eig / np.abs(eig).max(initial=np.finfo(float).tiny)
+        powers = eig ** np.arange(1, len(split["norms"]) + 1)[:, None]
+        traces = np.add.reduceat(powers, np.cumsum(lams + 1) - lams - 1, axis=1)
+        per_copy = np.abs(traces) ** 2 / (lams + 1)
+        want = np.array([per_copy[:, lams == lam].sum(axis=1) for lam in split["values"]]).T
+        assert_allclose(split["seedw"], want, rtol=1e-12, atol=1e-14)
+        assert_allclose(split["norms"], np.linalg.norm(powers, axis=1), rtol=1e-12)
 
 
 def assert_one_dim_blocks_match_null_space(trunc, n_max=3):
