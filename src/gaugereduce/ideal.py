@@ -224,9 +224,9 @@ def verify_ideal(
     kernel = kernel_pi_basis(space, inv)
     rows = []
     grew = np.r_[True, (support[1:] != support[:-1]).any(axis=1)]
-    for n, (touched, new) in enumerate(zip(support, grew), 1):
-        if new:
-            ideal = IdealMask(touched, space.sizes)
+    for n in range(1, n_max + 1):
+        if n <= len(support) and grew[n - 1]:  # past its last row, nothing grows
+            ideal = IdealMask(support[n - 1], space.sizes)
             row = ideal.dim, containment_residual(ideal, kernel), subspace_distance(ideal, kernel)
         rows.append(IdealRow(n, *row))
     passed = rows[-1].distance <= tol and all(r.containment_residual <= tol for r in rows)

@@ -19,14 +19,14 @@ Four objects are produced from a truncation:
   SVD of one component's overlaps with the invariant vectors.  No irrep
   label is read, so comparing the kernel with the ideal is a real check.
 
-The first three come from one pass over the blocks (``reduce_blocks``) with
-no array of a block's length: ``G^V`` acts on a block vertex by vertex, so it
-is ``(x)_v E_v``, ``E_v`` the product of the irreps at ``v``'s edge ends, and
-its copies, invariants, overlaps and seeds are products of those of the
-``E_v``, each split once per pattern of ends (``_vertex_split``).  The
-one-dimensional blocks carry characters of ``G^V``: they stay arrays over the
-truncation's label array, from their scalar generators to the overlaps of
-``pi``, and no ``BlockLabel`` is built for them.
+The first three come from one pass (``reduce_blocks``) with no array of a
+block's length: ``G^V`` acts on an SU(2) block vertex by vertex, so it is
+``(x)_v E_v``, ``E_v`` the product of the irreps at ``v``'s edge ends, and its
+copies, invariants, overlaps and seeds are products of those of the ``E_v``,
+each split once per pattern of ends (``_vertex_split``).  Every sum over the
+blocks is then a contraction of per-vertex tables over the edge labels
+(``_contract``): only the blocks with invariants are listed.  The U(1)
+blocks carry characters of ``G^V``: they stay arrays over the label array.
 
 Ranks are decided at a single relative tolerance, so the counts reported
 downstream are stable.  Roundoff in a seed is cut once, where its
@@ -36,13 +36,14 @@ coordinates are computed, relative to the size of the power it comes from.
 from __future__ import annotations
 
 import functools
+import math
 from itertools import product
 
 import numpy as np
 
 from .blocks import BlockLabel, Truncation
-from .groups import IrrepLabel, haar_scheme, identity_point, irrep_generator, irrep_matrix
-from .groups import lie_dim, required_band
+from .groups import GroupId, IrrepLabel, haar_scheme, identity_point, irrep_generator, irrep_matrix
+from .groups import required_band
 from .lattice import GaugeElement, rho_block
 from .lattice import block_generators, scalar_generators  # noqa: F401  (the bench wraps the first)
 
@@ -64,20 +65,24 @@ class BandError(ValueError):
 class InvariantSpace:
     """The invariant subspace, block by block: ``counts[i]`` orthonormal
     vectors in block ``i``, in block order an orthonormal basis of the whole.
-    A block of dimension above one holds the products of its vertices'
-    invariants (``splits[i]``) and their overlaps ``overlaps[i]`` with its
-    copies' weight-zero columns; a one-dimensional one, its basis vector if
-    it is invariant.  Every block's ``columns`` are built on first read."""
+    An SU(2) block holds the products of its vertices' invariants
+    (``splits(i)``), a U(1) block its basis vector if it is invariant.  Their
+    overlaps with the copies' weight-zero columns are the Kronecker product
+    of the factors ``overlaps[i]`` (one per vertex, or one for the block),
+    and ``norms[c]`` sums over the blocks the squared norms of the overlaps
+    with component ``c``'s copies, each over the square root of its size.
+    Every block's ``columns`` are built on first read."""
 
-    def __init__(self, trunc: Truncation, splits: dict, counts: np.ndarray, overlaps: dict):
-        self.trunc, self.splits, self.overlaps = trunc, splits, overlaps
+    def __init__(self, trunc: Truncation, splits, counts: np.ndarray, overlaps: dict, norms):
+        self.trunc, self.splits, self.overlaps, self.norms = trunc, splits, overlaps, norms
         self.counts, self.dim = counts, int(counts.sum())
 
     @functools.cached_property
     def columns(self) -> list:
-        out = [_UNIT[:, :n] for n in self.counts.tolist()]
-        for i, splits in self.splits.items():
-            rows, v = _on_zero(self.trunc.block(i), splits, "inv")
+        dims = zip(self.trunc.dims.tolist(), self.counts.tolist())
+        out = [_UNIT[:, :n] if d == 1 else np.zeros((d, 0), dtype=complex) for d, n in dims]
+        for i in np.flatnonzero((self.trunc.dims > 1) & (self.counts > 0)).tolist():
+            rows, v = _on_zero(self.trunc.block(i), self.splits(i), "inv")
             out[i] = np.zeros((self.trunc.dims[i], v.shape[1]), dtype=complex)
             out[i][rows] = v
         return out
@@ -317,45 +322,57 @@ def own_elements(copies: list):
 class EquivariantSpace:
     """The commutant as one full matrix algebra per gauge irrep.
 
-    ``scalar[i]`` is the component of one-dimensional block ``i``, one copy on
-    column 0, of weight-zero column ``[[1]]`` if its irrep is trivial; or -1
-    for a block held by its vertices' ``splits[i]``, whose components, the
-    products of their distinct irreps (vertex 0 slowest), are ``kinds[i]``,
-    rows of ``lams``.  ``sizes[c]`` counts component ``c``'s copies.  Element
-    ``k``, a matrix unit ``u_a u_b^H / sqrt(dim)`` of component
-    ``components[k]``, is orthonormal to the others; a component's run
-    row-major over its ``members`` (``held_by``) squared.  Every block's
+    Its components are the cells of the grid of gauge irreps that hold a
+    copy, in grid order (vertex 0 slowest): ``cells[c]`` ravelled over
+    ``grid = (shape, lo)``, of ``sizes[c]`` copies.  ``scalar[i]`` is the
+    component of U(1) block ``i``, one copy on column 0, of weight-zero column
+    ``[[1]]`` if its irrep is trivial; an SU(2) block (-1) is held by its
+    vertices' splits (``splits``), whose products are its copies, and
+    ``tables[v]["mult"]`` counts vertex ``v``'s copies of each irrep over its
+    edges' labels.  Element ``k``, a matrix unit ``u_a u_b^H / sqrt(dim)`` of
+    component ``components[k]``, is orthonormal to the others; a component's
+    run row-major over its ``members`` (``held_by``) squared.  Every block's
     ``copies`` (``(c, cols)``, on the columns ``cols`` of ``bases``) and
     ``weight_zero`` (its ``W_0`` indices and copies' columns there), and each
     cached property, are built on first read."""
 
-    def __init__(self, trunc: Truncation, splits: dict, kinds: dict, irreps, scalar: np.ndarray):
-        self.trunc, self.lams = trunc, np.array(irreps, dtype=int).reshape(len(irreps), -1)
-        self.scalar, self._splits, self._kinds = scalar, splits, kinds
-        own = np.flatnonzero(scalar >= 0)
-        mult = [functools.reduce(np.multiply.outer, [s["mult"] for s in splits[i]]) for i in kinds]
-        self._comps = np.concatenate([scalar[own], *kinds.values()]).astype(int)
-        weights = np.concatenate([np.ones(len(own)), *(m.ravel() for m in mult)])
-        self.sizes = np.bincount(self._comps, weights, len(self.lams)).astype(int)
-        self.dim = int(np.square(self.sizes).sum())
-        self._owner = np.concatenate([own, *(np.full(len(k), i) for i, k in kinds.items())])
+    def __init__(self, trunc, grid, cells, sizes, scalar, tables=()):
+        self.trunc, self.grid, self.cells, self.sizes = trunc, grid, cells, sizes
+        self.scalar, self.tables, self.dim = scalar, tables, int(np.square(sizes).sum())
+
+    def splits(self, i: int) -> tuple:
+        """SU(2) block ``i``'s vertices' splits, each at its edges' labels there."""
+        return tuple(t["splits"][tuple(self.trunc.labels[i, t["edges"]])] for t in self.tables)
 
     def split(self, i: int) -> tuple:
         """Block ``i``'s copies, in order: their components and numbers of columns."""
         if self.scalar[i] >= 0:
             return self.scalar[i : i + 1], np.ones(1, dtype=int)
-        sp = self._splits[i]
-        kinds = self._kinds[i].reshape([len(s["mult"]) for s in sp])[np.ix_(*[s["at"] for s in sp])]
-        return kinds.ravel(), np.prod(self.lams[kinds.ravel()] + 1, axis=1)
+        lams = [s["lams"] for s in self.splits(i)]  # an SU(2) grid starts at 0
+        flat = np.ravel_multi_index(np.ix_(*lams), self.grid[0]).ravel()
+        sizes = functools.reduce(np.multiply.outer, [x + 1 for x in lams]).ravel()
+        return np.searchsorted(self.cells, flat), sizes
 
     def held_by(self, c: int) -> list:
-        """Component ``c``'s ``(block, copy)`` pairs, in block order, from the blocks holding it."""
-        held = self._owner[self._comps == c].tolist()
-        return [(i, a) for i in held for a in np.flatnonzero(self.split(i)[0] == c).tolist()]
+        """Component ``c``'s ``(block, copy)`` pairs, in block order: a U(1)
+        block's one copy; in each SU(2) block whose vertices all hold its
+        irrep (``tables``, read at the label array), the products of their
+        copies of it."""
+        if not self.tables:
+            return [(i, 0) for i in np.flatnonzero(self.scalar == c).tolist()]
+        lams, mult, out = np.unravel_index(self.cells[c], self.grid[0]), 1, []  # SU(2): lo = 0
+        for t, lam in zip(self.tables, lams):
+            mult = mult * t["mult"][(*self.trunc.labels[:, t["edges"]].T, lam)]
+        for i in np.flatnonzero(mult).tolist():
+            sp = self.splits(i)
+            at = np.ix_(*[np.flatnonzero(s["lams"] == lam) for s, lam in zip(sp, lams)])
+            out += [(i, a) for a in np.ravel_multi_index(at, [len(s["lams"]) for s in sp]).flat]
+        return out
 
     @functools.cached_property
     def irreps(self) -> tuple:
-        return tuple(map(tuple, self.lams.tolist()))
+        lams = np.array(np.unravel_index(self.cells, self.grid[0])).T + self.grid[1]
+        return tuple(map(tuple, lams.tolist()))
 
     @functools.cached_property
     def copies(self) -> list:
@@ -366,9 +383,9 @@ class EquivariantSpace:
 
     @functools.cached_property
     def weight_zero(self) -> list:
-        zero = [([], _UNIT[:0]) if any(lam) else ([0], _UNIT) for lam in self.lams.tolist()]
+        zero = [([], _UNIT[:0]) if any(lam) else ([0], _UNIT) for lam in self.irreps]
         return [
-            _on_zero(self.trunc.block(i), self._splits[i], "z") if c < 0 else zero[c]
+            _on_zero(self.trunc.block(i), self.splits(i), "z") if c < 0 else zero[c]
             for i, c in enumerate(self.scalar.tolist())
         ]
 
@@ -396,7 +413,7 @@ class EquivariantSpace:
         """Per block, the unitary with its copies side by side (``_copy_basis``),
         built on first read; only the reference routes read it."""
         return [
-            _copy_basis(self.trunc.block(i), self._splits[i]) if c < 0 else _UNIT
+            _copy_basis(self.trunc.block(i), self.splits(i)) if c < 0 else _UNIT
             for i, c in enumerate(self.scalar.tolist())
         ]
 
@@ -438,26 +455,61 @@ def _roundoff_cut(comps: np.ndarray, coords, norms) -> np.ndarray:
     return coords
 
 
-def _block_seeds(splits: tuple, n_max: int) -> np.ndarray:
-    """Cumulative seed supports on one block's components, the products of its
-    vertices' distinct irreps, vertex 0 slowest: entry ``(n - 1, c)`` is set
-    when some ``Gamma_{v,z}``'s power ``m <= n`` reaches component ``c``, its
-    copies' normalised traces (the coordinates) above ``RANK_RTOL`` times the
-    power's norm; less is roundoff.  Copy ``(a_u)`` has ``E_v``'s trace of
-    ``a_v`` times ``prod_{u != v} dim a_u``, so component ``(lam_u)`` has
-    squared norm ``seedw_v(lam_v) prod_{u != v} m_u (lam_u + 1)``, and the
-    power has ``E_v``'s norm times ``sqrt(d / dim E_v)``."""
-    size = [s["mult"] * (s["values"] + 1) for s in splits]
-    cols = functools.reduce(np.multiply.outer, size)  # each component's columns, an integer
-    d = np.prod([len(s["basis"]) for s in splits])
-    steps = min(max(len(s["norms"]) for s in splits), n_max)
-    seen = np.zeros((steps, cols.size), dtype=bool)
-    for v, s in enumerate(splits):
-        k, axis = min(len(s["norms"]), steps), [len(x) if u == v else 1 for u, x in enumerate(size)]
-        weight = s["seedw"][:k].reshape(k, *axis) * (cols // size[v].reshape(axis))
-        cut = RANK_RTOL * np.sqrt(d / len(s["basis"])) * s["norms"][:k, None]
-        seen[:k] |= np.sqrt(weight.reshape(k, cols.size)) > cut
-    return np.logical_or.accumulate(seen)[np.minimum(np.arange(n_max), steps - 1)]
+def _table(splits: list, edges: list, shape: tuple, width: int) -> dict:
+    """A vertex's tables over the labels of its ``edges`` (``shape``) and its
+    irrep ``lam < width``, from the ``splits`` of its ends under each row of
+    labels, kept by row: ``mult``, the copies of ``lam``; ``inv``, the
+    invariants; ``norm``, the copies' squared overlaps over ``sqrt(lam + 1)``;
+    ``share``, ``mult (lam + 1) / dim E_v``; per power ``n``, ``seed[n - 1] =
+    seedw / norms^2``.  Block ``(j_v)`` holds component ``(lam_v)`` on
+    ``prod_v mult`` copies, and its power at ``v`` reaches it when ``seed_v
+    prod_{u != v} share_u`` passes ``RANK_RTOL^2``: the squared norm ``seedw_v
+    prod_{u != v} mult_u (lam_u + 1)`` of the coordinates against ``norms_v^2
+    prod_{u != v} dim E_u``."""
+    mult = np.zeros((*shape, width), dtype=np.int64)
+    share, norm, inv = np.zeros(mult.shape), np.zeros(mult.shape), np.zeros(shape, dtype=int)
+    seed = np.zeros((max(len(s["norms"]) for s in splits), *mult.shape))
+    for s, row in zip(splits, np.ndindex(shape)):
+        at = (*row, s["values"])
+        mult[at], inv[row] = s["mult"], s["inv"].shape[1]
+        share[at] = s["mult"] * (s["values"] + 1) / len(s["basis"])
+        squares = np.square(np.abs(s["overlaps"])).sum(axis=0) / np.sqrt(s["lams"] + 1)
+        norm[at] = np.bincount(s["at"], squares)
+        powers = s["norms"][:, None] ** 2  # 0 on a split of weight 0 alone
+        seed[(slice(len(powers)), *at)] = s["seedw"] / np.where(powers > 0, powers, 1)
+    splits = np.array(splits, dtype=object).reshape(shape)
+    return dict(edges=edges, splits=splits, mult=mult, share=share, norm=norm, inv=inv, seed=seed)
+
+
+def _contract(tables: list, edges: list, reduce) -> np.ndarray:
+    """The ``tables``, vertex ``v``'s over the labels of ``edges[v]`` and then
+    its irrep, multiplied entry by entry and reduced by ``reduce`` (``np.add``,
+    or ``np.maximum`` of nonnegative entries) over every assignment of labels:
+    a grid over the irreps, vertex 0 slowest.  Vertex by vertex, the grid so
+    far, over the earlier irreps (axis ``-1 - v``) and open edges (axis
+    ``j``), takes the next table and is reduced over the labels of the edges
+    it closes, one value at a time and a cache-sized run at a time."""
+    acc, axes, ends = np.ones((), dtype=tables[0].dtype), [], sum(edges, [])
+    for v, (table, own) in enumerate(zip(tables, edges)):
+        loops = tuple(k for k, j in enumerate(own) if ends.count(j) == 1)
+        if loops:
+            table, own = reduce.reduce(table, axis=loops), [j for j in own if ends.count(j) > 1]
+        shut, new = [j for j in own if j in axes], [j for j in own if j not in axes]
+        rest = [a for a in axes if a not in shut]
+        left = acc.transpose([axes.index(a) for a in shut + rest])
+        right = table.transpose([*(own.index(j) for j in shut + new), -1])
+        shape = (*right.shape[len(shut) :], *left.shape[len(shut) :])
+        right = right.reshape(math.prod(right.shape[: len(shut)]), -1)
+        left = left.reshape(len(right), -1)
+        acc = np.zeros((right.shape[1], left.shape[1]), dtype=np.result_type(left, right))
+        run = max(1, 2**17 // len(acc))
+        term = np.empty((len(acc), run), dtype=acc.dtype)
+        for c in range(0, left.shape[1], run):
+            part = acc[:, c : c + run]
+            for x, y in zip(left[:, c : c + run], right):  # one value of the closed labels
+                reduce(part, np.multiply(y[:, None], x, out=term[:, : len(x)]), out=part)
+        acc, axes = acc.reshape(shape), [*new, -1 - v, *rest]
+    return acc.transpose(np.argsort(-np.array(axes, dtype=int)))
 
 
 # the copy basis, weight-zero column, or kept invariant column of every
@@ -485,49 +537,60 @@ def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=N
     averaged powers ``1..n_max``, read off the raw powers whatever the
     ``method``.  The supports are per component and cumulative: entry ``(n -
     1, c)`` is set when some ``GeneratorSpec(i, v, a, m)`` with ``m <= n``
-    reaches component ``c`` (``_block_seeds``).  Components are numbered by
-    first appearance, in block order, then copy order.
+    reaches component ``c``.  They stop at the last power that can reach a
+    new component; every later power repeats it.  Components are the cells
+    of the grid of gauge irreps that hold a copy, in grid order.
 
-    A one-dimensional block carries a character of ``G^V``: one copy, basis
-    ``[[1]]``, of weight ``2 Re(i Gamma_{v,L-1})`` at each vertex, read off
-    the stacked ``scalar_generators`` of them all.  A scalar power is its own
-    average and coordinate, zero exactly when the scalar is, so it seeds its
-    component at every power if some scalar is nonzero; its Haar average is 1
-    exactly when it is trivial, so both methods keep it when every scalar is
-    zero.  Every other block's components, copies, invariants and overlaps
-    are the products of its vertices' (``_vertex_split``), vertex 0 slowest.
+    A U(1) block carries a character of ``G^V``: one copy, basis ``[[1]]``,
+    of weight ``2 Re(i Gamma_v)`` at each vertex, read off the stacked
+    ``scalar_generators`` of them all.  A scalar power is its own average and
+    coordinate, zero exactly when the scalar is, so it seeds its component at
+    every power if some scalar is nonzero; its Haar average is 1 exactly when
+    it is trivial, so both methods keep it when every scalar is zero.  An
+    SU(2) block's copies, invariants, overlaps and seeds are the products of
+    its vertices' (``_vertex_split``), so every sum over the blocks is a
+    contraction of the vertices' tables over the edge labels (``_table``,
+    ``_contract``); only the blocks with invariants are split whole.
     """
     _check_method(trunc.graph, trunc.group, trunc.labels, method, band)
-    one, nl, counts = trunc.dims == 1, lie_dim(trunc.group), np.zeros(len(trunc.dims), int)
-    gens = scalar_generators(trunc.graph, trunc.group, trunc.labels[one])
-    live, rows = gens.any(axis=1), np.rint(-2 * gens[:, nl - 1 :: nl].imag).astype(int)
-    del gens  # the pass's largest array
-    counts[one], ends = ~live, _ends(trunc.graph)
-    splits = {
-        i: _block_splits(ends, trunc.group, trunc.labels[i], method, band)
-        for i in np.flatnonzero(~one).tolist()
-    }
-    # the one-dimensional blocks come first: U(1) has no other, SU(2) one, block 0
-    lo, tops = rows.min(axis=0, initial=0), [[s["values"][-1] for s in x] for x in splits.values()]
-    shape = np.max([rows.max(axis=0, initial=0), *tops], axis=0) - lo + 1
-    axes = [np.ix_(*[s["values"] - b for s, b in zip(x, lo)]) for x in splits.values()]
-    keys = [np.ravel_multi_index(tuple(g), shape).ravel() for g in [(rows - lo).T, *axes]]
-    uniq, first, which = np.unique(np.concatenate(keys), return_index=True, return_inverse=True)
-    comps = np.argsort(np.argsort(first))[which]  # numbered by first appearance
-    scalar = np.full(len(trunc.dims), -1)
-    scalar[one] = comps[: len(live)]
-    kinds = dict(zip(splits, np.split(comps, np.cumsum([len(k) for k in keys[:-1]]))[1:]))
-    support = np.zeros((n_max, len(first)), dtype=bool)
-    support[:, scalar[one][live]] = True
-    overlaps = {}
-    for i, sp in splits.items():
-        support[:, kinds[i]] |= _block_seeds(sp, n_max)  # a block holds a component once
-        counts[i] = np.prod([s["inv"].shape[1] for s in sp])
-        if counts[i]:
-            overlaps[i] = functools.reduce(_kron, [s["overlaps"] for s in sp])
-    lams = np.array(np.unravel_index(uniq[np.argsort(first)], shape)).T + lo
-    space = EquivariantSpace(trunc, splits, kinds, lams, scalar)
-    return space, InvariantSpace(trunc, splits, counts, overlaps), support
+    if trunc.group is GroupId.U1:  # every block is one-dimensional
+        gens = scalar_generators(trunc.graph, trunc.group, trunc.labels)
+        live, rows = gens.any(axis=1), np.rint(-2 * gens.imag).astype(int)
+        del gens  # the pass's largest array
+        grid = (tuple(rows.max(axis=0) - rows.min(axis=0) + 1), rows.min(axis=0))
+        keys = np.ravel_multi_index(tuple((rows - grid[1]).T), grid[0])
+        cells, scalar, sizes = np.unique(keys, return_inverse=True, return_counts=True)
+        support = np.zeros((min(n_max, 1), len(cells)), dtype=bool)
+        support[:, scalar[live]] = True
+        norms = np.bincount(scalar[~live], minlength=len(cells)) * 1.0  # each meets its copy in 1
+        overlaps = {i: (_UNIT,) for i in np.flatnonzero(~live).tolist()}
+        inv = InvariantSpace(trunc, None, (~live).astype(int), overlaps, norms)
+        return EquivariantSpace(trunc, grid, cells, sizes, scalar), inv, support
+    values, tables, counts = range(trunc.bound.value + 1), [], np.ones(len(trunc.dims), dtype=int)
+    for at in _ends(trunc.graph):  # a vertex's tables, over its edges' labels (a loop's once)
+        edges = sorted({j for j, _ in at})
+        rows = [dict(zip(edges, x)) for x in product(values, repeat=len(edges))]
+        ends = [tuple((x[j], s) for j, s in at if x[j]) for x in rows]
+        splits = [_vertex_split(trunc.group, p, method, band) for p in ends]
+        tables.append(_table(splits, edges, (len(values),) * len(edges), values[-1] * len(at) + 1))
+        counts *= tables[-1]["inv"][tuple(trunc.labels[:, edges].T)]  # its invariants' products
+    edges, cut = [t["edges"] for t in tables], RANK_RTOL**2
+    sizes = _contract([t["mult"] for t in tables], edges, np.add)
+    steps, cells = min(n_max, max(len(t["seed"]) for t in tables)), np.flatnonzero(sizes)
+    # power n's components, then the powers up to n's: a block's power at v
+    # reaches (lam) when seed_v times the other vertices' share passes the cut
+    support = np.zeros((steps, *sizes.shape), dtype=bool)
+    for n, v in product(range(steps), range(len(tables))):
+        if n < len(tables[v]["seed"]) and (tables[v]["seed"][n] > cut).any():
+            parts = [t["seed"][n] if u == v else t["share"] for u, t in enumerate(tables)]
+            support[n] |= _contract(parts, edges, np.maximum) > cut
+    support = np.logical_or.accumulate(support).reshape(steps, sizes.size)[:, cells]
+    scalar, grid = np.full(len(trunc.dims), -1), (sizes.shape, 0)
+    space = EquivariantSpace(trunc, grid, cells, sizes.ravel()[cells], scalar, tables)
+    held = np.flatnonzero(counts).tolist()
+    overlaps = {i: tuple(s["overlaps"] for s in space.splits(i)) for i in held}
+    norms = _contract([t["norm"] for t in tables], edges, np.add).ravel()[cells]
+    return space, InvariantSpace(trunc, space.splits, counts, overlaps, norms), support
 
 
 def kernel_pi_basis(space: EquivariantSpace, inv: InvariantSpace) -> PiKernel:
@@ -536,10 +599,11 @@ def kernel_pi_basis(space: EquivariantSpace, inv: InvariantSpace) -> PiKernel:
     An invariant vector has weight zero, so it meets copy ``a`` in its
     weight-zero column ``z_a`` alone, and component ``c``'s columns of ``pi``
     are ``(O_c (x) conj O_c) / sqrt(w_c)``, ``O_c`` its copies' overlaps
-    ``inv^H z_a`` (``InvariantSpace.overlaps``), ``w_c`` their size.  A
-    one-dimensional block that both spaces hold as arrays (``unit``) meets
-    its one copy in the overlap 1, or 0 off the trivial irrep.
-    The component of largest norm ``|O_c|_F^2 / sqrt(w_c)`` is kept and a
+    ``inv^H z_a``, ``w_c`` their size: a copy's column is the Kronecker
+    product of its digits' columns in the factors ``InvariantSpace.overlaps``
+    of its block, and a block without invariants has none.
+    The component of largest norm ``|O_c|_F^2 / sqrt(w_c)`` (summed in
+    ``InvariantSpace.norms``) is kept and a
     second one above ``RANK_RTOL`` of it refused: correct invariant vectors
     span trivial copies.  A pair of singular values of ``O_c`` is kept when its
     product exceeds ``RANK_RTOL`` times the largest, the rank rule of
@@ -547,14 +611,7 @@ def kernel_pi_basis(space: EquivariantSpace, inv: InvariantSpace) -> PiKernel:
     """
     if inv.dim == 0:
         return PiKernel(space.dim, None, np.zeros((0, 0)), np.zeros((0, 0), dtype=bool))
-    first, over = np.concatenate([[0], np.cumsum(inv.counts)]), inv.overlaps  # row offsets
-    unit = (space.scalar >= 0) & (inv.counts > 0)
-    unit[list(over)] = False
-    trivial = ~space.lams.any(axis=1)
-    norms = np.bincount(space.scalar[unit], trivial[space.scalar[unit]], len(space.sizes)) * 1.0
-    for i, o in over.items():
-        kinds, sizes = space.split(i)
-        np.add.at(norms, kinds, np.square(np.abs(o)).sum(axis=0) / np.sqrt(sizes))
+    first, over, norms = np.concatenate([[0], np.cumsum(inv.counts)]), inv.overlaps, inv.norms
     keep, rest = int(norms.argmax()), norms.copy()
     rest[keep] = 0.0
     if rest.max() > RANK_RTOL * norms[keep]:
@@ -563,10 +620,10 @@ def kernel_pi_basis(space: EquivariantSpace, inv: InvariantSpace) -> PiKernel:
     members = space.held_by(keep)
     o = np.zeros((inv.dim, len(members)), dtype=complex)
     for p, (i, a) in enumerate(members):
-        if i in over:
-            o[first[i] : first[i + 1], p] = over[i][:, a]
-        elif unit[i]:
-            o[first[i], p] = trivial[keep]
+        if i in over:  # the Kronecker product of its factors' columns
+            digits = np.unravel_index(a, [f.shape[1] for f in over[i]])
+            columns = [f[:, x] for f, x in zip(over[i], digits)]
+            o[first[i] : first[i + 1], p] = functools.reduce(np.kron, columns)
     _, s, vh = np.linalg.svd(o, full_matrices=False)
     products = np.outer(s, s)  # the singular values of pi, times sqrt(w_c)
     kept = products > RANK_RTOL * products.max()

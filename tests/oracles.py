@@ -99,6 +99,17 @@ def per_block_pass(trunc):
     return out
 
 
+def overlap_norms(space, over):
+    """Per component, the squared norms of the block overlaps ``over[i]``
+    (invariant vectors by the block's copies) on its copies, each over the
+    square root of the copy's size, summed block by block."""
+    norms = np.zeros(len(space.irreps))
+    for i, o in over.items():
+        kinds, sizes = zip(*((c, cols.stop - cols.start) for c, cols in space.copies[i]))
+        np.add.at(norms, list(kinds), np.square(np.abs(o)).sum(axis=0) / np.sqrt(sizes))
+    return norms
+
+
 def per_block_kernel(space, inv):
     """``kernel_pi_basis`` with every block's overlaps gathered one block at
     a time from the lazily built ``copies``, ``weight_zero``, ``members`` and
@@ -108,10 +119,7 @@ def per_block_kernel(space, inv):
     first = np.cumsum([0] + [cols.shape[1] for cols in inv.columns])
     zeros = zip(inv.columns, space.weight_zero)
     over = {i: c[w].conj().T @ z for i, (c, (w, z)) in enumerate(zeros) if c.size}
-    norms = np.zeros(len(space.irreps))
-    for i, o in over.items():
-        kinds, sizes = zip(*((c, cols.stop - cols.start) for c, cols in space.copies[i]))
-        np.add.at(norms, list(kinds), np.square(np.abs(o)).sum(axis=0) / np.sqrt(sizes))
+    norms = overlap_norms(space, over)
     keep, rest = int(norms.argmax()), norms.copy()
     rest[keep] = 0.0
     o = np.zeros((inv.dim, len(space.members[keep])), dtype=complex)
@@ -519,6 +527,14 @@ def stepped_rows(space, n_max):
         rows = stepped_supports(gens, space.bases[i], space.copies[i], n_max)
         out[:, space.by_pair[(i, i)]] = rows
     return out
+
+
+def written_out(support, n_max):
+    """The pass's cumulative seed supports written out to ``n_max`` rows: it
+    stops at the last power that can reach a new component, and every later
+    row repeats that one."""
+    assert 0 < len(support) <= n_max
+    return support[np.minimum(np.arange(n_max), len(support) - 1)]
 
 
 def touched_components(space, rows):

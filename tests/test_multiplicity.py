@@ -19,7 +19,6 @@ Every averaged power of a U(1) generator is a power of ``i flux_v``, so
 the ideal holds every nonzero component from ``n = 1`` on.
 """
 
-import functools
 import itertools
 import json
 import math
@@ -92,11 +91,73 @@ def ledger(graph, bound):
     return dim_ak, m0, dim_ak - m0 * m0
 
 
-@functools.cache
-def built_ledger(graph, bound):
-    """``ledger`` of the graph ``graph()`` builds, once per builder and bound:
-    K4 at 2j <= 4 takes seconds and is checked by two methods."""
-    return ledger(graph(), bound)
+def vertex_table(graph, group, bound, v):
+    """Vertex ``v``'s integer table: one axis per edge at ``v`` (a loop once,
+    its label read at both of its ends) over the edge's labels, then one over
+    ``v``'s gauge irrep from ``lo``; an entry is that irrep's multiplicity in
+    the product of the ends' irreps: ``couple``'s count of the vertex spin
+    ``2J`` for SU(2), 1 or 0 for U(1), whose irrep is the flux (charges
+    entering minus charges leaving).  Returns ``(table, edges, lo)``."""
+    edges = [j for j, e in enumerate(graph.edges) if v in (e.source, e.target)]
+    signs = {j: (graph.edges[j].target == v) - (graph.edges[j].source == v) for j in edges}
+    ends = {j: 1 + (graph.edges[j].source == graph.edges[j].target) for j in edges}
+    values = range(-bound, bound + 1) if group is U1 else range(bound + 1)
+    reach = bound * sum(ends.values() if group is SU2 else map(abs, signs.values()))
+    lo = -reach if group is U1 else 0
+    table = np.zeros((len(values),) * len(edges) + (reach - lo + 1,), dtype=np.int64)
+    for at in itertools.product(range(len(values)), repeat=len(edges)):
+        x = [values[k] for k in at]
+        if group is U1:
+            table[at][sum(signs[j] * q for j, q in zip(edges, x)) - lo] = 1
+        else:
+            for total, m in couple([s for j, s in zip(edges, x) for _ in range(ends[j])]).items():
+                table[at][total] = m
+    return table, edges, lo
+
+
+def contracted_multiplicities(graph, group, bound):
+    """``M_lam`` on the whole grid of vertex irreps, vertex 0 slowest, from
+    ``lo``: the vertex tables contracted over the shared edge labels, one
+    ``np.tensordot`` per vertex, in int64 under an exact bound on every
+    entry.  A block is an assignment of labels to the edges, and it holds
+    ``prod_v T_v`` copies of ``lam``, so ``M_lam`` is that product summed
+    over the assignments.  Returns ``(grid, lo)``."""
+    acc, axes, most, lows = np.ones((), dtype=np.int64), [], 1, []
+    labels = 2 * bound + 1 if group is U1 else bound + 1
+    for v in graph.vertices:
+        table, edges, lo = vertex_table(graph, group, bound, v)
+        lows.append(lo)
+        loops = [k for k, j in enumerate(edges) if graph.edges[j].source == graph.edges[j].target]
+        table = table.sum(axis=tuple(loops))  # a loop's label is summed here alone
+        edges = [j for k, j in enumerate(edges) if k not in loops]
+        shared = [j for j in edges if ("e", j) in axes]
+        # no entry exceeds the product of the tables' largest entries times
+        # the number of label assignments summed so far
+        most *= int(table.max(initial=0)) * labels ** (len(loops) + len(shared))
+        assert most < 2**63, "the contraction could overflow int64"
+        pairs = [axes.index(("e", j)) for j in shared], [edges.index(j) for j in shared]
+        acc = np.tensordot(acc, table, pairs)
+        axes = [a for a in axes if a[0] != "e" or a[1] not in shared]
+        axes += [("e", j) for j in edges if j not in shared] + [("lam", v)]
+    return acc.transpose([axes.index(("lam", v)) for v in graph.vertices]), np.array(lows)
+
+
+def ledger_by_contraction(graph, group, bound):
+    """``(dim A^K, dim H^K, dim ker pi)`` from ``contracted_multiplicities``,
+    summed as Python integers: ``sum M_lam^2``, ``M_0``, and their
+    difference ``sum M_lam^2 - M_0^2``."""
+    grid, lo = contracted_multiplicities(graph, group, bound)
+    dim_ak = sum(m * m for m in grid[grid > 0].tolist())
+    m0 = int(grid[tuple(-lo)])
+    return dim_ak, m0, dim_ak - m0 * m0
+
+
+def contracted_counter(graph, group, bound):
+    """``contracted_multiplicities`` as a ``Counter`` over the irrep tuples
+    that occur."""
+    grid, lo = contracted_multiplicities(graph, group, bound)
+    cells = np.argwhere(grid > 0)
+    return Counter(dict(zip(map(tuple, (cells + lo).tolist()), grid[grid > 0].tolist())))
 
 
 # name -> (graph, 2j bound, (dim A^K, dim H^K, dim ker pi)); the counts
@@ -153,6 +214,42 @@ def test_every_row_equals_the_integer_count(name):
     assert [row.dim_ideal for row in report.rows] == [0, nonzero, nonzero]
 
 
+# the two routes meet on systems the per-block ledger still reaches: K4 with
+# spin up to 1 (the per-block ledger takes seconds there) and the cube with
+# spin up to 1/2
+LEDGER_RUNGS = {"su2-k4-b4": (k4_graph, 4), "su2-cube-b1": (cube_graph, 1)}
+LEDGER_RUNGS.update({name: (graph, bound) for name, (graph, bound, _) in SYSTEMS.items()})
+
+
+@pytest.mark.parametrize("name", list(LEDGER_RUNGS))
+def test_contraction_matches_the_clebsch_gordan_ledger(name):
+    graph, bound = LEDGER_RUNGS[name]
+    assert contracted_counter(graph(), SU2, bound) == irrep_multiplicities(graph(), bound)
+    assert ledger_by_contraction(graph(), SU2, bound) == ledger(graph(), bound)
+
+
+@pytest.mark.parametrize(
+    "graph,bound", [(k4_graph, 2), (k4_graph, 4), (cube_graph, 1)], ids=["u1-k4-b2", "u1-k4-b4", "u1-cube-b1"]
+)
+def test_contraction_matches_the_flux_count(graph, bound):
+    assert contracted_counter(graph(), U1, bound) == flux_multiplicities(graph(), bound)
+
+
+# counts past the per-block ledger: (dim A^K, dim H^K, dim ker pi) by
+# contraction alone, frozen here
+CONTRACTED = {
+    "su2-k4-b5": (k4_graph, 5, (15828205933597, 1479, 15828203746156)),
+    "su2-cube-b2": (cube_graph, 2, (35287146051733, 1013, 35287145025564)),
+    "su2-k4-b6": (k4_graph, 6, (472511388812326, 3418, 472511377129602)),
+}
+
+
+@pytest.mark.parametrize("name", list(CONTRACTED))
+def test_contraction_fixes_the_rungs_past_the_per_block_ledger(name):
+    graph, bound, counts = CONTRACTED[name]
+    assert ledger_by_contraction(graph(), SU2, bound) == counts
+
+
 def test_su2_triangle_verifies_at_the_default_power_budget():
     report = verify_ideal(make(triangle_graph(), SU2, 1))
     assert report.n_max == 64
@@ -202,16 +299,20 @@ def run_file(graph, group, bound):
 
 
 @pytest.mark.parametrize(
-    "graph,bound,method",
+    "graph,bound,method,mib",
     [
-        (square_graph, 3, "lie"),
-        (pentagon_graph, 2, "quad"),
-        (k4_graph, 2, "lie"),
-        (k4_graph, 2, "quad"),
-        (cube_graph, 1, "lie"),
-        (cube_graph, 1, "quad"),
-        (k4_graph, 4, "lie"),
-        (k4_graph, 4, "quad"),
+        (square_graph, 3, "lie", 768),
+        (pentagon_graph, 2, "quad", 768),
+        (k4_graph, 2, "lie", 768),
+        (k4_graph, 2, "quad", 768),
+        (cube_graph, 1, "lie", 768),
+        (cube_graph, 1, "quad", 768),
+        (k4_graph, 4, "lie", 768),
+        (k4_graph, 4, "quad", 768),
+        (k4_graph, 5, "lie", 768),
+        (k4_graph, 5, "quad", 768),
+        (cube_graph, 2, "lie", 832),
+        (cube_graph, 2, "quad", 832),
     ],
     ids=[
         "su2-square-b3-lie",
@@ -222,18 +323,28 @@ def run_file(graph, group, bound):
         "su2-cube-b1-quad",
         "su2-k4-b4-lie",
         "su2-k4-b4-quad",
+        "su2-k4-b5-lie",
+        "su2-k4-b5-quad",
+        "su2-cube-b2-lie",
+        "su2-cube-b2-quad",
     ],
 )
-def test_su2_frontier_verifies_in_a_capped_process(tmp_path, graph, bound, method):
+def test_su2_frontier_verifies_in_a_capped_process(tmp_path, graph, bound, method, mib):
     # a square with spin up to 3/2 (blocks up to 4^8 = 65,536 dimensions), a
     # pentagon and K4 with spin up to 1 (up to 3^10 = 59,049 and 3^12 =
-    # 531,441), the cube with spin up to 1/2 (up to 2^24 = 16,777,216) and K4
-    # with spin up to 2 (33,044,803 copies in 3,115,762 block components): a
-    # block is split vertex by vertex, so no array of a block's length is
-    # built, nor one with an entry per copy, and a whole `verify` process
-    # passes with its address space capped at 768 MiB: the child sets the cap
-    # on itself before it imports anything else.  Its counts are the
-    # Clebsch-Gordan ledger's.  Both methods run on K4 and the cube, since
+    # 531,441), the cube with spin up to 1/2 (up to 2^24 = 16,777,216), K4
+    # with spin up to 2 and 5/2 (19,100,382 block components at 5/2) and the
+    # cube with spin up to 1 (398,665,688 block components, 2,852,071
+    # components): a block is split vertex by vertex and the sums over
+    # blocks are contractions of the vertices' tables over the edge labels,
+    # so no array of a block's length is built, nor one with an entry per
+    # copy or per block component (on the cube with spin up to 1, one int64
+    # entry per block component would be 3.2 GB), and a whole `verify`
+    # process passes with its address space capped at 768 MiB, or 832 MiB on
+    # the cube with spin up to 1, whose contraction holds grids of up to
+    # 22,235,661 entries: the child sets the cap on itself before it imports
+    # anything else.  Its counts are the contracted Clebsch-Gordan ledger's
+    # (``ledger_by_contraction``).  Both methods run on K4 and the cube, since
     # only the Haar projector finds the invariants by other means than the
     # raising operators that also find the copies
     g = graph()
@@ -242,7 +353,7 @@ def test_su2_frontier_verifies_in_a_capped_process(tmp_path, graph, bound, metho
     out = tmp_path / "report.json"
     capped = (
         "import resource, runpy, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (768 * 2**20, 768 * 2**20))\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({mib} * 2**20, {mib} * 2**20))\n"
         "sys.argv[0] = 'gaugereduce'\n"
         "runpy.run_module('gaugereduce', run_name='__main__')\n"
     )
@@ -255,7 +366,7 @@ def test_su2_frontier_verifies_in_a_capped_process(tmp_path, graph, bound, metho
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     report = json.loads(out.read_text())
-    dim_ak, hk, kk = built_ledger(graph, bound)
+    dim_ak, hk, kk = ledger_by_contraction(g, SU2, bound)
     assert (report["dim_AK"], report["dim_HK"], report["dim_ker_pi"]) == (dim_ak, hk, kk)
     assert report["pass"] and [row["dim_ideal"] for row in report["per_nmax"]] == [0, kk]
 
@@ -322,6 +433,12 @@ U1_SYSTEMS = {
     name: (graph, bound) for name, (graph, group, bound, *_) in CANON.items() if group is U1
 }
 U1_SYSTEMS.update({"u1-triangle-b3": (triangle_graph, 3), "u1-square-b2": (square_graph, 2)})
+
+
+@pytest.mark.parametrize("name", list(U1_SYSTEMS))
+def test_u1_contraction_matches_the_flux_count(name):
+    graph, bound = U1_SYSTEMS[name]
+    assert contracted_counter(graph(), U1, bound) == flux_multiplicities(graph(), bound)
 
 
 @pytest.mark.parametrize("name", list(U1_SYSTEMS))

@@ -25,7 +25,11 @@ to the dense oracle's.  The arrays the library holds the truncation and its
 one-dimensional blocks in must equal the per-block routes they replaced
 (``assert_arrays_match_per_block_routes``, basis-free where a component
 holds several copies), there and on the edgeless,
-isolated-vertex and loops-and-parallels graphs of both groups.
+isolated-vertex and loops-and-parallels graphs of both groups.  The pass's
+components, their numbers of copies and the dimension ledger must be those
+of the vertex tables contracted over the edge labels in integers
+(``ledger_by_contraction``), there and on the edgeless and isolated-vertex
+graphs of both groups.
 """
 
 import itertools
@@ -67,6 +71,7 @@ from .systems import (
     parallel_graph,
 )
 from .test_lattice import assert_generators_match_oracle, assert_sweep_matches_single_builds
+from .test_multiplicity import contracted_counter, ledger_by_contraction
 from .test_oracles import assert_closures_agree, assert_rows_match_dense_oracle
 from .test_reduction import (
     assert_graded_route_matches_dense_oracles,
@@ -167,6 +172,28 @@ def complement_parts(kernel):
     return {k: (w[n == k].conj().T @ w[n == k], w[:k].conj().T @ w[:k]) for k in set(n.tolist())}
 
 
+def assert_sizes_match_the_contracted_ledger(trunc):
+    """The pass's components and their numbers of copies ``M_lam`` are the
+    contracted ledger's (a U(1) irrep is the copy's weight, ``-2`` times the
+    flux), and so are ``dim A^K``, ``dim H^K`` and ``dim ker pi``, by both
+    methods.  The ledger reads a loop's label at both of its ends and gives
+    an isolated vertex a table with no edge axis."""
+    graph, group, bound = trunc.graph, trunc.group, trunc.bound.value
+    scale = -2 if group is U1 else 1
+    want = {tuple(scale * x for x in lam): m for lam, m in contracted_counter(graph, group, bound).items()}
+    for method in ("lie", "quadrature"):
+        space, inv, _ = reduce_blocks(trunc, method)
+        assert dict(zip(space.irreps, space.sizes.tolist())) == want
+        counts = (space.dim, inv.dim, kernel_pi_basis(space, inv).dim)
+        assert counts == ledger_by_contraction(graph, group, bound)
+
+
+@pytest.mark.parametrize("group,bound", [(U1, 1), (U1, 2), (SU2, 1), (SU2, 2)])
+@pytest.mark.parametrize("graph", [edgeless_graph, isolated_vertex_graph])
+def test_sizes_match_the_contracted_ledger(graph, group, bound):
+    assert_sizes_match_the_contracted_ledger(make(graph(), group, bound))
+
+
 @pytest.mark.parametrize("group,bound", [(U1, 1), (U1, 2), (SU2, 1)])
 @pytest.mark.parametrize(
     "graph", [edgeless_graph, isolated_vertex_graph, loops_and_parallels, parallel_graph]
@@ -179,6 +206,7 @@ def test_arrays_match_per_block_routes(graph, group, bound):
 def test_random_graphs(trunc):
     assert trunc.total_dim <= MAX_DIM
     assert_arrays_match_per_block_routes(trunc)
+    assert_sizes_match_the_contracted_ledger(trunc)
     assert_generators_match_oracle(trunc)
     assert_sweep_matches_single_builds(trunc)
     assert_one_dim_blocks_match_null_space(trunc)

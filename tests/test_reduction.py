@@ -27,6 +27,7 @@ from gaugereduce import (
     projector_band,
     random_point,
     rho_block,
+    verify_ideal,
     vertex_flux,
 )
 from gaugereduce.blocks import kron_chain
@@ -34,8 +35,9 @@ from gaugereduce.groups import irrep_generator
 from gaugereduce.lattice import block_generators, lie_directions
 from gaugereduce.reduction import (
     RANK_RTOL,
-    _block_seeds,
     _null_columns,
+    _contract,
+    _table,
     _vertex_split,
     own_elements,
     reduce_blocks,
@@ -56,12 +58,14 @@ from .oracles import (
     invariant_rows,
     isotypic_copies,
     op_from_coords,
+    overlap_norms,
     pair_commutant,
     per_block_pass,
     product_projector,
     stepped_rows,
     stepped_supports,
     touched_components,
+    written_out,
 )
 from .systems import (
     CANON,
@@ -266,22 +270,68 @@ def test_null_columns_match_scipy_null_space(shape, scale):
     assert_allclose(got @ got.conj().T, want @ want.conj().T, rtol=0, atol=1e-10)
 
 
+def seed_grid(small, second):
+    """The components two synthetic vertices' tables reach, joined by one
+    edge of one label: at the first, two one-column copies (irrep 0) each
+    trace ``small`` against a power of norm 1 and a three-column copy (irrep
+    2) traces 1; the second holds one copy of each irrep in ``second`` and
+    reads nothing.  The splits hold, per distinct irrep, the copies'
+    ``|trace|^2 / dim`` summed: 2 small^2 for irrep 0, 1 / 3 for irrep 2."""
+    first = {"values": np.array([0, 2]), "mult": np.array([2, 1]), "basis": np.eye(5)}
+    first.update(seedw=np.array([[2 * small**2, 1 / 3]]), norms=np.ones(1), lams=np.array([0, 0, 2]))
+    values = np.array(second)
+    other = {"values": values, "mult": np.ones(len(values), dtype=int), "basis": np.eye(np.sum(values + 1))}
+    other.update(seedw=np.zeros((1, len(values))), norms=np.ones(1), lams=values)
+    for split in (first, other):  # no invariant
+        split.update(at=np.repeat(np.arange(len(split["mult"])), split["mult"]), inv=np.zeros((5, 0)))
+        split["overlaps"] = np.zeros((0, len(split["lams"])))
+    first, other = _table([first], [0], (1,), 3), _table([other], [0], (1,), values.max() + 1)
+    # the second vertex's power reaches nothing
+    assert not (_contract([first["share"], other["seed"][0]], [[0], [0]], np.maximum) > 0).any()
+    return _contract([first["seed"][0], other["share"]], [[0], [0]], np.maximum) > RANK_RTOL**2
+
+
 @pytest.mark.parametrize("small,reached", [(0.8e-10, True), (0.6e-10, False)])
 def test_block_seeds_cut_each_component_by_its_norm(small, reached):
-    # a block of two vertices.  At the first, two one-column copies (irrep 0)
-    # each trace `small` against a power of norm 1, and a three-column copy
-    # (irrep 2) traces 1; the second holds one two-column copy and reads
-    # nothing.  So the block has copies of 2, 2 and 6 columns, the two of
-    # component 0 trace sqrt(2) small each, and the power's norm is sqrt(10 /
-    # 5): component 0 is reached when 2 small passes sqrt(2) RANK_RTOL, though
-    # neither trace does.  The splits hold, per distinct irrep, the copies'
-    # |trace|^2 / dim summed: 2 small^2 for irrep 0, 1 / 3 for irrep 2
-    first = {"values": np.array([0, 2]), "mult": np.array([2, 1]), "basis": np.eye(5)}
-    first.update(seedw=np.array([[2 * small**2, 1 / 3]]), norms=np.ones(1))
-    second = {"values": np.ones(1, dtype=int), "mult": np.ones(1, dtype=int), "basis": np.eye(2)}
-    second.update(seedw=np.zeros((1, 1)), norms=np.ones(1))
-    got = _block_seeds((first, second), 1)
-    assert np.array_equal(got, [[reached, True]])
+    # the second vertex holds one two-column copy.  So the block has copies
+    # of 2, 2 and 6 columns, the two of component (0, 1) trace sqrt(2) small
+    # each, and the power's norm is sqrt(10 / 5): component (0, 1) is reached
+    # when 2 small passes sqrt(2) RANK_RTOL, though neither trace does
+    got = seed_grid(small, [1])
+    assert got.shape == (3, 2)
+    assert np.array_equal(got[[0, 2], 1], [reached, True])
+    assert not got[:, 0].any() and not got[1].any()
+
+
+@pytest.mark.parametrize("small,reached", [(1.3e-10, True), (1.1e-10, False)])
+def test_block_seeds_weigh_the_other_vertices_copies(small, reached):
+    # the second vertex holds a two- and a four-column copy (irreps 1 and 3),
+    # so the block has 30 columns and the power's norm is sqrt(30 / 5): the
+    # two copies of component (0, 1), of 2 columns each, trace sqrt(2) small
+    # each, and it is reached when 2 small passes sqrt(6) RANK_RTOL.  A cut
+    # on the first vertex alone would reach it at both values
+    got = seed_grid(small, [1, 3])
+    assert got.shape == (3, 4)
+    assert np.array_equal(got[0, [1, 3]], [reached, True]) and got[2, [1, 3]].all()
+    assert not got[:, [0, 2]].any() and not got[1].any()
+
+
+@pytest.mark.parametrize(
+    "trunc,steps",
+    [(make(loop_graph(), SU2, 2), 5), (make(k4_graph(), SU2, 1), 4), (make(triangle_graph(), U1, 1), 1)],
+    ids=["su2-loop-b2", "su2-k4-b1", "u1-triangle-b1"],
+)
+def test_seed_supports_stop_at_the_last_power_that_can_grow(trunc, steps):
+    # verify's default n_max is the largest block dimension, 531,441 on su2
+    # K4 j <= 1, but past a split's number of distinct Gamma_z eigenvalues
+    # (the largest 2j at a vertex, plus 1) no power reaches a new component,
+    # and a U(1) power reaches at n = 1 all it ever will.  So the supports
+    # stop there, and verify repeats the last row for every later power
+    space, _, support = reduce_blocks(trunc, n_max=10**6)
+    assert support.shape == (steps, len(space.sizes))
+    report = verify_ideal(trunc, n_max=steps + 30)
+    rows = [(r.dim_ideal, r.containment_residual, r.distance) for r in report.rows]
+    assert len(rows) == steps + 30 and rows[steps:] == [rows[steps - 1]] * 30
 
 
 @pytest.mark.parametrize("loops", [1, 2])
@@ -293,7 +343,8 @@ def test_split_sums_its_copies_traces_per_irrep(loops):
     graph = Graph(("x",), [(f"l{k}", "x", "x") for k in range(loops)])
     trunc = make(graph, SU2, 2)
     space = commutant_basis(trunc)
-    for i, (split,) in space._splits.items():
+    for i in range(len(trunc.dims)):
+        (split,) = space.splits(i)
         u, lams = split["basis"], split["lams"]
         assert np.array_equal(split["values"][split["at"]], lams)
         assert np.array_equal(split["mult"], np.bincount(split["at"]))
@@ -318,6 +369,7 @@ def assert_one_dim_blocks_match_null_space(trunc, n_max=3):
     stacked generators (``_null_columns``, which ``invariant_columns``
     applies) does."""
     space, inv, support = reduce_blocks(trunc, n_max=n_max)
+    support = written_out(support, n_max)
     rows = invariant_rows(trunc, inv)
     alone = space.sizes == 1  # components with no other block to set them
     for i, block in enumerate(trunc.blocks):
@@ -418,7 +470,8 @@ def invariant_space(space, columns):
     counts = np.array([c.shape[1] for c in columns], dtype=int)
     zeros = zip(columns, space.weight_zero)
     overlaps = {i: c[w].conj().T @ z for i, (c, (w, z)) in enumerate(zeros) if c.shape[1]}
-    out = InvariantSpace(space.trunc, {}, counts, overlaps)
+    factors = {i: (o,) for i, o in overlaps.items()}
+    out = InvariantSpace(space.trunc, space.splits, counts, factors, overlap_norms(space, overlaps))
     out.columns = columns
     return out
 
@@ -433,7 +486,8 @@ def phased(space):
         rows, z = space.weight_zero[i]
         zeros.append((rows, z * ph))
         bases.append(u * np.repeat(ph, [c.stop - c.start for _, c in space.copies[i]]))
-    out = EquivariantSpace(space.trunc, space._splits, space._kinds, space.irreps, space.scalar)
+    parts = space.grid, space.cells, space.sizes, space.scalar, space.tables
+    out = EquivariantSpace(space.trunc, *parts)
     out.weight_zero, out.bases = zeros, bases
     return out
 
@@ -591,8 +645,8 @@ def assert_supports_are_running_union(trunc, n_max=None):
             rows = [stepped_supports(gens[[d]], u, copies, n_max) for d in range(v, v + nl)]
             assert all(np.array_equal(rows[0], r) for r in rows[1:])
     want = np.logical_or.accumulate(stepped_rows(space, n_max))
-    assert support.shape == (n_max, len(space.irreps))
-    assert np.array_equal(support, touched_components(space, want))
+    assert support.shape[1] == len(space.irreps)
+    assert np.array_equal(written_out(support, n_max), touched_components(space, want))
 
 
 def assert_graded_route_matches_dense_oracles(trunc):
