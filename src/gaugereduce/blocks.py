@@ -52,8 +52,9 @@ class Truncation:
     """All blocks with every edge label of degree at most a bound, held as
     arrays: ``labels[i]`` has block ``i``'s label values, one per edge, in
     lexicographic order over edges in declaration order (first edge
-    slowest); ``dims`` and ``offsets`` their dimensions and starts.  A
-    ``BlockLabel`` is built on demand (``block``, ``blocks``)."""
+    slowest); ``dims`` and ``offsets`` their dimensions and starts, built on
+    first read.  ``total_dim`` is ``(sum_label dim^2)^E``.  A ``BlockLabel``
+    is built on demand (``block``, ``blocks``)."""
 
     def __init__(self, graph: Graph, group: GroupId, bound: IrrepLabel):
         if bound.group is not group:
@@ -65,9 +66,17 @@ class Truncation:
         n, ne = len(per_edge), len(graph.edges)
         which = np.indices((n,) * ne).reshape(ne, n**ne).T  # an edgeless graph: one block
         self.labels = np.array([lab.value for lab in per_edge])[which]
-        self.dims = np.prod(np.array([lab.dim**2 for lab in per_edge])[which], axis=1)
-        self.offsets = np.concatenate([[0], np.cumsum(self.dims)])
-        self.total_dim = int(self.offsets[-1])
+        self.total_dim = sum(lab.dim**2 for lab in per_edge) ** ne
+
+    @functools.cached_property
+    def dims(self) -> np.ndarray:
+        per_edge = labels_within(self.group, self.bound)  # consecutive values, ascending
+        squares = np.array([lab.dim**2 for lab in per_edge])
+        return np.prod(squares[self.labels - per_edge[0].value], axis=1)
+
+    @functools.cached_property
+    def offsets(self) -> np.ndarray:
+        return np.concatenate([[0], np.cumsum(self.dims)])
 
     def block(self, i: int) -> BlockLabel:
         labels = tuple(IrrepLabel(self.group, v) for v in self.labels[i].tolist())
@@ -75,12 +84,12 @@ class Truncation:
 
     @functools.cached_property
     def blocks(self) -> tuple[BlockLabel, ...]:
-        return tuple(self.block(i) for i in range(len(self.dims)))
+        return tuple(self.block(i) for i in range(len(self.labels)))
 
     def __repr__(self) -> str:
         return (
             f"Truncation({self.group.value}, bound={self.bound.value}, "
-            f"{len(self.dims)} blocks, dim={self.total_dim})"
+            f"{len(self.labels)} blocks, dim={self.total_dim})"
         )
 
 

@@ -45,16 +45,10 @@ def _graph_json(cfg: RunConfig) -> dict:
     }
 
 
-def _emit(payload: dict, out: str | None, labels=None) -> None:
-    """Write ``payload`` as ``json.dumps(indent=2, sort_keys=True)``; ``labels``,
-    if given, goes in its first key ``"blocks"`` (``[]`` there) as the list of
-    its rows would, from one template of the ``indent=2`` layout."""
+def _emit(payload: dict, out: str | None) -> None:
+    """Write ``payload`` as ``json.dumps(indent=2, sort_keys=True)``, to ``out``
+    or to standard output."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if labels is not None:
-        row = "    [\n" + ",\n".join(["      %d"] * labels.shape[1]) + "\n    ]"
-        rows = ",\n".join([row if labels.shape[1] else "    []"] * len(labels))
-        rows %= tuple(labels.ravel().tolist())
-        text = text.replace('{\n  "blocks": []', '{\n  "blocks": [\n' + rows + "\n  ]", 1)
     if not out:
         sys.stdout.write(text)
         return
@@ -70,7 +64,6 @@ def _report_json(cfg: RunConfig, report: IdealReport, grouping: EnergyGrouping |
         "group": report.group.value,
         "graph": _graph_json(cfg),
         "bound": report.bound,
-        "blocks": [],  # the label array, written by _emit
         "method": report.method,
         "tolerance": report.tolerance,
         "coarse": grouping is not None,
@@ -148,7 +141,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
             for e, members, dim in zip(grouping.energies, grouping.groups, grouping.dims)
         ]
     print(f"elapsed: {report.seconds:.3f}s", file=sys.stderr)
-    _emit(payload, args.out or cfg.out, report.block_labels)
+    _emit(payload, args.out or cfg.out)
     return 0 if report.passed else 1
 
 

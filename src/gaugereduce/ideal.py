@@ -196,12 +196,12 @@ class IdealReport:
     rows: tuple[IdealRow, ...]
     passed: bool
     seconds: float
-    block_labels: np.ndarray | None = field(default=None, repr=False)
     final_ideal: IdealMask | None = field(default=None, repr=False)
 
 
 def default_n_max(trunc: Truncation) -> int:
-    return int(trunc.dims.max())
+    """The largest block's dimension: the bound's label on every edge."""
+    return trunc.bound.dim ** (2 * len(trunc.graph.edges))
 
 
 def verify_ideal(
@@ -237,13 +237,12 @@ def verify_ideal(
         method=method,
         tolerance=tol,
         dim_total=trunc.total_dim,
-        n_blocks=len(trunc.dims),
+        n_blocks=len(trunc.labels),
         dim_hk=inv.dim,
         dim_ak=space.dim,
         dim_ker_pi=kernel.dim,
         rows=tuple(rows),
         passed=passed,
         seconds=time.perf_counter() - t0,
-        block_labels=trunc.labels,
         final_ideal=ideal,
     )

@@ -140,29 +140,6 @@ def block_generators(block: BlockLabel) -> np.ndarray:
     return _generators(block, [VertexGenerator(v, k) for v in block.graph.vertices for k in lie])
 
 
-def label_table(group: GroupId, column: np.ndarray, fn, *args) -> np.ndarray:
-    """``fn(label, *args)``, arrays of one shape, at the label of each entry of
-    a column of label values, from one call per value in its range."""
-    lo, hi = int(column.min(initial=0)), int(column.max(initial=0))
-    return np.array([fn(IrrepLabel(group, v), *args) for v in range(lo, hi + 1)])[column - lo]
-
-
-def scalar_generators(graph: Graph, group: GroupId, labels: np.ndarray) -> np.ndarray:
-    """The Gauss generators of one-dimensional blocks of ``graph``, their
-    label values the rows of ``labels``, as one ``(n_blocks, V*L)`` array: row
-    ``b`` is ``block_generators`` of that block at ``[:, 0, 0]``, bitwise, from
-    one sweep over the label columns that adds each end's irrep generator at
-    ``[0, 0]``, conjugated at a source, in the order ``_generators`` does."""
-    lie = range(lie_dim(group))
-    out = np.zeros((len(labels), len(graph.vertices) * len(lie)), dtype=complex)
-    for j, e in enumerate(graph.edges):
-        for k in lie:
-            x = label_table(group, labels[:, j], irrep_generator, k)[:, 0, 0]
-            for end, value in ((e.source, np.conj(x)), (e.target, x)):
-                out[:, graph.vertex_index[end] * len(lie) + k] += value
-    return out
-
-
 def basis_values(block: BlockLabel, a: Connection) -> np.ndarray:
     """Values of the block's orthonormal basis functions at a connection.
 

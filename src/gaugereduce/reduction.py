@@ -45,7 +45,7 @@ from .blocks import BlockLabel, Truncation
 from .groups import GroupId, IrrepLabel, haar_scheme, identity_point, irrep_generator, irrep_matrix
 from .groups import required_band
 from .lattice import GaugeElement, rho_block
-from .lattice import block_generators, scalar_generators  # noqa: F401  (the bench wraps the first)
+from .lattice import block_generators  # noqa: F401  (the bench wraps it)
 
 RANK_RTOL = 1e-10
 
@@ -102,13 +102,20 @@ class PiKernel:
         self.dim = ambient_dim - self.rank
 
 
+def _incidence(graph, source: int, target: int) -> np.ndarray:
+    """``(E x V)``: edge ``j`` adds ``source`` at its source and ``target`` at
+    its target, both at a loop's one vertex."""
+    ends = np.zeros((len(graph.edges), len(graph.vertices)), dtype=int)
+    for j, e in enumerate(graph.edges):
+        at = [graph.vertex_index[e.source], graph.vertex_index[e.target]]
+        np.add.at(ends[j], at, [source, target])
+    return ends
+
+
 def vertex_degrees(graph, labels: np.ndarray) -> np.ndarray:
     """Per row of label values, the largest summed label degree of the edge
     endpoints at one vertex; a loop counts twice."""
-    ends = np.zeros((len(graph.edges), len(graph.vertices)), dtype=int)
-    for j, e in enumerate(graph.edges):
-        np.add.at(ends[j], [graph.vertex_index[e.source], graph.vertex_index[e.target]], 1)
-    return (np.abs(labels) @ ends).max(axis=1, initial=0)
+    return (np.abs(labels) @ _incidence(graph, 1, 1)).max(axis=1, initial=0)
 
 
 def vertex_degree(block: BlockLabel) -> int:
@@ -159,8 +166,8 @@ def invariant_projector(
     the ``method`` of ``reduce_blocks``."""
     labels = np.array([[lab.value for lab in block.labels]], dtype=int)
     _check_method(block.graph, block.group, labels, method, band)
-    if block.dim == 1:
-        return _UNIT * float(not scalar_generators(block.graph, block.group, labels).any())
+    if block.dim == 1:  # all spin 0, or U(1), invariant exactly when flux-free
+        return _UNIT * float(not (labels @ _incidence(block.graph, 2, -2)).any())
     splits = _block_splits(_ends(block.graph), block.group, labels[0], method, band)
     rows, v = _on_zero(block, splits, "inv")
     out = np.zeros((block.dim, block.dim), dtype=complex)
@@ -542,11 +549,12 @@ def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=N
     of the grid of gauge irreps that hold a copy, in grid order.
 
     A U(1) block carries a character of ``G^V``: one copy, basis ``[[1]]``,
-    of weight ``2 Re(i Gamma_v)`` at each vertex, read off the stacked
-    ``scalar_generators`` of them all.  A scalar power is its own average and
-    coordinate, zero exactly when the scalar is, so it seeds its component at
-    every power if some scalar is nonzero; its Haar average is 1 exactly when
-    it is trivial, so both methods keep it when every scalar is zero.  An
+    of weight ``2 Re(i Gamma_v) = -2 flux_v`` at each vertex, all of them one
+    integer product of the label array and the signed incidence (an edge adds
+    2 at its source and -2 at its target).  A scalar power is its own average
+    and coordinate, zero exactly when the flux is, so it seeds its component
+    at every power if some flux is nonzero; its Haar average is 1 exactly when
+    it is trivial, so both methods keep it when every flux is zero.  An
     SU(2) block's copies, invariants, overlaps and seeds are the products of
     its vertices' (``_vertex_split``), so every sum over the blocks is a
     contraction of the vertices' tables over the edge labels (``_table``,
@@ -554,9 +562,8 @@ def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=N
     """
     _check_method(trunc.graph, trunc.group, trunc.labels, method, band)
     if trunc.group is GroupId.U1:  # every block is one-dimensional
-        gens = scalar_generators(trunc.graph, trunc.group, trunc.labels)
-        live, rows = gens.any(axis=1), np.rint(-2 * gens.imag).astype(int)
-        del gens  # the pass's largest array
+        rows = trunc.labels @ _incidence(trunc.graph, 2, -2)
+        live = rows.any(axis=1)
         grid = (tuple(rows.max(axis=0) - rows.min(axis=0) + 1), rows.min(axis=0))
         keys = np.ravel_multi_index(tuple((rows - grid[1]).T), grid[0])
         cells, scalar, sizes = np.unique(keys, return_inverse=True, return_counts=True)
@@ -566,7 +573,7 @@ def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=N
         overlaps = {i: (_UNIT,) for i in np.flatnonzero(~live).tolist()}
         inv = InvariantSpace(trunc, None, (~live).astype(int), overlaps, norms)
         return EquivariantSpace(trunc, grid, cells, sizes, scalar), inv, support
-    values, tables, counts = range(trunc.bound.value + 1), [], np.ones(len(trunc.dims), dtype=int)
+    values, tables, counts = range(trunc.bound.value + 1), [], np.ones(len(trunc.labels), dtype=int)
     for at in _ends(trunc.graph):  # a vertex's tables, over its edges' labels (a loop's once)
         edges = sorted({j for j, _ in at})
         rows = [dict(zip(edges, x)) for x in product(values, repeat=len(edges))]
@@ -585,7 +592,7 @@ def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=N
             parts = [t["seed"][n] if u == v else t["share"] for u, t in enumerate(tables)]
             support[n] |= _contract(parts, edges, np.maximum) > cut
     support = np.logical_or.accumulate(support).reshape(steps, sizes.size)[:, cells]
-    scalar, grid = np.full(len(trunc.dims), -1), (sizes.shape, 0)
+    scalar, grid = np.full(len(trunc.labels), -1), (sizes.shape, 0)
     space = EquivariantSpace(trunc, grid, cells, sizes.ravel()[cells], scalar, tables)
     held = np.flatnonzero(counts).tolist()
     overlaps = {i: tuple(s["overlaps"] for s in space.splits(i)) for i in held}

@@ -7,16 +7,13 @@ import sys
 import textwrap
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import gaugereduce.ideal
-from gaugereduce import cli
 from gaugereduce.cli import main
 from gaugereduce.config import ConfigError, parse_config
 from gaugereduce.groups import GroupId
 
-from .systems import SU2, U1, edge_graph, edgeless_graph, make, parallel_graph, triangle_graph
 from .test_golden import GOLDEN
 from .test_ideal import count_builds
 
@@ -306,7 +303,6 @@ def test_report_schema_is_pinned(tmp_path, capsys):
         "group",
         "graph",
         "bound",
-        "blocks",
         "method",
         "tolerance",
         "coarse",
@@ -324,7 +320,6 @@ def test_report_schema_is_pinned(tmp_path, capsys):
     assert payload["dim_AK"] == 45
     assert payload["dim_HK"] == 3
     assert payload["dim_ker_pi"] == 36
-    assert payload["blocks"][0] == [-1, -1, -1]
     assert payload["seconds"] == 0.0
 
 
@@ -425,26 +420,6 @@ def test_coarse_flag(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["coarse"] is True
     assert payload["n_groups"] == 4
-
-
-@pytest.mark.parametrize(
-    "trunc",
-    [
-        make(edgeless_graph(), U1, 1),
-        make(edge_graph(), U1, 0),
-        make(parallel_graph(), U1, 2),
-        make(triangle_graph(), SU2, 1),
-    ],
-    ids=["no-edges", "one-block", "negative-charges", "su2-labels"],
-)
-def test_emit_writes_label_rows_as_json_does(tmp_path, trunc):
-    # the "blocks" list comes from the label array by one template; it must
-    # be what json.dumps(indent=2, sort_keys=True) makes of the list form
-    payload = {"blocks": [], "bound": 2, "per_nmax": [{"n": 1, "pass": True}]}
-    out = tmp_path / "report.json"
-    cli._emit(payload, str(out), trunc.labels)
-    want = {**payload, "blocks": trunc.labels.tolist()}
-    assert out.read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
 def test_bad_subcommand_usage_exits_two(capsys):

@@ -477,6 +477,27 @@ def test_default_power_budget_is_largest_block():
     assert default_n_max(build("u1-triangle-b1")) == 1
 
 
+@pytest.mark.parametrize(
+    "trunc,n_max",
+    [
+        (build("u1-triangle-b2"), None),
+        (make(edgeless_graph(), U1, 1), None),
+        (build("su2-loop-j2"), None),
+        (make(triangle_graph(), SU2, 2), 2),
+        (make(theta_graph(), SU2, 2), 2),
+    ],
+    ids=["u1-triangle-b2", "u1-edgeless", "su2-loop-j2", "su2-triangle-j1", "su2-theta-j1"],
+)
+def test_verify_leaves_the_per_block_arrays_unbuilt(trunc, n_max):
+    # verify counts the blocks off the label array and takes the default
+    # power budget and the total dimension in closed form, so the per-block
+    # dimensions and offsets are never built; read afterwards, they agree
+    assert verify_ideal(trunc, n_max).passed
+    assert "dims" not in vars(trunc) and "offsets" not in vars(trunc)
+    assert default_n_max(trunc) == trunc.dims.max()
+    assert trunc.total_dim == trunc.dims.sum() == trunc.offsets[-1]
+
+
 def test_verify_rejects_bad_nmax():
     with pytest.raises(ValueError):
         verify_ideal(build("u1-edge-b1"), n_max=0)

@@ -13,10 +13,12 @@ from gaugereduce import (
     VertexGenerator,
     basis_values,
     block_generators,
+    commutant_basis,
     exp_point,
     gauss_generator_block,
     identity_point,
     inverse,
+    invariant_projector,
     multiply,
     random_point,
     rho_block,
@@ -25,7 +27,6 @@ from gaugereduce import (
     vertex_flux,
 )
 from gaugereduce.groups import GroupId, lie_dim
-from gaugereduce.lattice import scalar_generators
 
 from .oracles import kron_generator
 from .systems import (
@@ -39,6 +40,7 @@ from .systems import (
     make,
     triangle_graph,
 )
+from .test_multiplicity import U1_SYSTEMS
 
 FD_STEP = 1e-4
 FD_TOL = 1e-6
@@ -178,8 +180,7 @@ def test_generators_match_kron_chain_oracle(trunc):
 
 def assert_sweep_matches_single_builds(trunc):
     """The one-sweep build of all a block's generators equals each generator
-    built on its own exactly, not to a tolerance, and the scalar sweep of the
-    one-dimensional blocks equals their ``[0, 0]`` entries bit for bit."""
+    built on its own exactly, not to a tolerance."""
     nl = lie_dim(trunc.group)
     for block in trunc.blocks:
         gens = block_generators(block)
@@ -188,12 +189,6 @@ def assert_sweep_matches_single_builds(trunc):
             for k in range(nl):
                 one = gauss_generator_block(block, VertexGenerator(v, k))
                 assert np.array_equal(gens[vi * nl + k], one), (block, v, k)
-    one_dim = [b for b in trunc.blocks if b.dim == 1]
-    if one_dim:
-        got = scalar_generators(trunc.graph, trunc.group, trunc.labels[trunc.dims == 1])
-        want = np.array([block_generators(b)[:, 0, 0] for b in one_dim])
-        assert np.array_equal(got, want)
-        assert got.tobytes() == want.tobytes()  # signed zeros too
 
 
 @pytest.mark.parametrize(
@@ -214,6 +209,26 @@ def assert_sweep_matches_single_builds(trunc):
 )
 def test_one_sweep_equals_single_builds(trunc):
     assert_sweep_matches_single_builds(trunc)
+
+
+@pytest.mark.parametrize("name", list(U1_SYSTEMS))
+def test_u1_weights_are_minus_twice_the_flux(name):
+    # A U(1) block's Gauss generator at v is i * flux_v, so the pass reads its
+    # copy's weight there, 2 Re(i Gamma_v), as -2 flux_v: one integer product
+    # of the label array with the signed incidence.  The weights equal the
+    # dense generators' [0, 0] entries, and the invariant projector keeps
+    # exactly the flux-free blocks (and SU(2)'s all-spin-0 block)
+    graph, bound = U1_SYSTEMS[name]
+    trunc = make(graph(), GroupId.U1, bound)
+    space = commutant_basis(trunc)
+    for i, block in enumerate(trunc.blocks):
+        flux = [vertex_flux(block, v) for v in trunc.graph.vertices]
+        weights = space.irreps[space.scalar[i]]
+        assert list(weights) == [-2 * f for f in flux], block
+        assert np.array_equal(2 * (1j * block_generators(block)[:, 0, 0]).real, weights)
+        assert invariant_projector(block).tolist() == [[float(not any(flux))]], block
+    spin_zero = make(graph(), GroupId.SU2, 1).block(0)
+    assert spin_zero.dim == 1 and invariant_projector(spin_zero).tolist() == [[1.0]]
 
 
 def test_generator_count_and_order():

@@ -299,20 +299,21 @@ def run_file(graph, group, bound):
 
 
 @pytest.mark.parametrize(
-    "graph,bound,method,mib",
+    "group,graph,bound,method,mib",
     [
-        (square_graph, 3, "lie", 768),
-        (pentagon_graph, 2, "quad", 768),
-        (k4_graph, 2, "lie", 768),
-        (k4_graph, 2, "quad", 768),
-        (cube_graph, 1, "lie", 768),
-        (cube_graph, 1, "quad", 768),
-        (k4_graph, 4, "lie", 768),
-        (k4_graph, 4, "quad", 768),
-        (k4_graph, 5, "lie", 768),
-        (k4_graph, 5, "quad", 768),
-        (cube_graph, 2, "lie", 832),
-        (cube_graph, 2, "quad", 832),
+        (SU2, square_graph, 3, "lie", 768),
+        (SU2, pentagon_graph, 2, "quad", 768),
+        (SU2, k4_graph, 2, "lie", 768),
+        (SU2, k4_graph, 2, "quad", 768),
+        (SU2, cube_graph, 1, "lie", 768),
+        (SU2, cube_graph, 1, "quad", 768),
+        (SU2, k4_graph, 4, "lie", 768),
+        (SU2, k4_graph, 4, "quad", 768),
+        (SU2, k4_graph, 5, "lie", 768),
+        (SU2, k4_graph, 5, "quad", 768),
+        (SU2, cube_graph, 2, "lie", 832),
+        (SU2, cube_graph, 2, "quad", 832),
+        (U1, k4_graph, 5, "lie", 512),
     ],
     ids=[
         "su2-square-b3-lie",
@@ -327,9 +328,10 @@ def run_file(graph, group, bound):
         "su2-k4-b5-quad",
         "su2-cube-b2-lie",
         "su2-cube-b2-quad",
+        "u1-k4-b5-lie",
     ],
 )
-def test_su2_frontier_verifies_in_a_capped_process(tmp_path, graph, bound, method, mib):
+def test_su2_frontier_verifies_in_a_capped_process(tmp_path, group, graph, bound, method, mib):
     # a square with spin up to 3/2 (blocks up to 4^8 = 65,536 dimensions), a
     # pentagon and K4 with spin up to 1 (up to 3^10 = 59,049 and 3^12 =
     # 531,441), the cube with spin up to 1/2 (up to 2^24 = 16,777,216), K4
@@ -346,10 +348,13 @@ def test_su2_frontier_verifies_in_a_capped_process(tmp_path, graph, bound, metho
     # anything else.  Its counts are the contracted Clebsch-Gordan ledger's
     # (``ledger_by_contraction``).  Both methods run on K4 and the cube, since
     # only the Haar projector finds the invariants by other means than the
-    # raising operators that also find the copies
+    # raising operators that also find the copies.  u1 K4 b5 (1,771,561
+    # blocks) passes under 512 MiB: its weights are one integer product of
+    # the label array, and the report lists no blocks; its counts are flux
+    # counting's, and its first power already reaches all of ker(pi)
     g = graph()
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(run_file(g, "su2", bound))
+    cfg.write_text(run_file(g, group.value, bound))
     out = tmp_path / "report.json"
     capped = (
         "import resource, runpy, sys\n"
@@ -366,9 +371,15 @@ def test_su2_frontier_verifies_in_a_capped_process(tmp_path, graph, bound, metho
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     report = json.loads(out.read_text())
-    dim_ak, hk, kk = ledger_by_contraction(g, SU2, bound)
+    if group is SU2:
+        dim_ak, hk, kk = ledger_by_contraction(g, SU2, bound)
+    else:
+        mult = flux_multiplicities(g, bound)
+        hk, dim_ak = mult[(0,) * len(g.vertices)], sum(m * m for m in mult.values())
+        kk = dim_ak - hk * hk
     assert (report["dim_AK"], report["dim_HK"], report["dim_ker_pi"]) == (dim_ak, hk, kk)
-    assert report["pass"] and [row["dim_ideal"] for row in report["per_nmax"]] == [0, kk]
+    first = 0 if group is SU2 else kk
+    assert report["pass"] and [row["dim_ideal"] for row in report["per_nmax"]] == [first, kk]
 
 
 def flux_multiplicities(graph, bound):
@@ -395,18 +406,21 @@ def flux_multiplicities(graph, bound):
         (triangle_graph, 3, (1225, 7, 1176), 64),
         (square_graph, 2, (1333, 5, 1308), 64),
         (k4_graph, 2, (426425, 65, 422200), 64),
-        (k4_graph, 4, (81545697, 369, 81409536), 160),
-        (cube_graph, 1, (5756661, 69, 5751900), 256),
+        (k4_graph, 4, (81545697, 369, 81409536), 80),
+        (cube_graph, 1, (5756661, 69, 5751900), 144),
+        (k4_graph, 5, (493679879, 671, 493229638), 272),
     ],
-    ids=["u1-triangle-b3", "u1-square-b2", "u1-k4-b2", "u1-k4-b4", "u1-cube-b1"],
+    ids=["u1-triangle-b3", "u1-square-b2", "u1-k4-b2", "u1-k4-b4", "u1-cube-b1", "u1-k4-b5"],
 )
 def test_u1_flux_count_fixes_a_verify_past_a_thousand(graph, bound, counts, mib):
     # ker(pi) is read off the one component pi sees, so verify holds nothing
     # of length dim A^K, and no matrix of pi: on u1 K4 b2 that matrix alone
     # would be 65^2 x 426,425 complex, 26.8 GiB; its traced peak stays below 64 MiB.
-    # Past half a million blocks (K4 b4, the cube b1) the truncation and every
-    # one-dimensional block stay arrays, so the traced peak, Truncation
-    # included, stays below the bound.  The brute-force count of balanced
+    # Past half a million blocks (K4 b4, the cube b1, K4 b5 with 1,771,561)
+    # the truncation and every one-dimensional block stay arrays, the weights
+    # are one integer product of the label array, and the per-block
+    # dimensions are never built, so the traced peak, Truncation included,
+    # stays below the bound.  The brute-force count of balanced
     # assignments, one Python loop per assignment, checks the smaller ones.
     g = graph()
     mult = flux_multiplicities(g, bound)

@@ -35,6 +35,7 @@ from gaugereduce.groups import irrep_generator
 from gaugereduce.lattice import block_generators, lie_directions
 from gaugereduce.reduction import (
     RANK_RTOL,
+    _incidence,
     _null_columns,
     _contract,
     _table,
@@ -246,11 +247,15 @@ def test_band_error_names_the_first_short_block(name):
 
 def test_short_band_is_refused_before_the_scalar_generators(monkeypatch):
     # the band is checked from the label array before the pass builds its
-    # largest array, the scalar generators of every one-dimensional block
-    def boom(*args):
-        raise AssertionError("scalar generators built before the band check")
+    # largest array, the generators of every one-dimensional block: their
+    # weights, read through the signed incidence that the check's unsigned
+    # one shares its code with
+    def boom(graph, source, target):
+        if (source, target) != (1, 1):
+            raise AssertionError("scalar generators built before the band check")
+        return _incidence(graph, source, target)
 
-    monkeypatch.setattr("gaugereduce.reduction.scalar_generators", boom)
+    monkeypatch.setattr("gaugereduce.reduction._incidence", boom)
     for trunc in (make(k4_graph(), U1, 2), build("su2-loop-j1")):
         with pytest.raises(BandError):
             reduce_blocks(trunc, "quadrature", band=IrrepLabel(trunc.group, 0))
