@@ -64,8 +64,8 @@ class Truncation:
         self.bound = bound
         per_edge = labels_within(group, bound)
         n, ne = len(per_edge), len(graph.edges)
-        which = np.indices((n,) * ne).reshape(ne, n**ne).T  # an edgeless graph: one block
-        self.labels = np.array([lab.value for lab in per_edge])[which]
+        which = np.indices((n,) * ne, dtype=np.min_scalar_type(n - 1)).reshape(ne, n**ne).T
+        self.labels = np.array([lab.value for lab in per_edge])[which]  # edgeless: one block
         self.total_dim = sum(lab.dim**2 for lab in per_edge) ** ne
 
     @functools.cached_property

@@ -15,9 +15,9 @@ Four objects are produced from a truncation:
   other directions there, so only it is read.  It is diagonal on the copies:
   its powers are elementwise, up to its number of distinct eigenvalues,
 * the kernel of the restriction map ``pi`` onto the invariant subspace, kept
-  by its complement, the row space of ``pi``: the Kronecker square of the
-  SVD of one component's overlaps with the invariant vectors.  No irrep
-  label is read, so comparing the kernel with the ideal is a real check.
+  by its complement, the row space of ``pi``: the Kronecker square of one
+  component's overlaps with the invariant vectors, by one SVD per block.  No
+  irrep label is read, so comparing the kernel with the ideal is a real check.
 
 The first three come from one pass (``reduce_blocks``) with no array of a
 block's length: ``G^V`` acts on an SU(2) block vertex by vertex, so it is
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import product
+from itertools import groupby, product, repeat
 
 import numpy as np
 
@@ -68,12 +68,12 @@ class InvariantSpace:
     An SU(2) block holds the products of its vertices' invariants
     (``splits(i)``), a U(1) block its basis vector if it is invariant.  Their
     overlaps with the copies' weight-zero columns are the Kronecker product
-    of the factors ``overlaps[i]`` (one per vertex, or one for the block),
+    of the factors ``overlaps(i)`` (one per vertex, or one for the block),
     and ``norms[c]`` sums over the blocks the squared norms of the overlaps
     with component ``c``'s copies, each over the square root of its size.
-    Every block's ``columns`` are built on first read."""
+    Every block's ``columns`` and ``overlaps`` are read on demand."""
 
-    def __init__(self, trunc: Truncation, splits, counts: np.ndarray, overlaps: dict, norms):
+    def __init__(self, trunc: Truncation, splits, counts: np.ndarray, overlaps, norms):
         self.trunc, self.splits, self.overlaps, self.norms = trunc, splits, overlaps, norms
         self.counts, self.dim = counts, int(counts.sum())
 
@@ -570,8 +570,7 @@ def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=N
         support = np.zeros((min(n_max, 1), len(cells)), dtype=bool)
         support[:, scalar[live]] = True
         norms = np.bincount(scalar[~live], minlength=len(cells)) * 1.0  # each meets its copy in 1
-        overlaps = {i: (_UNIT,) for i in np.flatnonzero(~live).tolist()}
-        inv = InvariantSpace(trunc, None, (~live).astype(int), overlaps, norms)
+        inv = InvariantSpace(trunc, None, (~live).astype(int), lambda i: (_UNIT,), norms)
         return EquivariantSpace(trunc, grid, cells, sizes, scalar), inv, support
     values, tables, counts = range(trunc.bound.value + 1), [], np.ones(len(trunc.labels), dtype=int)
     for at in _ends(trunc.graph):  # a vertex's tables, over its edges' labels (a loop's once)
@@ -594,8 +593,7 @@ def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=N
     support = np.logical_or.accumulate(support).reshape(steps, sizes.size)[:, cells]
     scalar, grid = np.full(len(trunc.labels), -1), (sizes.shape, 0)
     space = EquivariantSpace(trunc, grid, cells, sizes.ravel()[cells], scalar, tables)
-    held = np.flatnonzero(counts).tolist()
-    overlaps = {i: tuple(s["overlaps"] for s in space.splits(i)) for i in held}
+    overlaps = lambda i: tuple(s["overlaps"] for s in space.splits(i))  # noqa: E731
     norms = _contract([t["norm"] for t in tables], edges, np.add).ravel()[cells]
     return space, InvariantSpace(trunc, space.splits, counts, overlaps, norms), support
 
@@ -606,34 +604,36 @@ def kernel_pi_basis(space: EquivariantSpace, inv: InvariantSpace) -> PiKernel:
     An invariant vector has weight zero, so it meets copy ``a`` in its
     weight-zero column ``z_a`` alone, and component ``c``'s columns of ``pi``
     are ``(O_c (x) conj O_c) / sqrt(w_c)``, ``O_c`` its copies' overlaps
-    ``inv^H z_a``, ``w_c`` their size: a copy's column is the Kronecker
-    product of its digits' columns in the factors ``InvariantSpace.overlaps``
-    of its block, and a block without invariants has none.
+    ``inv^H z_a``, ``w_c`` their size.  ``O_c`` is block diagonal, a block's
+    part the Kronecker product of the columns its copies use in its factors
+    ``InvariantSpace.overlaps(i)``, so its SVD is the blocks' SVDs merged.
     The component of largest norm ``|O_c|_F^2 / sqrt(w_c)`` (summed in
-    ``InvariantSpace.norms``) is kept and a
-    second one above ``RANK_RTOL`` of it refused: correct invariant vectors
-    span trivial copies.  A pair of singular values of ``O_c`` is kept when its
-    product exceeds ``RANK_RTOL`` times the largest, the rank rule of
-    ``scipy.linalg.null_space``.  With no invariants the kernel is everything.
+    ``InvariantSpace.norms``) is kept and a second one above ``RANK_RTOL`` of
+    it refused: correct invariant vectors span trivial copies.  A pair of
+    singular values of ``O_c`` is kept when its product exceeds ``RANK_RTOL``
+    times the largest, the rank rule of ``scipy.linalg.null_space``.  With no
+    invariants the kernel is everything.
     """
     if inv.dim == 0:
         return PiKernel(space.dim, None, np.zeros((0, 0)), np.zeros((0, 0), dtype=bool))
-    first, over, norms = np.concatenate([[0], np.cumsum(inv.counts)]), inv.overlaps, inv.norms
-    keep, rest = int(norms.argmax()), norms.copy()
+    keep, rest = int(inv.norms.argmax()), inv.norms.copy()
     rest[keep] = 0.0
-    if rest.max() > RANK_RTOL * norms[keep]:
+    if rest.max() > RANK_RTOL * inv.norms[keep]:
         second = f"{rest.max():.3e} on component {rest.argmax()}"
-        raise RuntimeError(f"pi has norm {norms[keep]:.3e} on component {keep} and {second}")
-    members = space.held_by(keep)
-    o = np.zeros((inv.dim, len(members)), dtype=complex)
-    for p, (i, a) in enumerate(members):
-        if i in over:  # the Kronecker product of its factors' columns
-            digits = np.unravel_index(a, [f.shape[1] for f in over[i]])
-            columns = [f[:, x] for f, x in zip(over[i], digits)]
-            o[first[i] : first[i + 1], p] = functools.reduce(np.kron, columns)
-    _, s, vh = np.linalg.svd(o, full_matrices=False)
+        raise RuntimeError(f"pi has norm {inv.norms[keep]:.3e} on component {keep} and {second}")
+    members, parts = space.held_by(keep), []
+    for i, run in groupby(range(len(members)), lambda p: members[p][0]):  # block i's copies
+        run, factors = list(run), inv.overlaps(i)
+        digits = np.unravel_index([members[p][1] for p in run], [f.shape[1] for f in factors])
+        o = functools.reduce(_kron, [f[:, sorted(set(x))] for f, x in zip(factors, digits)])
+        parts += zip(*np.linalg.svd(o, full_matrices=False)[1:], repeat(run[0]))
+    parts.sort(key=lambda part: -part[0])  # (value, right vector, first copy), ties in block order
+    s = np.array([x for x, _, _ in parts])
     products = np.outer(s, s)  # the singular values of pi, times sqrt(w_c)
     kept = products > RANK_RTOL * products.max()
     k = np.count_nonzero(kept[:, 0])  # s is sorted, so the kept pairs are a staircase
     margin = products[kept].min() / (RANK_RTOL * products.max())
-    return PiKernel(space.dim, keep, vh[:k], kept[:k, :k], float(np.linalg.norm(rest)), margin)
+    w = np.zeros((k, len(members)), dtype=complex)
+    for r, (_, v, lo) in enumerate(parts[:k]):
+        w[r, lo : lo + len(v)] = v
+    return PiKernel(space.dim, keep, w, kept[:k, :k], float(np.linalg.norm(rest)), margin)

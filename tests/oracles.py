@@ -39,7 +39,9 @@ per-block routes it replaced are kept here: the blocks enumerated one
 ``BlockLabel`` at a time (``enumerate_blocks``), energies summed as
 ``Fraction`` per block (``fraction_grouping``), every block's copies and
 weight-zero indices read off its own dense generators (``per_block_pass``), and
-the kernel's overlaps gathered block by block (``per_block_kernel``).
+the kernel's overlaps gathered block by block into one dense matrix and
+one SVD (``per_block_kernel``), whose complement is compared by parts that
+do not depend on the basis chosen (``complement_parts``).
 """
 
 import itertools
@@ -113,7 +115,9 @@ def overlap_norms(space, over):
 def per_block_kernel(space, inv):
     """``kernel_pi_basis`` with every block's overlaps gathered one block at
     a time from the lazily built ``copies``, ``weight_zero``, ``members`` and
-    ``columns``, as it was before the one-dimensional blocks became arrays."""
+    ``columns``, as it was before the one-dimensional blocks became arrays,
+    into one dense ``h x M_0`` matrix of the kept component's overlaps, and
+    one SVD of it: no block structure is read off the factors."""
     if inv.dim == 0:
         return PiKernel(space.dim, None, np.zeros((0, 0)), np.zeros((0, 0), dtype=bool))
     first = np.cumsum([0] + [cols.shape[1] for cols in inv.columns])
@@ -132,6 +136,17 @@ def per_block_kernel(space, inv):
     k = np.count_nonzero(kept[:, 0])
     margin = products[kept].min() / (RANK_RTOL * products.max())
     return PiKernel(space.dim, keep, vh[:k], kept[:k, :k], float(np.linalg.norm(rest)), margin)
+
+
+def complement_parts(kernel):
+    """The kernel's complement ``sum_n Q_n (x) conj(P_n)`` by its parts: per
+    count ``n`` of pairs kept with a row of ``w``, the projector ``Q_n`` onto
+    the rows with that count and ``P_n`` onto the first ``n`` rows.  Rows of
+    one singular value have one count and ``n`` ends no run of equal singular
+    values, so the parts do not depend on the basis ``w`` holds."""
+    n = kernel.kept.sum(axis=1)
+    w = kernel.w
+    return {k: (w[n == k].conj().T @ w[n == k], w[:k].conj().T @ w[:k]) for k in set(n.tolist())}
 
 
 class SubspaceBasis:

@@ -1,5 +1,7 @@
 """Block enumeration, dimensions, and the two-sided translation action."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -21,7 +23,7 @@ from gaugereduce import (
 from gaugereduce.groups import GroupId
 
 from .oracles import enumerate_blocks
-from .systems import SMALL, CANON, build, edge_graph, parallel_graph, triangle_graph
+from .systems import SMALL, CANON, build, edge_graph, k4_graph, parallel_graph, triangle_graph
 
 
 def test_block_dims_are_products_of_squares():
@@ -48,6 +50,21 @@ def test_truncation_counts():
     assert su2.dims.tolist() == [1, 4, 9]
     assert su2.total_dim == 14
     assert su2.offsets.tolist() == [0, 1, 5, 14]
+
+
+def test_label_array_is_gathered_through_a_one_byte_index():
+    # u1 K4 b4: 531,441 blocks of six int64 labels.  The index they are
+    # gathered through takes one byte a digit (nine labels an edge), so the
+    # build holds the label array and an eighth of it, not two label arrays
+    tracemalloc.start()
+    try:
+        trunc = Truncation(k4_graph(), GroupId.U1, u1_charge(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trunc.labels.shape == (9**6, 6) and trunc.labels.dtype == np.dtype(int)
+    assert trunc.labels[[0, 1, -1]].tolist() == [[-4] * 6, [-4] * 5 + [-3], [4] * 6]
+    assert peak <= 1.25 * trunc.labels.nbytes
 
 
 def test_truncation_rejects_foreign_bound():

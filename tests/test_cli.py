@@ -535,7 +535,8 @@ def test_commands_run_without_scipy(tmp_path):
     # front end and runs every command, with both averaging routes, on a
     # small U(1) and a small SU(2) system, and scipy is never loaded.  Nor is
     # argparse: the flags are read by the run file's rules, with no parser to
-    # build in every process.
+    # build in every process.  Nor is numpy.ma, which a plain ``np.unique``
+    # imports on its first call (about 10 ms, more than a small verify takes).
     argv = []
     for k, text in enumerate((U1_TRIANGLE, SU2_LOOP)):
         cfg = write_cfg(tmp_path, text, name=f"run{k}.cfg")
@@ -551,7 +552,8 @@ def test_commands_run_without_scipy(tmp_path):
         import gaugereduce.cli
 
         def heavy():
-            return sorted(m for m in sys.modules if m.partition(".")[0] in ("scipy", "argparse"))
+            names = [m for m in sys.modules if m.partition(".")[0] in ("scipy", "argparse")]
+            return sorted(names + [m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]])
 
         loaded, codes = [heavy()], []
         for argv in json.loads(sys.argv[1]):

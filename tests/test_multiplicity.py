@@ -313,6 +313,8 @@ def run_file(graph, group, bound):
         (SU2, k4_graph, 5, "quad", 768),
         (SU2, cube_graph, 2, "lie", 832),
         (SU2, cube_graph, 2, "quad", 832),
+        (SU2, k4_graph, 6, "lie", 1024),
+        (SU2, k4_graph, 6, "quad", 1024),
         (U1, k4_graph, 5, "lie", 512),
     ],
     ids=[
@@ -328,6 +330,8 @@ def run_file(graph, group, bound):
         "su2-k4-b5-quad",
         "su2-cube-b2-lie",
         "su2-cube-b2-quad",
+        "su2-k4-b6-lie",
+        "su2-k4-b6-quad",
         "u1-k4-b5-lie",
     ],
 )
@@ -344,14 +348,18 @@ def test_su2_frontier_verifies_in_a_capped_process(tmp_path, group, graph, bound
     # entry per block component would be 3.2 GB), and a whole `verify`
     # process passes with its address space capped at 768 MiB, or 832 MiB on
     # the cube with spin up to 1, whose contraction holds grids of up to
-    # 22,235,661 entries: the child sets the cap on itself before it imports
-    # anything else.  Its counts are the contracted Clebsch-Gordan ledger's
-    # (``ledger_by_contraction``).  Both methods run on K4 and the cube, since
-    # only the Haar projector finds the invariants by other means than the
-    # raising operators that also find the copies.  u1 K4 b5 (1,771,561
-    # blocks) passes under 512 MiB: its weights are one integer product of
-    # the label array, and the report lists no blocks; its counts are flux
-    # counting's, and its first power already reaches all of ker(pi)
+    # 22,235,661 entries.  K4 with spin up to 3 (117,649 blocks, 3,418
+    # invariants) passes under 1 GiB: the kernel takes one SVD per block, no
+    # wider than the block's invariants, so the largest arrays are the
+    # kernel's 3,418 x 3,418 rows and products.  The child sets the cap on
+    # itself before it imports anything else.  Its counts are the contracted
+    # Clebsch-Gordan ledger's (``ledger_by_contraction``).  Both methods run
+    # on K4 and the cube, since only the Haar projector finds the invariants
+    # by other means than the raising operators that also find the copies.
+    # u1 K4 b5 (1,771,561 blocks) passes under 512 MiB: its weights are one
+    # integer product of the label array, and the report lists no blocks; its
+    # counts are flux counting's, and its first power already reaches all of
+    # ker(pi)
     g = graph()
     cfg = tmp_path / "run.cfg"
     cfg.write_text(run_file(g, group.value, bound))

@@ -55,6 +55,7 @@ from gaugereduce.groups import lie_dim
 from gaugereduce.reduction import reduce_blocks
 
 from .oracles import (
+    complement_parts,
     enumerate_blocks,
     fraction_grouping,
     op_from_coords,
@@ -159,17 +160,6 @@ def assert_arrays_match_per_block_routes(trunc):
         for n, (q, p) in got.items():
             assert np.allclose(q, want[n][0], rtol=0, atol=1e-12)
             assert np.allclose(p, want[n][1], rtol=0, atol=1e-12)
-
-
-def complement_parts(kernel):
-    """The kernel's complement ``sum_n Q_n (x) conj(P_n)`` by its parts: per
-    count ``n`` of pairs kept with a row of ``w``, the projector ``Q_n`` onto
-    the rows with that count and ``P_n`` onto the first ``n`` rows.  Rows of
-    one singular value have one count and ``n`` ends no run of equal singular
-    values, so the parts do not depend on the basis ``w`` holds."""
-    n = kernel.kept.sum(axis=1)
-    w = kernel.w
-    return {k: (w[n == k].conj().T @ w[n == k], w[:k].conj().T @ w[:k]) for k in set(n.tolist())}
 
 
 def assert_sizes_match_the_contracted_ledger(trunc):

@@ -6,6 +6,7 @@ constraints, with no block bookkeeping at all, and must agree with the
 irrep-based computation in both dimension and span.
 """
 
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -47,6 +48,7 @@ from gaugereduce.reduction import (
 from .oracles import (
     DenseSpace,
     SpanConsistencyError,
+    complement_parts,
     complement_rows,
     coords_of,
     coords_of_matrix,
@@ -61,6 +63,7 @@ from .oracles import (
     op_from_coords,
     overlap_norms,
     pair_commutant,
+    per_block_kernel,
     per_block_pass,
     product_projector,
     stepped_rows,
@@ -474,9 +477,10 @@ def invariant_space(space, columns):
     ``kernel_pi_basis`` reads."""
     counts = np.array([c.shape[1] for c in columns], dtype=int)
     zeros = zip(columns, space.weight_zero)
-    overlaps = {i: c[w].conj().T @ z for i, (c, (w, z)) in enumerate(zeros) if c.shape[1]}
+    overlaps = {i: c[w].conj().T @ z for i, (c, (w, z)) in enumerate(zeros)}
     factors = {i: (o,) for i, o in overlaps.items()}
-    out = InvariantSpace(space.trunc, space.splits, counts, factors, overlap_norms(space, overlaps))
+    norms = overlap_norms(space, overlaps)
+    out = InvariantSpace(space.trunc, space.splits, counts, factors.__getitem__, norms)
     out.columns = columns
     return out
 
@@ -747,6 +751,52 @@ def test_kernel_keeps_pairs_by_their_product(name):
     kernel = assert_kernel_spans_the_row_space(space, scaled, mat, atol=1e-8)
     small = np.count_nonzero(np.resize([False, True], inv.dim))
     assert kernel.rank == inv.dim**2 - small**2
+
+
+@pytest.mark.parametrize("name", ["u1-parallel-b1", "su2-loop-j2", "su2-theta-j1"])
+def test_kernel_merges_unequal_blocks(name):
+    # each block's invariant columns scaled by its own 10^-3.5, 1 or 10^-7.5,
+    # the first two blocks out of descending order: the blocks' singular
+    # values differ, so the rank rule keeps a pair of them across blocks
+    # (1 * 10^-7.5) and drops one (10^-3.5 * 10^-7.5).  The per-block SVDs,
+    # merged, give the dense route's component, rank, margin and complement
+    # (``per_block_kernel``), and span the dense matrix's row space
+    trunc = build(name)
+    space, inv, _ = reduce_blocks(trunc)
+    held = np.flatnonzero(inv.counts)
+    assert len(held) >= 3
+    scales = dict(zip(held.tolist(), np.resize(10.0 ** np.array([-3.5, 0, -7.5]), len(held))))
+    columns = [c * scales.get(i, 1.0) for i, c in enumerate(inv.columns)]
+    scaled = invariant_space(space, columns)
+    kernel = assert_kernel_spans_the_row_space(space, scaled, dense_pi_matrix(space, scaled), 1e-8)
+    each = np.repeat([scales.get(i, 1.0) for i in range(len(columns))], inv.counts)
+    assert kernel.rank == np.count_nonzero(np.outer(each, each) > RANK_RTOL * each.max() ** 2)
+    assert kernel.rank < inv.dim**2
+    want = per_block_kernel(space, scaled)
+    assert (kernel.component, kernel.rank) == (want.component, want.rank)
+    assert np.isclose(kernel.margin, want.margin, rtol=1e-9, atol=0)
+    got, want = complement_parts(kernel), complement_parts(want)
+    assert got.keys() == want.keys()
+    for n, (q, p) in got.items():
+        assert_allclose(q, want[n][0], rtol=0, atol=1e-8)
+        assert_allclose(p, want[n][1], rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "graph,group,bound",
+    [(triangle_graph, U1, 2), (theta_graph, SU2, 2), (k4_graph, SU2, 2)],
+    ids=["u1-triangle-b2", "su2-theta-j1", "su2-k4-b2"],
+)
+def test_kernel_takes_one_svd_per_block(monkeypatch, graph, group, bound):
+    # the kernel's SVDs are one per block that holds copies of the kept
+    # component, each its invariants by those copies: no SVD spans two blocks
+    space, inv, _ = reduce_blocks(make(graph(), group, bound))
+    shapes, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: shapes.append(a.shape) or svd(a, **kw))
+    kernel = kernel_pi_basis(space, inv)
+    runs = Counter(i for i, _ in space.held_by(kernel.component))
+    assert sorted(shapes) == sorted((int(inv.counts[i]), n) for i, n in runs.items())
+    assert kernel.rank == inv.dim**2
 
 
 def test_kernel_refuses_a_second_component():
