@@ -26,7 +26,7 @@ from .blocks import Truncation
 from .config import SETTINGS, ConfigError, RunConfig, parse_config
 from .groups import IrrepLabel
 from .ideal import DEFAULT_TOL, IdealReport, verify_ideal
-from .reduction import reduce_blocks
+from .reduction import BandError, reduce_blocks
 from .spectrum import EnergyGrouping, eigenspace_grouping
 
 
@@ -166,12 +166,12 @@ _COMMANDS = {
 class Parser:
     """``parse_args(argv)``: ``COMMAND --KEY VALUE ...`` (or ``--KEY=VALUE``) as
     ``args.KEY``, each value by the rule of its run file key (``config.SETTINGS``;
-    ``--config``, ``--out``: paths), ``--coarse`` bare; bad usage: ``ValueError``."""
+    ``--config``, ``--out``: paths), ``--coarse`` bare; bad usage: ``ConfigError``."""
 
     def parse_args(self, argv: list[str]) -> SimpleNamespace:
         if not argv or argv[0] not in _COMMANDS:
             got = f"unknown command {argv[0]!r}" if argv else "no command"
-            raise ValueError(f"{got}: use decompose, verify or spectrum (-h for help)")
+            raise ConfigError(f"{got}: use decompose, verify or spectrum (-h for help)")
         fn, takes = _COMMANDS[argv[0]]
         flags = dict.fromkeys(_COMMANDS["spectrum"][1])  # None until given
         args = SimpleNamespace(command=argv[0], fn=fn, **flags, coarse=False)
@@ -181,21 +181,21 @@ class Parser:
             name = flag[2:] if flag.startswith("--") else None
             if name not in takes:
                 if name in _COMMANDS["verify"][1]:
-                    raise ValueError(f"{argv[0]} takes no {flag}")
-                raise ValueError(f"unknown argument {token!r}")
+                    raise ConfigError(f"{argv[0]} takes no {flag}")
+                raise ConfigError(f"unknown argument {token!r}")
             if name == "coarse":
                 if eq:
-                    raise ValueError("--coarse takes no value")
+                    raise ConfigError("--coarse takes no value")
                 args.coarse = True
                 continue
             if not eq:
                 value = next(rest, None)
                 if value is None or value.startswith("--"):
-                    raise ValueError(f"{flag} needs a value")
+                    raise ConfigError(f"{flag} needs a value")
             key = "path" if name in ("config", "out") else name
             setattr(args, name, SETTINGS[key][1](name, value))
         if args.config is None:
-            raise ValueError(f"{argv[0]} needs --config FILE")
+            raise ConfigError(f"{argv[0]} needs --config FILE")
         return args
 
 
@@ -211,7 +211,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(parse_config(args.config), args)
-    except ValueError as exc:
+    except (ConfigError, BandError) as exc:  # bad input, and nothing else
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a crash is no verdict on the equality, whose failure is 1

@@ -37,7 +37,7 @@ from .groups import GroupId
 
 
 class ConfigError(ValueError):
-    """A run description that cannot be used, with its file location."""
+    """A run description or a flag that cannot be used, with its file location."""
 
 
 @dataclass(frozen=True)
@@ -59,15 +59,15 @@ _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0"
 
 def _rule(cast, kind: str, need: str = "", test=lambda value: True):
     """``rule(key, text)``: ``cast(text)``, which must be ``kind`` and pass
-    ``test`` (``need`` says what it needs), or a ``ValueError`` naming ``key``."""
+    ``test`` (``need`` says what it needs), or a ``ConfigError`` naming ``key``."""
 
     def rule(key: str, text: str):
         try:
             value = cast(text)
         except (KeyError, ValueError):
-            raise ValueError(f"{key} must be {kind}, got {text!r}") from None
+            raise ConfigError(f"{key} must be {kind}, got {text!r}") from None
         if not test(value):
-            raise ValueError(f"{key} must be {need}")
+            raise ConfigError(f"{key} must be {need}")
         return value
 
     return rule

@@ -165,12 +165,14 @@ def subspace_distance(ideal: IdealMask, kernel: PiKernel) -> float:
 
 def containment_residual(ideal: IdealMask, kernel: PiKernel) -> float:
     """Largest norm of an ideal basis element off the kernel: ``sqrt(sum_kept
-    |w_ap|^2 |w_bt|^2)`` for element ``(p, t)`` of the kernel's component, and
-    zero for every other element."""
+    |w_ap|^2 |w_bt|^2)``, over ``b < pairs[a]`` a prefix sum, for element ``(p,
+    t)`` of the kernel's component, and zero for every other element."""
     if kernel.rank == 0 or not ideal.mask[kernel.component]:
         return 0.0
-    weight = np.abs(kernel.w) ** 2
-    return float(np.sqrt((weight.T @ kernel.kept @ weight).max()))
+    weight = np.zeros((len(kernel.rows), ideal.sizes[kernel.component]))  # the rows' |w|^2
+    for a, (lo, v) in enumerate(kernel.rows):
+        weight[a, lo : lo + len(v)] = np.abs(v) ** 2
+    return float(np.sqrt((weight.T @ np.cumsum(weight, axis=0)[kernel.pairs - 1]).max()))
 
 
 @dataclass(frozen=True)

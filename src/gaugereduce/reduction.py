@@ -16,8 +16,9 @@ Four objects are produced from a truncation:
   its powers are elementwise, up to its number of distinct eigenvalues,
 * the kernel of the restriction map ``pi`` onto the invariant subspace, kept
   by its complement, the row space of ``pi``: the Kronecker square of one
-  component's overlaps with the invariant vectors, by one SVD per block.  No
-  irrep label is read, so comparing the kernel with the ideal is a real check.
+  component's overlaps with the invariant vectors, by one SVD per block, its
+  kept pairs counted off the sorted singular values.  No irrep label is read,
+  so comparing the kernel with the ideal is a real check.
 
 The first three come from one pass (``reduce_blocks``) with no array of a
 block's length: ``G^V`` acts on an SU(2) block vertex by vertex, so it is
@@ -91,14 +92,22 @@ class InvariantSpace:
 class PiKernel:
     """The kernel of ``pi`` in commutant coordinates, known by its orthogonal
     complement in the one ``component`` that ``pi`` sees: a row ``kron(w[a],
-    conj(w[b]))`` on its elements per pair ``kept[a, b]``, ``w`` orthonormal
-    rows.  Dropping the other components moves no singular value of ``pi`` by
-    more than ``delta`` (Weyl); the least kept is ``margin`` times the cut."""
+    conj(w[b]))`` on its elements per pair whose singular values ``s``
+    (descending) have ``s[a] s[b] > RANK_RTOL s[0]^2``, a staircase: ``a`` with
+    ``b < pairs[a]``.  ``rows[a]``, orthonormal, is ``w[a]`` by its first copy
+    and its entries from there.  Dropping the other components moves no
+    singular value of ``pi`` by more than ``delta`` (Weyl); the least kept is
+    ``margin`` times the cut."""
 
-    def __init__(self, ambient_dim, component, w, kept, delta=0.0, margin=np.inf):
-        self.component, self.w, self.kept = component, w, kept
-        self.delta, self.margin = delta, margin
-        self.rank = int(np.count_nonzero(kept))
+    def __init__(self, ambient_dim, component, s, rows=(), delta=0.0):
+        cut = RANK_RTOL * s.max(initial=0.0) ** 2  # s[0]^2, s descending
+        k = np.count_nonzero(s * s[:1] > cut)  # the rows kept with row 0
+        top, self.pairs, run = s[:k], np.full(k, k), max(1, 2**17 // max(k, 1))
+        for a in range(np.count_nonzero(top * top[-1:] > cut), k, run):  # past the full rows
+            self.pairs[a : a + run] = np.sum(np.multiply.outer(top[a : a + run], top) > cut, 1)
+        self.margin = (top * s[self.pairs - 1]).min(initial=np.inf) / cut
+        self.component, self.s, self.rows, self.delta = component, s, rows[:k], delta
+        self.rank = int(self.pairs.sum())
         self.dim = ambient_dim - self.rank
 
 
@@ -168,7 +177,8 @@ def invariant_projector(
     _check_method(block.graph, block.group, labels, method, band)
     if block.dim == 1:  # all spin 0, or U(1), invariant exactly when flux-free
         return _UNIT * float(not (labels @ _incidence(block.graph, 2, -2)).any())
-    splits = _block_splits(_ends(block.graph), block.group, labels[0], method, band)
+    x, group = labels[0].tolist(), block.group
+    splits = [_vertex_split(group, _pattern(at, x), method, band) for at in _ends(block.graph)]
     rows, v = _on_zero(block, splits, "inv")
     out = np.zeros((block.dim, block.dim), dtype=complex)
     out[rows[:, None], rows] = v @ v.conj().T
@@ -193,12 +203,10 @@ def _ends(graph) -> list:
     return [[(j, s) for j, s, u in at if u == v] for v in graph.vertices]
 
 
-def _block_splits(ends: list, group, labels: np.ndarray, method: str, band) -> tuple:
-    """Per vertex, the ``_vertex_split`` of its ``ends`` (``_ends``) in the block
-    of label values ``labels``, but for spin-0 ends: factors of dimension one."""
-    x = labels.tolist()
-    patterns = [tuple((x[j], s) for j, s in at if x[j]) for at in ends]
-    return tuple(_vertex_split(group, p, method, band) for p in patterns)
+def _pattern(at: list, x) -> tuple:
+    """The irreps ``(value, s)`` at a vertex's edge ends ``at`` (``_ends``) under
+    the label values ``x[j]``, but for spin-0 ends: the key of its split."""
+    return tuple((x[j], s) for j, s in at if x[j])
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -224,12 +232,14 @@ def _on_zero(block: BlockLabel, splits: tuple, key: str) -> tuple:
     return rows, functools.reduce(_kron, [s[key] for s in splits])
 
 
-def _copy_basis(block: BlockLabel, splits: tuple) -> np.ndarray:
+def _copy_basis(block: BlockLabel) -> np.ndarray:
     """A block's unitary with its copies side by side, in order (``split``):
-    each the Kronecker product of its vertices' columns."""
-    parts = [np.split(s["basis"], np.cumsum(s["lams"] + 1)[:-1], axis=1) for s in splits]
+    each the Kronecker product of its vertices' columns (``_copies``)."""
+    x = [lab.value for lab in block.labels]
+    ladders = [_copies(block.group, _pattern(at, x))[:2] for at in _ends(block.graph)]
+    parts = [np.split(basis, np.cumsum(lams + 1)[:-1], axis=1) for lams, basis in ladders]
     u = np.hstack([functools.reduce(_kron, cols) for cols in product(*parts)])
-    return u[np.argsort(_edge_major(block, [np.arange(len(s["basis"])) for s in splits]))]
+    return u[np.argsort(_edge_major(block, [np.arange(len(basis)) for _, basis in ladders]))]
 
 
 @functools.cache
@@ -240,19 +250,14 @@ def _haar_matrices(label: IrrepLabel, band: IrrepLabel) -> np.ndarray:
     return out
 
 
-@functools.cache
-def _vertex_split(group, ends: tuple, method: str, band) -> dict:
+def _copies(group, ends: tuple) -> tuple:
     """``E_v``, the product of the irreps ``(value, s)`` at a vertex's edge
     ends, conjugated at a source (``s = 0``), split into irreducible copies,
-    read-only: ``basis`` has them side by side, irrep ``lams[a] = 2j`` on
-    ``lams[a] + 1`` columns of descending weight, ``z`` their columns of
-    weight zero and ``inv`` the invariants on the indices ``zero``; per
-    distinct irrep ``values[at[a]]`` (ascending), ``seedw`` sums its ``mult``
-    copies' ``|trace|^2 / dim`` of ``Gamma_z``'s scaled powers, of norms
-    ``norms``, up to its number of eigenvalues.  A dominant ``lam`` is highest
-    in ``|W_lam| - |W_{lam+2}|`` copies, the null space of ``J_+`` on ``W_lam``,
-    lowered by ``J_-``; the invariants are the null space on ``W_0`` of ``J_+``
-    and ``J_-`` stacked (``"lie"``) or the range of the Haar projector there."""
+    uncached: ``basis`` has them side by side, irrep ``lams[a] = 2j`` on the
+    ``lams[a] + 1`` columns from ``starts[a]``, of descending ``weights``; ``w``
+    holds ``E_v``'s own weights, ``up`` its ``J_+``.  A dominant ``lam`` is
+    highest in ``|W_lam| - |W_{lam+2}|`` copies, the null space of ``J_+`` on
+    ``W_lam``, lowered by ``J_-``."""
     w, up = np.zeros(1, dtype=int), np.zeros((1, 1), dtype=complex)
     for value, s in ends:  # one factor at a time
         lab = IrrepLabel(group, value)
@@ -270,18 +275,31 @@ def _vertex_split(group, ends: tuple, method: str, band) -> dict:
             raise RuntimeError(f"ends {ends}: {hw.shape[1]} highest weights {lam}, not {m}")
         tops.append(np.eye(len(w), dtype=complex)[:, cols] @ hw)
         groups.append((lam, m))
-    values, mult = np.array(groups).T  # by ascending lam
-    lams, first = np.repeat(values, mult), np.cumsum(mult) - mult
+    lams = np.repeat(*np.array(groups).T)  # by ascending lam
     chain = [np.hstack(tops)]
     for t in range(1, lams.max() + 1):  # the t-th step down, past the bottom of the smaller copies
         chain.append(down @ chain[-1] / np.sqrt(np.maximum(t * (lams + 1 - t), 1)))
     starts, copy = np.cumsum(lams + 1) - lams - 1, np.repeat(np.arange(len(lams)), lams + 1)
     t = np.arange(len(w)) - starts[copy]  # each column's steps down its copy
-    basis = np.array(chain)[t, :, copy].T
+    return lams, np.array(chain)[t, :, copy].T, w, up, starts, lams[copy] - 2 * t
+
+
+@functools.cache
+def _vertex_split(group, ends: tuple, method: str, band) -> dict:
+    """``_copies`` as the pass reads it, read-only and without ``basis``:
+    ``lams``, ``z`` the copies' columns of weight zero and ``inv`` the
+    invariants on the indices ``zero``; per distinct irrep ``values[at[a]]``
+    (ascending), ``seedw`` sums its ``mult`` copies' ``|trace|^2 / dim`` of
+    ``Gamma_z``'s scaled powers, of norms ``norms``, up to its number of
+    eigenvalues.  The invariants are the null space on ``W_0`` of ``J_+`` and
+    ``J_-`` stacked (``"lie"``) or the range of the Haar projector there."""
+    lams, basis, w, up, starts, weights = _copies(group, ends)
+    first = np.flatnonzero(np.diff(lams, prepend=-1))  # each irrep's first copy
+    values, mult = lams[first], np.diff(first, append=len(lams))
     zero = np.flatnonzero(w == 0)
     z = np.where(lams % 2 == 0, basis[zero[:, None], starts + lams // 2], 0)
     if method == "lie" or not len(zero):  # no weight zero, no invariant
-        inv = _null_columns(np.vstack([up[w == 2][:, zero], down[w == -2][:, zero]]))
+        inv = _null_columns(np.vstack([up[w == 2][:, zero], up.conj().T[w == -2][:, zero]]))
     else:  # the Haar projector of band, or of its own, maps W_0 into itself
         scheme = haar_scheme(group, band or required_band(group, sum(value for value, _ in ends)))
         term = scheme.weights[:, None, None]
@@ -290,11 +308,11 @@ def _vertex_split(group, ends: tuple, method: str, band) -> dict:
             term = term * (np.conj(mats) if s == 0 else mats)[:, p[:, None], p]
         vals, vecs = np.linalg.eigh(term.sum(axis=0))
         inv = vecs[:, vals > 0.5]
-    eig = -0.5j * (lams[copy] - 2 * t)  # Gamma_z's, with lams.max() + 1 distinct ones
+    eig = -0.5j * weights  # Gamma_z's, with lams.max() + 1 distinct ones
     eig = eig / np.abs(eig).max(initial=np.finfo(float).tiny)
     powers = eig ** np.arange(1, lams.max() + 2)[:, None]
     per_copy = np.abs(np.add.reduceat(powers, starts, axis=1)) ** 2 / (lams + 1)
-    out = dict(lams=lams, basis=basis, zero=zero, z=z, inv=inv, overlaps=inv.conj().T @ z)
+    out = dict(lams=lams, zero=zero, z=z, inv=inv, overlaps=inv.conj().T @ z)
     out.update(values=values, mult=mult, seedw=np.add.reduceat(per_copy, first, axis=1))
     out.update(at=np.repeat(np.arange(len(values)), mult), norms=np.linalg.norm(powers, axis=1))
     for part in out.values():
@@ -418,9 +436,9 @@ class EquivariantSpace:
     @functools.cached_property
     def bases(self) -> list:
         """Per block, the unitary with its copies side by side (``_copy_basis``),
-        built on first read; only the reference routes read it."""
+        rebuilt on first read, as no split keeps it; the reference routes read it."""
         return [
-            _copy_basis(self.trunc.block(i), self.splits(i)) if c < 0 else _UNIT
+            _copy_basis(self.trunc.block(i)) if c < 0 else _UNIT
             for i, c in enumerate(self.scalar.tolist())
         ]
 
@@ -479,7 +497,7 @@ def _table(splits: list, edges: list, shape: tuple, width: int) -> dict:
     for s, row in zip(splits, np.ndindex(shape)):
         at = (*row, s["values"])
         mult[at], inv[row] = s["mult"], s["inv"].shape[1]
-        share[at] = s["mult"] * (s["values"] + 1) / len(s["basis"])
+        share[at] = s["mult"] * (s["values"] + 1) / np.sum(s["lams"] + 1)  # over dim E_v
         squares = np.square(np.abs(s["overlaps"])).sum(axis=0) / np.sqrt(s["lams"] + 1)
         norm[at] = np.bincount(s["at"], squares)
         powers = s["norms"][:, None] ** 2  # 0 on a split of weight 0 alone
@@ -576,8 +594,7 @@ def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=N
     for at in _ends(trunc.graph):  # a vertex's tables, over its edges' labels (a loop's once)
         edges = sorted({j for j, _ in at})
         rows = [dict(zip(edges, x)) for x in product(values, repeat=len(edges))]
-        ends = [tuple((x[j], s) for j, s in at if x[j]) for x in rows]
-        splits = [_vertex_split(trunc.group, p, method, band) for p in ends]
+        splits = [_vertex_split(trunc.group, _pattern(at, x), method, band) for x in rows]
         tables.append(_table(splits, edges, (len(values),) * len(edges), values[-1] * len(at) + 1))
         counts *= tables[-1]["inv"][tuple(trunc.labels[:, edges].T)]  # its invariants' products
     edges, cut = [t["edges"] for t in tables], RANK_RTOL**2
@@ -611,11 +628,11 @@ def kernel_pi_basis(space: EquivariantSpace, inv: InvariantSpace) -> PiKernel:
     ``InvariantSpace.norms``) is kept and a second one above ``RANK_RTOL`` of
     it refused: correct invariant vectors span trivial copies.  A pair of
     singular values of ``O_c`` is kept when its product exceeds ``RANK_RTOL``
-    times the largest, the rank rule of ``scipy.linalg.null_space``.  With no
-    invariants the kernel is everything.
+    times the largest, the rank rule of ``scipy.linalg.null_space``, read off
+    the sorted values (``PiKernel``).  With no invariants the kernel is everything.
     """
     if inv.dim == 0:
-        return PiKernel(space.dim, None, np.zeros((0, 0)), np.zeros((0, 0), dtype=bool))
+        return PiKernel(space.dim, None, np.zeros(0))
     keep, rest = int(inv.norms.argmax()), inv.norms.copy()
     rest[keep] = 0.0
     if rest.max() > RANK_RTOL * inv.norms[keep]:
@@ -628,12 +645,5 @@ def kernel_pi_basis(space: EquivariantSpace, inv: InvariantSpace) -> PiKernel:
         o = functools.reduce(_kron, [f[:, sorted(set(x))] for f, x in zip(factors, digits)])
         parts += zip(*np.linalg.svd(o, full_matrices=False)[1:], repeat(run[0]))
     parts.sort(key=lambda part: -part[0])  # (value, right vector, first copy), ties in block order
-    s = np.array([x for x, _, _ in parts])
-    products = np.outer(s, s)  # the singular values of pi, times sqrt(w_c)
-    kept = products > RANK_RTOL * products.max()
-    k = np.count_nonzero(kept[:, 0])  # s is sorted, so the kept pairs are a staircase
-    margin = products[kept].min() / (RANK_RTOL * products.max())
-    w = np.zeros((k, len(members)), dtype=complex)
-    for r, (_, v, lo) in enumerate(parts[:k]):
-        w[r, lo : lo + len(v)] = v
-    return PiKernel(space.dim, keep, w, kept[:k, :k], float(np.linalg.norm(rest)), margin)
+    s, rows = np.array([x for x, _, _ in parts]), [(lo, v) for _, v, lo in parts]
+    return PiKernel(space.dim, keep, s, rows, float(np.linalg.norm(rest)))

@@ -33,7 +33,8 @@ library reads each copy's one column of weight zero and keeps ``ker(pi)``
 by the Kronecker square of one component's overlaps; the matrix of ``pi``
 from the dense overlaps with every column of the copy basis is kept here
 (``dense_pi_matrix``), and the library's complement is written out as dense
-rows over the whole commutant (``complement_rows``).  The library holds the
+rows over the whole commutant (``complement_rows``), from its kept rows and
+pairs written out dense (``dense_rows``).  The library holds the
 truncation, and every one-dimensional block through the pass, as arrays; the
 per-block routes it replaced are kept here: the blocks enumerated one
 ``BlockLabel`` at a time (``enumerate_blocks``), energies summed as
@@ -117,9 +118,10 @@ def per_block_kernel(space, inv):
     a time from the lazily built ``copies``, ``weight_zero``, ``members`` and
     ``columns``, as it was before the one-dimensional blocks became arrays,
     into one dense ``h x M_0`` matrix of the kept component's overlaps, and
-    one SVD of it: no block structure is read off the factors."""
+    one SVD of it: no block structure is read off the factors.  Its rank and
+    margin are checked against the rank rule on the dense products."""
     if inv.dim == 0:
-        return PiKernel(space.dim, None, np.zeros((0, 0)), np.zeros((0, 0), dtype=bool))
+        return PiKernel(space.dim, None, np.zeros(0))
     first = np.cumsum([0] + [cols.shape[1] for cols in inv.columns])
     zeros = zip(inv.columns, space.weight_zero)
     over = {i: c[w].conj().T @ z for i, (c, (w, z)) in enumerate(zeros) if c.size}
@@ -131,21 +133,33 @@ def per_block_kernel(space, inv):
         if i in over:
             o[first[i] : first[i + 1], p] = over[i][:, a]
     _, s, vh = np.linalg.svd(o, full_matrices=False)
-    products = np.outer(s, s)
+    kernel = PiKernel(space.dim, keep, s, [(0, v) for v in vh], float(np.linalg.norm(rest)))
+    products = np.outer(s, s)  # the rank rule written out densely, against the staircase
     kept = products > RANK_RTOL * products.max()
-    k = np.count_nonzero(kept[:, 0])
-    margin = products[kept].min() / (RANK_RTOL * products.max())
-    return PiKernel(space.dim, keep, vh[:k], kept[:k, :k], float(np.linalg.norm(rest)), margin)
+    assert kernel.rank == np.count_nonzero(kept)
+    assert kernel.margin == products[kept].min() / (RANK_RTOL * products.max())
+    return kernel
 
 
-def complement_parts(kernel):
+def dense_rows(kernel, m):
+    """A kernel's complement as dense arrays: ``w``, its kept rows written out
+    over the ``m`` copies of its component, and ``kept``, its kept pairs
+    ``(a, b)``, ``b`` below row ``a``'s count of pairs (``PiKernel.pairs``)."""
+    w = np.zeros((len(kernel.rows), m), dtype=complex)
+    for a, (lo, v) in enumerate(kernel.rows):
+        w[a, lo : lo + len(v)] = v
+    return w, np.arange(len(w)) < kernel.pairs[:, None]
+
+
+def complement_parts(kernel, m):
     """The kernel's complement ``sum_n Q_n (x) conj(P_n)`` by its parts: per
-    count ``n`` of pairs kept with a row of ``w``, the projector ``Q_n`` onto
-    the rows with that count and ``P_n`` onto the first ``n`` rows.  Rows of
-    one singular value have one count and ``n`` ends no run of equal singular
-    values, so the parts do not depend on the basis ``w`` holds."""
-    n = kernel.kept.sum(axis=1)
-    w = kernel.w
+    count ``n`` of pairs kept with a row of ``w`` (``dense_rows``, over ``m``
+    copies), the projector ``Q_n`` onto the rows with that count and ``P_n``
+    onto the first ``n`` rows.  Rows of one singular value have one count and
+    ``n`` ends no run of equal singular values, so the parts do not depend on
+    the basis ``w`` holds."""
+    w, kept = dense_rows(kernel, m)
+    n = kept.sum(axis=1)
     return {k: (w[n == k].conj().T @ w[n == k], w[:k].conj().T @ w[:k]) for k in set(n.tolist())}
 
 
@@ -601,10 +615,13 @@ def complement_rows(sizes, kernel):
     the commutant of components with ``sizes`` members: ``kron(w[a],
     conj(w[b]))`` on the kept component's elements, one row per kept pair."""
     rows = np.zeros((kernel.rank, int(np.square(sizes).sum())), dtype=complex)
-    a, b = np.nonzero(kernel.kept)
+    if not kernel.rank:
+        return rows
+    m = sizes[kernel.component]
+    w, kept = dense_rows(kernel, m)
+    a, b = np.nonzero(kept)
     start = int(np.square(sizes[: kernel.component]).sum())
-    m = kernel.w.shape[1]
-    block = (kernel.w[a, :, None] * kernel.w[b, None, :].conj()).reshape(len(a), m * m)
+    block = (w[a, :, None] * w[b, None, :].conj()).reshape(len(a), m * m)
     rows[:, start : start + block.shape[1]] = block
     return rows
 

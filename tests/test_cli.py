@@ -201,11 +201,11 @@ def test_verify_exit_two_on_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("error", [MemoryError, RuntimeError])
+@pytest.mark.parametrize("error", [MemoryError, RuntimeError, ValueError])
 def test_verify_exit_three_on_a_crash(tmp_path, capsys, monkeypatch, error):
-    # running out of memory, or an internal check refusing a result, is no
-    # verdict on the equality: the run exits 3, not 1, with one error line
-    # naming the exception
+    # running out of memory, an internal check refusing a result, or an
+    # internal ValueError (not bad input), is no verdict on the equality: the
+    # run exits 3, not 1 or 2, with one error line naming the exception
     def crash(*args, **kwargs):
         raise error("injected")
 

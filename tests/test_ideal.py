@@ -43,6 +43,7 @@ from .oracles import (
     containment_residual,
     coords_of,
     coords_of_matrix,
+    dense_rows,
     element_mask,
     element_op,
     mask_basis,
@@ -283,10 +284,11 @@ def test_containment_residual_extremes():
 
 def test_mask_numbers_equal_dense_oracle_off_the_kernel():
     # A kernel in general position on component 1 of four: random orthonormal
-    # rows w, and a rank cut on products of singular values that keeps some
-    # pairs and drops others, so residuals are neither 0 nor 1; every mask of
-    # the components.  With every pair kept the kernel is the other
-    # components, which a mask of them meets at distance 0.
+    # rows w, and singular values whose rank cut on products keeps some pairs
+    # and drops others, so residuals are neither 0 nor 1; every mask of the
+    # components.  With every pair kept the kernel is the other components,
+    # which a mask of them meets at distance 0.  The pairs the kernel reads
+    # off the values are those of the dense rule
     rng = np.random.default_rng(67)
     sizes = np.array([1, 3, 2, 1])
     q = int(np.square(sizes).sum())
@@ -294,9 +296,11 @@ def test_mask_numbers_equal_dense_oracle_off_the_kernel():
     s = np.array([1.0, 1e-3, 1e-8])
     cut = np.outer(s, s) > RANK_RTOL
     assert 0 < np.count_nonzero(cut) < cut.size
-    kept = [(w, cut), (w[:2], np.ones((2, 2), dtype=bool)), (w, np.ones((3, 3), dtype=bool))]
-    for rows, pairs in kept:
-        kernel = PiKernel(q, 1, rows, pairs)
+    every = np.ones((3, 3), dtype=bool)
+    kept = [(s, cut), (s[:2], every[:2, :2]), (np.ones(3), every)]
+    for values, pairs in kept:
+        kernel = PiKernel(q, 1, values, [(0, v) for v in w[: len(values)]])
+        assert np.array_equal(dense_rows(kernel, 3)[1], pairs)
         dense = SubspaceBasis(q, null_space(complement_rows(sizes, kernel)).T)
         assert kernel.dim == dense.dim == q - np.count_nonzero(pairs)
         for bits in itertools.product((False, True), repeat=len(sizes)):

@@ -236,11 +236,14 @@ def test_contraction_matches_the_flux_count(graph, bound):
 
 
 # counts past the per-block ledger: (dim A^K, dim H^K, dim ker pi) by
-# contraction alone, frozen here
+# contraction alone, frozen here; K4 with spin up to 7/2 and 4 equal whole
+# ``verify --nmax 2`` reports
 CONTRACTED = {
     "su2-k4-b5": (k4_graph, 5, (15828205933597, 1479, 15828203746156)),
     "su2-cube-b2": (cube_graph, 2, (35287146051733, 1013, 35287145025564)),
     "su2-k4-b6": (k4_graph, 6, (472511388812326, 3418, 472511377129602)),
+    "su2-k4-b7": (k4_graph, 7, (9290750536742346, 7094, 9290750486417510)),
+    "su2-k4-b8": (k4_graph, 8, (131749224915343833, 13691, 131749224727900352)),
 }
 
 
@@ -313,8 +316,8 @@ def run_file(graph, group, bound):
         (SU2, k4_graph, 5, "quad", 768),
         (SU2, cube_graph, 2, "lie", 832),
         (SU2, cube_graph, 2, "quad", 832),
-        (SU2, k4_graph, 6, "lie", 1024),
-        (SU2, k4_graph, 6, "quad", 1024),
+        (SU2, k4_graph, 6, "lie", 384),
+        (SU2, k4_graph, 6, "quad", 384),
         (U1, k4_graph, 5, "lie", 512),
     ],
     ids=[
@@ -349,10 +352,11 @@ def test_su2_frontier_verifies_in_a_capped_process(tmp_path, group, graph, bound
     # process passes with its address space capped at 768 MiB, or 832 MiB on
     # the cube with spin up to 1, whose contraction holds grids of up to
     # 22,235,661 entries.  K4 with spin up to 3 (117,649 blocks, 3,418
-    # invariants) passes under 1 GiB: the kernel takes one SVD per block, no
-    # wider than the block's invariants, so the largest arrays are the
-    # kernel's 3,418 x 3,418 rows and products.  The child sets the cap on
-    # itself before it imports anything else.  Its counts are the contracted
+    # invariants) passes under 384 MiB: the kernel takes one SVD per block, no
+    # wider than the block's invariants, and reads its kept pairs off the
+    # sorted singular values a run of rows at a time, so it holds no 3,418 x
+    # 3,418 array, and no cached split holds a copy basis.  The child sets
+    # the cap on itself before it imports anything else.  Its counts are the contracted
     # Clebsch-Gordan ledger's (``ledger_by_contraction``).  Both methods run
     # on K4 and the cube, since only the Haar projector finds the invariants
     # by other means than the raising operators that also find the copies.

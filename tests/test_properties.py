@@ -52,7 +52,7 @@ from gaugereduce import (
     kernel_pi_basis,
 )
 from gaugereduce.groups import lie_dim
-from gaugereduce.reduction import reduce_blocks
+from gaugereduce.reduction import RANK_RTOL, PiKernel, reduce_blocks
 
 from .oracles import (
     complement_parts,
@@ -155,7 +155,8 @@ def assert_arrays_match_per_block_routes(trunc):
         got, want = kernel_pi_basis(space, inv), per_block_kernel(space, inv)
         assert (got.component, got.rank) == (want.component, want.rank)
         assert np.isclose(got.margin, want.margin, rtol=1e-12, atol=0)  # overlaps two ways
-        got, want = complement_parts(got), complement_parts(want)
+        m = space.sizes[got.component]
+        got, want = complement_parts(got, m), complement_parts(want, m)
         assert got.keys() == want.keys()
         for n, (q, p) in got.items():
             assert np.allclose(q, want[n][0], rtol=0, atol=1e-12)
@@ -225,3 +226,38 @@ def test_random_graphs(trunc):
                     avg = op_from_coords(space, lie)[block, block]
                     assert np.abs(generator_op(trunc, spec) - avg).max() < 1e-8
     assert assert_rows_match_dense_oracle(trunc, n_max=2).passed
+
+
+@st.composite
+def descending_values(draw):
+    """Descending singular values over many decades, some of them tied, some
+    at ``RANK_RTOL s_0^2 / s_a`` for another value ``s_a`` or one float
+    either side of it, and some zero."""
+    n = draw(st.integers(1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = 10.0 ** rng.uniform(-14, 0, n) * 10.0 ** draw(st.integers(-100, 100))
+    s[0] = s.max()
+    cut, rest = RANK_RTOL * s[0] ** 2, np.arange(1, n)  # s[0] stays the largest
+    for b in rng.choice(rest, draw(st.integers(0, n - 1))):
+        a, kind = rng.integers(n), rng.integers(4)
+        edge = cut / s[a]
+        s[b] = [s[a], edge, np.nextafter(edge, 0), np.nextafter(edge, np.inf)][kind]
+    s[rng.choice(rest, draw(st.integers(0, min(2, n - 1))))] = 0.0
+    return -np.sort(-np.minimum(s, s[0]))
+
+
+@given(descending_values())
+def test_kernel_staircase_is_the_dense_rule(s):
+    # the kernel reads its kept pairs, rank and margin off the sorted values
+    # a run of rows at a time; they must be the dense rule's, decision for
+    # decision: the pairs of the outer product above RANK_RTOL s_0^2
+    kernel = PiKernel(s.size**2, 0, s, [(0, np.ones(1))] * s.size)
+    products = np.outer(s, s)
+    cut = RANK_RTOL * s[0] ** 2
+    kept = products > cut
+    k = np.count_nonzero(kept[:, 0])
+    assert not kept[k:].any() and len(kernel.rows) == len(kernel.pairs) == k
+    assert np.array_equal(kernel.pairs, kept.sum(axis=1)[:k])
+    assert np.array_equal(kept[:k, :k], np.arange(k) < kernel.pairs[:, None])
+    assert kernel.rank == np.count_nonzero(kept)
+    assert kernel.margin == (products[kept].min() / cut if k else np.inf)

@@ -6,6 +6,7 @@ constraints, with no block bookkeeping at all, and must agree with the
 irrep-based computation in both dimension and span.
 """
 
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -285,10 +286,10 @@ def seed_grid(small, second):
     2) traces 1; the second holds one copy of each irrep in ``second`` and
     reads nothing.  The splits hold, per distinct irrep, the copies'
     ``|trace|^2 / dim`` summed: 2 small^2 for irrep 0, 1 / 3 for irrep 2."""
-    first = {"values": np.array([0, 2]), "mult": np.array([2, 1]), "basis": np.eye(5)}
+    first = {"values": np.array([0, 2]), "mult": np.array([2, 1])}
     first.update(seedw=np.array([[2 * small**2, 1 / 3]]), norms=np.ones(1), lams=np.array([0, 0, 2]))
     values = np.array(second)
-    other = {"values": values, "mult": np.ones(len(values), dtype=int), "basis": np.eye(np.sum(values + 1))}
+    other = {"values": values, "mult": np.ones(len(values), dtype=int)}
     other.update(seedw=np.zeros((1, len(values))), norms=np.ones(1), lams=values)
     for split in (first, other):  # no invariant
         split.update(at=np.repeat(np.arange(len(split["mult"])), split["mult"]), inv=np.zeros((5, 0)))
@@ -345,15 +346,16 @@ def test_seed_supports_stop_at_the_last_power_that_can_grow(trunc, steps):
 @pytest.mark.parametrize("loops", [1, 2])
 def test_split_sums_its_copies_traces_per_irrep(loops):
     # on one vertex with loops a block is its vertex's E_v, index for index,
-    # so Gamma_z read in the split's basis is diagonal; per distinct irrep,
-    # seedw is the sum over its copies of |trace|^2 / dim of Gamma_z's powers
-    # scaled by its largest eigenvalue, and norms are the powers' norms
+    # so Gamma_z read in the block's copy basis, the split's, is diagonal; per
+    # distinct irrep, seedw is the sum over its copies of |trace|^2 / dim of
+    # Gamma_z's powers scaled by its largest eigenvalue, and norms are the
+    # powers' norms
     graph = Graph(("x",), [(f"l{k}", "x", "x") for k in range(loops)])
     trunc = make(graph, SU2, 2)
     space = commutant_basis(trunc)
     for i in range(len(trunc.dims)):
         (split,) = space.splits(i)
-        u, lams = split["basis"], split["lams"]
+        u, lams = space.bases[i], split["lams"]
         assert np.array_equal(split["values"][split["at"]], lams)
         assert np.array_equal(split["mult"], np.bincount(split["at"]))
         eig = np.diagonal(u.conj().T @ block_generators(trunc.blocks[i])[2] @ u)
@@ -775,7 +777,8 @@ def test_kernel_merges_unequal_blocks(name):
     want = per_block_kernel(space, scaled)
     assert (kernel.component, kernel.rank) == (want.component, want.rank)
     assert np.isclose(kernel.margin, want.margin, rtol=1e-9, atol=0)
-    got, want = complement_parts(kernel), complement_parts(want)
+    m = space.sizes[kernel.component]
+    got, want = complement_parts(kernel, m), complement_parts(want, m)
     assert got.keys() == want.keys()
     for n, (q, p) in got.items():
         assert_allclose(q, want[n][0], rtol=0, atol=1e-8)
@@ -813,6 +816,27 @@ def test_kernel_refuses_a_second_component():
     assert bad.dim == inv.dim + 1
     with pytest.raises(RuntimeError, match=r"on component \d+ and .* on component \d+"):
         kernel_pi_basis(space, bad)
+
+
+def test_verify_holds_no_square_of_the_invariants_and_no_copy_basis():
+    # su2 K4 j <= 5/2 has h = 1,479 invariants.  The kernel reads its kept
+    # pairs off the sorted singular values a run of rows at a time, so its
+    # traced peak stays below one h x h float64 array (16.7 MiB); and a
+    # cached split keeps its copies' weight-zero columns, not their copy
+    # basis, so the splits the vertex tables hold stay below 4 MiB
+    space, inv, _ = reduce_blocks(make(k4_graph(), SU2, 5))
+    assert inv.dim == 1479
+    tracemalloc.start()
+    try:
+        kernel = kernel_pi_basis(space, inv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kernel.rank == inv.dim**2
+    assert peak < 8 * inv.dim**2
+    held = {id(s): s for t in space.tables for s in t["splits"].flat}
+    assert sum(part.nbytes for s in held.values() for part in s.values()) < 4 * 2**20
+    assert not any("basis" in s for s in held.values())
 
 
 def test_highest_weight_count_is_checked(monkeypatch):
