@@ -135,7 +135,7 @@ class IdealMask:
 
     @property
     def dim(self) -> int:
-        return int(np.square(self.sizes[self.mask]).sum())
+        return sum(n * n for n in self.sizes[self.mask].tolist())
 
 
 def ideal_closure(

@@ -24,9 +24,10 @@ The first three come from one pass (``reduce_blocks``) with no array of a
 block's length: ``G^V`` acts on an SU(2) block vertex by vertex, so it is
 ``(x)_v E_v``, ``E_v`` the product of the irreps at ``v``'s edge ends, and its
 copies, invariants, overlaps and seeds are products of those of the ``E_v``,
-each split once per pattern of ends (``_vertex_split``).  Every sum over the
-blocks is then a contraction of per-vertex tables over the edge labels
-(``_contract``): only the blocks with invariants are listed.  The U(1)
+each split once per pattern of ends (``_vertex_split``), its copies found by
+their vectors of weight 0 or 1, off one SVD of ``J_+`` (``_copies``).  Every
+sum over the blocks is then a contraction of per-vertex tables over the edge
+labels (``_contract``): only the blocks with invariants are listed.  The U(1)
 blocks carry characters of ``G^V``: they stay arrays over the label array.
 
 Ranks are decided at a single relative tolerance, so the counts reported
@@ -189,8 +190,6 @@ def _null_columns(a: np.ndarray) -> np.ndarray:
     """Orthonormal null space of ``a`` by the rank rule of ``null_space``
     (singular values above ``RANK_RTOL`` times the largest), from an SVD
     that is thin unless ``a`` is wide."""
-    if not a.size:  # no constraint, or no column
-        return np.eye(a.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     return vh[np.count_nonzero(s > RANK_RTOL * s.max(initial=0.0)) :].conj().T
 
@@ -233,13 +232,23 @@ def _on_zero(block: BlockLabel, splits: tuple, key: str) -> tuple:
 
 
 def _copy_basis(block: BlockLabel) -> np.ndarray:
-    """A block's unitary with its copies side by side, in order (``split``):
-    each the Kronecker product of its vertices' columns (``_copies``)."""
-    x = [lab.value for lab in block.labels]
-    ladders = [_copies(block.group, _pattern(at, x))[:2] for at in _ends(block.graph)]
-    parts = [np.split(basis, np.cumsum(lams + 1)[:-1], axis=1) for lams, basis in ladders]
+    """A block's unitary with its copies side by side, in order (``split``),
+    each the Kronecker product of its vertices' copies: their anchors
+    (``_copies``) raised by ``J_+`` and lowered by ``J_-``, onto weight ``nu``
+    at the standard ``sqrt((lam + |nu|) (lam - |nu| + 2)) / 2``."""
+    x, parts = [lab.value for lab in block.labels], []
+    for at in _ends(block.graph):
+        lams, anchors, w, up, starts, weights = _copies(block.group, _pattern(at, x))
+        lam, mu = np.repeat(lams, lams + 1), lams[0] % 2  # each column's irrep, the anchors' weight
+        coef = np.sqrt((lam + np.abs(weights)) * (lam - np.abs(weights) + 2)) / 2
+        basis = np.zeros((len(w), len(w)), dtype=complex)
+        basis[np.ix_(w == mu, weights == mu)] = anchors
+        for nu in [*range(mu + 2, lams.max() + 1, 2), *range(mu - 2, -lams.max() - 1, -2)]:
+            cols, step = np.flatnonzero(weights == nu), up if nu > mu else up.conj().T
+            basis[:, cols] = step @ basis[:, cols + np.sign(nu - mu)] / coef[cols]  # from W_mu
+        parts.append(np.split(basis, starts[1:], axis=1))
     u = np.hstack([functools.reduce(_kron, cols) for cols in product(*parts)])
-    return u[np.argsort(_edge_major(block, [np.arange(len(basis)) for _, basis in ladders]))]
+    return u[np.argsort(_edge_major(block, [np.arange(len(p[0])) for p in parts]))]
 
 
 @functools.cache
@@ -253,51 +262,44 @@ def _haar_matrices(label: IrrepLabel, band: IrrepLabel) -> np.ndarray:
 def _copies(group, ends: tuple) -> tuple:
     """``E_v``, the product of the irreps ``(value, s)`` at a vertex's edge
     ends, conjugated at a source (``s = 0``), split into irreducible copies,
-    uncached: ``basis`` has them side by side, irrep ``lams[a] = 2j`` on the
-    ``lams[a] + 1`` columns from ``starts[a]``, of descending ``weights``; ``w``
-    holds ``E_v``'s own weights, ``up`` its ``J_+``.  A dominant ``lam`` is
-    highest in ``|W_lam| - |W_{lam+2}|`` copies, the null space of ``J_+`` on
-    ``W_lam``, lowered by ``J_-``."""
+    uncached: ``w`` holds ``E_v``'s weights, ``up`` its ``J_+``, and a dominant
+    ``lam = 2j`` has ``|W_lam| - |W_{lam+2}|`` copies, ``lams`` ascending, copy
+    ``a`` on the ``lams[a] + 1`` columns from ``starts[a]`` of descending
+    ``weights``.  A copy meets ``W_mu`` (``mu`` the weights' parity) in its
+    anchor, where ``J_- J_+ = (lam (lam + 2) - mu (mu + 2)) / 4``: the anchors
+    are ``J_+``'s right singular vectors on ``W_mu`` (the indices ``w == mu``)
+    by ascending value, the first ``|W_mu| - |W_{mu+2}|`` its null space."""
     w, up = np.zeros(1, dtype=int), np.zeros((1, 1), dtype=complex)
     for value, s in ends:  # one factor at a time
         lab = IrrepLabel(group, value)
         x, y, gz = (np.conj(g) if s == 0 else g for g in map(irrep_generator, [lab] * 3, range(3)))
         w = (w[:, None] + np.rint(2 * (1j * np.diagonal(gz)).real).astype(int)).ravel()
         up = _kron(up, np.eye(lab.dim)) + _kron(np.eye(len(up)), 1j * (x + 1j * y))
-    down, groups, tops = up.conj().T, [], []
-    for lam in [lam for lam in sorted(set(w.tolist())) if lam >= 0]:
-        cols, above = np.flatnonzero(w == lam), np.flatnonzero(w == lam + 2)
-        m = len(cols) - len(above)
-        if not m:
-            continue
-        hw = _null_columns(up[above[:, None], cols])  # all of W_lam if nothing is above
-        if hw.shape[1] != m:
-            raise RuntimeError(f"ends {ends}: {hw.shape[1]} highest weights {lam}, not {m}")
-        tops.append(np.eye(len(w), dtype=complex)[:, cols] @ hw)
-        groups.append((lam, m))
-    lams = np.repeat(*np.array(groups).T)  # by ascending lam
-    chain = [np.hstack(tops)]
-    for t in range(1, lams.max() + 1):  # the t-th step down, past the bottom of the smaller copies
-        chain.append(down @ chain[-1] / np.sqrt(np.maximum(t * (lams + 1 - t), 1)))
+    n = np.bincount(w[w >= 0])  # |W_lam|, lam = 0, 1, ...
+    lams = np.repeat(np.arange(len(n)), n - np.append(n, [0, 0])[2:])
+    mu = lams[0] % 2
+    _, s, vh = np.linalg.svd(up[np.flatnonzero(w == mu + 2)[:, None], w == mu])
+    rank, want = np.count_nonzero(s > RANK_RTOL * s.max(initial=0.0)), np.sum(w == mu + 2)
+    if rank != want:  # a lost rank would drop a copy
+        raise RuntimeError(f"ends {ends}: J_+ has rank {rank} on W_{mu}, not {want}")
     starts, copy = np.cumsum(lams + 1) - lams - 1, np.repeat(np.arange(len(lams)), lams + 1)
-    t = np.arange(len(w)) - starts[copy]  # each column's steps down its copy
-    return lams, np.array(chain)[t, :, copy].T, w, up, starts, lams[copy] - 2 * t
+    weights = lams[copy] - 2 * (np.arange(len(w)) - starts[copy])
+    return lams, vh[::-1].conj().T, w, up, starts, weights
 
 
 @functools.cache
 def _vertex_split(group, ends: tuple, method: str, band) -> dict:
-    """``_copies`` as the pass reads it, read-only and without ``basis``:
-    ``lams``, ``z`` the copies' columns of weight zero and ``inv`` the
-    invariants on the indices ``zero``; per distinct irrep ``values[at[a]]``
-    (ascending), ``seedw`` sums its ``mult`` copies' ``|trace|^2 / dim`` of
-    ``Gamma_z``'s scaled powers, of norms ``norms``, up to its number of
-    eigenvalues.  The invariants are the null space on ``W_0`` of ``J_+`` and
-    ``J_-`` stacked (``"lie"``) or the range of the Haar projector there."""
-    lams, basis, w, up, starts, weights = _copies(group, ends)
-    first = np.flatnonzero(np.diff(lams, prepend=-1))  # each irrep's first copy
-    values, mult = lams[first], np.diff(first, append=len(lams))
+    """``_copies`` as the pass reads it, read-only: ``lams``, ``z`` the
+    copies' anchors on ``W_0`` and ``inv`` the invariants on its indices
+    ``zero``; per distinct irrep ``values[at[a]]`` (ascending), ``seedw`` sums
+    its ``mult`` copies' ``|trace|^2 / dim`` of ``Gamma_z``'s scaled powers, of
+    norms ``norms``, up to its number of eigenvalues.  The invariants are the
+    null space on ``W_0`` of ``J_+`` and ``J_-`` stacked (``"lie"``) or the
+    range of the Haar projector there."""
+    lams, anchors, w, up, starts, weights = _copies(group, ends)
+    values, first, mult = np.unique(lams, return_index=True, return_counts=True)
     zero = np.flatnonzero(w == 0)
-    z = np.where(lams % 2 == 0, basis[zero[:, None], starts + lams // 2], 0)
+    z = anchors[: len(zero)]  # all of them, or none if the weights are odd
     if method == "lie" or not len(zero):  # no weight zero, no invariant
         inv = _null_columns(np.vstack([up[w == 2][:, zero], up.conj().T[w == -2][:, zero]]))
     else:  # the Haar projector of band, or of its own, maps W_0 into itself
@@ -347,23 +349,23 @@ def own_elements(copies: list):
 class EquivariantSpace:
     """The commutant as one full matrix algebra per gauge irrep.
 
-    Its components are the cells of the grid of gauge irreps that hold a
-    copy, in grid order (vertex 0 slowest): ``cells[c]`` ravelled over
-    ``grid = (shape, lo)``, of ``sizes[c]`` copies.  ``scalar[i]`` is the
-    component of U(1) block ``i``, one copy on column 0, of weight-zero column
-    ``[[1]]`` if its irrep is trivial; an SU(2) block (-1) is held by its
-    vertices' splits (``splits``), whose products are its copies, and
-    ``tables[v]["mult"]`` counts vertex ``v``'s copies of each irrep over its
-    edges' labels.  Element ``k``, a matrix unit ``u_a u_b^H / sqrt(dim)`` of
-    component ``components[k]``, is orthonormal to the others; a component's
-    run row-major over its ``members`` (``held_by``) squared.  Every block's
-    ``copies`` (``(c, cols)``, on the columns ``cols`` of ``bases``) and
-    ``weight_zero`` (its ``W_0`` indices and copies' columns there), and each
-    cached property, are built on first read."""
+    Its components are the cells of the grid of gauge irreps that hold a copy,
+    in grid order (vertex 0 slowest): ``cells[c]`` ravelled over ``grid =
+    (shape, lo)``, of ``sizes[c]`` copies.  ``scalar[i]`` is the component of
+    U(1) block ``i``, one copy on column 0, of weight-zero column ``[[1]]`` if
+    its irrep is trivial; with ``tables`` (SU(2), no ``scalar``) a block is
+    held by its vertices' splits (``splits``), whose products are its copies,
+    and ``tables[v]["mult"]`` counts vertex ``v``'s copies of each irrep over
+    its edges' labels.  Element ``k``, a matrix unit ``u_a u_b^H / sqrt(dim)``
+    of component ``components[k]``, is orthonormal to the others; a
+    component's run row-major over its ``members`` (``held_by``) squared.
+    Every block's ``copies`` (``(c, cols)``, on the columns ``cols`` of
+    ``bases``) and ``weight_zero`` (its ``W_0`` indices and copies' columns
+    there), and each cached property, are built on first read."""
 
     def __init__(self, trunc, grid, cells, sizes, scalar, tables=()):
         self.trunc, self.grid, self.cells, self.sizes = trunc, grid, cells, sizes
-        self.scalar, self.tables, self.dim = scalar, tables, int(np.square(sizes).sum())
+        self.scalar, self.tables, self.dim = scalar, tables, sum(n * n for n in sizes.tolist())
 
     def splits(self, i: int) -> tuple:
         """SU(2) block ``i``'s vertices' splits, each at its edges' labels there."""
@@ -371,7 +373,7 @@ class EquivariantSpace:
 
     def split(self, i: int) -> tuple:
         """Block ``i``'s copies, in order: their components and numbers of columns."""
-        if self.scalar[i] >= 0:
+        if not self.tables:
             return self.scalar[i : i + 1], np.ones(1, dtype=int)
         lams = [s["lams"] for s in self.splits(i)]  # an SU(2) grid starts at 0
         flat = np.ravel_multi_index(np.ix_(*lams), self.grid[0]).ravel()
@@ -403,16 +405,16 @@ class EquivariantSpace:
     def copies(self) -> list:
         return [
             [(c, slice(b - m, b)) for c, m, b in zip(k.tolist(), n.tolist(), np.cumsum(n).tolist())]
-            for k, n in map(self.split, range(len(self.scalar)))
+            for k, n in map(self.split, range(len(self.trunc.labels)))
         ]
 
     @functools.cached_property
     def weight_zero(self) -> list:
+        if self.tables:
+            blocks = range(len(self.trunc.labels))
+            return [_on_zero(self.trunc.block(i), self.splits(i), "z") for i in blocks]
         zero = [([], _UNIT[:0]) if any(lam) else ([0], _UNIT) for lam in self.irreps]
-        return [
-            _on_zero(self.trunc.block(i), self.splits(i), "z") if c < 0 else zero[c]
-            for i, c in enumerate(self.scalar.tolist())
-        ]
+        return [zero[c] for c in self.scalar.tolist()]
 
     @functools.cached_property
     def members(self) -> list:
@@ -436,11 +438,10 @@ class EquivariantSpace:
     @functools.cached_property
     def bases(self) -> list:
         """Per block, the unitary with its copies side by side (``_copy_basis``),
-        rebuilt on first read, as no split keeps it; the reference routes read it."""
-        return [
-            _copy_basis(self.trunc.block(i)) if c < 0 else _UNIT
-            for i, c in enumerate(self.scalar.tolist())
-        ]
+        built from their anchors on first read; only the reference routes read it."""
+        if not self.tables:
+            return [_UNIT] * len(self.trunc.labels)
+        return [_copy_basis(self.trunc.block(i)) for i in range(len(self.trunc.labels))]
 
     def structure_maps(self):
         """Sparse product tables: row ``x*q + m`` of ``L @ w`` (``R @ w``) is
@@ -548,9 +549,9 @@ def _check_method(graph, group, labels: np.ndarray, method: str, band) -> None:
     for the first row of label values that needs more than ``band``."""
     if method not in ("lie", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "quadrature":
+    if method == "quadrature" and band is not None:  # with no band, no block is short
         degree = vertex_degrees(graph, labels)
-        short = (degree + 1) // 2 > (np.inf if band is None else band.degree)
+        short = (degree + 1) // 2 > band.degree
         if short.any():
             raise BandError(required_band(group, degree[short.argmax()]), band)
 
@@ -608,8 +609,7 @@ def reduce_blocks(trunc: Truncation, method: str = "lie", n_max: int = 0, band=N
             parts = [t["seed"][n] if u == v else t["share"] for u, t in enumerate(tables)]
             support[n] |= _contract(parts, edges, np.maximum) > cut
     support = np.logical_or.accumulate(support).reshape(steps, sizes.size)[:, cells]
-    scalar, grid = np.full(len(trunc.labels), -1), (sizes.shape, 0)
-    space = EquivariantSpace(trunc, grid, cells, sizes.ravel()[cells], scalar, tables)
+    space = EquivariantSpace(trunc, (sizes.shape, 0), cells, sizes.ravel()[cells], None, tables)
     overlaps = lambda i: tuple(s["overlaps"] for s in space.splits(i))  # noqa: E731
     norms = _contract([t["norm"] for t in tables], edges, np.add).ravel()[cells]
     return space, InvariantSpace(trunc, space.splits, counts, overlaps, norms), support

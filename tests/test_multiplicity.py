@@ -236,14 +236,15 @@ def test_contraction_matches_the_flux_count(graph, bound):
 
 
 # counts past the per-block ledger: (dim A^K, dim H^K, dim ker pi) by
-# contraction alone, frozen here; K4 with spin up to 7/2 and 4 equal whole
-# ``verify --nmax 2`` reports
+# contraction alone, frozen here; K4 with spin up to 7/2, 4 and 9/2 equal
+# whole ``verify --nmax 2`` reports
 CONTRACTED = {
     "su2-k4-b5": (k4_graph, 5, (15828205933597, 1479, 15828203746156)),
     "su2-cube-b2": (cube_graph, 2, (35287146051733, 1013, 35287145025564)),
     "su2-k4-b6": (k4_graph, 6, (472511388812326, 3418, 472511377129602)),
     "su2-k4-b7": (k4_graph, 7, (9290750536742346, 7094, 9290750486417510)),
     "su2-k4-b8": (k4_graph, 8, (131749224915343833, 13691, 131749224727900352)),
+    "su2-k4-b9": (k4_graph, 9, (1436846065139194339, 24694, 1436846064529400703)),
 }
 
 

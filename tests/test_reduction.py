@@ -34,12 +34,14 @@ from gaugereduce import (
 )
 from gaugereduce.blocks import kron_chain
 from gaugereduce.groups import irrep_generator
+from gaugereduce.ideal import IdealMask
 from gaugereduce.lattice import block_generators, lie_directions
 from gaugereduce.reduction import (
     RANK_RTOL,
     _incidence,
     _null_columns,
     _contract,
+    _copies,
     _table,
     _vertex_split,
     own_elements,
@@ -263,6 +265,32 @@ def test_short_band_is_refused_before_the_scalar_generators(monkeypatch):
     for trunc in (make(k4_graph(), U1, 2), build("su2-loop-j1")):
         with pytest.raises(BandError):
             reduce_blocks(trunc, "quadrature", band=IrrepLabel(trunc.group, 0))
+
+
+def test_quadrature_without_a_band_skips_the_band_sweep(monkeypatch):
+    # with no band given each vertex averages at its own, so no block can be
+    # short and the degree sweep over the label array is never run; the
+    # counts equal those of the null spaces
+    def boom(graph, labels):
+        raise AssertionError("band sweep run without a band")
+
+    def counts(report):
+        return report.dim_hk, report.dim_ker_pi, [r.dim_ideal for r in report.rows], report.passed
+
+    truncs = (make(k4_graph(), U1, 2), build("su2-loop-j1"))
+    want = [counts(verify_ideal(trunc, n_max=2)) for trunc in truncs]
+    monkeypatch.setattr("gaugereduce.reduction.vertex_degrees", boom)
+    for trunc, lie in zip(truncs, want):
+        assert counts(verify_ideal(trunc, n_max=2, method="quadrature")) == lie
+
+
+def test_dimensions_sum_squares_without_wrapping():
+    # three components of 2^32 copies each hold 3 * 2^64 elements, which an
+    # int64 sum of the squares wraps to 0; su2 K4 j <= 5 (461,761 cells, the
+    # largest of 42,486,075 copies) would wrap past 2^63 without an error
+    sizes = np.full(3, 2**32, dtype=np.int64)
+    assert EquivariantSpace(None, None, np.arange(3), sizes, None).dim == 3 * 2**64
+    assert IdealMask(np.array([True, False, True]), sizes).dim == 2 * 2**64
 
 
 @pytest.mark.parametrize("shape", [(12, 5), (5, 12), (7, 7)])
@@ -840,19 +868,45 @@ def test_verify_holds_no_square_of_the_invariants_and_no_copy_basis():
 
 
 def test_highest_weight_count_is_checked(monkeypatch):
-    # the raising operators' null space on a weight must have the dimension
-    # the weight multiplicities give; a rank decision that lost a vector
-    # would drop a copy, so the pass refuses it.  The cache of splits is
-    # emptied first, so the pattern is split again, and after, so that no
-    # split made with the short rule outlives the test
-    short = lambda a: _null_columns(a)[:, 1:]  # noqa: E731
-    monkeypatch.setattr("gaugereduce.reduction._null_columns", short)
+    # each copy is found by its anchor, a right singular vector of J_+ from
+    # W_mu to W_{mu+2}, so J_+ must have full rank there; an SVD that lost a
+    # value would turn a copy of lam > mu into one of mu, so the pass refuses
+    # it.  The cache of splits is emptied first, so the pattern is split
+    # again, and after, so that no split made with the short SVD outlives
+    # the test
+    svd = np.linalg.svd
+
+    def short(a, *args, **kwargs):  # the smallest singular value lost
+        u, s, vh = svd(a, *args, **kwargs)
+        return u, np.where(np.arange(len(s)) < len(s) - 1, s, 0.0), vh
+
+    monkeypatch.setattr(np.linalg, "svd", short)
     _vertex_split.cache_clear()
     try:
-        with pytest.raises(RuntimeError, match="highest weights"):
+        with pytest.raises(RuntimeError, match=r"J_\+ has rank 0 on W_0, not 1"):
             reduce_blocks(make(loop_graph(), SU2, 1))
     finally:
         _vertex_split.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "ends,lams", [(((2, 1),) * 3, [0, 2, 2, 2, 4, 4, 6]), (((1, 1),) * 3, [1, 1, 3])]
+)
+def test_copies_take_one_svd(monkeypatch, ends, lams):
+    # three spin-1 ends hold irreps 0, 2, 4 and 6 (1, 3, 2 and 1 copies),
+    # three spin-1/2 ends irreps 1 and 3.  Every copy's anchor on W_mu is a
+    # right singular vector of one SVD of J_+ from W_mu to W_{mu+2}, by
+    # ascending value, so J_- J_+ = (lam (lam + 2) - mu (mu + 2)) / 4 there;
+    # no null space is taken per irrep
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
+    got, anchors, w, up, _, _ = _copies(SU2, ends)
+    assert len(calls) == 1 and got.tolist() == lams
+    mu = got[0] % 2
+    a = up[w == mu + 2][:, w == mu] @ anchors
+    want = np.diag((got * (got + 2) - mu * (mu + 2)) / 4)
+    assert_allclose(a.conj().T @ a, want, rtol=0, atol=1e-12)
+    assert_allclose(anchors.conj().T @ anchors, np.eye(len(got)), rtol=0, atol=1e-12)
 
 
 ASSEMBLY_CASES = {k: build(k) for k in SMALL if CANON[k][1] is SU2} | {
